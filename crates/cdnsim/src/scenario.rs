@@ -470,11 +470,24 @@ impl StandardScenario {
     /// and telemetry counters still sum to the sequential values, with
     /// per-shard `scenario.shard.{prepass,merge,sim}` spans and merge
     /// metrics (`shard.pulls_scheduled`, `shard.boundary_fills`) on top.
+    ///
+    /// One shard has no boundary to reconcile, so it runs the live engine
+    /// ([`StandardScenario::run_with_outcome`]) with no prepass or merge;
+    /// the merge metrics still read what the three passes would record:
+    /// every replication scheduled, no boundary fills.
     pub fn run_with_outcome_sharded(
         &self,
         name: DatasetName,
         shards: usize,
     ) -> (Dataset, SessionOutcome) {
+        if shards <= 1 {
+            let (dataset, outcome) = self.run_with_outcome(name);
+            self.telemetry
+                .counter("shard.pulls_scheduled")
+                .add(outcome.replications);
+            self.telemetry.counter("shard.boundary_fills").add(0);
+            return (dataset, outcome);
+        }
         let idx = self.vantage_idx(name);
         let span = self.telemetry.span(run_span_name(name));
         let model = self.make_engine(idx, false).workload();
@@ -774,6 +787,76 @@ mod tests {
         // the prepass replays every prelude.
         assert_eq!(snap.counter("scenario.sessions"), outcome.sessions);
         assert_eq!(snap.counter("scenario.flows"), outcome.flows);
+    }
+
+    /// The counters an engine run records once per session, whatever the
+    /// shard count.
+    const ENGINE_COUNTERS: [&str; 7] = [
+        "scenario.sessions",
+        "scenario.flows",
+        "engine.cache_miss",
+        "engine.redirect.content_miss",
+        "engine.redirect.wrong_guess",
+        "engine.redirect.overload",
+        "placement.replication",
+    ];
+
+    /// `run_with_outcome_sharded(·, 1)` takes the live engine, so the
+    /// three-pass algorithm at K=1 is only reachable through
+    /// `shard::run_sharded`: pin it against the live engine here, with and
+    /// without mutations, and pin the K=1 telemetry of both paths.
+    #[test]
+    fn one_shard_three_pass_matches_live_engine() {
+        let specs: Vec<MutationSpec> = ["dc-down@72:milan", "cache-evict@48:0.5"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let cfg = ScenarioConfig::with_scale(0.002, 7);
+        let name = DatasetName::Eu1Ftth;
+        for mutations in [&specs[..0], &specs[..]] {
+            let instrumented = || {
+                let mut s = StandardScenario::build(cfg);
+                s.set_mutations(mutations).unwrap();
+                s.set_telemetry(Telemetry::metrics_only());
+                s
+            };
+
+            let live = instrumented();
+            let (live_ds, live_outcome) = live.run_with_outcome_sharded(name, 1);
+            let live_snap = live.telemetry().metrics_snapshot().unwrap();
+
+            let three_pass = instrumented();
+            let idx = three_pass.vantage_idx(name);
+            let (records, outcome) = crate::shard::run_sharded(
+                1,
+                &three_pass.make_engine(idx, false).workload(),
+                &three_pass.fresh_store(),
+                cfg.engine.disable_replication,
+                three_pass.telemetry(),
+                |instrumented| three_pass.make_engine(idx, instrumented),
+            );
+            assert_eq!(Dataset::from_records(name, records), live_ds);
+            assert_eq!(outcome, live_outcome);
+            let three_snap = three_pass.telemetry().metrics_snapshot().unwrap();
+
+            let four = instrumented();
+            four.run_with_outcome_sharded(name, 4);
+            let four_snap = four.telemetry().metrics_snapshot().unwrap();
+
+            for snap in [&live_snap, &three_snap] {
+                assert_eq!(snap.counter("shard.pulls_scheduled"), outcome.replications);
+                assert!(snap.counters.contains_key("shard.boundary_fills"));
+                assert_eq!(snap.counter("shard.boundary_fills"), 0);
+                for counter in ENGINE_COUNTERS {
+                    assert_eq!(
+                        snap.counter(counter),
+                        four_snap.counter(counter),
+                        "{counter} with {} mutations",
+                        mutations.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! hour slices and simulates them on K threads while producing output
 //! **byte-identical** to the sequential engine — the differential harness
 //! in `tests/sharding_differential.rs` asserts exactly that for
-//! K ∈ {1, 2, 4, 7, 16}.
+//! K ∈ {2, 4, 7, 16}, and `scenario::tests` pins K = 1 (which
+//! [`StandardScenario::run_with_outcome_sharded`](crate::StandardScenario::run_with_outcome_sharded)
+//! never takes: one shard has no boundary, so it runs the live engine).
 //!
 //! # Why exact sharding is possible
 //!

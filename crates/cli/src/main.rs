@@ -349,9 +349,7 @@ fn generate(
     ctx: &Ctx,
 ) -> ExitCode {
     let datasets: Vec<Dataset> = match dataset {
-        Some(n) if shards == 1 => vec![s.run(n)],
         Some(n) => vec![s.run_sharded(n, shards)],
-        None if shards == 1 => s.run_all(),
         None => s.run_all_sharded(shards),
     };
     if format == args::TraceFormat::Ytc {
@@ -507,11 +505,7 @@ fn watch(
     config: WatchConfig,
     ctx: &Ctx,
 ) -> ExitCode {
-    let ds = if shards == 1 {
-        s.run(dataset)
-    } else {
-        s.run_sharded(dataset, shards)
-    };
+    let ds = s.run_sharded(dataset, shards);
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
     let jobs = std::thread::available_parallelism()
@@ -598,11 +592,7 @@ fn geolocate(
     ctx: &Ctx,
 ) -> ExitCode {
     let s = scenario(scale, seed, ctx);
-    let ds = if shards == 1 {
-        s.run(dataset)
-    } else {
-        s.run_sharded(dataset, shards)
-    };
+    let ds = s.run_sharded(dataset, shards);
     ctx.progress.note(&format!(
         "calibrating CBG on {landmarks} landmarks, geolocating {} servers…",
         ds.server_ips().len()

@@ -21,11 +21,10 @@
 //! files for any `--shards K`, so golden tests pin whole-file digests.
 //! The full byte layout is specified in `DESIGN.md` §13.
 //!
-//! Determinism note: every collection here is a `Vec` or `BTreeMap`
-//! (lint rule `DET003` applies to this module), so encoded bytes never
-//! depend on hash iteration order.
+//! Determinism note: every collection here is a `Vec` (lint rule `DET003`
+//! applies to this module), so encoded bytes never depend on hash
+//! iteration order.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
@@ -34,7 +33,7 @@ use std::ops::Range;
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::{Dataset, DatasetName, FlowRecord, Resolution, VideoId, HOUR_MS};
 
-use crate::sha256::{sha256, DIGEST_LEN};
+use crate::sha256::{sha256, Sha256, DIGEST_LEN};
 
 /// The file magic, first four bytes of every `.ytc` file.
 pub const MAGIC: [u8; 4] = *b"YTCF";
@@ -402,27 +401,40 @@ impl YtcFile {
 
     /// Encodes the file to its canonical byte form. Deterministic: equal
     /// headers and columns yield identical bytes, whatever engine or shard
-    /// count produced the records.
+    /// count produced the records. Runs the same streaming encoder as
+    /// [`YtcFile::write_to`], into a `Vec`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-
-        let header = encode_header(&self.header, self.datasets.len() as u64);
-        out.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&sha256(&header));
-
-        for c in &self.datasets {
-            let payload = encode_section(c);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&sha256(&payload));
-        }
-
-        let file_digest = sha256(&out);
-        out.extend_from_slice(&file_digest);
+        let streamed = self.stream_to(&mut out);
+        // ytcdn-lint: allow(PAN001) — writing into a Vec<u8> never fails
+        streamed.expect("Vec<u8> writes are infallible");
         out
+    }
+
+    /// The one encoder: streams the header and each dataset section
+    /// straight to `w` through one running SHA-256 over the file body, so
+    /// the whole file is never held in memory. One section buffer is
+    /// reused across sections. Returns the bytes written.
+    fn stream_to<W: Write>(&self, w: W) -> std::io::Result<u64> {
+        let mut body = BodyWriter::new(w);
+        body.put(&MAGIC)?;
+        body.put(&FORMAT_VERSION.to_le_bytes())?;
+
+        let mut section = Vec::new();
+        encode_header(&mut section, &self.header, self.datasets.len() as u64);
+        body.put(&(section.len() as u32).to_le_bytes())?;
+        body.put(&section)?;
+        body.put(&sha256(&section))?;
+
+        let mut block = Vec::new();
+        for c in &self.datasets {
+            section.clear();
+            encode_section(&mut section, &mut block, c);
+            body.put(&(section.len() as u64).to_le_bytes())?;
+            body.put(&section)?;
+            body.put(&sha256(&section))?;
+        }
+        body.finish()
     }
 
     /// Decodes a full file image, verifying every checksum and invariant.
@@ -498,14 +510,12 @@ impl YtcFile {
     /// # Errors
     ///
     /// [`FormatError::Io`] from the writer.
-    pub fn write_to<W: Write>(&self, mut w: W, telemetry: &Telemetry) -> FormatResult<u64> {
+    pub fn write_to<W: Write>(&self, w: W, telemetry: &Telemetry) -> FormatResult<u64> {
         let _span = telemetry.span("ytc.write");
-        let bytes = self.encode();
-        w.write_all(&bytes)?;
-        w.flush()?;
-        telemetry.counter("ytc.write.bytes").add(bytes.len() as u64);
+        let written = self.stream_to(w)?;
+        telemetry.counter("ytc.write.bytes").add(written);
         telemetry.counter("ytc.write.flows").add(self.total_flows());
-        Ok(bytes.len() as u64)
+        Ok(written)
     }
 
     /// Reads and decodes a file, instrumented: the read runs under a
@@ -562,17 +572,49 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-fn encode_header(header: &YtcHeader, dataset_count: u64) -> Vec<u8> {
-    let mut out = Vec::new();
+/// The file body's sink: every byte before the file digest goes to the
+/// writer and into one running SHA-256, so the digest needs no second
+/// pass over a buffered copy.
+struct BodyWriter<W> {
+    inner: W,
+    hasher: Sha256,
+    len: u64,
+}
+
+impl<W: Write> BodyWriter<W> {
+    fn new(inner: W) -> Self {
+        Self {
+            inner,
+            hasher: Sha256::new(),
+            len: 0,
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.write_all(bytes)?;
+        self.hasher.update(bytes);
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Appends the file digest (not itself hashed), flushes, and returns
+    /// the total bytes written.
+    fn finish(mut self) -> std::io::Result<u64> {
+        self.inner.write_all(&self.hasher.finalize())?;
+        self.inner.flush()?;
+        Ok(self.len + DIGEST_LEN as u64)
+    }
+}
+
+fn encode_header(out: &mut Vec<u8>, header: &YtcHeader, dataset_count: u64) {
     out.extend_from_slice(&header.scale.to_bits().to_le_bytes());
     out.extend_from_slice(&header.seed.to_le_bytes());
-    push_varint(&mut out, header.mutations.len() as u64);
+    push_varint(out, header.mutations.len() as u64);
     for m in &header.mutations {
-        push_varint(&mut out, m.len() as u64);
+        push_varint(out, m.len() as u64);
         out.extend_from_slice(m.as_bytes());
     }
-    push_varint(&mut out, dataset_count);
-    out
+    push_varint(out, dataset_count);
 }
 
 fn push_block(out: &mut Vec<u8>, tag: u8, data: &[u8]) {
@@ -582,80 +624,68 @@ fn push_block(out: &mut Vec<u8>, tag: u8, data: &[u8]) {
 }
 
 /// Encodes one dataset section payload (name byte, flow count, the eight
-/// column blocks in fixed tag order).
-fn encode_section(c: &ColumnarDataset) -> Vec<u8> {
+/// column blocks in fixed tag order) into `out`, staging each block in
+/// `block`; both buffers are the caller's, reused across sections.
+fn encode_section(out: &mut Vec<u8>, block: &mut Vec<u8>, c: &ColumnarDataset) {
     let records = c.dataset().records();
     let n = records.len();
-    let mut out = Vec::new();
     out.push(name_code(c.dataset().name()));
-    push_varint(&mut out, n as u64);
+    push_varint(out, n as u64);
 
     // 1: hour index — per-hour flow counts; the ranges are their prefix sums.
-    let mut block = Vec::new();
-    push_varint(&mut block, c.hour_ranges().len() as u64);
+    block.clear();
+    push_varint(block, c.hour_ranges().len() as u64);
     for range in c.hour_ranges() {
-        push_varint(&mut block, range.len() as u64);
+        push_varint(block, range.len() as u64);
     }
-    push_block(&mut out, TAG_HOUR_INDEX, &block);
+    push_block(out, TAG_HOUR_INDEX, block);
 
     // 2: start timestamps, delta-encoded (sorted, so deltas are small).
     block.clear();
     let mut prev = 0u64;
     for r in records {
-        push_varint(&mut block, r.start_ms - prev);
+        push_varint(block, r.start_ms - prev);
         prev = r.start_ms;
     }
-    push_block(&mut out, TAG_START_MS, &block);
+    push_block(out, TAG_START_MS, block);
 
     // 3: durations (end - start; well-formedness checked at construction).
     block.clear();
     for r in records {
-        push_varint(&mut block, r.end_ms - r.start_ms);
+        push_varint(block, r.end_ms - r.start_ms);
     }
-    push_block(&mut out, TAG_DURATION_MS, &block);
+    push_block(out, TAG_DURATION_MS, block);
 
     // 4: byte counts.
     block.clear();
     for r in records {
-        push_varint(&mut block, r.bytes);
+        push_varint(block, r.bytes);
     }
-    push_block(&mut out, TAG_BYTES, &block);
+    push_block(out, TAG_BYTES, block);
 
     // 5: client addresses, raw 4-byte big-endian octets.
     block.clear();
     for r in records {
         block.extend_from_slice(&r.client_ip.octets());
     }
-    push_block(&mut out, TAG_CLIENT_IP, &block);
+    push_block(out, TAG_CLIENT_IP, block);
 
     // 6/7: interned server addresses and video ids — a sorted,
     // delta-encoded dictionary followed by one reference per flow.
-    let server_dict: BTreeMap<u32, u64> = build_dict(records.iter().map(|r| ip_u32(r.server_ip)));
     block.clear();
-    encode_dict_block(
-        &mut block,
-        &server_dict,
-        records.iter().map(|r| ip_u32(r.server_ip)),
-    );
-    push_block(&mut out, TAG_SERVER_DICT, &block);
+    encode_dict_block(block, records.iter().map(|r| ip_u32(r.server_ip)));
+    push_block(out, TAG_SERVER_DICT, block);
 
-    let video_dict: BTreeMap<u64, u64> = build_dict(records.iter().map(|r| r.video_id.index()));
     block.clear();
-    encode_dict_block(
-        &mut block,
-        &video_dict,
-        records.iter().map(|r| r.video_id.index()),
-    );
-    push_block(&mut out, TAG_VIDEO_DICT, &block);
+    encode_dict_block(block, records.iter().map(|r| r.video_id.index()));
+    push_block(out, TAG_VIDEO_DICT, block);
 
     // 8: resolutions, one code byte per flow.
     block.clear();
     for r in records {
         block.push(resolution_code(r.resolution));
     }
-    push_block(&mut out, TAG_RESOLUTION, &block);
-
-    out
+    push_block(out, TAG_RESOLUTION, block);
 }
 
 fn ip_u32(ip: Ipv4Addr) -> u32 {
@@ -673,33 +703,28 @@ fn resolution_code(r: Resolution) -> u8 {
     }
 }
 
-/// Maps each distinct value to its rank in sorted order.
-fn build_dict<T: Ord + Copy>(values: impl Iterator<Item = T>) -> BTreeMap<T, u64> {
-    let mut dict: BTreeMap<T, u64> = values.map(|v| (v, 0)).collect();
-    for (rank, slot) in dict.values_mut().enumerate() {
-        *slot = rank as u64;
-    }
-    dict
-}
-
 /// Dictionary block: entry count, delta-encoded sorted entries (first
-/// absolute, then strictly positive deltas), then one rank per flow.
+/// absolute, then strictly positive deltas), then one rank per flow. The
+/// dictionary is the sorted, deduplicated values, so an entry's rank is
+/// its position and each flow's rank is one binary search.
 fn encode_dict_block<T: Ord + Copy + Into<u64>>(
     out: &mut Vec<u8>,
-    dict: &BTreeMap<T, u64>,
-    per_flow: impl Iterator<Item = T>,
+    per_flow: impl Iterator<Item = T> + Clone,
 ) {
+    let mut dict: Vec<T> = per_flow.clone().collect();
+    dict.sort_unstable();
+    dict.dedup();
     push_varint(out, dict.len() as u64);
     let mut prev = 0u64;
-    for (i, value) in dict.keys().enumerate() {
+    for (i, value) in dict.iter().enumerate() {
         let v: u64 = (*value).into();
         push_varint(out, if i == 0 { v } else { v - prev });
         prev = v;
     }
     for value in per_flow {
-        // Every per-flow value was inserted into the dict above.
-        let rank = dict.get(&value).copied().unwrap_or(0);
-        push_varint(out, rank);
+        // Every per-flow value is in the dictionary built from them above.
+        let rank = dict.binary_search(&value).unwrap_or(0);
+        push_varint(out, rank as u64);
     }
 }
 
@@ -1173,6 +1198,143 @@ mod tests {
             .to_string()
             .contains("header"));
         assert!(std::error::Error::source(&FormatError::Io(std::io::Error::other("x"))).is_some());
+    }
+
+    /// The pre-sorting dictionary encoder, kept as the oracle: a
+    /// `BTreeMap` from each distinct value to its rank, looked up per flow.
+    fn oracle_dict_block<T: Ord + Copy + Into<u64>>(values: &[T]) -> Vec<u8> {
+        use std::collections::BTreeMap;
+        let mut dict: BTreeMap<T, u64> = values.iter().map(|&v| (v, 0)).collect();
+        for (rank, slot) in dict.values_mut().enumerate() {
+            *slot = rank as u64;
+        }
+        let mut out = Vec::new();
+        push_varint(&mut out, dict.len() as u64);
+        let mut prev = 0u64;
+        for (i, value) in dict.keys().enumerate() {
+            let v: u64 = (*value).into();
+            push_varint(&mut out, if i == 0 { v } else { v - prev });
+            prev = v;
+        }
+        for value in values {
+            push_varint(&mut out, dict[value]);
+        }
+        out
+    }
+
+    fn assert_dict_matches_oracle<T: Ord + Copy + Into<u64> + fmt::Debug>(values: &[T]) {
+        let mut block = Vec::new();
+        encode_dict_block(&mut block, values.iter().copied());
+        assert_eq!(block, oracle_dict_block(values), "values {values:?}");
+    }
+
+    #[test]
+    fn dict_block_matches_btreemap_oracle() {
+        // Edge shapes: empty, one value, all duplicates, 0 and the widest
+        // server address / video id.
+        assert_dict_matches_oracle::<u32>(&[]);
+        assert_dict_matches_oracle::<u64>(&[]);
+        assert_dict_matches_oracle(&[7u32]);
+        assert_dict_matches_oracle(&[0u64]);
+        assert_dict_matches_oracle(&[42u32; 9]);
+        assert_dict_matches_oracle(&[0u32, u32::MAX, 0, 1, u32::MAX]);
+        assert_dict_matches_oracle(&[u64::MAX, 0, u64::MAX - 1, 1, u64::MAX]);
+
+        // SimRng-drawn sets: narrow ranges force many duplicates, wide ones
+        // produce large deltas.
+        let mut rng = ytcdn_cdnsim::SimRng::seed_from_u64(0x5EED);
+        for case in 0..64u64 {
+            let len = rng.gen_range(0..400usize);
+            let span = [2u64, 50, 1 << 20, u64::MAX][(case % 4) as usize];
+            let videos: Vec<u64> = (0..len)
+                .map(|_| match span {
+                    u64::MAX => rng.next_u64(),
+                    s => rng.gen_range(0..s),
+                })
+                .collect();
+            assert_dict_matches_oracle(&videos);
+            let servers: Vec<u32> = videos
+                .iter()
+                .map(|&v| (v >> 32) as u32 ^ v as u32)
+                .collect();
+            assert_dict_matches_oracle(&servers);
+        }
+    }
+
+    /// A writer that accepts one byte per `write` call.
+    struct OneByteWriter(Vec<u8>);
+
+    impl Write for OneByteWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match buf.first() {
+                Some(&b) => {
+                    self.0.push(b);
+                    Ok(1)
+                }
+                None => Ok(0),
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streaming_write_matches_encode_byte_by_byte() {
+        let telemetry = Telemetry::metrics_only();
+        let file = sample();
+        let mut w = OneByteWriter(Vec::new());
+        let written = file.write_to(&mut w, &telemetry).unwrap();
+        assert_eq!(w.0, file.encode());
+        assert_eq!(written as usize, w.0.len());
+        let snap = telemetry.metrics_snapshot().unwrap();
+        assert_eq!(snap.counters["ytc.write.bytes"], written);
+    }
+
+    /// A writer that accepts `room` bytes, then fails every write.
+    struct FailingWriter {
+        room: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::other("device full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failing_writer_surfaces_io_error() {
+        let file = sample();
+        let len = file.encode().len();
+        // Magic, version, header length, header, its digest, then the
+        // first section's length: a few bytes past that is mid-section.
+        let header_len = file.encode()[6..10]
+            .iter()
+            .rev()
+            .fold(0usize, |acc, &b| (acc << 8) | usize::from(b));
+        let mid_section = 10 + header_len + DIGEST_LEN + 8 + 3;
+        assert!(mid_section < len);
+        for room in (0..len).chain([mid_section]) {
+            let telemetry = Telemetry::metrics_only();
+            let err = file
+                .write_to(FailingWriter { room }, &telemetry)
+                .unwrap_err();
+            assert!(matches!(err, FormatError::Io(_)), "room {room}: {err}");
+            let snap = telemetry.metrics_snapshot().unwrap();
+            assert_eq!(snap.counter("ytc.write.bytes"), 0, "room {room}");
+        }
+        let fits = file.write_to(FailingWriter { room: len }, &Telemetry::disabled());
+        assert_eq!(fits.unwrap() as usize, len);
     }
 
     #[test]

