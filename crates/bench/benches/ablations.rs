@@ -28,14 +28,14 @@ fn ablation_eu2_capacity(b: &Bench) {
         let mut cfg = ScenarioConfig::with_scale(BENCH_SCALE, BENCH_SEED);
         cfg.eu2_capacity_factor = cap_factor;
         let scenario = StandardScenario::build(cfg);
-        let (ds, _) = scenario.run_with_outcome(DatasetName::Eu2);
+        let (ds, _) = scenario.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
         let corr = load_vs_preferred_correlation(&hourly_samples(&index));
         println!("eu2 capacity×{cap_factor}: load/local-fraction correlation {corr:.3}");
         b.run(
             &format!("ablation/eu2_capacity/capacity_x{cap_factor}"),
-            || scenario.run(DatasetName::Eu2),
+            || scenario.run(DatasetName::Eu2).0,
         );
     }
 }
@@ -66,7 +66,7 @@ fn ablation_replication(b: &Bench) {
 
 fn ablation_session_gap(b: &Bench) {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(BENCH_SCALE, BENCH_SEED));
-    let ds = scenario.run(DatasetName::UsCampus);
+    let (ds, _) = scenario.run(DatasetName::UsCampus);
     for t_ms in [200u64, 1_000, 10_000, 300_000] {
         let n = group_sessions(&ds, t_ms).len();
         println!("session gap T={t_ms}ms → {n} sessions");

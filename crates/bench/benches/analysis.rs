@@ -14,7 +14,7 @@ use ytcdn_tstat::DatasetName;
 
 fn bench_session_grouping(b: &Bench) {
     let scenario = bench_scenario();
-    let ds = scenario.run(DatasetName::Eu1Adsl);
+    let (ds, _) = scenario.run(DatasetName::Eu1Adsl);
     // The Figure 5 sensitivity sweep doubles as a performance sweep: larger
     // T merges more flows but the cost is dominated by the bucketing pass.
     for t_s in [1u64, 5, 10, 60, 300] {
@@ -26,7 +26,7 @@ fn bench_session_grouping(b: &Bench) {
 
 fn bench_parallel_grouping(b: &Bench) {
     let scenario = bench_scenario();
-    let ds = scenario.run(DatasetName::Eu1Adsl);
+    let (ds, _) = scenario.run(DatasetName::Eu1Adsl);
     // jobs=1 isolates the shard/merge overhead against the sequential pass
     // above; the larger counts show the scaling headroom on this host.
     for jobs in [1usize, 2, 4, 8] {
@@ -39,7 +39,7 @@ fn bench_parallel_grouping(b: &Bench) {
 
 fn bench_index_build(b: &Bench) {
     let scenario = bench_scenario();
-    let ds = scenario.run(DatasetName::Eu1Adsl);
+    let (ds, _) = scenario.run(DatasetName::Eu1Adsl);
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     for jobs in [1usize, 4] {
         b.run(&format!("analysis/index_build/jobs={jobs}"), || {
@@ -50,7 +50,7 @@ fn bench_index_build(b: &Bench) {
 
 fn bench_context_build(b: &Bench) {
     let scenario = bench_scenario();
-    let ds = scenario.run(DatasetName::UsCampus);
+    let (ds, _) = scenario.run(DatasetName::UsCampus);
     b.run("analysis/context/from_ground_truth", || {
         AnalysisContext::from_ground_truth(scenario.world(), &ds)
     });
@@ -58,7 +58,7 @@ fn bench_context_build(b: &Bench) {
 
 fn bench_timeseries_and_videos(b: &Bench) {
     let scenario = bench_scenario();
-    let ds = scenario.run(DatasetName::Eu2);
+    let (ds, _) = scenario.run(DatasetName::Eu2);
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     let index = DatasetIndex::build(&ctx, &ds, 4, Telemetry::disabled());
     b.run("analysis/hourly_samples", || hourly_samples(&index));

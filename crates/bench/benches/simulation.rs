@@ -23,7 +23,7 @@ fn bench_dataset_simulation(b: &Bench) {
     let scenario = bench_scenario();
     for name in [DatasetName::Eu1Ftth, DatasetName::Eu1Adsl, DatasetName::Eu2] {
         b.run(&format!("scenario/simulate_week/{name}"), || {
-            scenario.run(name)
+            scenario.run(name).0
         });
     }
 }

@@ -33,7 +33,7 @@ fn bench_whatif_evaluate(b: &Bench) {
 
 fn bench_perf_report(b: &Bench) {
     let scenario = bench_scenario();
-    let ds = scenario.run(DatasetName::Eu1Adsl);
+    let (ds, _) = scenario.run(DatasetName::Eu1Adsl);
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     let sessions = group_sessions(&ds, 1000);
     b.run("perf/report", || perf_report(&ctx, &ds, &sessions));
@@ -41,8 +41,8 @@ fn bench_perf_report(b: &Bench) {
 
 fn bench_parallel_vs_sequential(b: &Bench) {
     let scenario = bench_scenario();
-    b.run("scenario/run_all/sequential", || scenario.run_all());
-    b.run("scenario/run_all/parallel", || scenario.run_all_parallel());
+    b.run("scenario/run_all/sequential", || scenario.run_all(1));
+    b.run("scenario/run_all/parallel", || scenario.run_all(5));
 }
 
 fn main() {

@@ -6,7 +6,8 @@
 //! # one experiment, or a comma-separated list:
 //! cargo run --release -p ytcdn-bench --bin repro -- --exp fig11
 //! cargo run --release -p ytcdn-bench --bin repro -- --exp fig3,table3
-//! # run the experiments on 8 threads (stdout is identical for any --jobs):
+//! # simulate and run the experiments on 8 threads (stdout is identical for
+//! # any --jobs):
 //! cargo run --release -p ytcdn-bench --bin repro -- --jobs 8
 //! # full paper scale with the full 215-landmark CBG (slow):
 //! cargo run --release -p ytcdn-bench --bin repro -- --scale 1.0 --full-landmarks
@@ -27,7 +28,7 @@ use ytcdn_core::experiments::{
     ExperimentSuite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
 use ytcdn_core::{WatchConfig, WatchReport, YtcFile};
-use ytcdn_telemetry::{JsonWriter, Progress, Telemetry};
+use ytcdn_telemetry::{Progress, Telemetry};
 use ytcdn_tstat::DatasetName;
 
 struct Args {
@@ -38,7 +39,6 @@ struct Args {
     full_landmarks: bool,
     csv_dir: Option<std::path::PathBuf>,
     markdown: Option<std::path::PathBuf>,
-    bench_out: Option<std::path::PathBuf>,
     plot: bool,
     scorecard: bool,
     windows: bool,
@@ -55,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
         full_landmarks: false,
         csv_dir: None,
         markdown: None,
-        bench_out: None,
         plot: false,
         scorecard: false,
         windows: false,
@@ -119,14 +118,9 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or("--markdown needs a file path")?,
                 ))
             }
-            "--bench-out" => {
-                args.bench_out = Some(std::path::PathBuf::from(
-                    it.next().ok_or("--bench-out needs a file path")?,
-                ))
-            }
             "--help" | "-h" => {
                 return Err(format!(
-                    "usage: repro [--exp ID[,ID…] of {}] [--scale S] [--seed N] [--jobs N] [--from FILE.ytc] [--full-landmarks] [--csv DIR] [--markdown FILE] [--bench-out FILE] [--plot] [--scorecard] [--windows] [--degenerate {}]",
+                    "usage: repro [--exp ID[,ID…] of {}] [--scale S] [--seed N] [--jobs N] [--from FILE.ytc] [--full-landmarks] [--csv DIR] [--markdown FILE] [--plot] [--scorecard] [--windows] [--degenerate {}]",
                     ALL_EXPERIMENTS.join("|"),
                     DegenerateShape::ALL.map(DegenerateShape::as_str).join("|")
                 ));
@@ -173,7 +167,6 @@ fn main() -> ExitCode {
     // summary below shows where the wall time went. Reports on stdout are
     // unaffected.
     let telemetry = Telemetry::metrics_only();
-    let t_start = std::time::Instant::now();
     let suite = if let Some(path) = &args.from {
         // Load the datasets off the columnar file instead of simulating.
         // The file's recorded provenance supersedes --scale/--seed: the
@@ -231,7 +224,6 @@ fn main() -> ExitCode {
             None => ExperimentSuite::with_telemetry(config, telemetry),
         }
     };
-    let build_ms = t_start.elapsed().as_secs_f64() * 1000.0;
 
     if args.scorecard {
         let card = ytcdn_core::scorecard::scorecard(&suite);
@@ -251,9 +243,7 @@ fn main() -> ExitCode {
     };
     // Experiments run concurrently; reports come back in input order, so
     // stdout is byte-identical to the sequential path regardless of --jobs.
-    let t_experiments = std::time::Instant::now();
     let reports = suite.run_many(&ids, suite.jobs());
-    let experiments_ms = t_experiments.elapsed().as_secs_f64() * 1000.0;
     for (id, report) in ids.iter().zip(reports) {
         println!(
             "──── {id} {}",
@@ -313,72 +303,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = &args.bench_out {
-        let json = bench_json(
-            &suite,
-            &args,
-            build_ms,
-            experiments_ms,
-            t_start.elapsed().as_secs_f64() * 1000.0,
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        progress.note(&format!("wrote bench timings to {}", path.display()));
-    }
     phase_summary(&suite, &progress);
     ExitCode::SUCCESS
-}
-
-/// Renders the timing summary as a pretty JSON document.
-fn bench_json(
-    suite: &ExperimentSuite,
-    args: &Args,
-    build_ms: f64,
-    experiments_ms: f64,
-    total_ms: f64,
-) -> String {
-    let snapshot = suite
-        .telemetry()
-        .metrics_snapshot()
-        .expect("repro always runs with metrics-only telemetry");
-    // Span histograms record microseconds; report accumulated milliseconds.
-    let span_ms = |name: &str| {
-        snapshot
-            .histograms
-            .get(name)
-            .map_or(0.0, |h| h.sum as f64 / 1000.0)
-    };
-    let mut w = JsonWriter::pretty();
-    w.begin_object();
-    w.key("scale").f64(args.scale);
-    w.key("seed").u64(args.seed);
-    w.key("jobs").u64(suite.jobs() as u64);
-    w.key("build_ms").f64_fixed(build_ms, 3);
-    w.key("experiments_ms").f64_fixed(experiments_ms, 3);
-    w.key("total_ms").f64_fixed(total_ms, 3);
-    // The "index.build" span histogram accumulates every per-dataset index
-    // build, on the sequential and the parallel path alike — it is the
-    // index share of build_ms above.
-    w.key("index_build_ms").f64_fixed(span_ms("index.build"), 3);
-    // The "geo.localize" span is the one shared CBG geolocation pass the
-    // geo index runs (all consumers after it are cache hits).
-    w.key("geo_ms").f64_fixed(span_ms("geo.localize"), 3);
-    w.key("geo_blocks").u64(snapshot.counter("geo.blocks"));
-    w.key("geo_cache_hits")
-        .u64(snapshot.counter("geo.cache_hit"));
-    w.key("geo_cache_misses")
-        .u64(snapshot.counter("geo.cache_miss"));
-    w.key("per_experiment_ms").begin_object();
-    for (name, h) in &snapshot.histograms {
-        if let Some(id) = name.strip_prefix("exp.") {
-            w.key(id).f64_fixed(h.sum as f64 / 1000.0, 3);
-        }
-    }
-    w.end_object();
-    w.end_object();
-    w.finish() + "\n"
 }
 
 /// Prints where the wall time went (build, per-dataset simulation, each

@@ -10,19 +10,18 @@
 //! engine emits the [`FlowRecord`]s a Tstat probe at the network edge would
 //! log.
 //!
-//! # Determinism and sharding
+//! # Determinism
 //!
-//! Every session draws from its own [`SimRng`] stream keyed by the global
-//! session ordinal, and the arrival schedule is generated per week-hour
-//! (see [`WorkloadModel`]); no draw depends on how many sessions ran before
-//! on the same thread. Combined with the fact that all mutable state except
-//! content replication is keyed by (entity, hour), this lets the sharded
-//! runner in [`crate::shard`] split the week across threads and still
-//! produce byte-identical output.
+//! Every session draws from its own [`SimRng`] stream keyed by the session's
+//! ordinal in the week, and the arrival schedule is generated per week-hour
+//! (see [`WorkloadModel`]); no draw depends on which thread runs the engine
+//! or on what other engines ran before it. One engine per dataset, each
+//! with its own seed, is what lets
+//! [`StandardScenario::run_all`](crate::StandardScenario::run_all) simulate
+//! the datasets concurrently and still produce byte-identical output.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::ops::Range;
 use std::sync::Arc;
 
 use ytcdn_netsim::{AccessKind, DelayModel, Endpoint};
@@ -32,9 +31,8 @@ use ytcdn_tstat::{Dataset, FlowRecord, Resolution, VideoId, HOUR_MS};
 use crate::catalog::{sample_resolution, VideoCatalog, VideoMeta};
 use crate::dns::{DnsCause, DnsDecision, DnsResolver, LdnsPolicy};
 use crate::mutation::MutationSchedule;
-use crate::placement::{ContentStore, PlacementConfig};
+use crate::placement::ContentStore;
 use crate::rng::{stream, SimRng};
-use crate::shard::{ReplicationSchedule, StoreAccess};
 use crate::topology::{DataCenterId, ServerPool, Topology};
 use crate::vantage::VantagePoint;
 use crate::workload::{WorkloadModel, WEEK_HOURS};
@@ -65,25 +63,6 @@ pub struct SessionOutcome {
     pub third_party_sessions: u64,
     /// Videos pulled into a data center during the run.
     pub replications: u64,
-}
-
-impl SessionOutcome {
-    /// Accumulates another outcome into this one (field-wise sum). The
-    /// sharded runner merges per-shard outcomes with this; for it to equal
-    /// the sequential outcome, every field must be a plain sum over
-    /// sessions — keep it that way when adding fields.
-    pub fn absorb(&mut self, o: SessionOutcome) {
-        self.sessions += o.sessions;
-        self.flows += o.flows;
-        self.miss_redirects += o.miss_redirects;
-        self.double_redirects += o.double_redirects;
-        self.overload_redirects += o.overload_redirects;
-        self.dns_noise += o.dns_noise;
-        self.dns_load_balanced += o.dns_load_balanced;
-        self.legacy_sessions += o.legacy_sessions;
-        self.third_party_sessions += o.third_party_sessions;
-        self.replications += o.replications;
-    }
 }
 
 /// Tunables that are not per-vantage-point.
@@ -176,116 +155,8 @@ fn throughput_bytes_per_ms(access: AccessKind) -> f64 {
     }
 }
 
-/// The engine's view of content placement.
-///
-/// Replication is the only simulation state that crosses hour boundaries, so
-/// it is the only thing a shard cannot own outright. A sequential run
-/// mutates the live store; a shard worker instead *reads* the store's
-/// evolution from the merged [`ReplicationSchedule`]: a video is present in
-/// a data center once the schedule says it was pulled there by a session
-/// with a smaller global ordinal than the current one.
-enum StoreView {
-    /// The mutable store of a sequential run.
-    Live(ContentStore),
-    /// A shard's copy-on-advance reconstruction.
-    Timeline {
-        /// The initial placement; never mutated.
-        base: ContentStore,
-        /// Global (data center, video) → first-pull ordinal map.
-        schedule: Arc<ReplicationSchedule>,
-        /// Ordinal of the session currently simulating.
-        cursor: u64,
-        /// Pulls whose first-miss ordinal belongs to this shard; summing
-        /// these across shards reproduces the sequential replication count.
-        owned: u64,
-    },
-}
-
-impl StoreView {
-    fn set_cursor(&mut self, ordinal: u64) {
-        if let StoreView::Timeline { cursor, .. } = self {
-            *cursor = ordinal;
-        }
-    }
-
-    fn has(&self, dc: DataCenterId, video: VideoId, hour: u64) -> bool {
-        match self {
-            StoreView::Live(s) => s.has_at(dc, video, hour),
-            StoreView::Timeline {
-                base,
-                schedule,
-                cursor,
-                ..
-            } => {
-                base.has_at(dc, video, hour)
-                    || schedule
-                        .pulled_at(dc, video)
-                        .is_some_and(|ord| ord < *cursor)
-            }
-        }
-    }
-
-    /// Registers a pull-through; returns whether a replica is new *now*.
-    fn pull(&mut self, dc: DataCenterId, video: VideoId) -> bool {
-        match self {
-            StoreView::Live(s) => s.replicate(dc, video),
-            StoreView::Timeline {
-                schedule,
-                cursor,
-                owned,
-                ..
-            } => {
-                // A miss under the timeline view can only happen at exactly
-                // the ordinal the merge pass assigned to this pair.
-                debug_assert_eq!(schedule.pulled_at(dc, video), Some(*cursor));
-                if schedule.pulled_at(dc, video) == Some(*cursor) {
-                    *owned += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    fn replications(&self) -> u64 {
-        match self {
-            StoreView::Live(s) => s.replications() as u64,
-            StoreView::Timeline { owned, .. } => *owned,
-        }
-    }
-
-    fn config(&self) -> &PlacementConfig {
-        match self {
-            StoreView::Live(s) => s.config(),
-            StoreView::Timeline { base, .. } => base.config(),
-        }
-    }
-
-    fn origin_of(&self, video: VideoId) -> DataCenterId {
-        match self {
-            StoreView::Live(s) => s.origin_of(video),
-            StoreView::Timeline { base, .. } => base.origin_of(video),
-        }
-    }
-
-    fn guess_holder(&self, video: VideoId, not: DataCenterId) -> DataCenterId {
-        match self {
-            StoreView::Live(s) => s.guess_holder(video, not),
-            StoreView::Timeline { base, .. } => base.guess_holder(video, not),
-        }
-    }
-
-    fn into_live(self) -> ContentStore {
-        match self {
-            StoreView::Live(s) => s,
-            StoreView::Timeline { base, .. } => base,
-        }
-    }
-}
-
 /// Which pool serves a session, decided by the prelude draws.
-pub(crate) enum SessionRoute {
+enum SessionRoute {
     /// Served by a non-Google pool (legacy YouTube-EU or third party).
     Pool(ServerPool),
     /// Mapped to a Google data center by DNS.
@@ -293,23 +164,19 @@ pub(crate) enum SessionRoute {
 }
 
 /// Everything decided about a session before any flow is emitted.
-pub(crate) struct SessionPrelude {
-    pub client_ip: Ipv4Addr,
-    pub meta: VideoMeta,
-    pub resolution: Resolution,
-    pub route: SessionRoute,
+struct SessionPrelude {
+    client_ip: Ipv4Addr,
+    meta: VideoMeta,
+    resolution: Resolution,
+    route: SessionRoute,
 }
 
 /// Draws a session's prelude: client, video, resolution, and routing.
 ///
-/// This is the *shared prefix* of the full simulation and the shard
-/// prepass: both consume exactly these RNG words (in this order) and drive
-/// the DNS resolver's hourly-capacity state identically, which is what
-/// makes the prepass's (data center, video) access log agree with what the
-/// full engine will do. Scheduled DNS mutations are applied here — *after*
-/// the resolver's draws and capacity accounting, with no RNG of their own —
-/// so mutated runs keep that agreement.
-pub(crate) fn draw_session_prelude(
+/// Scheduled DNS mutations are applied here, *after* the resolver's draws
+/// and capacity accounting and with no RNG of their own, so a mutation
+/// changes where a session goes but never which words its stream yields.
+fn draw_session_prelude(
     vp: &VantagePoint,
     catalog: &VideoCatalog,
     dns: &mut DnsResolver,
@@ -348,7 +215,7 @@ pub struct Engine<'w> {
     config: EngineConfig,
     dns: DnsResolver,
     mutations: Arc<MutationSchedule>,
-    store: StoreView,
+    store: ContentStore,
     /// Arrivals per (server, hour); the application-layer overload signal.
     arrivals: HashMap<(Ipv4Addr, u64), u32>,
     /// Floor RTT (incl. peering penalty) from the vantage point to each DC.
@@ -394,7 +261,7 @@ impl<'w> Engine<'w> {
             config,
             dns: DnsResolver::new(policies),
             mutations: Arc::new(MutationSchedule::default()),
-            store: StoreView::Live(store),
+            store,
             arrivals: HashMap::new(),
             rtt_to_dc,
             server_cap,
@@ -420,24 +287,9 @@ impl<'w> Engine<'w> {
 
     /// Attaches a mutation schedule. Note the schedule carries the DNS-level
     /// mutations only; cache evictions must already be installed on the
-    /// `store` (see [`ContentStore::set_evictions`]) so that the shard
-    /// runner's merge pass — which sees the store but not the engine — reads
-    /// the same presence timeline.
+    /// `store` (see [`ContentStore::set_evictions`]).
     pub fn with_mutations(mut self, mutations: Arc<MutationSchedule>) -> Self {
         self.mutations = mutations;
-        self
-    }
-
-    /// Converts this engine into a shard worker: content placement evolves
-    /// by replaying `schedule` instead of mutating a live store. The
-    /// engine's current store becomes the (immutable) initial placement.
-    pub(crate) fn with_replication_timeline(mut self, schedule: Arc<ReplicationSchedule>) -> Self {
-        self.store = StoreView::Timeline {
-            base: self.store.into_live(),
-            schedule,
-            cursor: 0,
-            owned: 0,
-        };
         self
     }
 
@@ -452,82 +304,28 @@ impl<'w> Engine<'w> {
         self.rtt_to_dc[dc.0]
     }
 
-    /// The arrival model this engine simulates.
-    pub(crate) fn workload(&self) -> WorkloadModel {
-        let total = (self.vp.sessions_per_week as f64 * self.config.scale).round() as u64;
-        WorkloadModel::new(total, 0.0)
-    }
-
     /// Runs the full week and returns the dataset plus ground truth.
-    pub fn run(self) -> (Dataset, SessionOutcome) {
-        let name = self.vp.dataset;
-        let (records, outcome) = self.run_hours(0..WEEK_HOURS);
-        (Dataset::from_records(name, records), outcome)
-    }
-
-    /// Simulates the sessions of week-hours `hours` and returns the raw
-    /// flow records (session order, unsorted) plus this slice's outcome.
-    ///
-    /// Sequential runs pass the whole week; shard workers pass their slice.
-    /// All per-hour state (DNS capacity counters, server arrival counters)
-    /// starts empty and stays within `hours`, so a worker needs nothing
-    /// from the hours before its slice except the replication timeline.
-    pub(crate) fn run_hours(mut self, hours: Range<u64>) -> (Vec<FlowRecord>, SessionOutcome) {
-        let model = self.workload();
-        let mut ordinal: u64 = (0..hours.start)
-            .map(|h| model.hour_count(self.seed, h))
-            .sum();
-        for hour in hours {
+    pub fn run(mut self) -> (Dataset, SessionOutcome) {
+        let total = (self.vp.sessions_per_week as f64 * self.config.scale).round() as u64;
+        let model = WorkloadModel::new(total, 0.0);
+        let mut ordinal: u64 = 0;
+        for hour in 0..WEEK_HOURS {
             for t in model.hour_times(self.seed, hour) {
-                self.store.set_cursor(ordinal);
                 let mut rng = SimRng::for_stream(self.seed, &[stream::SESSION, ordinal]);
                 self.simulate_session(t, &mut rng);
                 ordinal += 1;
             }
         }
         self.outcome.flows = self.records.len() as u64;
-        self.outcome.replications = self.store.replications();
+        self.outcome.replications = self.store.replications() as u64;
         if let Some(tel) = &self.tel {
             tel.sessions.add(self.outcome.sessions);
             tel.flows.add(self.outcome.flows);
         }
-        (self.records, self.outcome)
-    }
-
-    /// Pass 1 of a sharded run: replays only the session *preludes* of
-    /// `hours`, recording the (data center, video) pair each Google-routed
-    /// session contacts first. Must run on an engine without telemetry
-    /// (the full pass emits the events; this one would double-count).
-    pub(crate) fn prepass_hours(mut self, hours: Range<u64>) -> Vec<StoreAccess> {
-        debug_assert!(self.tel.is_none(), "prepass must be un-instrumented");
-        let model = self.workload();
-        let mut ordinal: u64 = (0..hours.start)
-            .map(|h| model.hour_count(self.seed, h))
-            .sum();
-        let mut accesses = Vec::new();
-        for hour in hours {
-            for t in model.hour_times(self.seed, hour) {
-                let mut rng = SimRng::for_stream(self.seed, &[stream::SESSION, ordinal]);
-                let p = draw_session_prelude(
-                    self.vp,
-                    self.catalog,
-                    &mut self.dns,
-                    &self.mutations,
-                    t,
-                    &mut rng,
-                );
-                if let SessionRoute::Google(decision) = p.route {
-                    accesses.push(StoreAccess {
-                        ordinal,
-                        t_ms: t,
-                        dc: decision.dc,
-                        video: p.meta.id,
-                    });
-                }
-                ordinal += 1;
-            }
-        }
-        accesses
+        (
+            Dataset::from_records(self.vp.dataset, self.records),
+            self.outcome,
+        )
     }
 
     fn simulate_session(&mut self, t: u64, rng: &mut SimRng) {
@@ -653,7 +451,7 @@ impl<'w> Engine<'w> {
         let server0 = self.server_in(dc0, video, rng);
         self.note_arrival(server0, hour);
 
-        if !self.store.has(dc0, video, hour) {
+        if !self.store.has_at(dc0, video, hour) {
             // Content miss: redirect until the video is found, then pull it
             // into the contacted data center.
             self.outcome.miss_redirects += 1;
@@ -675,7 +473,7 @@ impl<'w> Engine<'w> {
             let home_pref = self.dns.policies()[0].preferred;
             if dc0 != home_pref
                 && !self.mutations.is_down(home_pref, hour)
-                && self.store.has(home_pref, video, hour)
+                && self.store.has_at(home_pref, video, hour)
                 && rng.gen_bool(0.5)
             {
                 let hs = self.server_in(home_pref, video, rng);
@@ -688,7 +486,7 @@ impl<'w> Engine<'w> {
             let guess_missed = rng.gen_bool(self.config.guess_miss_prob);
             if guess_missed {
                 let g = self.store.guess_holder(video, dc0);
-                if self.store.has(g, video, hour) {
+                if self.store.has_at(g, video, hour) {
                     let gs = self.server_in(g, video, rng);
                     self.note_arrival(gs, hour);
                     hops.push((g, gs));
@@ -745,7 +543,7 @@ impl<'w> Engine<'w> {
         if self.config.disable_replication {
             return;
         }
-        if self.store.pull(dc, video) {
+        if self.store.replicate(dc, video) {
             if let Some(tel) = &self.tel {
                 tel.replicated(t, dc, video);
             }
@@ -778,7 +576,7 @@ impl<'w> Engine<'w> {
             .filter(|&d| d != dc0 && !self.mutations.is_down(d, hour))
             .collect();
         for d in alternates {
-            if self.store.has(d, video, hour) {
+            if self.store.has_at(d, video, hour) {
                 return d;
             }
         }
@@ -908,7 +706,7 @@ mod tests {
     #[test]
     fn run_produces_sorted_well_formed_flows() {
         let s = small_scenario();
-        let (ds, outcome) = s.run_with_outcome(DatasetName::Eu1Ftth);
+        let (ds, outcome) = s.run(DatasetName::Eu1Ftth);
         assert!(outcome.flows > 0);
         assert_eq!(ds.len() as u64, outcome.flows);
         assert!(ds
@@ -921,7 +719,7 @@ mod tests {
     #[test]
     fn flows_per_session_ratio_plausible() {
         let s = small_scenario();
-        let (_, outcome) = s.run_with_outcome(DatasetName::Eu1Adsl);
+        let (_, outcome) = s.run(DatasetName::Eu1Adsl);
         let ratio = outcome.flows as f64 / outcome.sessions as f64;
         assert!((1.2..1.7).contains(&ratio), "flows/session {ratio}");
     }
@@ -929,7 +727,7 @@ mod tests {
     #[test]
     fn control_flow_share_plausible() {
         let s = small_scenario();
-        let (ds, _) = s.run_with_outcome(DatasetName::UsCampus);
+        let (ds, _) = s.run(DatasetName::UsCampus);
         let c = FlowClassifier::default();
         let control = ds
             .iter()
@@ -943,7 +741,7 @@ mod tests {
     #[test]
     fn redirect_causes_all_present() {
         let s = small_scenario();
-        let (_, o) = s.run_with_outcome(DatasetName::Eu1Adsl);
+        let (_, o) = s.run(DatasetName::Eu1Adsl);
         assert!(o.miss_redirects > 0, "misses: {o:?}");
         assert!(o.dns_noise > 0);
         assert!(o.replications > 0);
@@ -954,12 +752,12 @@ mod tests {
     #[test]
     fn eu2_load_balances_at_dns() {
         let s = small_scenario();
-        let (_, o) = s.run_with_outcome(DatasetName::Eu2);
+        let (_, o) = s.run(DatasetName::Eu2);
         assert!(
             o.dns_load_balanced > o.sessions / 20,
             "EU2 should spill a large share: {o:?}"
         );
-        let (_, o_us) = s.run_with_outcome(DatasetName::UsCampus);
+        let (_, o_us) = s.run(DatasetName::UsCampus);
         assert_eq!(
             o_us.dns_load_balanced, 0,
             "US campus has no DNS capacity limit"
@@ -969,7 +767,7 @@ mod tests {
     #[test]
     fn most_flows_from_preferred_dc() {
         let s = small_scenario();
-        let (ds, _) = s.run_with_outcome(DatasetName::Eu1Campus);
+        let (ds, _) = s.run(DatasetName::Eu1Campus);
         let world = s.world();
         let pref = world.preferred_dc(DatasetName::Eu1Campus);
         let video_flows: Vec<_> = ds
@@ -997,7 +795,7 @@ mod tests {
         let mut cfg = ScenarioConfig::with_scale(0.01, 9);
         cfg.engine.disable_replication = true;
         let s = StandardScenario::build(cfg);
-        let (_, o) = s.run_with_outcome(DatasetName::Eu1Ftth);
+        let (_, o) = s.run(DatasetName::Eu1Ftth);
         assert_eq!(o.replications, 0);
         assert!(o.miss_redirects > 0);
     }
@@ -1027,7 +825,7 @@ mod tests {
         // 2-flow sessions whose control flow hits a non-preferred DC and
         // whose video comes from the preferred one.
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.02, 31));
-        let (ds, _) = s.run_with_outcome(DatasetName::Eu2);
+        let (ds, _) = s.run(DatasetName::Eu2);
         let world = s.world();
         let pref = world.preferred_dc(DatasetName::Eu2);
         let mut np = 0;
@@ -1051,7 +849,7 @@ mod tests {
     #[test]
     fn legacy_flows_are_smaller_than_google_flows() {
         let s = small_scenario();
-        let (ds, _) = s.run_with_outcome(DatasetName::UsCampus);
+        let (ds, _) = s.run(DatasetName::UsCampus);
         let topo = s.world().topology();
         let mut legacy = Vec::new();
         let mut google = Vec::new();

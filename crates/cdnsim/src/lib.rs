@@ -23,10 +23,9 @@
 //!   ([`workload`], [`vantage`]);
 //! * the standard five-dataset scenario and the controlled active
 //!   experiment of Section VII-C ([`scenario`], [`active`]);
-//! * deterministic within-dataset parallelism: splittable per-session RNG
-//!   streams ([`rng`]) and hour-sliced shard execution whose output is
-//!   byte-identical to the sequential engine for any shard count
-//!   ([`shard`]);
+//! * deterministic simulation streams: splittable per-dataset, per-hour and
+//!   per-session RNG streams ([`rng`]), so the datasets can be simulated
+//!   concurrently with byte-identical output for any worker count;
 //! * scheduled mid-trace CDN mutations (data-center decommission,
 //!   preferred-mapping flip, cache eviction) giving the change-detection
 //!   workload its ground truth ([`mutation`]).
@@ -41,9 +40,10 @@
 //! ```
 //! use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 //!
-//! // A tiny, fast world: 0.5% of the paper's traffic volume.
+//! // A tiny, fast world: 0.5% of the paper's traffic volume, simulated on
+//! // two worker threads (any worker count gives the same datasets).
 //! let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.005, 42));
-//! let datasets = scenario.run_all();
+//! let datasets = scenario.run_all(2);
 //! assert_eq!(datasets.len(), 5);
 //! assert!(datasets.iter().all(|d| !d.is_empty()));
 //! ```
@@ -59,7 +59,6 @@ pub mod mutation;
 pub mod placement;
 pub mod rng;
 pub mod scenario;
-pub mod shard;
 pub mod topology;
 pub mod vantage;
 pub mod workload;
@@ -72,7 +71,6 @@ pub use mutation::{InvalidMutation, MutationSchedule, MutationSpec, MutationSpec
 pub use placement::ContentStore;
 pub use rng::SimRng;
 pub use scenario::{run_span_name, ScenarioConfig, StandardScenario, World};
-pub use shard::{shard_hour_ranges, ReplicationSchedule};
 pub use topology::{DataCenter, DataCenterId, ServerPool, Topology};
 pub use vantage::{SubnetConfig, VantagePoint};
 pub use workload::{diurnal_factor, WorkloadModel, WEEK_HOURS};

@@ -2,16 +2,15 @@
 //!
 //! The session engine once drew from an external crate's `StdRng`, which
 //! tied the simulated datasets to that crate's exact value stream *and* to
-//! the order in which a single shared generator is consumed. Both are fatal
-//! for the sharded engine (`crate::shard`), whose correctness story is
-//! "byte-identical output for any shard count": worker threads must be able
-//! to reproduce exactly the draws the sequential engine would have made,
-//! without replaying everything before them.
+//! the order in which a single shared generator is consumed. Neither is
+//! acceptable for a simulator whose datasets must be byte-identical for
+//! any worker count: each dataset, each hour's arrivals and each session
+//! must own its draws, whatever else ran before them or beside them.
 //!
 //! [`SimRng`] solves this with *splittable streams*: a generator is derived
 //! from a root seed plus a path of stream tags (e.g. `(seed, SESSION,
-//! ordinal)`), so any thread can jump straight to the generator for session
-//! `ordinal` in O(1). The core is SplitMix64 (Steele, Lea & Flood, OOPSLA
+//! ordinal)`), so the generator for session `ordinal` is reached in O(1)
+//! without consuming any other stream. The core is SplitMix64 (Steele, Lea & Flood, OOPSLA
 //! 2014): a Weyl sequence on the golden gamma passed through an avalanching
 //! finalizer. It is tiny, fast, passes BigCrush, and its output is defined
 //! by this file alone, so golden-snapshot tests hold on
@@ -120,7 +119,8 @@ impl SimRng {
     /// Integer ranges use the widening-multiply reduction
     /// (`(x * span) >> 64`): the bias is at most `span / 2^64`, far below
     /// anything observable, and unlike rejection sampling it consumes
-    /// exactly one `next_u64` — a property the shard prepass relies on.
+    /// exactly one `next_u64`, so where a draw sits in its stream never
+    /// depends on the values drawn before it.
     ///
     /// # Panics
     ///
@@ -267,8 +267,8 @@ mod tests {
 
     #[test]
     fn draws_consume_exactly_one_word() {
-        // The shard prepass replays session preludes assuming one word per
-        // draw; pin that contract.
+        // One word per draw, whatever the value: a stream's layout is fixed
+        // by the sequence of calls alone. Pin that contract.
         let mut a = SimRng::seed_from_u64(11);
         let mut b = SimRng::seed_from_u64(11);
         a.gen_range(0u64..1000);

@@ -6,6 +6,7 @@
 //! infers) — and [`StandardScenario::run_all`] simulates the simultaneous
 //! week-long collection of the paper's Section III-B.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ytcdn_geomodel::Coord;
@@ -352,9 +353,7 @@ impl StandardScenario {
     }
 
     /// Schedules mid-trace CDN mutations for every subsequent run,
-    /// resolving the parsed specs against this world's topology. The
-    /// schedule applies identically on the sequential and the sharded
-    /// execution path.
+    /// resolving the parsed specs against this world's topology.
     ///
     /// # Errors
     ///
@@ -394,8 +393,7 @@ impl StandardScenario {
     }
 
     /// Creates a fresh content store (placement state) for one run, with
-    /// any scheduled cache evictions installed — both the engines and the
-    /// shard runner's merge pass must see the same presence timeline.
+    /// any scheduled cache evictions installed.
     pub fn fresh_store(&self) -> ContentStore {
         let mut store = ContentStore::new(self.config.placement, &self.world.topology);
         store.set_evictions(self.mutations.evictions().to_vec());
@@ -420,11 +418,11 @@ impl StandardScenario {
         SimRng::for_stream(self.config.seed, &[stream::SCENARIO, idx as u64]).next_u64()
     }
 
-    /// Builds a fresh engine for one dataset; `instrumented` attaches the
+    /// Builds a fresh engine for one dataset, instrumented with the
     /// scenario's telemetry scoped to the dataset name.
-    fn make_engine(&self, idx: usize, instrumented: bool) -> Engine<'_> {
+    fn make_engine(&self, idx: usize) -> Engine<'_> {
         let vp = &self.world.vantages[idx];
-        let engine = Engine::new(
+        Engine::new(
             &self.world.topology,
             &self.world.catalog,
             self.world.delay,
@@ -434,12 +432,8 @@ impl StandardScenario {
             self.config.engine,
             self.dataset_seed(idx),
         )
-        .with_mutations(Arc::clone(&self.mutations));
-        if instrumented {
-            engine.with_telemetry(self.telemetry.with_scope(vp.dataset.as_str()))
-        } else {
-            engine
-        }
+        .with_mutations(Arc::clone(&self.mutations))
+        .with_telemetry(self.telemetry.with_scope(vp.dataset.as_str()))
     }
 
     /// Records the per-dataset simulation throughput gauge, sessions per
@@ -455,104 +449,66 @@ impl StandardScenario {
     }
 
     /// Simulates one dataset, returning the flow log and the ground truth.
-    pub fn run_with_outcome(&self, name: DatasetName) -> (Dataset, SessionOutcome) {
+    pub fn run(&self, name: DatasetName) -> (Dataset, SessionOutcome) {
         let idx = self.vantage_idx(name);
         let span = self.telemetry.span(run_span_name(name));
-        let (dataset, outcome) = self.make_engine(idx, true).run();
+        let (dataset, outcome) = self.make_engine(idx).run();
         self.record_throughput(span, &outcome);
         (dataset, outcome)
     }
 
-    /// Simulates one dataset with its week sharded across `shards` worker
-    /// threads (clamped to `[1, 168]`). Byte-identical to
-    /// [`StandardScenario::run_with_outcome`] at the same seed — see
-    /// [`crate::shard`] for the algorithm and its determinism argument —
-    /// and telemetry counters still sum to the sequential values, with
-    /// per-shard `scenario.shard.{prepass,merge,sim}` spans and merge
-    /// metrics (`shard.pulls_scheduled`, `shard.boundary_fills`) on top.
-    ///
-    /// One shard has no boundary to reconcile, so it runs the live engine
-    /// ([`StandardScenario::run_with_outcome`]) with no prepass or merge;
-    /// the merge metrics still read what the three passes would record:
-    /// every replication scheduled, no boundary fills.
+    /// [`StandardScenario::run`] under the name and counters the pipeline
+    /// benchmark (`perfbench/`) reads; nothing else should call it. The
+    /// worker count is ignored: one dataset is one engine. It adds
+    /// `outcome.replications` to `shard.pulls_scheduled` and 0 to
+    /// `shard.boundary_fills`, so those benchmark guard metrics keep
+    /// counting the replications and the (absent) cross-worker cache fills.
     pub fn run_with_outcome_sharded(
         &self,
         name: DatasetName,
-        shards: usize,
+        _jobs: usize,
     ) -> (Dataset, SessionOutcome) {
-        if shards <= 1 {
-            let (dataset, outcome) = self.run_with_outcome(name);
-            self.telemetry
-                .counter("shard.pulls_scheduled")
-                .add(outcome.replications);
-            self.telemetry.counter("shard.boundary_fills").add(0);
-            return (dataset, outcome);
-        }
-        let idx = self.vantage_idx(name);
-        let span = self.telemetry.span(run_span_name(name));
-        let model = self.make_engine(idx, false).workload();
-        let base_store = self.fresh_store();
-        let (records, outcome) = crate::shard::run_sharded(
-            shards,
-            &model,
-            &base_store,
-            self.config.engine.disable_replication,
-            &self.telemetry,
-            |instrumented| self.make_engine(idx, instrumented),
-        );
-        let dataset = Dataset::from_records(name, records);
-        self.record_throughput(span, &outcome);
+        let (dataset, outcome) = self.run(name);
+        self.telemetry
+            .counter("shard.pulls_scheduled")
+            .add(outcome.replications);
+        self.telemetry.counter("shard.boundary_fills").add(0);
         (dataset, outcome)
     }
 
-    /// Simulates one dataset.
-    pub fn run(&self, name: DatasetName) -> Dataset {
-        self.run_with_outcome(name).0
-    }
-
-    /// Simulates one dataset sharded across `shards` worker threads.
-    pub fn run_sharded(&self, name: DatasetName, shards: usize) -> Dataset {
-        self.run_with_outcome_sharded(name, shards).0
-    }
-
-    /// Simulates all five datasets in Table I order.
-    pub fn run_all(&self) -> Vec<Dataset> {
+    /// Simulates all five datasets in Table I order on `jobs` scoped worker
+    /// threads (clamped to `[1, 5]`). Workers take the next dataset off a
+    /// shared cursor; every dataset runs on its own engine with its own
+    /// seed stream, so the output is identical for any `jobs`.
+    pub fn run_all(&self, jobs: usize) -> Vec<Dataset> {
         let _span = self.telemetry.span("scenario.run_all");
-        DatasetName::ALL.iter().map(|&n| self.run(n)).collect()
-    }
-
-    /// Simulates all five datasets on one thread each. Identical output to
-    /// [`StandardScenario::run_all`] — each dataset draws from its own seed
-    /// stream — but ~4× faster at full scale.
-    pub fn run_all_parallel(&self) -> Vec<Dataset> {
-        let _span = self.telemetry.span("scenario.run_all_parallel");
+        let names = DatasetName::ALL;
+        let jobs = jobs.clamp(1, names.len());
+        let next = AtomicUsize::new(0);
+        let mut collected: Vec<(usize, Dataset)> = Vec::with_capacity(names.len());
         std::thread::scope(|scope| {
-            let handles: Vec<_> = DatasetName::ALL
-                .iter()
-                .map(|&n| scope.spawn(move || self.run(n)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            let workers: Vec<_> = (0..jobs)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&name) = names.get(i) else { break };
+                            mine.push((i, self.run(name).0));
+                        }
+                        mine
+                    })
                 })
-                .collect()
-        })
-    }
-
-    /// Simulates all five datasets, each sharded across `shards` worker
-    /// threads. Identical output to [`StandardScenario::run_all`]. Datasets
-    /// run one after another so the worker count never exceeds `shards`;
-    /// with more cores than datasets this beats
-    /// [`StandardScenario::run_all_parallel`], whose parallelism is capped
-    /// at the five datasets (and in practice at the largest one).
-    pub fn run_all_sharded(&self, shards: usize) -> Vec<Dataset> {
-        let _span = self.telemetry.span("scenario.run_all_sharded");
-        DatasetName::ALL
-            .iter()
-            .map(|&n| self.run_sharded(n, shards))
-            .collect()
+                .collect();
+            for w in workers {
+                let mine = w
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                collected.extend(mine);
+            }
+        });
+        collected.sort_by_key(|&(i, _)| i);
+        collected.into_iter().map(|(_, ds)| ds).collect()
     }
 }
 
@@ -666,27 +622,89 @@ mod tests {
         );
     }
 
+    /// The counters an engine run records once per session, whatever the
+    /// worker count.
+    const ENGINE_COUNTERS: [&str; 7] = [
+        "scenario.sessions",
+        "scenario.flows",
+        "engine.cache_miss",
+        "engine.redirect.content_miss",
+        "engine.redirect.wrong_guess",
+        "engine.redirect.overload",
+        "placement.replication",
+    ];
+
     #[test]
     fn parallel_run_matches_sequential() {
-        let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 3));
-        assert_eq!(s.run_all(), s.run_all_parallel());
+        let specs: Vec<MutationSpec> = [
+            "dc-down@72:milan",
+            "prefer-flip@96:frankfurt",
+            "cache-evict@48:0.5",
+        ]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+        let cfg = ScenarioConfig::with_scale(0.002, 3);
+        for mutations in [&specs[..0], &specs[..]] {
+            let instrumented = || {
+                let mut s = StandardScenario::build(cfg);
+                s.set_mutations(mutations).unwrap();
+                s.set_telemetry(Telemetry::metrics_only());
+                s
+            };
+            let one = instrumented();
+            assert_eq!(
+                one.mutations().effective_hours(),
+                [48, 72, 96][..mutations.len()]
+            );
+            let expected = one.run_all(1);
+            for jobs in [2, 3, 5, 8] {
+                assert_eq!(
+                    instrumented().run_all(jobs),
+                    expected,
+                    "jobs={jobs} with {} mutations",
+                    mutations.len()
+                );
+            }
+            // Concurrent engines record every per-session counter exactly
+            // once: the sums match the one-worker run's.
+            let five = instrumented();
+            five.run_all(5);
+            let (snap1, snap5) = (
+                one.telemetry().metrics_snapshot().unwrap(),
+                five.telemetry().metrics_snapshot().unwrap(),
+            );
+            for counter in ENGINE_COUNTERS {
+                assert_eq!(snap1.counter(counter), snap5.counter(counter), "{counter}");
+            }
+        }
     }
 
     #[test]
     fn sharded_run_matches_sequential() {
-        let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 3));
-        let (seq, seq_outcome) = s.run_with_outcome(DatasetName::Eu2);
-        for shards in [1, 3, 8] {
-            let (sharded, outcome) = s.run_with_outcome_sharded(DatasetName::Eu2, shards);
-            assert_eq!(sharded, seq, "shards={shards}");
-            assert_eq!(outcome, seq_outcome, "shards={shards}");
+        // The benchmark's sharded entry point is the plain run plus its
+        // replication and boundary-fill counters, for any worker count.
+        let cfg = ScenarioConfig::with_scale(0.002, 3);
+        let name = DatasetName::Eu2;
+        let expected = StandardScenario::build(cfg).run(name);
+        for jobs in [1, 3, 8] {
+            let mut s = StandardScenario::build(cfg);
+            s.set_telemetry(Telemetry::metrics_only());
+            let got = s.run_with_outcome_sharded(name, jobs);
+            assert_eq!(got, expected, "jobs={jobs}");
+            let snap = s.telemetry().metrics_snapshot().unwrap();
+            assert_eq!(
+                snap.counter("shard.pulls_scheduled"),
+                expected.1.replications
+            );
+            assert!(snap.counters.contains_key("shard.boundary_fills"));
+            assert_eq!(snap.counter("shard.boundary_fills"), 0);
         }
-        assert_eq!(s.run_all(), s.run_all_sharded(4));
     }
 
     #[test]
     fn mutated_run_is_sharded_identically() {
-        let specs: Vec<crate::mutation::MutationSpec> = [
+        let specs: Vec<MutationSpec> = [
             "dc-down@72:milan",
             "prefer-flip@96:frankfurt",
             "cache-evict@48:0.5",
@@ -697,11 +715,10 @@ mod tests {
         let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 3));
         s.set_mutations(&specs).unwrap();
         assert_eq!(s.mutations().effective_hours(), vec![48, 72, 96]);
-        let (seq, seq_outcome) = s.run_with_outcome(DatasetName::Eu1Ftth);
-        for shards in [2, 5] {
-            let (sharded, outcome) = s.run_with_outcome_sharded(DatasetName::Eu1Ftth, shards);
-            assert_eq!(sharded, seq, "shards={shards}");
-            assert_eq!(outcome, seq_outcome, "shards={shards}");
+        let expected = s.run(DatasetName::Eu1Ftth);
+        for jobs in [2, 5] {
+            let got = s.run_with_outcome_sharded(DatasetName::Eu1Ftth, jobs);
+            assert_eq!(got, expected, "jobs={jobs}");
         }
     }
 
@@ -716,8 +733,8 @@ mod tests {
         let w = mutated.world();
         let pref = w.preferred_dc(DatasetName::Eu1Ftth);
         assert_eq!(w.topology().dc(pref).city.name, "Milan");
-        let before = plain.run(DatasetName::Eu1Ftth);
-        let after = mutated.run(DatasetName::Eu1Ftth);
+        let (before, _) = plain.run(DatasetName::Eu1Ftth);
+        let (after, _) = mutated.run(DatasetName::Eu1Ftth);
         // Identical up to the mutation hour, drained after it.
         let cut = 72 * ytcdn_tstat::HOUR_MS;
         let head = |ds: &Dataset| {
@@ -754,108 +771,17 @@ mod tests {
 
     #[test]
     fn run_all_variants_record_their_own_spans() {
-        // `run_all_parallel` used to reuse `run_all`'s span name, making the
-        // two indistinguishable in metrics; pin that each variant has its
-        // own.
+        // One worker or three, a pooled run records one `scenario.run_all`
+        // span plus one `run.<dataset>` span per dataset, whichever thread
+        // ran it.
         let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.001, 1));
         s.set_telemetry(Telemetry::metrics_only());
-        s.run_all();
-        s.run_all_parallel();
-        s.run_all_sharded(2);
+        s.run_all(1);
+        s.run_all(3);
         let snap = s.telemetry().metrics_snapshot().unwrap();
-        for name in [
-            "scenario.run_all",
-            "scenario.run_all_parallel",
-            "scenario.run_all_sharded",
-        ] {
-            assert_eq!(snap.histograms[name].count, 1, "{name}");
-        }
-    }
-
-    #[test]
-    fn sharded_run_records_shard_spans_and_merge_metrics() {
-        let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 7));
-        s.set_telemetry(Telemetry::metrics_only());
-        let (_, outcome) = s.run_with_outcome_sharded(DatasetName::UsCampus, 4);
-        let snap = s.telemetry().metrics_snapshot().unwrap();
-        // One prepass and one simulation span per shard, one merge total.
-        assert_eq!(snap.histograms["scenario.shard.prepass"].count, 4);
-        assert_eq!(snap.histograms["scenario.shard.sim"].count, 4);
-        assert_eq!(snap.histograms["scenario.shard.merge"].count, 1);
-        assert_eq!(snap.counter("shard.pulls_scheduled"), outcome.replications);
-        // Engine counters are recorded exactly once per session even though
-        // the prepass replays every prelude.
-        assert_eq!(snap.counter("scenario.sessions"), outcome.sessions);
-        assert_eq!(snap.counter("scenario.flows"), outcome.flows);
-    }
-
-    /// The counters an engine run records once per session, whatever the
-    /// shard count.
-    const ENGINE_COUNTERS: [&str; 7] = [
-        "scenario.sessions",
-        "scenario.flows",
-        "engine.cache_miss",
-        "engine.redirect.content_miss",
-        "engine.redirect.wrong_guess",
-        "engine.redirect.overload",
-        "placement.replication",
-    ];
-
-    /// `run_with_outcome_sharded(·, 1)` takes the live engine, so the
-    /// three-pass algorithm at K=1 is only reachable through
-    /// `shard::run_sharded`: pin it against the live engine here, with and
-    /// without mutations, and pin the K=1 telemetry of both paths.
-    #[test]
-    fn one_shard_three_pass_matches_live_engine() {
-        let specs: Vec<MutationSpec> = ["dc-down@72:milan", "cache-evict@48:0.5"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let cfg = ScenarioConfig::with_scale(0.002, 7);
-        let name = DatasetName::Eu1Ftth;
-        for mutations in [&specs[..0], &specs[..]] {
-            let instrumented = || {
-                let mut s = StandardScenario::build(cfg);
-                s.set_mutations(mutations).unwrap();
-                s.set_telemetry(Telemetry::metrics_only());
-                s
-            };
-
-            let live = instrumented();
-            let (live_ds, live_outcome) = live.run_with_outcome_sharded(name, 1);
-            let live_snap = live.telemetry().metrics_snapshot().unwrap();
-
-            let three_pass = instrumented();
-            let idx = three_pass.vantage_idx(name);
-            let (records, outcome) = crate::shard::run_sharded(
-                1,
-                &three_pass.make_engine(idx, false).workload(),
-                &three_pass.fresh_store(),
-                cfg.engine.disable_replication,
-                three_pass.telemetry(),
-                |instrumented| three_pass.make_engine(idx, instrumented),
-            );
-            assert_eq!(Dataset::from_records(name, records), live_ds);
-            assert_eq!(outcome, live_outcome);
-            let three_snap = three_pass.telemetry().metrics_snapshot().unwrap();
-
-            let four = instrumented();
-            four.run_with_outcome_sharded(name, 4);
-            let four_snap = four.telemetry().metrics_snapshot().unwrap();
-
-            for snap in [&live_snap, &three_snap] {
-                assert_eq!(snap.counter("shard.pulls_scheduled"), outcome.replications);
-                assert!(snap.counters.contains_key("shard.boundary_fills"));
-                assert_eq!(snap.counter("shard.boundary_fills"), 0);
-                for counter in ENGINE_COUNTERS {
-                    assert_eq!(
-                        snap.counter(counter),
-                        four_snap.counter(counter),
-                        "{counter} with {} mutations",
-                        mutations.len()
-                    );
-                }
-            }
+        assert_eq!(snap.histograms["scenario.run_all"].count, 2);
+        for name in DatasetName::ALL {
+            assert_eq!(snap.histograms[run_span_name(name)].count, 2, "{name}");
         }
     }
 
@@ -863,11 +789,11 @@ mod tests {
     fn telemetry_counters_match_ground_truth() {
         let cfg = ScenarioConfig::with_scale(0.002, 7);
         let plain = StandardScenario::build(cfg);
-        let (expected_ds, outcome) = plain.run_with_outcome(DatasetName::UsCampus);
+        let (expected_ds, outcome) = plain.run(DatasetName::UsCampus);
 
         let mut instrumented = StandardScenario::build(cfg);
         instrumented.set_telemetry(Telemetry::metrics_only());
-        let (ds, _) = instrumented.run_with_outcome(DatasetName::UsCampus);
+        let (ds, _) = instrumented.run(DatasetName::UsCampus);
         // Telemetry must not perturb the simulation.
         assert_eq!(ds, expected_ds);
 
@@ -899,7 +825,7 @@ mod tests {
     #[test]
     fn run_all_produces_five_nonempty_datasets() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 3));
-        let all = s.run_all();
+        let all = s.run_all(2);
         assert_eq!(all.len(), 5);
         for (ds, name) in all.iter().zip(DatasetName::ALL) {
             assert_eq!(ds.name(), name);

@@ -10,17 +10,17 @@ pub const USAGE: &str = "\
 ytcdn — the YouTube CDN reproduction toolkit
 
 USAGE:
-  ytcdn generate  [--dataset NAME] [--scale S] [--seed N] [--shards K]
+  ytcdn generate  [--dataset NAME] [--scale S] [--seed N]
                   [--mutate SPEC]... [--format ytc|text] --out PATH
                   (ytc, the default: PATH is one file carrying every
                   generated dataset; text: PATH is a file for one dataset,
                   a directory for all five)
   ytcdn analyze   --trace PATH [--scale S] [--seed N]
-  ytcdn geolocate --dataset NAME [--landmarks K] [--scale S] [--seed N] [--shards K]
+  ytcdn geolocate --dataset NAME [--landmarks K] [--scale S] [--seed N]
                   [--jobs K] (CBG worker threads; any K gives byte-identical output)
   ytcdn whatif    --scenario feb2011|fixed-peering|no-votd|eu2-capacity|popularity
                   [--scale S] [--seed N]
-  ytcdn watch     --dataset NAME [--scale S] [--seed N] [--shards K]
+  ytcdn watch     --dataset NAME [--scale S] [--seed N]
                   [--mutate SPEC]... [--window H] [--threshold D] [--min-flows F]
                   [--from PATH.ytc]
                   (simulate — or load PATH.ytc, skipping simulation — then
@@ -40,9 +40,9 @@ Global flags (any subcommand):
   (either flag also prints a metrics table on stderr at exit)
 
 Datasets: US-Campus, EU1-Campus, EU1-ADSL, EU1-FTTH, EU2.
-Defaults: --scale 0.02, --seed 42, --landmarks 50,
-          --shards = available CPUs (sharding is deterministic: any K
-          produces byte-identical output; --shards 1 runs sequentially).";
+Defaults: --scale 0.02, --seed 42, --landmarks 50, --jobs = available CPUs.
+generate simulates all five datasets on one worker per available CPU; the
+output is byte-identical for any worker count.";
 
 /// Global observability options, orthogonal to the subcommand.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -84,8 +84,6 @@ pub enum Command {
         out: PathBuf,
         /// Output format (`--format`, default `.ytc`).
         format: TraceFormat,
-        /// Worker threads per dataset (`None` = available CPUs).
-        shards: Option<usize>,
         /// Scheduled mutation specs (`kind@hour:arg`), applied in order.
         mutate: Vec<String>,
     },
@@ -108,8 +106,6 @@ pub enum Command {
         seed: u64,
         /// Number of CBG landmarks.
         landmarks: usize,
-        /// Worker threads for the simulation (`None` = available CPUs).
-        shards: Option<usize>,
         /// Worker threads for CBG localization (`None` = available CPUs);
         /// per-/24 noise streams make any value byte-identical.
         jobs: Option<usize>,
@@ -131,8 +127,6 @@ pub enum Command {
         scale: f64,
         /// Scenario seed.
         seed: u64,
-        /// Worker threads for the simulation (`None` = available CPUs).
-        shards: Option<usize>,
         /// Scheduled mutation specs (`kind@hour:arg`), applied in order.
         mutate: Vec<String>,
         /// Detection window width, hours.
@@ -220,7 +214,6 @@ struct Flags {
     landmarks: usize,
     scenario: Option<String>,
     format: TraceFormat,
-    shards: Option<usize>,
     jobs: Option<usize>,
     mutate: Vec<String>,
     window: u64,
@@ -240,7 +233,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
         landmarks: 50,
         scenario: None,
         format: TraceFormat::default(),
-        shards: None,
         jobs: None,
         mutate: Vec::new(),
         window: ytcdn_core::constellation::DEFAULT_WINDOW_HOURS,
@@ -290,16 +282,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
                 flags.landmarks = k;
             }
             "--scenario" => flags.scenario = Some(value("--scenario value")?.clone()),
-            "--shards" => {
-                let v = value("--shards value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| ParseError::Invalid("shards", v.clone()))?;
-                if n == 0 {
-                    return Err(ParseError::Invalid("shards", v.clone()));
-                }
-                flags.shards = Some(n);
-            }
             "--jobs" => {
                 let v = value("--jobs value")?;
                 let n: usize = v
@@ -376,7 +358,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                 seed: flags.seed,
                 out,
                 format: flags.format,
-                shards: flags.shards,
                 mutate: flags.mutate.clone(),
             })
         }
@@ -390,7 +371,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             scale: flags.scale,
             seed: flags.seed,
             landmarks: flags.landmarks,
-            shards: flags.shards,
             jobs: flags.jobs,
         }),
         "whatif" => Ok(Command::WhatIf {
@@ -412,7 +392,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                 dataset: flags.dataset.ok_or(ParseError::Missing("--dataset"))?,
                 scale: flags.scale,
                 seed: flags.seed,
-                shards: flags.shards,
                 mutate: flags.mutate.clone(),
                 window: flags.window,
                 threshold: flags.threshold,
@@ -470,7 +449,6 @@ mod tests {
                 seed: 42,
                 out: PathBuf::from("trace.ytc"),
                 format: TraceFormat::Ytc,
-                shards: None,
                 mutate: vec![],
             }
         );
@@ -485,7 +463,6 @@ mod tests {
                 dataset: DatasetName::Eu1Ftth,
                 scale: 0.02,
                 seed: 42,
-                shards: None,
                 mutate: vec![],
                 window: ytcdn_core::constellation::DEFAULT_WINDOW_HOURS,
                 threshold: ytcdn_core::constellation::DEFAULT_THRESHOLD,
@@ -501,8 +478,6 @@ mod tests {
             "0.05",
             "--seed",
             "7",
-            "--shards",
-            "3",
             "--mutate",
             "dc-down@72:milan",
             "--mutate",
@@ -520,7 +495,6 @@ mod tests {
                 dataset: DatasetName::Eu2,
                 scale: 0.05,
                 seed: 7,
-                shards: Some(3),
                 mutate: vec!["dc-down@72:milan".into(), "cache-evict@48:0.05".into()],
                 window: 12,
                 threshold: 0.3,
@@ -564,35 +538,18 @@ mod tests {
 
     #[test]
     fn parse_shards() {
-        let gen = cmd(&["generate", "--shards", "8", "--out", "dir"]);
-        assert!(matches!(
-            gen,
-            Command::Generate {
-                shards: Some(8),
-                ..
-            }
-        ));
-        let geo = cmd(&["geolocate", "--dataset", "EU2", "--shards", "2"]);
-        assert!(matches!(
-            geo,
-            Command::Geolocate {
-                shards: Some(2),
-                ..
-            }
-        ));
-        // Zero and garbage are rejected; the value is required.
-        assert!(matches!(
-            parse(&v(&["generate", "--shards", "0", "--out", "d"])).unwrap_err(),
-            ParseError::Invalid("shards", _)
-        ));
-        assert!(matches!(
-            parse(&v(&["generate", "--shards", "many", "--out", "d"])).unwrap_err(),
-            ParseError::Invalid("shards", _)
-        ));
-        assert_eq!(
-            parse(&v(&["generate", "--shards"])).unwrap_err(),
-            ParseError::Missing("--shards value")
-        );
+        // The flag is gone; an old script must fail loudly, not be ignored.
+        for args in [
+            &["generate", "--shards", "8", "--out", "dir"][..],
+            &["watch", "--dataset", "EU2", "--shards", "2"],
+            &["geolocate", "--dataset", "EU2", "--shards", "2"],
+        ] {
+            assert_eq!(
+                parse(&v(args)).unwrap_err(),
+                ParseError::UnknownFlag("--shards".to_owned()),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]
@@ -707,7 +664,6 @@ mod tests {
                 scale: 0.02,
                 seed: 42,
                 landmarks: 50,
-                shards: None,
                 jobs: None,
             }
         );

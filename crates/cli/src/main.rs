@@ -120,7 +120,6 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             seed,
             out,
             format,
-            shards,
             mutate,
         } => match mutated_scenario(scale, seed, &mutate, ctx) {
             Ok(s) => generate(
@@ -128,7 +127,6 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
                 dataset,
                 out,
                 format,
-                resolve_shards(shards),
                 YtcHeader {
                     scale,
                     seed,
@@ -144,17 +142,8 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             scale,
             seed,
             landmarks,
-            shards,
             jobs,
-        } => geolocate(
-            dataset,
-            scale,
-            seed,
-            landmarks,
-            resolve_shards(shards),
-            resolve_shards(jobs),
-            ctx,
-        ),
+        } => geolocate(dataset, scale, seed, landmarks, resolve_jobs(jobs), ctx),
         Command::WhatIf {
             scenario,
             scale,
@@ -164,7 +153,6 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             dataset,
             scale,
             seed,
-            shards,
             mutate,
             window,
             threshold,
@@ -179,7 +167,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             match from {
                 Some(path) => watch_from(&path, dataset, config, ctx),
                 None => match mutated_scenario(scale, seed, &mutate, ctx) {
-                    Ok(s) => watch(s, dataset, resolve_shards(shards), config, ctx),
+                    Ok(s) => watch(s, dataset, config, ctx),
                     Err(code) => code,
                 },
             }
@@ -294,9 +282,10 @@ fn characterize_trace(trace: &PathBuf) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--shards` default: one worker per available CPU. The shard count only
-/// affects wall-clock time — output is byte-identical for any value.
-fn resolve_shards(flag: Option<usize>) -> usize {
+/// Resolves a worker count (`--jobs`), defaulting to one worker per
+/// available CPU. The count only affects wall-clock time — output is
+/// byte-identical for any value.
+fn resolve_jobs(flag: Option<usize>) -> usize {
     flag.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -344,13 +333,12 @@ fn generate(
     dataset: Option<DatasetName>,
     out: PathBuf,
     format: args::TraceFormat,
-    shards: usize,
     header: YtcHeader,
     ctx: &Ctx,
 ) -> ExitCode {
     let datasets: Vec<Dataset> = match dataset {
-        Some(n) => vec![s.run_sharded(n, shards)],
-        None => s.run_all_sharded(shards),
+        Some(n) => vec![s.run(n).0],
+        None => s.run_all(resolve_jobs(None)),
     };
     if format == args::TraceFormat::Ytc {
         // The columnar format is one file carrying every generated dataset
@@ -393,7 +381,7 @@ fn generate(
 
 /// Writes every generated dataset into one checksummed `.ytc` file. The
 /// encoding is deterministic, so the same scale/seed/mutations produce
-/// byte-identical files whatever `--shards` was.
+/// byte-identical files whatever the worker count was.
 fn generate_ytc(header: YtcHeader, datasets: Vec<Dataset>, out: &PathBuf, ctx: &Ctx) -> ExitCode {
     let file = match YtcFile::new(header, datasets) {
         Ok(f) => f,
@@ -478,10 +466,8 @@ fn watch_from(path: &PathBuf, dataset: DatasetName, config: WatchConfig, ctx: &C
     };
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), columnar.dataset());
-    let jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let index = DatasetIndex::from_columnar(&actx, &columnar, jobs, ctx.telemetry.clone());
+    let index =
+        DatasetIndex::from_columnar(&actx, &columnar, resolve_jobs(None), ctx.telemetry.clone());
     let report = match WatchReport::build(&actx, columnar.dataset(), &index, config) {
         Ok(r) => r,
         Err(e) => {
@@ -498,20 +484,11 @@ fn watch_from(path: &PathBuf, dataset: DatasetName, config: WatchConfig, ctx: &C
 /// mutations), window it, and print the change-point table. Windowed
 /// metrics and detected change points also go to the telemetry stream when
 /// `--telemetry` is given, scoped to the dataset name.
-fn watch(
-    s: StandardScenario,
-    dataset: DatasetName,
-    shards: usize,
-    config: WatchConfig,
-    ctx: &Ctx,
-) -> ExitCode {
-    let ds = s.run_sharded(dataset, shards);
+fn watch(s: StandardScenario, dataset: DatasetName, config: WatchConfig, ctx: &Ctx) -> ExitCode {
+    let (ds, _) = s.run(dataset);
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
-    let jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let index = DatasetIndex::build(&actx, &ds, jobs, ctx.telemetry.clone());
+    let index = DatasetIndex::build(&actx, &ds, resolve_jobs(None), ctx.telemetry.clone());
     let report = match WatchReport::build(&actx, &ds, &index, config) {
         Ok(r) => r,
         Err(e) => {
@@ -557,10 +534,7 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
         100.0 * ctx.nonpreferred_share_of_flows()
     );
 
-    let jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let index = DatasetIndex::build(&ctx, &ds, jobs, cli.telemetry.clone());
+    let index = DatasetIndex::build(&ctx, &ds, resolve_jobs(None), cli.telemetry.clone());
     let st = index.patterns();
     println!(
         "sessions: {} total, {:.1}% single-flow ({:.1}% of those to non-preferred DCs)",
@@ -587,12 +561,11 @@ fn geolocate(
     scale: f64,
     seed: u64,
     landmarks: usize,
-    shards: usize,
     jobs: usize,
     ctx: &Ctx,
 ) -> ExitCode {
     let s = scenario(scale, seed, ctx);
-    let ds = s.run_sharded(dataset, shards);
+    let (ds, _) = s.run(dataset);
     ctx.progress.note(&format!(
         "calibrating CBG on {landmarks} landmarks, geolocating {} servers…",
         ds.server_ips().len()

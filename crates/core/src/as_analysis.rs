@@ -105,7 +105,7 @@ mod tests {
 
     fn rows() -> Vec<AsBreakdown> {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 17));
-        s.run_all()
+        s.run_all(2)
             .iter()
             .map(|ds| as_breakdown(s.world(), ds))
             .collect()

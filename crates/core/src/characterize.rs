@@ -110,7 +110,7 @@ mod tests {
 
     fn characterization() -> Characterization {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 404));
-        characterize(&s.run(DatasetName::Eu1Adsl))
+        characterize(&s.run(DatasetName::Eu1Adsl).0)
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!
 //! Determinism: encoding is a pure function of the header values and the
 //! record columns. The same seed/scale/mutations produce byte-identical
-//! files for any `--shards K`, so golden tests pin whole-file digests.
+//! files for any simulation worker count, so golden tests pin whole-file
+//! digests.
 //! The full byte layout is specified in `DESIGN.md` §13.
 //!
 //! Determinism note: every collection here is a `Vec` (lint rule `DET003`
@@ -400,8 +401,8 @@ impl YtcFile {
     }
 
     /// Encodes the file to its canonical byte form. Deterministic: equal
-    /// headers and columns yield identical bytes, whatever engine or shard
-    /// count produced the records. Runs the same streaming encoder as
+    /// headers and columns yield identical bytes, whatever worker count
+    /// produced the records. Runs the same streaming encoder as
     /// [`YtcFile::write_to`], into a `Vec`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();

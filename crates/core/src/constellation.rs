@@ -521,7 +521,7 @@ mod tests {
         name: DatasetName,
         config: WatchConfig,
     ) -> WatchReport {
-        let ds = scenario.run(name);
+        let (ds, _) = scenario.run(name);
         let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 1, Telemetry::disabled());
         WatchReport::build(&ctx, &ds, &index, config).unwrap()
@@ -538,7 +538,7 @@ mod tests {
             assert_eq!(w.start_hour, i as u64 * 6);
         }
         let total_flows: u64 = r.windows.iter().map(|w| w.flows).sum();
-        assert_eq!(total_flows, s.run(DatasetName::Eu1Ftth).len() as u64);
+        assert_eq!(total_flows, s.run(DatasetName::Eu1Ftth).0.len() as u64);
         let total_sessions: u64 = r.windows.iter().map(|w| w.sessions).sum();
         assert!(total_sessions > 0);
     }
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_a_typed_error() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 5));
-        let ds = s.run(DatasetName::Eu2);
+        let (ds, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu2);
         let index = DatasetIndex::build(&ctx, &empty, 1, Telemetry::disabled());

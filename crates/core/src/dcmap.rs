@@ -340,7 +340,7 @@ mod tests {
             DatasetName::Eu1Adsl,
             DatasetName::Eu2,
         ] {
-            let ds = s.run(name);
+            let (ds, _) = s.run(name);
             let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
             let truth = s.world().preferred_dc(name);
             let truth_city = s.world().topology().dc(truth).city.name;
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn preferred_share_high_for_eu1() {
         let s = scenario();
-        let ds = s.run(DatasetName::Eu1Ftth);
+        let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let share = ctx.preferred_share_of_bytes();
         assert!(share > 0.80, "preferred byte share {share}");
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn eu2_preferred_share_lower() {
         let s = scenario();
-        let eu2 = s.run(DatasetName::Eu2);
+        let (eu2, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &eu2);
         let share = ctx.preferred_share_of_bytes();
         // EU2: >55% of traffic from non-preferred (Section VI-B).
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn preferred_has_lowest_rtt_among_major_dcs() {
         let s = scenario();
-        let ds = s.run(DatasetName::Eu1Campus);
+        let (ds, _) = s.run(DatasetName::Eu1Campus);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let pref = ctx.preferred();
         let total: u64 = ctx.dcs().iter().map(|d| d.video_bytes).sum();
@@ -386,7 +386,7 @@ mod tests {
     fn eu2_preferred_is_internal_despite_minority_bytes() {
         // The EU2 rule: two dominant DCs, pick the lower-RTT (internal) one.
         let s = scenario();
-        let eu2 = s.run(DatasetName::Eu2);
+        let (eu2, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &eu2);
         assert_eq!(
             ctx.preferred().city_name,
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn rtt_and_distance_positive() {
         let s = scenario();
-        let ds = s.run(DatasetName::UsCampus);
+        let (ds, _) = s.run(DatasetName::UsCampus);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         for d in ctx.dcs() {
             assert!(d.rtt_ms > 0.0, "{}", d.city_name);

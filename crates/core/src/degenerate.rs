@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn shapes_degrade_as_documented() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 2));
-        let ds = s.run(DatasetName::UsCampus);
+        let (ds, _) = s.run(DatasetName::UsCampus);
         let world = s.world();
         let n = ds.len();
         assert!(n > 100, "need a real dataset to degrade, got {n} flows");
@@ -184,7 +184,7 @@ mod tests {
         assert!(!no_net3.is_empty() && no_net3.len() < n);
         assert!(no_net3.iter().all(|r| !net3_block.contains(r.client_ip)));
         // Other vantage points pass through untouched.
-        let eu2 = s.run(DatasetName::Eu2);
+        let (eu2, _) = s.run(DatasetName::Eu2);
         assert_eq!(
             DegenerateShape::MissingNet3.apply(world, eu2.clone()).len(),
             eu2.len()

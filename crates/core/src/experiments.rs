@@ -40,10 +40,20 @@ pub struct SuiteConfig {
     /// Use the full 215-landmark set for CBG experiments (slow); otherwise a
     /// reduced 50-landmark set with the same continental proportions.
     pub full_landmarks: bool,
-    /// Worker threads for index building and [`ExperimentSuite::run_many`];
-    /// `0` (the default) means one per available CPU. Any value produces
-    /// byte-identical reports — `jobs` only changes wall-clock time.
+    /// Worker threads for the simulation, index building and
+    /// [`ExperimentSuite::run_many`]; `0` (the default) means one per
+    /// available CPU. Any value produces byte-identical reports — `jobs`
+    /// only changes wall-clock time.
     pub jobs: usize,
+}
+
+/// [`SuiteConfig::jobs`] with `0` replaced by the available CPU count.
+fn resolve_jobs(jobs: usize) -> usize {
+    if jobs > 0 {
+        jobs
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
 }
 
 /// All experiment identifiers, paper order.
@@ -176,7 +186,7 @@ impl ExperimentSuite {
     fn build(config: SuiteConfig, telemetry: Telemetry, shape: Option<DegenerateShape>) -> Self {
         let scenario = StandardScenario::build_instrumented(config.scenario, telemetry.clone());
         let datasets = scenario
-            .run_all_parallel()
+            .run_all(resolve_jobs(config.jobs))
             .into_iter()
             .map(|ds| match shape {
                 Some(shape) => (shape.apply(scenario.world(), ds), None),
@@ -197,13 +207,7 @@ impl ExperimentSuite {
         scenario: StandardScenario,
         datasets: Vec<(Dataset, Option<Vec<Range<usize>>>)>,
     ) -> Self {
-        let jobs = if config.jobs > 0 {
-            config.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
+        let jobs = resolve_jobs(config.jobs);
         let (datasets, hours): (Vec<Dataset>, Vec<_>) = datasets.into_iter().unzip();
         // `slot` relies on the datasets arriving in DatasetName::ALL order.
         debug_assert!(datasets
@@ -1171,7 +1175,7 @@ mod tests {
         let snap = s.telemetry().metrics_snapshot().unwrap();
         assert_eq!(snap.histograms["exp.table1"].count, 2);
         assert_eq!(snap.histograms["scenario.build"].count, 1);
-        assert_eq!(snap.histograms["scenario.run_all_parallel"].count, 1);
+        assert_eq!(snap.histograms["scenario.run_all"].count, 1);
         assert_eq!(snap.histograms["suite.indexes"].count, 1);
         assert_eq!(snap.histograms["index.build"].count, 5);
         // Every known experiment id has a static span name.

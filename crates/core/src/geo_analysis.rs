@@ -285,8 +285,8 @@ mod tests {
     #[test]
     fn fig2_rtt_cdfs_differ_by_vantage() {
         let s = scenario();
-        let us = s.run(DatasetName::UsCampus);
-        let eu = s.run(DatasetName::Eu1Ftth);
+        let (us, _) = s.run(DatasetName::UsCampus);
+        let (eu, _) = s.run(DatasetName::Eu1Ftth);
         let us_cdf = server_rtt_cdf(s.world(), &us, 3);
         let eu_cdf = server_rtt_cdf(s.world(), &eu, 3);
         assert!(!us_cdf.is_empty() && !eu_cdf.is_empty());
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn geolocation_mostly_correct_continent() {
         let s = scenario();
-        let ds = s.run(DatasetName::Eu1Campus);
+        let (ds, _) = s.run(DatasetName::Eu1Campus);
         let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5);
         assert!(!locs.is_empty());
         let correct = locs
@@ -316,7 +316,7 @@ mod tests {
     fn parallel_geolocation_is_byte_identical() {
         let s = scenario();
         let cbg = test_cbg();
-        let ds = s.run(DatasetName::Eu1Campus);
+        let (ds, _) = s.run(DatasetName::Eu1Campus);
         let sequential = geolocate_servers(s.world(), &ds, &cbg, 5);
         for jobs in [2, 3, 8] {
             let parallel = geolocate_servers_parallel(s.world(), &ds, &cbg, 5, jobs);
@@ -330,7 +330,7 @@ mod tests {
         // in a different continent".
         let s = scenario();
         let cbg = test_cbg();
-        let ds = s.run(DatasetName::Eu1Adsl);
+        let (ds, _) = s.run(DatasetName::Eu1Adsl);
         let locs = geolocate_servers(s.world(), &ds, &cbg, 5);
         let counts = continent_counts(&locs);
         assert!(counts.total() > 0);
@@ -349,10 +349,10 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         // Pool two datasets for coverage of both continents.
-        let mut locs = geolocate_servers(s.world(), &s.run(DatasetName::UsCampus), &cbg, 5);
+        let mut locs = geolocate_servers(s.world(), &s.run(DatasetName::UsCampus).0, &cbg, 5);
         locs.extend(geolocate_servers(
             s.world(),
-            &s.run(DatasetName::Eu1Campus),
+            &s.run(DatasetName::Eu1Campus).0,
             &cbg,
             6,
         ));
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn geolocation_error_bounded_by_region() {
         let s = scenario();
-        let ds = s.run(DatasetName::Eu1Ftth);
+        let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5);
         // The confidence region should usually contain the truth: error
         // below ~2 radii most of the time.

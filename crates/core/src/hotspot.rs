@@ -173,7 +173,7 @@ mod tests {
 
     fn setup() -> (StandardScenario, Dataset, DatasetIndex) {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.015, 3));
-        let ds = s.run(DatasetName::Eu1Adsl);
+        let (ds, _) = s.run(DatasetName::Eu1Adsl);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
         (s, ds, index)

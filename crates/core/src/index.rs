@@ -462,7 +462,7 @@ mod tests {
 
     fn setup(name: DatasetName) -> (Dataset, AnalysisContext) {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 55));
-        let ds = s.run(name);
+        let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         (ds, ctx)
     }

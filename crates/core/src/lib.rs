@@ -40,7 +40,7 @@
 //!
 //! // Simulate a small week at one vantage point...
 //! let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 1));
-//! let dataset = scenario.run(DatasetName::Eu1Campus);
+//! let (dataset, _) = scenario.run(DatasetName::Eu1Campus);
 //! // ...and run the paper's analysis on the flow log.
 //! let ctx = AnalysisContext::from_ground_truth(scenario.world(), &dataset);
 //! let sessions = group_sessions(&dataset, 1_000);

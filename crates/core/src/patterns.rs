@@ -102,7 +102,7 @@ mod tests {
 
     fn stats_for(name: DatasetName) -> PatternStats {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 55));
-        let ds = s.run(name);
+        let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled()).patterns()
     }

@@ -133,7 +133,7 @@ mod tests {
 
     fn report(name: DatasetName) -> PerfReport {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 202));
-        let ds = s.run(name);
+        let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let sessions = group_sessions(&ds, 1_000);
         perf_report(&ctx, &ds, &sessions)
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn eu2_nonpreferred_rtt_reflects_external_dc() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 203));
-        let ds = s.run(DatasetName::Eu2);
+        let (ds, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let sessions = group_sessions(&ds, 1_000);
         let r = perf_report(&ctx, &ds, &sessions);
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 204));
-        let ds = s.run(DatasetName::Eu1Ftth);
+        let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let r = perf_report(&ctx, &ds, &[]);
         assert_eq!(r.median_redirect_penalty_ms(), 0.0);

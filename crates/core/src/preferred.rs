@@ -72,7 +72,7 @@ mod tests {
 
     fn ctx(name: DatasetName) -> AnalysisContext {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 33));
-        let ds = s.run(name);
+        let (ds, _) = s.run(name);
         AnalysisContext::from_ground_truth(s.world(), &ds)
     }
 

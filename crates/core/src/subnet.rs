@@ -88,7 +88,7 @@ mod tests {
 
     fn shares() -> Vec<SubnetShare> {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 77));
-        let ds = s.run(DatasetName::UsCampus);
+        let (ds, _) = s.run(DatasetName::UsCampus);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let subnets = s.world().vantage(DatasetName::UsCampus).subnets.clone();
         subnet_shares(&ctx, &ds, &subnets)
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn empty_dataset_gives_zero_shares() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 77));
-        let ds = s.run(DatasetName::UsCampus);
+        let (ds, _) = s.run(DatasetName::UsCampus);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let subnets = s.world().vantage(DatasetName::UsCampus).subnets.clone();
         let empty = Dataset::new(DatasetName::UsCampus);

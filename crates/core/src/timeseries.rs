@@ -110,7 +110,7 @@ mod tests {
 
     fn samples_for(name: DatasetName) -> (Vec<HourSample>, Cdf) {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 99));
-        let ds = s.run(name);
+        let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
         (hourly_samples(&index), nonpreferred_fraction_cdf(&index))

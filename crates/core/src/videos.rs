@@ -101,7 +101,7 @@ mod tests {
 
     fn stats(name: DatasetName) -> NonPreferredVideoStats {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.015, 13));
-        let ds = s.run(name);
+        let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
         nonpreferred_video_stats(&index, &ds)
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn counts_are_consistent() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 13));
-        let ds = s.run(DatasetName::Eu1Ftth);
+        let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
         let counts = per_video_counts(&index, &ds);
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 13));
-        let ds = s.run(DatasetName::Eu1Ftth);
+        let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu1Ftth);
         let index = DatasetIndex::build(&ctx, &empty, 2, Telemetry::disabled());

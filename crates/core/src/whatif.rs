@@ -48,7 +48,7 @@ pub fn evaluate_with_vantages(
 }
 
 fn summarize(label: &str, scenario: &StandardScenario, name: DatasetName) -> WhatIfOutcome {
-    let ds = scenario.run(name);
+    let (ds, _) = scenario.run(name);
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     let total_flows: u64 = ctx.dcs().iter().map(|d| d.video_flows).sum();
     let mean_rtt = if total_flows == 0 {

@@ -1,9 +1,9 @@
 //! The workspace's one JSON writer.
 //!
-//! Telemetry JSONL lines, the `--metrics-out` snapshot and the `repro
-//! --bench-out` timing summary are all written through [`JsonWriter`]: a
-//! streaming writer that tracks commas and (optionally) indentation, so
-//! callers only say which keys and values to emit, in which order.
+//! Telemetry JSONL lines and the `--metrics-out` snapshot are both written
+//! through [`JsonWriter`]: a streaming writer that tracks commas and
+//! (optionally) indentation, so callers only say which keys and values to
+//! emit, in which order.
 //!
 //! Conventions: compact lines for JSONL, two-space indentation for pretty
 //! documents, `{}`/`[]` for empty containers, `f64` printed via `{:?}` (so
@@ -107,18 +107,6 @@ impl JsonWriter {
         self.separate();
         if value.is_finite() {
             let _ = write!(self.out, "{value:?}");
-        } else {
-            self.out.push_str("null");
-        }
-        self
-    }
-
-    /// Writes a float value with a fixed number of decimals (`{:.N}`);
-    /// non-finite values become `null`.
-    pub fn f64_fixed(&mut self, value: f64, decimals: usize) -> &mut Self {
-        self.separate();
-        if value.is_finite() {
-            let _ = write!(self.out, "{value:.decimals$}");
         } else {
             self.out.push_str("null");
         }
@@ -238,9 +226,8 @@ mod tests {
             .f64(1e-7)
             .f64(f64::NAN)
             .f64(f64::INFINITY);
-        w.f64_fixed(2.0, 3).f64_fixed(f64::NEG_INFINITY, 3);
         w.end_array();
-        assert_eq!(w.finish(), "[310.0,0.11,1e-7,null,null,2.000,null]");
+        assert_eq!(w.finish(), "[310.0,0.11,1e-7,null,null]");
     }
 
     #[test]

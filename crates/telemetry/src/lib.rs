@@ -11,8 +11,8 @@
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99 estimation;
 //! * scoped [`Span`] timers for phase profiling (`scenario.build`,
 //!   `run.<dataset>`, `analysis.*`, `export`);
-//! * [`JsonWriter`], the one JSON writer behind the JSONL lines, the
-//!   `--metrics-out` snapshot and `repro --bench-out`;
+//! * [`JsonWriter`], the one JSON writer behind the JSONL lines and the
+//!   `--metrics-out` snapshot;
 //! * a stderr [`Progress`] reporter so stdout stays machine-parseable.
 //!
 //! The entry point is the cloneable [`Telemetry`] handle. A *disabled*

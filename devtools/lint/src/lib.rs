@@ -2,10 +2,9 @@
 //! contract.
 //!
 //! The reproduction's core claim is that Table I and the preferred-DC
-//! rankings are byte-identical across sequential, parallel, and sharded
-//! runs. That claim rests on invariants the differential tests
-//! (`tests/sharding_differential.rs`, `tests/determinism.rs`) can only
-//! check *dynamically*, after a full re-run: the simulation path draws
+//! rankings are byte-identical for any worker count. That claim rests on
+//! invariants the determinism tests (`tests/determinism.rs`, the golden
+//! suites) can only check *dynamically*, after a full re-run: the simulation path draws
 //! exclusively from the in-tree `SimRng`, telemetry never touches an RNG
 //! stream, and no output path iterates an unordered map. This crate checks
 //! the same invariants *statically*, at `check.sh` time, so a violation is

@@ -19,7 +19,7 @@ use ytcdn_tstat::DatasetName;
 
 fn main() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.02, 7));
-    let dataset = scenario.run(DatasetName::UsCampus);
+    let (dataset, _) = scenario.run(DatasetName::UsCampus);
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &dataset);
 
     println!("== geographic proximity is not the criterion (Figure 8) ==");

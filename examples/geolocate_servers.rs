@@ -18,7 +18,7 @@ use ytcdn_tstat::DatasetName;
 
 fn main() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.01, 9));
-    let dataset = scenario.run(DatasetName::Eu1Campus);
+    let (dataset, _) = scenario.run(DatasetName::Eu1Campus);
     println!(
         "dataset {}: {} distinct servers",
         dataset.name(),

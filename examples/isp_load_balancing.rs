@@ -19,7 +19,7 @@ use ytcdn_tstat::DatasetName;
 
 fn main() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.02, 11));
-    let dataset = scenario.run(DatasetName::Eu2);
+    let (dataset, _) = scenario.run(DatasetName::Eu2);
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &dataset);
 
     println!(

@@ -17,7 +17,7 @@ use ytcdn_tstat::DatasetName;
 fn main() {
     // 2% of the paper's traffic volume: fast, same shapes.
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.02, 42));
-    let dataset = scenario.run(DatasetName::Eu1Campus);
+    let (dataset, _) = scenario.run(DatasetName::Eu1Campus);
     println!("simulated {}: {}", dataset.name(), dataset.summary());
 
     // Step 1 of the methodology: map servers to data centers and find the

@@ -33,31 +33,17 @@ grep -q '"version": "2.1.0"' "$smoke/lint-report.sarif" \
 echo "==> cargo test --offline" >&2
 cargo test --workspace -q --offline
 
-# Shards matrix: the CLI must emit byte-identical output at --shards 1
-# (the live engine) and --shards <max> (fully sharded) from every
-# subcommand that simulates: the generate trace, the watch table and the
-# geolocate report. The in-process differential suite covers
-# K ∈ {1,2,4,7,16}; this leg covers the CLI plumbing and whatever
-# available_parallelism happens to be on this host.
-echo "==> --shards differential smoke (1 vs max)" >&2
+# Simulation workers: `generate` runs the five datasets on a pool of one
+# worker per available CPU, and each dataset on its own engine. EU2
+# simulated alone must be byte-identical to EU2 out of the pooled run.
+echo "==> generate smoke (one engine vs the five-dataset pool)" >&2
 max="$(nproc 2>/dev/null || echo 4)"
-for shards in 1 "$max"; do
-    cargo run --quiet --release -p ytcdn-cli -- generate \
-        --dataset EU2 --scale 0.002 --seed 7 --shards "$shards" \
-        --format text --out "$smoke/eu2-$shards.log"
-    cargo run --quiet --release -p ytcdn-cli -- watch \
-        --dataset EU1-FTTH --scale 0.01 --seed 5 --mutate dc-down@72:milan \
-        --shards "$shards" > "$smoke/watch-$shards.txt" 2>/dev/null
-    cargo run --quiet --release -p ytcdn-cli -- geolocate \
-        --dataset EU2 --scale 0.002 --seed 7 --shards "$shards" \
-        > "$smoke/geolocate-$shards.txt" 2>/dev/null
-done
-cmp "$smoke/eu2-1.log" "$smoke/eu2-$max.log" \
-    || { echo "check.sh: --shards $max trace differs from --shards 1" >&2; exit 1; }
-cmp "$smoke/watch-1.txt" "$smoke/watch-$max.txt" \
-    || { echo "check.sh: --shards $max watch table differs from --shards 1" >&2; exit 1; }
-cmp "$smoke/geolocate-1.txt" "$smoke/geolocate-$max.txt" \
-    || { echo "check.sh: --shards $max geolocate report differs from --shards 1" >&2; exit 1; }
+cargo run --quiet --release -p ytcdn-cli -- generate \
+    --dataset EU2 --scale 0.002 --seed 7 --format text --out "$smoke/eu2.log"
+cargo run --quiet --release -p ytcdn-cli -- generate \
+    --scale 0.002 --seed 7 --format text --out "$smoke/all"
+cmp "$smoke/eu2.log" "$smoke/all/EU2.log" \
+    || { echo "check.sh: EU2 from the pooled run differs from EU2 alone" >&2; exit 1; }
 
 # Watchtower smoke: a trace with one scheduled mutation must produce at
 # least one change point (and exit 0); the windowed-metrics JSONL must
@@ -84,11 +70,9 @@ cargo run --quiet --release -p ytcdn-cli -- watch \
 cmp "$smoke/watch.txt" "$smoke/watch-from.txt" \
     || { echo "check.sh: watch --from differs from the simulate path" >&2; exit 1; }
 
-# Text trace smoke: a text log survives anonymization, and the anonymized
-# trace still characterizes.
-echo "==> text trace smoke (generate, anonymize, characterize)" >&2
-cargo run --quiet --release -p ytcdn-cli -- generate \
-    --dataset EU2 --scale 0.002 --seed 7 --format text --out "$smoke/eu2.log" 2>/dev/null
+# Text trace smoke: the generated text log survives anonymization, and the
+# anonymized trace still characterizes.
+echo "==> text trace smoke (anonymize, characterize)" >&2
 cargo run --quiet --release -p ytcdn-cli -- anonymize \
     --trace "$smoke/eu2.log" --out "$smoke/eu2-anon.log" --seed 3 2>/dev/null
 cargo run --quiet --release -p ytcdn-cli -- characterize \
@@ -97,8 +81,9 @@ grep -q "flows=" "$smoke/characterize.txt" \
     || { echo "check.sh: characterize printed no summary for the anonymized trace" >&2; exit 1; }
 
 # Analysis pipeline: repro must print byte-identical reports at --jobs 1
-# (sequential index build + experiment loop) and --jobs <max> (parallel
-# grouping and concurrent experiments).
+# (one simulation worker, sequential index build + experiment loop) and
+# --jobs <max> (the dataset pool, parallel grouping and concurrent
+# experiments).
 echo "==> repro --jobs differential smoke (1 vs $max)" >&2
 for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-bench --bin repro -- \
@@ -130,32 +115,25 @@ done
 cmp "$smoke/sessions-1.txt" "$smoke/sessions-$max.txt" \
     || { echo "check.sh: session experiments differ at --jobs $max vs sequential" >&2; exit 1; }
 
-# Columnar .ytc smoke, three legs. (1) Byte stability: the encoded file is
-# identical at --shards 1 and --shards <max> — the .ytc twin of the text
-# differential above, sha256 so the transcript shows the digest. (2) Replay
-# fidelity: `repro --from dataset.ytc` must print the report byte-identical
-# to the simulate-in-memory run at the same scale/seed. (3) Corruption:
-# a flipped byte must exit non-zero with the reason on stderr, never panic.
-echo "==> .ytc columnar smoke (stability, replay, corruption)" >&2
-for shards in 1 "$max"; do
-    cargo run --quiet --release -p ytcdn-cli -- generate \
-        --scale 0.004 --seed 7 --shards "$shards" \
-        --out "$smoke/ds-$shards.ytc" 2>/dev/null
-done
-sha1="$(sha256sum "$smoke/ds-1.ytc" | cut -d' ' -f1)"
-shaN="$(sha256sum "$smoke/ds-$max.ytc" | cut -d' ' -f1)"
-echo "    dataset.ytc sha256 $sha1" >&2
-[ "$sha1" = "$shaN" ] \
-    || { echo "check.sh: .ytc at --shards $max differs from sequential" >&2; exit 1; }
+# Columnar .ytc smoke, three legs. (1) The file's sha256, so the
+# transcript shows the digest. (2) Replay fidelity: `repro --from
+# dataset.ytc --jobs 1` must print the report byte-identical to `repro
+# --jobs 1` at the same scale/seed — a one-worker simulation against the
+# pool that `generate` ran. (3) Corruption: a flipped byte must exit
+# non-zero with the reason on stderr, never panic.
+echo "==> .ytc columnar smoke (digest, replay, corruption)" >&2
+cargo run --quiet --release -p ytcdn-cli -- generate \
+    --scale 0.004 --seed 7 --out "$smoke/ds.ytc" 2>/dev/null
+echo "    dataset.ytc sha256 $(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)" >&2
 cargo run --quiet --release -p ytcdn-bench --bin repro -- \
-    --from "$smoke/ds-1.ytc" --jobs 1 > "$smoke/repro-from.txt" 2>/dev/null \
+    --from "$smoke/ds.ytc" --jobs 1 > "$smoke/repro-from.txt" 2>/dev/null \
     || { echo "check.sh: repro --from exited non-zero on a valid file" >&2; exit 1; }
 cmp "$smoke/repro-1.txt" "$smoke/repro-from.txt" \
     || { echo "check.sh: repro --from output differs from the in-memory run" >&2; exit 1; }
 # Chop the trailing byte: guaranteed damage (the whole-file digest no
 # longer fits), whatever the file's contents.
-bytes="$(stat -c%s "$smoke/ds-1.ytc" 2>/dev/null || stat -f%z "$smoke/ds-1.ytc")"
-head -c "$((bytes - 1))" "$smoke/ds-1.ytc" > "$smoke/corrupt.ytc"
+bytes="$(stat -c%s "$smoke/ds.ytc" 2>/dev/null || stat -f%z "$smoke/ds.ytc")"
+head -c "$((bytes - 1))" "$smoke/ds.ytc" > "$smoke/corrupt.ytc"
 if cargo run --quiet --release -p ytcdn-bench --bin repro -- \
     --from "$smoke/corrupt.ytc" > /dev/null 2> "$smoke/corrupt-err.txt"; then
     echo "check.sh: repro --from accepted a corrupt .ytc" >&2; exit 1

@@ -80,10 +80,10 @@ fn replication_ablation_breaks_the_repair() {
     let mut cfg = ScenarioConfig::with_scale(0.004, 123);
     cfg.engine.disable_replication = true;
     let ablated = StandardScenario::build(cfg);
-    let (_, out_ablated) = ablated.run_with_outcome(ytcdn_tstat::DatasetName::Eu1Adsl);
+    let (_, out_ablated) = ablated.run(ytcdn_tstat::DatasetName::Eu1Adsl);
 
     let normal = StandardScenario::build(ScenarioConfig::with_scale(0.004, 123));
-    let (_, out_normal) = normal.run_with_outcome(ytcdn_tstat::DatasetName::Eu1Adsl);
+    let (_, out_normal) = normal.run(ytcdn_tstat::DatasetName::Eu1Adsl);
 
     assert_eq!(out_ablated.replications, 0);
     assert!(out_normal.replications > 0);

@@ -1,7 +1,7 @@
 //! Differential harness: the columnar analysis index vs naive references.
 //!
-//! The [`DatasetIndex`] contract mirrors the sharded engine's: byte
-//! identity. Session grouping, sequential or parallel for any `jobs`, must
+//! The [`DatasetIndex`] contract mirrors the simulator's: byte identity
+//! for any worker count. Session grouping, sequential or parallel for any `jobs`, must
 //! reproduce a naive hash-bucket reference grouper; the index's gap sweep
 //! must reproduce the direct flows-per-session CDF at every gap; every
 //! figure analysis must equal what a naive per-flow table, built from the
@@ -160,7 +160,7 @@ fn parallel_grouping_identical_across_job_counts() {
     for (scale, seed) in CASES {
         let s = scenario(scale, seed);
         for name in DatasetName::ALL {
-            let ds = s.run(name);
+            let (ds, _) = s.run(name);
             for gap_ms in [DEFAULT_GAP_MS, 10_000] {
                 assert_grouping_matches_oracle(
                     &ds,
@@ -197,7 +197,7 @@ fn sweep_matches_direct_flows_per_session() {
     for (scale, seed) in CASES {
         let s = scenario(scale, seed);
         for name in DatasetName::ALL {
-            let ds = s.run(name);
+            let (ds, _) = s.run(name);
             let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
             let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
             assert_sweep_matches_direct(&index, &ds, &format!("{name} scale={scale} seed={seed}"));
@@ -205,7 +205,7 @@ fn sweep_matches_direct_flows_per_session() {
     }
     // Degenerate and edge-case datasets, indexed against a real context.
     let s = scenario(0.004, 2);
-    let ctx = AnalysisContext::from_ground_truth(s.world(), &s.run(DatasetName::UsCampus));
+    let ctx = AnalysisContext::from_ground_truth(s.world(), &s.run(DatasetName::UsCampus).0);
     let single = Dataset::from_records(DatasetName::UsCampus, vec![flow([10, 0, 0, 1], 3, 0, 100)]);
     for (label, ds) in [
         ("empty", Dataset::new(DatasetName::UsCampus)),
@@ -439,7 +439,7 @@ fn analyses_match_naive_oracle() {
     for (scale, seed) in CASES {
         let s = scenario(scale, seed);
         for name in DatasetName::ALL {
-            let ds = s.run(name);
+            let (ds, _) = s.run(name);
             let label = format!("{name} scale={scale} seed={seed}");
             assert_analyses_match_oracle(s.world(), &ds, &label);
             for shape in [DegenerateShape::Empty, DegenerateShape::SingleFlow] {
@@ -508,7 +508,7 @@ fn suite_from_ytc_matches_in_memory() {
                 seed,
                 mutations: vec![],
             },
-            s.run_all(),
+            s.run_all(2),
         )
         .expect("full scenario output is encodable");
         // ...round-tripped through the wire form, exactly as `--from` sees it.
@@ -561,7 +561,7 @@ fn suite_from_partial_ytc_is_a_typed_error() {
             seed: 7,
             mutations: vec![],
         },
-        vec![s.run(DatasetName::Eu2)],
+        vec![s.run(DatasetName::Eu2).0],
     )
     .expect("a single dataset is encodable");
     let result = ExperimentSuite::from_columnar(

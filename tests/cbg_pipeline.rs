@@ -28,7 +28,7 @@ fn cbg(world_delay: ytcdn_netsim::DelayModel) -> Cbg {
 #[test]
 fn cbg_map_agrees_with_ground_truth_on_the_headline_analysis() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.006, 5));
-    let ds = scenario.run(DatasetName::Eu1Campus);
+    let (ds, _) = scenario.run(DatasetName::Eu1Campus);
     let world = scenario.world();
 
     // Paper pipeline: geolocate every /24, cluster by city, build the map.
@@ -60,7 +60,7 @@ fn cbg_map_agrees_with_ground_truth_on_the_headline_analysis() {
 #[test]
 fn cbg_beats_the_database_baseline() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 6));
-    let ds = scenario.run(DatasetName::Eu1Ftth);
+    let (ds, _) = scenario.run(DatasetName::Eu1Ftth);
     let world = scenario.world();
     let cbg = cbg(world.delay_model());
     let locations = geolocate_servers(world, &ds, &cbg, 77);
@@ -93,7 +93,7 @@ fn table3_shape_from_cbg() {
 
     // US dataset sees mostly NA servers; EU1 mostly European; everyone sees
     // at least some foreign-continent servers (Table III).
-    let us = scenario.run(DatasetName::UsCampus);
+    let (us, _) = scenario.run(DatasetName::UsCampus);
     let us_counts = continent_counts(&geolocate_servers(world, &us, &cbg, 41));
     assert!(us_counts.north_america > us_counts.europe, "{us_counts:?}");
     let foreign = us_counts.europe + us_counts.others;
@@ -102,7 +102,7 @@ fn table3_shape_from_cbg() {
         "US sees <10% foreign servers: {us_counts:?}"
     );
 
-    let eu = scenario.run(DatasetName::Eu1Adsl);
+    let (eu, _) = scenario.run(DatasetName::Eu1Adsl);
     let eu_counts = continent_counts(&geolocate_servers(world, &eu, &cbg, 42));
     assert!(eu_counts.europe > eu_counts.north_america, "{eu_counts:?}");
 }

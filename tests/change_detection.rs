@@ -1,7 +1,7 @@
 //! End-to-end contract of the CDN-change watchtower: scheduled mutations
 //! injected into the simulator must surface as change points at exactly the
 //! scheduled hour, nothing must fire on an unmutated trace, and the whole
-//! simulate→window→detect pipeline must be invariant under sharding and
+//! simulate→window→detect pipeline must be invariant under simulation and
 //! index parallelism.
 //!
 //! Scale 0.05 is the smallest scale at which every 6-hour window of
@@ -51,7 +51,7 @@ fn detector_fires_exactly_at_each_scheduled_hour() {
     for seed in SEEDS {
         for (spec, expected_window) in CASES {
             let s = mutated_scenario(seed, &[spec]);
-            let ds = s.run(DATASET);
+            let (ds, _) = s.run(DATASET);
             let r = report_for(&s, &ds, 1);
             assert_eq!(
                 r.change_points.len(),
@@ -83,7 +83,7 @@ fn detector_fires_exactly_at_each_scheduled_hour() {
 fn unmutated_traces_stay_silent() {
     for seed in SEEDS {
         let s = StandardScenario::build(ScenarioConfig::with_scale(SCALE, seed));
-        let ds = s.run(DATASET);
+        let (ds, _) = s.run(DATASET);
         let r = report_for(&s, &ds, 1);
         assert!(
             r.change_points.is_empty(),
@@ -98,14 +98,15 @@ fn unmutated_traces_stay_silent() {
     }
 }
 
-/// A mutated trace must be byte-identical between the sequential and every
-/// sharded execution path, and the watch report (including change points)
-/// must not depend on the index job count either.
+/// A mutated trace must be byte-identical whether its dataset was simulated
+/// alone or in the five-dataset pool at any worker count, and the watch
+/// report (including change points) must not depend on the index job count
+/// either.
 #[test]
-fn mutated_pipeline_is_invariant_under_sharding_and_jobs() {
+fn mutated_pipeline_is_invariant_under_jobs() {
     let specs: Vec<&str> = CASES.iter().map(|(m, _)| *m).collect();
     let s = mutated_scenario(5, &specs);
-    let seq = s.run(DATASET);
+    let (seq, _) = s.run(DATASET);
     let baseline = report_for(&s, &seq, 1);
     // All three mutations together: one change point per scheduled hour,
     // in trace order.
@@ -113,9 +114,10 @@ fn mutated_pipeline_is_invariant_under_sharding_and_jobs() {
     expected.sort_unstable();
     let windows: Vec<usize> = baseline.change_points.iter().map(|c| c.window).collect();
     assert_eq!(windows, expected, "combined mutations: {windows:?}");
-    for k in [2, 5] {
-        let sharded = s.run_sharded(DATASET, k);
-        assert_eq!(sharded, seq, "K={k}: mutated dataset differs");
+    let slot = DatasetName::ALL.iter().position(|&n| n == DATASET).unwrap();
+    for jobs in [2, 5] {
+        let pooled = s.run_all(jobs).swap_remove(slot);
+        assert_eq!(pooled, seq, "jobs={jobs}: mutated dataset differs");
     }
     for jobs in [2, 4] {
         assert_eq!(

@@ -3,11 +3,11 @@
 //! The format's contract is twofold. First, *identity*: `decode(encode(f))`
 //! reproduces every flow column exactly — timestamps, durations, byte
 //! counts, client and server addresses, video ids, resolutions — for
-//! simulator output at any seed/scale/shard count and for every degenerate
-//! shape the analysis layer tolerates. Second, *byte stability*: encoding
-//! is a pure function of the header and the sorted record columns, so the
-//! same scenario yields identical bytes whatever shard count produced the
-//! records, and a pinned whole-file SHA-256 detects any accidental format
+//! simulator output at any seed/scale and for every degenerate shape the
+//! analysis layer tolerates. Second, *byte stability*: encoding is a pure
+//! function of the header and the sorted record columns, so the same
+//! scenario yields identical bytes whatever worker count simulated it, and
+//! a pinned whole-file SHA-256 detects any accidental format
 //! or simulation drift (the binary twin of `tests/golden_tables.rs`).
 //!
 //! ## Golden update procedure
@@ -33,10 +33,6 @@ use ytcdn_tstat::{Dataset, DatasetName};
 /// The (scale, seed) pairs the round-trip cases cover — the same pairs as
 /// `tests/analysis_index_differential.rs`, so drift shows up in both.
 const CASES: [(f64, u64); 2] = [(0.004, 2), (0.008, 55)];
-
-/// Shard counts: sequential, an even split, and a count that divides
-/// nothing evenly.
-const SHARD_COUNTS: [usize; 3] = [1, 4, 7];
 
 /// Scale/seed of the golden file, matching `tests/golden_tables.rs`.
 const GOLDEN_SCALE: f64 = 0.01;
@@ -81,43 +77,40 @@ fn assert_columns_equal(got: &Dataset, want: &Dataset, label: &str) {
 }
 
 /// Every flow column survives the encode/decode round trip, for every
-/// vantage point, across seeds × scales × shard counts.
+/// vantage point, across seeds × scales.
 #[test]
 fn roundtrip_preserves_every_column() {
     for (scale, seed) in CASES {
-        let s = scenario(scale, seed);
-        for shards in SHARD_COUNTS {
-            let datasets = s.run_all_sharded(shards);
-            let file = YtcFile::new(header(scale, seed), datasets.clone()).unwrap();
-            let back = YtcFile::decode(&file.encode()).unwrap();
-            assert_eq!(back.header, file.header, "header survives the trip");
-            let decoded = back.into_datasets();
-            assert_eq!(decoded.len(), datasets.len());
-            for (got, want) in decoded.iter().zip(&datasets) {
-                let label = format!("{} scale={scale} seed={seed} shards={shards}", want.name());
-                assert_columns_equal(got, want, &label);
-            }
+        let datasets = scenario(scale, seed).run_all(2);
+        let file = YtcFile::new(header(scale, seed), datasets.clone()).unwrap();
+        let back = YtcFile::decode(&file.encode()).unwrap();
+        assert_eq!(back.header, file.header, "header survives the trip");
+        let decoded = back.into_datasets();
+        assert_eq!(decoded.len(), datasets.len());
+        for (got, want) in decoded.iter().zip(&datasets) {
+            let label = format!("{} scale={scale} seed={seed}", want.name());
+            assert_columns_equal(got, want, &label);
         }
     }
 }
 
-/// The acceptance criterion: the encoded bytes are identical for any
-/// `--shards K` — the shard count changes wall-clock, never the file.
+/// The encoded bytes are identical for any simulation worker count — the
+/// worker count changes wall-clock, never the file.
 #[test]
-fn encoded_bytes_identical_across_shard_counts() {
+fn encoded_bytes_identical_across_jobs() {
     for (scale, seed) in CASES {
         let s = scenario(scale, seed);
-        let baseline = YtcFile::new(header(scale, seed), s.run_all())
+        let baseline = YtcFile::new(header(scale, seed), s.run_all(1))
             .unwrap()
             .encode();
-        for shards in [4, 8] {
-            let sharded = YtcFile::new(header(scale, seed), s.run_all_sharded(shards))
+        for jobs in [3, 5] {
+            let pooled = YtcFile::new(header(scale, seed), s.run_all(jobs))
                 .unwrap()
                 .encode();
             assert_eq!(
-                sharded, baseline,
-                "scale={scale} seed={seed}: shards={shards} encoded differently \
-                 from the sequential run"
+                pooled, baseline,
+                "scale={scale} seed={seed}: jobs={jobs} encoded differently \
+                 from the one-worker run"
             );
         }
     }
@@ -128,7 +121,7 @@ fn encoded_bytes_identical_across_shard_counts() {
 #[test]
 fn degenerate_shapes_roundtrip() {
     let s = scenario(0.004, 2);
-    let ds = s.run(DatasetName::Eu1Adsl);
+    let (ds, _) = s.run(DatasetName::Eu1Adsl);
     for shape in DegenerateShape::ALL {
         let shaped = shape.apply(s.world(), ds.clone());
         let file = YtcFile::new(header(0.004, 2), vec![shaped.clone()]).unwrap();
@@ -160,7 +153,7 @@ fn empty_file_and_mutations_roundtrip() {
 #[test]
 fn decoded_hour_ranges_match_index_binning() {
     let s = scenario(0.004, 2);
-    let ds = s.run(DatasetName::Eu2);
+    let (ds, _) = s.run(DatasetName::Eu2);
     let ctx = ytcdn_core::AnalysisContext::from_ground_truth(s.world(), &ds);
     let index =
         ytcdn_core::DatasetIndex::build(&ctx, &ds, 2, ytcdn_telemetry::Telemetry::disabled());
@@ -174,7 +167,7 @@ fn decoded_hour_ranges_match_index_binning() {
 /// scale/seed, no mutations.
 fn golden_file() -> YtcFile {
     let s = scenario(GOLDEN_SCALE, GOLDEN_SEED);
-    YtcFile::new(header(GOLDEN_SCALE, GOLDEN_SEED), s.run_all()).expect("golden output encodes")
+    YtcFile::new(header(GOLDEN_SCALE, GOLDEN_SEED), s.run_all(1)).expect("golden output encodes")
 }
 
 /// Pins the whole-file digest. Every byte of the encode is derived from

@@ -12,8 +12,8 @@ use ytcdn_tstat::DatasetName;
 
 #[test]
 fn datasets_are_bit_identical_across_builds() {
-    let a = StandardScenario::build(ScenarioConfig::with_scale(0.004, 31)).run_all();
-    let b = StandardScenario::build(ScenarioConfig::with_scale(0.004, 31)).run_all();
+    let a = StandardScenario::build(ScenarioConfig::with_scale(0.004, 31)).run_all(1);
+    let b = StandardScenario::build(ScenarioConfig::with_scale(0.004, 31)).run_all(1);
     assert_eq!(a, b);
 }
 
@@ -21,8 +21,8 @@ fn datasets_are_bit_identical_across_builds() {
 fn different_seeds_produce_different_traces_with_same_shape() {
     let a = StandardScenario::build(ScenarioConfig::with_scale(0.004, 1));
     let b = StandardScenario::build(ScenarioConfig::with_scale(0.004, 2));
-    let ds_a = a.run(DatasetName::Eu1Adsl);
-    let ds_b = b.run(DatasetName::Eu1Adsl);
+    let (ds_a, _) = a.run(DatasetName::Eu1Adsl);
+    let (ds_b, _) = b.run(DatasetName::Eu1Adsl);
     assert_ne!(ds_a, ds_b);
     // Same shape: session structure within a band, preferred DC identical.
     let ctx_a = AnalysisContext::from_ground_truth(a.world(), &ds_a);
@@ -38,15 +38,17 @@ fn telemetry_does_not_perturb_datasets() {
     // The telemetry layer observes decisions; it must never draw from or
     // reorder the RNG stream. Byte-for-byte identical `.ytc` encodings with
     // telemetry fully on (events + metrics) vs. fully off is the invariant
-    // the whole observability layer hangs on.
+    // the whole observability layer hangs on. The instrumented side runs
+    // all five engines concurrently into one sink, so this also shows that
+    // concurrent engines leave the same bytes and well-formed lines.
     let cfg = ScenarioConfig::with_scale(0.004, 31);
-    let plain = StandardScenario::build(cfg).run_all();
+    let plain = StandardScenario::build(cfg).run_all(1);
 
     let sink = Arc::new(JsonlSink::new(Vec::new()));
     let telemetry = Telemetry::with_sink(Arc::clone(&sink) as Arc<dyn Sink>);
     let mut instrumented = StandardScenario::build(cfg);
     instrumented.set_telemetry(telemetry.clone());
-    let observed = instrumented.run_all();
+    let observed = instrumented.run_all(5);
 
     let header = YtcHeader {
         scale: 0.004,
@@ -83,18 +85,23 @@ fn telemetry_does_not_perturb_datasets() {
     // One compact object per line; engine events lead with their dataset
     // scope (the key set and types are pinned by the telemetry crate's
     // golden schema).
-    let mut dns_events = 0usize;
+    let mut dns_events = [0usize; 5];
     for line in text.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         if line.contains(r#""event":"dns_resolution""#) {
-            dns_events += 1;
             let scope = DatasetName::ALL
                 .iter()
-                .any(|n| line.starts_with(&format!(r#"{{"scope":"{n}","event":"#)));
-            assert!(scope, "engine events carry a dataset scope: {line}");
+                .position(|n| line.starts_with(&format!(r#"{{"scope":"{n}","event":"#)));
+            let Some(i) = scope else {
+                panic!("engine events carry a dataset scope: {line}");
+            };
+            dns_events[i] += 1;
         }
     }
-    assert!(dns_events > 0);
+    assert!(
+        dns_events.iter().all(|&n| n > 0),
+        "every concurrent engine reported: {dns_events:?}"
+    );
 }
 
 #[test]
@@ -102,10 +109,10 @@ fn dataset_order_does_not_matter() {
     // Each dataset draws from its own seed stream: simulating EU2 first or
     // last yields the same trace.
     let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 8));
-    let early = s.run(DatasetName::Eu2);
+    let (early, _) = s.run(DatasetName::Eu2);
     let _ = s.run(DatasetName::UsCampus);
     let _ = s.run(DatasetName::Eu1Ftth);
-    let late = s.run(DatasetName::Eu2);
+    let (late, _) = s.run(DatasetName::Eu2);
     assert_eq!(early, late);
 }
 
@@ -127,7 +134,7 @@ fn analysis_is_pure() {
     // Running the analysis twice over the same dataset gives identical
     // results (no hidden RNG in the analysis path except the seeded pings).
     let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 13));
-    let ds = s.run(DatasetName::UsCampus);
+    let (ds, _) = s.run(DatasetName::UsCampus);
     let c1 = AnalysisContext::from_ground_truth(s.world(), &ds);
     let c2 = AnalysisContext::from_ground_truth(s.world(), &ds);
     assert_eq!(c1.preferred().city_name, c2.preferred().city_name);
@@ -144,8 +151,8 @@ fn scale_preserves_shape() {
     let small = StandardScenario::build(ScenarioConfig::with_scale(0.004, 50));
     let large = StandardScenario::build(ScenarioConfig::with_scale(0.012, 50));
     for name in [DatasetName::Eu1Adsl, DatasetName::Eu2] {
-        let ds_s = small.run(name);
-        let ds_l = large.run(name);
+        let (ds_s, _) = small.run(name);
+        let (ds_l, _) = large.run(name);
         assert!(
             ds_l.len() > 2 * ds_s.len(),
             "{name}: {} vs {}",

@@ -27,7 +27,7 @@ struct Harness {
 impl Harness {
     fn new() -> Self {
         let scenario = StandardScenario::build(ScenarioConfig::with_scale(SCALE, SEED));
-        let datasets = scenario.run_all();
+        let datasets = scenario.run_all(2);
         Self { scenario, datasets }
     }
 

@@ -12,7 +12,7 @@ use ytcdn_tstat::{Dataset, DatasetName};
 #[test]
 fn corrupt_textlog_reports_an_error_not_garbage() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.001, 1));
-    let ds = scenario.run(DatasetName::Eu1Ftth);
+    let (ds, _) = scenario.run(DatasetName::Eu1Ftth);
     let mut buf = Vec::new();
     ytcdn_tstat::write_textlog(&ds, &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
@@ -32,7 +32,7 @@ fn corrupt_textlog_reports_an_error_not_garbage() {
 #[test]
 fn textlog_with_embedded_garbage_fails_with_line_number() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.001, 2));
-    let ds = scenario.run(DatasetName::Eu1Ftth);
+    let (ds, _) = scenario.run(DatasetName::Eu1Ftth);
     let mut buf = Vec::new();
     ytcdn_tstat::write_textlog(&ds, &mut buf).unwrap();
     let mut text = String::from_utf8(buf).unwrap();
@@ -82,7 +82,7 @@ fn tiny_scale_still_produces_consistent_world() {
     // stay well-formed even when some hours see zero traffic.
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.0002, 4));
     for name in DatasetName::ALL {
-        let (ds, outcome) = scenario.run_with_outcome(name);
+        let (ds, outcome) = scenario.run(name);
         assert_eq!(ds.len() as u64, outcome.flows);
         assert!(ds.iter().all(|r| r.is_well_formed()));
         if ds.is_empty() {

@@ -2,11 +2,11 @@
 //!
 //! A refactor that silently changes the simulation — an extra RNG draw in
 //! the session path, a reordered branch in the redirection engine, a tweak
-//! to the workload model — shifts every downstream table. The differential
-//! harness (`tests/sharding_differential.rs`) cannot catch that: it compares
-//! the sharded engine against the sequential one, and both drift together.
-//! These tests pin absolute values instead, at a scale small enough to keep
-//! the fixtures readable (`scale = 0.01`, seed 42).
+//! to the workload model — shifts every downstream table. The determinism
+//! tests cannot catch that: they compare runs of the same engine (across
+//! worker counts, seeds and builds), and every run drifts together. These
+//! tests pin absolute values instead, at a scale small enough to keep the
+//! fixtures readable (`scale = 0.01`, seed 42).
 //!
 //! ## What is pinned, and why only this
 //!
@@ -120,7 +120,7 @@ const GOLDEN: [Golden; 5] = [
 
 /// Runs the golden scenario and measures one dataset.
 fn measure(s: &StandardScenario, name: DatasetName) -> (u64, usize, usize, usize, Vec<String>) {
-    let (dataset, outcome) = s.run_with_outcome(name);
+    let (dataset, outcome) = s.run(name);
     let summary = dataset.summary();
     let ctx = AnalysisContext::from_ground_truth(s.world(), &dataset);
     let mut ranked: Vec<_> = ctx.dcs().to_vec();
@@ -161,19 +161,6 @@ fn table1_counts_and_preferred_dcs_match_golden() {
              intentional, follow the update procedure in tests/golden_tables.rs",
             g.name
         );
-    }
-}
-
-/// The sharded engine reproduces the same goldens — belt to the
-/// differential harness's suspenders: if both engines drift together this
-/// still fails, and if only one drifts the differential fails first.
-#[test]
-fn sharded_run_matches_golden_counts() {
-    let s = StandardScenario::build(ScenarioConfig::with_scale(SCALE, SEED));
-    for g in &GOLDEN {
-        let (_, outcome) = s.run_with_outcome_sharded(g.name, 4);
-        assert_eq!(outcome.sessions, g.sessions, "{}: sessions", g.name);
-        assert_eq!(outcome.flows as usize, g.flows, "{}: flows", g.name);
     }
 }
 

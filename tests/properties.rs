@@ -1,6 +1,6 @@
 //! Cross-crate property tests: the structural invariants every analysis in
 //! the reproduction silently relies on, from the flow-record codecs up to
-//! the sharded engine.
+//! the content store and the DNS resolver.
 //!
 //! Each property runs over generated cases. Case `i` draws every input
 //! from `SimRng::for_stream(SEED, &[i])` alone, so a failure names a case
@@ -12,10 +12,7 @@ use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 
 use ytcdn_cdnsim::dns::{DnsResolver, LdnsId, LdnsPolicy};
-use ytcdn_cdnsim::{
-    shard_hour_ranges, ContentStore, DataCenterId, ScenarioConfig, SimRng, StandardScenario,
-    Topology, WorkloadModel, WEEK_HOURS,
-};
+use ytcdn_cdnsim::{ContentStore, DataCenterId, SimRng, Topology};
 use ytcdn_core::session::group_sessions;
 use ytcdn_core::stats::Cdf;
 use ytcdn_geomodel::{min_rtt_ms, Coord};
@@ -30,10 +27,6 @@ const SEED: u64 = 0x5EED_CA5E;
 
 /// Cases per structural property.
 const CASES: u64 = 256;
-
-/// Cases per whole-scenario property: each one simulates a vantage point
-/// twice.
-const SCENARIO_CASES: u64 = 6;
 
 /// Runs `property` once per case on that case's generator and re-raises a
 /// failure with the case that produced it.
@@ -389,81 +382,5 @@ fn every_video_has_a_holder() {
         let origin = store.origin_of(video);
         assert!(store.has(origin, video));
         assert!(store.dcs().contains(&origin));
-    });
-}
-
-/// Shard boundaries always partition the week into contiguous, non-empty
-/// hour ranges, for any workload shape and shard count (including
-/// degenerate totals and out-of-range counts).
-#[test]
-fn shard_ranges_partition_any_week() {
-    check(CASES, |rng| {
-        let model = WorkloadModel::new(rng.gen_range(0u64..2_000_000), rng.gen_range(-12.0..12.0));
-        let shards = rng.gen_range(0usize..400);
-        let ranges = shard_hour_ranges(&model, shards);
-        assert_eq!(ranges.len(), shards.clamp(1, WEEK_HOURS as usize));
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, WEEK_HOURS);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start, "gap or overlap between shards");
-        }
-        assert!(ranges.iter().all(|r| r.start < r.end), "empty shard range");
-    });
-}
-
-// ---- Whole-scenario shard properties ----
-
-/// The cache state after the sharded merge equals the sequential run's.
-/// The flow log is a complete observer of the content store: any
-/// divergence in replica placement flips some session's hit into a miss
-/// (or vice versa) and changes its redirect chain, so byte-identical
-/// datasets plus an identical replication count pin the store evolution
-/// exactly.
-#[test]
-fn sharded_cache_state_matches_sequential() {
-    check(SCENARIO_CASES, |rng| {
-        let s =
-            StandardScenario::build(ScenarioConfig::with_scale(0.0008, rng.gen_range(0..10_000)));
-        let shards = rng.gen_range(1usize..40);
-        let (seq, seq_outcome) = s.run_with_outcome(DatasetName::Eu1Adsl);
-        let (sharded, outcome) = s.run_with_outcome_sharded(DatasetName::Eu1Adsl, shards);
-        assert_eq!(sharded, seq, "{shards} shards");
-        assert_eq!(outcome, seq_outcome, "{shards} shards");
-    });
-}
-
-/// The replication count is shard-count-invariant: the merge pass
-/// schedules the same pulls no matter where the boundaries fall.
-#[test]
-fn replication_count_is_shard_invariant() {
-    check(SCENARIO_CASES, |rng| {
-        let s =
-            StandardScenario::build(ScenarioConfig::with_scale(0.0008, rng.gen_range(0..10_000)));
-        let (k1, k2) = (rng.gen_range(1usize..168), rng.gen_range(1usize..168));
-        let (_, o1) = s.run_with_outcome_sharded(DatasetName::Eu1Campus, k1);
-        let (_, o2) = s.run_with_outcome_sharded(DatasetName::Eu1Campus, k2);
-        assert_eq!(o1.replications, o2.replications, "K={k1} vs K={k2}");
-    });
-}
-
-/// No session's flows straddle two shards' outputs out of order: session
-/// grouping over the sharded dataset reconstructs exactly the sequential
-/// sessions, flow index for flow index.
-#[test]
-fn sessions_never_straddle_shard_outputs() {
-    check(SCENARIO_CASES, |rng| {
-        let s =
-            StandardScenario::build(ScenarioConfig::with_scale(0.0008, rng.gen_range(0..10_000)));
-        let shards = rng.gen_range(2usize..32);
-        let gap = rng.gen_range(1u64..5_000);
-        let a = group_sessions(&s.run(DatasetName::UsCampus), gap);
-        let b = group_sessions(&s.run_sharded(DatasetName::UsCampus, shards), gap);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.flow_indices, y.flow_indices);
-            assert_eq!(x.client_ip, y.client_ip);
-            assert_eq!(x.video_id, y.video_id);
-            assert_eq!((x.start_ms, x.end_ms), (y.start_ms, y.end_ms));
-        }
     });
 }

@@ -13,7 +13,7 @@ use ytcdn_tstat::{read_textlog, write_textlog, Dataset, DatasetName};
 #[test]
 fn textlog_roundtrip_preserves_analysis() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 3));
-    let ds = scenario.run(DatasetName::Eu1Campus);
+    let (ds, _) = scenario.run(DatasetName::Eu1Campus);
 
     let mut buf = Vec::new();
     write_textlog(&ds, &mut buf).expect("serialize");
@@ -33,7 +33,7 @@ fn textlog_roundtrip_preserves_analysis() {
 #[test]
 fn textlog_is_line_oriented_and_truncatable() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.001, 4));
-    let ds = scenario.run(DatasetName::Eu1Ftth);
+    let (ds, _) = scenario.run(DatasetName::Eu1Ftth);
     let mut buf = Vec::new();
     write_textlog(&ds, &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
@@ -96,7 +96,7 @@ fn empty_dataset_roundtrips_through_every_format() {
 #[test]
 fn disk_roundtrip_through_tempfile() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.001, 5));
-    let ds = scenario.run(DatasetName::Eu2);
+    let (ds, _) = scenario.run(DatasetName::Eu2);
     let path = std::env::temp_dir().join(format!("ytcdn_test_{}.log", std::process::id()));
     {
         let f = std::fs::File::create(&path).unwrap();
