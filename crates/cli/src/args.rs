@@ -3,6 +3,8 @@
 use std::fmt;
 use std::path::PathBuf;
 
+use ytcdn_core::degenerate::DegenerateShape;
+use ytcdn_core::experiments::{ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
 use ytcdn_tstat::DatasetName;
 
 /// CLI usage text.
@@ -28,19 +30,34 @@ USAGE:
   ytcdn characterize --trace PATH
   ytcdn world     [--scale S] [--seed N]
   ytcdn anonymize --trace PATH --out PATH [--seed KEY]
+  ytcdn repro     [--exp ID[,ID]...] [--scale S] [--seed N] [--jobs K]
+                  [--from PATH.ytc] [--full-landmarks] [--csv DIR]
+                  [--markdown FILE] [--plot] [--scorecard]
+                  [--degenerate SHAPE]
+                  (regenerate the paper's tables and figures — simulated,
+                  or loaded off PATH.ytc, whose recorded scale/seed win;
+                  any K gives byte-identical output)
+
+Experiments (--exp; default: every paper experiment):
+  table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10a
+  fig10b fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18, and the
+  extensions ext-perf ext-characterize ext-feb2011
+Degenerate shapes (--degenerate, not with --from): empty single-flow
+  no-video single-hour missing-net3 truncated-week
 
 Scheduled mutations (--mutate, repeatable):
   dc-down@H:CITY      decommission the CITY data center at trace hour H
   prefer-flip@H:CITY  flip preferred-mapping answers to CITY from hour H
   cache-evict@H:F     shrink warm-cache presence to fraction F at hour H
 
-Global flags (any subcommand):
+Global flags (any subcommand, after its name):
   --telemetry PATH    write structured events as JSON lines to PATH
   --metrics-out PATH  write the final metrics snapshot as JSON to PATH
   (either flag also prints a metrics table on stderr at exit)
 
 Datasets: US-Campus, EU1-Campus, EU1-ADSL, EU1-FTTH, EU2.
-Defaults: --scale 0.02, --seed 42, --landmarks 50, --jobs = available CPUs.
+Defaults: --scale 0.02, --seed 42, --landmarks 50, --jobs = available CPUs
+(a larger --jobs is capped there).
 generate simulates all five datasets on one worker per available CPU; the
 output is byte-identical for any worker count.";
 
@@ -160,6 +177,37 @@ pub enum Command {
         /// Anonymization key.
         seed: u64,
     },
+    /// Regenerate the paper's tables and figures.
+    Repro(ReproArgs),
+}
+
+/// `ytcdn repro`'s options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReproArgs {
+    /// Experiment ids to report, in order (default: [`ALL_EXPERIMENTS`]).
+    pub exp: Vec<&'static str>,
+    /// Workload scale.
+    pub scale: f64,
+    /// Scenario seed.
+    pub seed: u64,
+    /// Worker threads (`None` = available CPUs); any value gives
+    /// byte-identical output.
+    pub jobs: Option<usize>,
+    /// Load the datasets from this `.ytc` file instead of simulating (the
+    /// file's recorded scale/seed win).
+    pub from: Option<PathBuf>,
+    /// Calibrate CBG on the full 215-landmark set.
+    pub full_landmarks: bool,
+    /// Write per-figure CSV files into this directory.
+    pub csv: Option<PathBuf>,
+    /// Write the paper-vs-measured Markdown report here.
+    pub markdown: Option<PathBuf>,
+    /// Follow each figure's report with an ASCII chart.
+    pub plot: bool,
+    /// Print the pass/fail scorecard instead of the reports.
+    pub scorecard: bool,
+    /// Degrade every simulated dataset through this shape.
+    pub degenerate: Option<DegenerateShape>,
 }
 
 /// Trace serialization format.
@@ -205,6 +253,40 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: &str = "--telemetry --metrics-out";
+
+/// The flags `sub` reads besides [`GLOBAL_FLAGS`], space-separated; `None`
+/// for an unknown subcommand. Any other flag is a
+/// [`ParseError::UnknownFlag`], never silently dropped.
+fn subcommand_flags(sub: &str) -> Option<&'static str> {
+    Some(match sub {
+        "generate" => "--dataset --scale --seed --mutate --format --out",
+        "analyze" => "--trace --scale --seed",
+        "geolocate" => "--dataset --scale --seed --landmarks --jobs",
+        "whatif" => "--scenario --scale --seed",
+        "watch" => "--dataset --scale --seed --mutate --window --threshold --min-flows --from",
+        "characterize" => "--trace",
+        "world" => "--scale --seed",
+        "anonymize" => "--trace --out --seed",
+        "repro" => {
+            "--exp --scale --seed --jobs --from --full-landmarks --csv --markdown --plot \
+             --scorecard --degenerate"
+        }
+        _ => return None,
+    })
+}
+
+/// Resolves one `--exp` id to its entry in the experiment tables.
+fn experiment_id(id: &str) -> Result<&'static str, ParseError> {
+    ALL_EXPERIMENTS
+        .iter()
+        .chain(EXTENSION_EXPERIMENTS)
+        .find(|known| **known == id)
+        .copied()
+        .ok_or_else(|| ParseError::Invalid("experiment", id.to_owned()))
+}
+
 struct Flags {
     dataset: Option<DatasetName>,
     scale: f64,
@@ -220,10 +302,17 @@ struct Flags {
     threshold: f64,
     min_flows: u64,
     from: Option<PathBuf>,
+    exp: Option<Vec<&'static str>>,
+    full_landmarks: bool,
+    csv: Option<PathBuf>,
+    markdown: Option<PathBuf>,
+    plot: bool,
+    scorecard: bool,
+    degenerate: Option<DegenerateShape>,
     telemetry: TelemetryOpts,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
+fn parse_flags(args: &[String], allowed: &str) -> Result<Flags, ParseError> {
     let mut flags = Flags {
         dataset: None,
         scale: 0.02,
@@ -239,12 +328,24 @@ fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
         threshold: ytcdn_core::constellation::DEFAULT_THRESHOLD,
         min_flows: ytcdn_core::constellation::WatchConfig::default().min_flows,
         from: None,
+        exp: None,
+        full_landmarks: false,
+        csv: None,
+        markdown: None,
+        plot: false,
+        scorecard: false,
+        degenerate: None,
         telemetry: TelemetryOpts::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let flag = a.as_str();
+        let known = |flags: &str| flags.split_whitespace().any(|f| f == flag);
+        if !matches!(flag, "--help" | "-h") && !known(allowed) && !known(GLOBAL_FLAGS) {
+            return Err(ParseError::UnknownFlag(a.clone()));
+        }
         let mut value = |what| it.next().ok_or(ParseError::Missing(what));
-        match a.as_str() {
+        match flag {
             "--help" | "-h" => return Err(ParseError::Help),
             "--dataset" => {
                 let v = value("--dataset value")?;
@@ -334,6 +435,22 @@ fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
                 };
             }
             "--from" => flags.from = Some(PathBuf::from(value("--from value")?)),
+            "--exp" => {
+                let ids = value("--exp value")?.split(',').map(experiment_id);
+                flags.exp = Some(ids.collect::<Result<_, _>>()?);
+            }
+            "--full-landmarks" => flags.full_landmarks = true,
+            "--csv" => flags.csv = Some(PathBuf::from(value("--csv value")?)),
+            "--markdown" => flags.markdown = Some(PathBuf::from(value("--markdown value")?)),
+            "--plot" => flags.plot = true,
+            "--scorecard" => flags.scorecard = true,
+            "--degenerate" => {
+                let v = value("--degenerate value")?;
+                flags.degenerate = Some(
+                    v.parse()
+                        .map_err(|_| ParseError::Invalid("degenerate shape", v.clone()))?,
+                );
+            }
             other => return Err(ParseError::UnknownFlag(other.to_owned())),
         }
     }
@@ -347,7 +464,9 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
         "--help" | "-h" | "help" => return Err(ParseError::Help),
         _ => {}
     }
-    let flags = parse_flags(rest)?;
+    let allowed =
+        subcommand_flags(sub).ok_or_else(|| ParseError::UnknownSubcommand(sub.clone()))?;
+    let flags = parse_flags(rest, allowed)?;
     let telemetry = flags.telemetry.clone();
     let command = match sub.as_str() {
         "generate" => {
@@ -411,6 +530,29 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             out: flags.out.ok_or(ParseError::Missing("--out"))?,
             seed: flags.seed,
         }),
+        "repro" => {
+            if flags.from.is_some() && flags.degenerate.is_some() {
+                return Err(ParseError::Invalid(
+                    "--degenerate",
+                    "cannot be combined with --from (the .ytc file already fixes the dataset \
+                     shapes)"
+                        .to_owned(),
+                ));
+            }
+            Ok(Command::Repro(ReproArgs {
+                exp: flags.exp.unwrap_or_else(|| ALL_EXPERIMENTS.to_vec()),
+                scale: flags.scale,
+                seed: flags.seed,
+                jobs: flags.jobs,
+                from: flags.from,
+                full_landmarks: flags.full_landmarks,
+                csv: flags.csv,
+                markdown: flags.markdown,
+                plot: flags.plot,
+                scorecard: flags.scorecard,
+                degenerate: flags.degenerate,
+            }))
+        }
         other => Err(ParseError::UnknownSubcommand(other.to_owned())),
     }?;
     Ok(Invocation { command, telemetry })
@@ -420,29 +562,26 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
 mod tests {
     use super::*;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// Parses a command line given as one whitespace-separated string.
+    fn parse_line(line: &str) -> Result<Invocation, ParseError> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse(&args)
     }
 
     /// Parses and discards the global options (most tests only care about
     /// the subcommand).
-    fn cmd(args: &[&str]) -> Command {
-        parse(&v(args)).unwrap().command
+    fn cmd(line: &str) -> Command {
+        parse_line(line).unwrap().command
+    }
+
+    fn err(line: &str) -> ParseError {
+        parse_line(line).unwrap_err()
     }
 
     #[test]
     fn parse_generate_single() {
-        let cmd = cmd(&[
-            "generate",
-            "--dataset",
-            "EU1-ADSL",
-            "--scale",
-            "0.05",
-            "--out",
-            "trace.ytc",
-        ]);
         assert_eq!(
-            cmd,
+            cmd("generate --dataset EU1-ADSL --scale 0.05 --out trace.ytc"),
             Command::Generate {
                 dataset: Some(DatasetName::Eu1Adsl),
                 scale: 0.05,
@@ -456,9 +595,8 @@ mod tests {
 
     #[test]
     fn parse_watch_defaults_and_overrides() {
-        let defaults = cmd(&["watch", "--dataset", "EU1-FTTH"]);
         assert_eq!(
-            defaults,
+            cmd("watch --dataset EU1-FTTH"),
             Command::Watch {
                 dataset: DatasetName::Eu1Ftth,
                 scale: 0.02,
@@ -470,27 +608,11 @@ mod tests {
                 from: None,
             }
         );
-        let tuned = cmd(&[
-            "watch",
-            "--dataset",
-            "EU2",
-            "--scale",
-            "0.05",
-            "--seed",
-            "7",
-            "--mutate",
-            "dc-down@72:milan",
-            "--mutate",
-            "cache-evict@48:0.05",
-            "--window",
-            "12",
-            "--threshold",
-            "0.3",
-            "--min-flows",
-            "10",
-        ]);
         assert_eq!(
-            tuned,
+            cmd(
+                "watch --dataset EU2 --scale 0.05 --seed 7 --mutate dc-down@72:milan \
+                 --mutate cache-evict@48:0.05 --window 12 --threshold 0.3 --min-flows 10"
+            ),
             Command::Watch {
                 dataset: DatasetName::Eu2,
                 scale: 0.05,
@@ -503,35 +625,25 @@ mod tests {
             }
         );
         // The dataset is required; window and threshold are validated.
-        assert_eq!(
-            parse(&v(&["watch"])).unwrap_err(),
-            ParseError::Missing("--dataset")
-        );
+        assert_eq!(err("watch"), ParseError::Missing("--dataset"));
         assert!(matches!(
-            parse(&v(&["watch", "--dataset", "EU2", "--window", "0"])).unwrap_err(),
+            err("watch --dataset EU2 --window 0"),
             ParseError::Invalid("window", _)
         ));
         assert!(matches!(
-            parse(&v(&["watch", "--dataset", "EU2", "--threshold", "1.5"])).unwrap_err(),
+            err("watch --dataset EU2 --threshold 1.5"),
             ParseError::Invalid("threshold", _)
         ));
         assert!(matches!(
-            parse(&v(&["watch", "--dataset", "EU2", "--min-flows", "lots"])).unwrap_err(),
+            err("watch --dataset EU2 --min-flows lots"),
             ParseError::Invalid("min-flows", _)
         ));
     }
 
     #[test]
     fn parse_generate_mutations_ride_along() {
-        let gen = cmd(&[
-            "generate",
-            "--out",
-            "dir",
-            "--mutate",
-            "prefer-flip@96:frankfurt",
-        ]);
         assert!(matches!(
-            gen,
+            cmd("generate --out dir --mutate prefer-flip@96:frankfurt"),
             Command::Generate { mutate, .. } if mutate == ["prefer-flip@96:frankfurt"]
         ));
     }
@@ -539,31 +651,30 @@ mod tests {
     #[test]
     fn parse_shards() {
         // The flag is gone; an old script must fail loudly, not be ignored.
-        for args in [
-            &["generate", "--shards", "8", "--out", "dir"][..],
-            &["watch", "--dataset", "EU2", "--shards", "2"],
-            &["geolocate", "--dataset", "EU2", "--shards", "2"],
+        for line in [
+            "generate --shards 8 --out dir",
+            "watch --dataset EU2 --shards 2",
+            "geolocate --dataset EU2 --shards 2",
         ] {
             assert_eq!(
-                parse(&v(args)).unwrap_err(),
+                err(line),
                 ParseError::UnknownFlag("--shards".to_owned()),
-                "{args:?}"
+                "{line}"
             );
         }
     }
 
     #[test]
     fn parse_generate_text_format() {
-        let cmd = cmd(&["generate", "--format", "text", "--out", "dir"]);
         assert!(matches!(
-            cmd,
+            cmd("generate --format text --out dir"),
             Command::Generate {
                 format: TraceFormat::Text,
                 ..
             }
         ));
         assert!(matches!(
-            parse(&v(&["generate", "--format", "xml", "--out", "d"])).unwrap_err(),
+            err("generate --format xml --out d"),
             ParseError::Invalid("format", _)
         ));
     }
@@ -571,12 +682,12 @@ mod tests {
     #[test]
     fn parse_generate_ytc_format() {
         // Explicit flag, and the default whatever the extension.
-        for args in [
-            &["generate", "--format", "ytc", "--out", "data.bin"][..],
-            &["generate", "--out", "trace.log"],
+        for line in [
+            "generate --format ytc --out data.bin",
+            "generate --out trace.log",
         ] {
             assert!(matches!(
-                cmd(args),
+                cmd(line),
                 Command::Generate {
                     format: TraceFormat::Ytc,
                     ..
@@ -585,49 +696,37 @@ mod tests {
         }
         // The JSON-lines dataset format is gone.
         assert!(matches!(
-            parse(&v(&["generate", "--format", "jsonl", "--out", "d"])).unwrap_err(),
+            err("generate --format jsonl --out d"),
             ParseError::Invalid("format", _)
         ));
     }
 
     #[test]
     fn parse_watch_from_ytc() {
-        let loaded = cmd(&["watch", "--dataset", "EU2", "--from", "dataset.ytc"]);
         assert!(matches!(
-            loaded,
+            cmd("watch --dataset EU2 --from dataset.ytc"),
             Command::Watch { from: Some(ref p), .. } if p == &PathBuf::from("dataset.ytc")
         ));
         // --from records its own mutations; combining is rejected.
         assert!(matches!(
-            parse(&v(&[
-                "watch",
-                "--dataset",
-                "EU2",
-                "--from",
-                "dataset.ytc",
-                "--mutate",
-                "dc-down@72:milan",
-            ]))
-            .unwrap_err(),
+            err("watch --dataset EU2 --from dataset.ytc --mutate dc-down@72:milan"),
             ParseError::Invalid("--mutate", _)
         ));
         assert_eq!(
-            parse(&v(&["watch", "--dataset", "EU2", "--from"])).unwrap_err(),
+            err("watch --dataset EU2 --from"),
             ParseError::Missing("--from value")
         );
     }
 
     #[test]
     fn parse_generate_all_requires_out() {
-        let err = parse(&v(&["generate"])).unwrap_err();
-        assert_eq!(err, ParseError::Missing("--out"));
+        assert_eq!(err("generate"), ParseError::Missing("--out"));
     }
 
     #[test]
     fn parse_analyze() {
-        let cmd = cmd(&["analyze", "--trace", "x.log", "--seed", "7"]);
         assert_eq!(
-            cmd,
+            cmd("analyze --trace x.log --seed 7"),
             Command::Analyze {
                 trace: PathBuf::from("x.log"),
                 scale: 0.02,
@@ -638,27 +737,30 @@ mod tests {
 
     #[test]
     fn parse_jobs() {
-        let geo = cmd(&["geolocate", "--dataset", "EU2", "--jobs", "4"]);
-        assert!(matches!(geo, Command::Geolocate { jobs: Some(4), .. }));
         assert!(matches!(
-            parse(&v(&["geolocate", "--dataset", "EU2", "--jobs", "0"])).unwrap_err(),
-            ParseError::Invalid("jobs", _)
+            cmd("geolocate --dataset EU2 --jobs 4"),
+            Command::Geolocate { jobs: Some(4), .. }
         ));
-        assert!(matches!(
-            parse(&v(&["geolocate", "--dataset", "EU2", "--jobs", "many"])).unwrap_err(),
-            ParseError::Invalid("jobs", _)
-        ));
+        for line in [
+            "geolocate --dataset EU2 --jobs 0",
+            "geolocate --dataset EU2 --jobs many",
+            "repro --jobs 0",
+        ] {
+            assert!(
+                matches!(err(line), ParseError::Invalid("jobs", _)),
+                "{line}"
+            );
+        }
         assert_eq!(
-            parse(&v(&["geolocate", "--dataset", "EU2", "--jobs"])).unwrap_err(),
+            err("geolocate --dataset EU2 --jobs"),
             ParseError::Missing("--jobs value")
         );
     }
 
     #[test]
     fn parse_geolocate_defaults() {
-        let cmd = cmd(&["geolocate", "--dataset", "EU2"]);
         assert_eq!(
-            cmd,
+            cmd("geolocate --dataset EU2"),
             Command::Geolocate {
                 dataset: DatasetName::Eu2,
                 scale: 0.02,
@@ -671,20 +773,15 @@ mod tests {
 
     #[test]
     fn parse_whatif() {
-        let cmd = cmd(&["whatif", "--scenario", "feb2011"]);
-        assert!(matches!(cmd, Command::WhatIf { scenario, .. } if scenario == "feb2011"));
+        assert!(matches!(
+            cmd("whatif --scenario feb2011"),
+            Command::WhatIf { scenario, .. } if scenario == "feb2011"
+        ));
     }
 
     #[test]
     fn parse_telemetry_flags() {
-        let inv = parse(&v(&[
-            "world",
-            "--telemetry",
-            "events.jsonl",
-            "--metrics-out",
-            "metrics.json",
-        ]))
-        .unwrap();
+        let inv = parse_line("world --telemetry events.jsonl --metrics-out metrics.json").unwrap();
         assert_eq!(
             inv.telemetry,
             TelemetryOpts {
@@ -694,13 +791,13 @@ mod tests {
         );
         assert!(inv.telemetry.enabled());
         // Off by default, and each flag requires a value.
-        assert!(!parse(&v(&["world"])).unwrap().telemetry.enabled());
+        assert!(!parse_line("world").unwrap().telemetry.enabled());
         assert_eq!(
-            parse(&v(&["world", "--telemetry"])).unwrap_err(),
+            err("world --telemetry"),
             ParseError::Missing("--telemetry value")
         );
         assert_eq!(
-            parse(&v(&["world", "--metrics-out"])).unwrap_err(),
+            err("world --metrics-out"),
             ParseError::Missing("--metrics-out value")
         );
     }
@@ -708,67 +805,174 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         assert_eq!(parse(&[]).unwrap_err(), ParseError::MissingSubcommand);
+        assert!(matches!(err("fly"), ParseError::UnknownSubcommand(_)));
         assert!(matches!(
-            parse(&v(&["fly"])).unwrap_err(),
-            ParseError::UnknownSubcommand(_)
-        ));
-        assert!(matches!(
-            parse(&v(&["analyze", "--trace", "x", "--bogus"])).unwrap_err(),
+            err("analyze --trace x --bogus"),
             ParseError::UnknownFlag(_)
         ));
         assert!(matches!(
-            parse(&v(&["generate", "--dataset", "EU9", "--out", "x"])).unwrap_err(),
+            err("generate --dataset EU9 --out x"),
             ParseError::Invalid("dataset", _)
         ));
         assert!(matches!(
-            parse(&v(&["generate", "--scale", "0", "--out", "x"])).unwrap_err(),
+            err("generate --scale 0 --out x"),
             ParseError::Invalid("scale", _)
         ));
         assert!(matches!(
-            parse(&v(&["geolocate", "--dataset", "EU2", "--landmarks", "2"])).unwrap_err(),
+            err("geolocate --dataset EU2 --landmarks 2"),
             ParseError::Invalid("landmarks", _)
         ));
-        assert_eq!(parse(&v(&["--help"])).unwrap_err(), ParseError::Help);
+        assert_eq!(err("--help"), ParseError::Help);
+        assert_eq!(err("analyze --help"), ParseError::Help);
+    }
+
+    #[test]
+    fn rejects_flags_the_subcommand_does_not_read() {
+        for (line, flag) in [
+            (
+                "generate --jobs 1 --dataset EU2 --scale 0.002 --format text --out e.log",
+                "--jobs",
+            ),
+            (
+                "whatif --scenario no-votd --from /nonexistent --window 3",
+                "--from",
+            ),
+            ("generate --out x --plot", "--plot"),
+            ("world --landmarks 9", "--landmarks"),
+            ("repro --windows", "--windows"),
+            ("repro --out x", "--out"),
+        ] {
+            assert_eq!(
+                err(line),
+                ParseError::UnknownFlag(flag.to_owned()),
+                "{line}"
+            );
+        }
+        // The global flags stay allowed everywhere.
+        for sub in ["generate", "analyze", "world", "repro"] {
+            assert_eq!(
+                err(&format!("{sub} --metrics-out m.json --bogus")),
+                ParseError::UnknownFlag("--bogus".to_owned()),
+                "{sub}"
+            );
+        }
+    }
+
+    fn repro(args: &str) -> ReproArgs {
+        match cmd(&format!("repro {args}")) {
+            Command::Repro(r) => r,
+            other => panic!("not a repro command: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_repro_defaults() {
         assert_eq!(
-            parse(&v(&["analyze", "--help"])).unwrap_err(),
-            ParseError::Help
+            repro(""),
+            ReproArgs {
+                exp: ALL_EXPERIMENTS.to_vec(),
+                scale: 0.02,
+                seed: 42,
+                jobs: None,
+                from: None,
+                full_landmarks: false,
+                csv: None,
+                markdown: None,
+                plot: false,
+                scorecard: false,
+                degenerate: None,
+            }
         );
     }
 
     #[test]
-    fn parse_characterize() {
-        let cmd = cmd(&["characterize", "--trace", "x.log"]);
+    fn parse_repro_every_flag() {
         assert_eq!(
-            cmd,
+            repro(
+                "--exp fig11 --scale 0.1 --seed 7 --jobs 3 --full-landmarks --csv figures \
+                 --markdown report.md --plot --scorecard --degenerate single-hour"
+            ),
+            ReproArgs {
+                exp: vec!["fig11"],
+                scale: 0.1,
+                seed: 7,
+                jobs: Some(3),
+                from: None,
+                full_landmarks: true,
+                csv: Some(PathBuf::from("figures")),
+                markdown: Some(PathBuf::from("report.md")),
+                plot: true,
+                scorecard: true,
+                degenerate: Some(DegenerateShape::SingleHour),
+            }
+        );
+        assert_eq!(
+            repro("--from dataset.ytc").from,
+            Some(PathBuf::from("dataset.ytc"))
+        );
+    }
+
+    #[test]
+    fn parse_repro_experiment_list() {
+        assert_eq!(repro("--exp fig3,table3").exp, ["fig3", "table3"]);
+        assert_eq!(repro("--exp ext-perf").exp, ["ext-perf"]);
+        // Unknown ids fail at parse time, before any simulation.
+        for bad in ["fig99", "fig3,fig99", "fig3,", ","] {
+            assert!(
+                matches!(
+                    err(&format!("repro --exp {bad}")),
+                    ParseError::Invalid("experiment", _)
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_repro_rejects_bad_combinations() {
+        assert!(matches!(
+            err("repro --from dataset.ytc --degenerate empty"),
+            ParseError::Invalid("--degenerate", _)
+        ));
+        assert!(matches!(
+            err("repro --degenerate hollow"),
+            ParseError::Invalid("degenerate shape", _)
+        ));
+        assert_eq!(err("repro --csv"), ParseError::Missing("--csv value"));
+    }
+
+    #[test]
+    fn usage_lists_every_experiment_and_shape() {
+        for id in ALL_EXPERIMENTS.iter().chain(EXTENSION_EXPERIMENTS) {
+            assert!(USAGE.contains(&format!(" {id}")), "{id}");
+        }
+        for shape in DegenerateShape::ALL {
+            assert!(USAGE.contains(&format!(" {shape}")), "{shape}");
+        }
+    }
+
+    #[test]
+    fn parse_characterize() {
+        assert_eq!(
+            cmd("characterize --trace x.log"),
             Command::Characterize {
                 trace: PathBuf::from("x.log")
             }
         );
-        assert_eq!(
-            parse(&v(&["characterize"])).unwrap_err(),
-            ParseError::Missing("--trace")
-        );
+        assert_eq!(err("characterize"), ParseError::Missing("--trace"));
     }
 
     #[test]
     fn parse_world_and_anonymize() {
         assert_eq!(
-            cmd(&["world", "--scale", "0.1"]),
+            cmd("world --scale 0.1"),
             Command::World {
                 scale: 0.1,
                 seed: 42
             }
         );
         assert_eq!(
-            cmd(&[
-                "anonymize",
-                "--trace",
-                "in.log",
-                "--out",
-                "out.log",
-                "--seed",
-                "9"
-            ]),
+            cmd("anonymize --trace in.log --out out.log --seed 9"),
             Command::Anonymize {
                 trace: PathBuf::from("in.log"),
                 out: PathBuf::from("out.log"),
@@ -776,16 +980,13 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&v(&["anonymize", "--trace", "in.log"])).unwrap_err(),
+            err("anonymize --trace in.log"),
             ParseError::Missing("--out")
         );
     }
 
     #[test]
     fn missing_flag_values_detected() {
-        assert_eq!(
-            parse(&v(&["analyze", "--trace"])).unwrap_err(),
-            ParseError::Missing("--trace value")
-        );
+        assert_eq!(err("analyze --trace"), ParseError::Missing("--trace value"));
     }
 }

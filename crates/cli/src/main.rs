@@ -5,6 +5,7 @@
 //! ytcdn analyze  --trace trace.log --scale 0.05
 //! ytcdn geolocate --dataset EU1-Campus --landmarks 50
 //! ytcdn whatif   --scenario feb2011
+//! ytcdn repro    --exp fig3,table3 --scale 0.1
 //! ```
 //!
 //! `generate` writes one compact columnar `.ytc` file carrying every
@@ -14,21 +15,24 @@
 //! emitting the same columns) and runs the paper's methodology on it; `geolocate` runs CBG over a
 //! dataset's servers; `whatif` evaluates the counterfactuals of
 //! [`ytcdn_core::whatif`]; `watch --from dataset.ytc` detects CDN changes
-//! straight off a columnar file, skipping simulation.
+//! straight off a columnar file, skipping simulation; `repro` regenerates
+//! every table and figure of the paper (`--from dataset.ytc` analyses a
+//! columnar file instead of simulating).
 
 #![forbid(unsafe_code)]
 // Tables and analysis results go to stdout: that is this binary's product.
 #![allow(clippy::print_stdout)]
 
 use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 mod args;
 
-use args::{Command, ParseError, TelemetryOpts};
+use args::{Command, ParseError, ReproArgs, TelemetryOpts};
 use ytcdn_cdnsim::{MutationSpec, ScenarioConfig, StandardScenario};
+use ytcdn_core::experiments::{ExperimentSuite, SuiteConfig};
 use ytcdn_core::perf::perf_report;
 use ytcdn_core::whatif;
 use ytcdn_core::{AnalysisContext, DatasetIndex, WatchConfig, WatchReport, YtcFile, YtcHeader};
@@ -175,7 +179,129 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
         Command::Characterize { trace } => characterize_trace(&trace),
         Command::World { scale, seed } => describe_world(scale, seed, ctx),
         Command::Anonymize { trace, out, seed } => anonymize_trace(&trace, &out, seed, ctx),
+        Command::Repro(args) => repro(args, ctx),
     }
+}
+
+/// `ytcdn repro`: simulate the five datasets (or load them off a `.ytc`
+/// file), then print the requested experiments' reports — or, with
+/// `--scorecard`, only the pass/fail scorecard — and optionally write the
+/// Markdown report and per-figure CSV files.
+fn repro(args: ReproArgs, ctx: &Ctx) -> ExitCode {
+    let config = |scale, seed| SuiteConfig {
+        scenario: ScenarioConfig::with_scale(scale, seed),
+        full_landmarks: args.full_landmarks,
+        jobs: resolve_jobs(args.jobs),
+    };
+    let suite = if let Some(path) = &args.from {
+        let file = match read_ytc(path, ctx) {
+            Ok(f) => f,
+            Err(code) => return code,
+        };
+        // The file's recorded provenance supersedes --scale/--seed: the
+        // analysis world must match the world the flows were simulated in.
+        let header = &file.header;
+        ctx.progress.note(&format!(
+            "loaded {} flows from {} (scale {}, seed {}, {} mutation(s)); skipping simulation",
+            file.total_flows(),
+            path.display(),
+            header.scale,
+            header.seed,
+            header.mutations.len()
+        ));
+        let config = config(header.scale, header.seed);
+        let datasets = file.into_columnar_datasets();
+        match ExperimentSuite::from_columnar(config, ctx.telemetry.clone(), datasets) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("cannot analyse {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        ctx.progress.note(&format!(
+            "building world and simulating 5 datasets (scale {}, seed {})…",
+            args.scale, args.seed
+        ));
+        let config = config(args.scale, args.seed);
+        match args.degenerate {
+            Some(shape) => {
+                ctx.progress
+                    .note(&format!("degrading every dataset to shape {shape}"));
+                ExperimentSuite::with_degenerate(config, ctx.telemetry.clone(), shape)
+            }
+            None => ExperimentSuite::with_telemetry(config, ctx.telemetry.clone()),
+        }
+    };
+
+    if args.scorecard {
+        let card = ytcdn_core::scorecard::scorecard(&suite);
+        println!("{}", ytcdn_core::scorecard::render_scorecard(&card));
+        // Skipped (unanswerable) claims do not fail the run; wrong ones do.
+        return if card.pass() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
+    }
+
+    // Experiments run concurrently; reports come back in input order, so
+    // stdout is byte-identical to the sequential path regardless of --jobs.
+    let reports = suite.run_many(&args.exp, suite.jobs());
+    for (id, report) in args.exp.iter().zip(reports) {
+        println!(
+            "──── {id} {}",
+            "─".repeat(60_usize.saturating_sub(id.len()))
+        );
+        match report {
+            Ok(report) => {
+                println!("{report}");
+                if args.plot {
+                    if let Ok(series) = ytcdn_core::export::figure_series(&suite, id) {
+                        println!("{}", ytcdn_core::export::ascii_chart(&series, 72, 16));
+                    }
+                }
+            }
+            Err(e) => println!("SKIPPED: {e}\n"),
+        }
+    }
+
+    if let Some(path) = &args.markdown {
+        let md = ytcdn_core::report::markdown_report(&suite);
+        if let Err(e) = std::fs::write(path, md) {
+            eprintln!("cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        ctx.progress
+            .note(&format!("wrote markdown report to {}", path.display()));
+    }
+
+    if let Some(dir) = &args.csv {
+        match ytcdn_core::export::export_all(&suite, dir) {
+            Ok(paths) => ctx.progress.note(&format!(
+                "wrote {} CSV files to {}",
+                paths.len(),
+                dir.display()
+            )),
+            Err(e) => {
+                eprintln!("CSV export failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// Opens and decodes a `.ytc` file, reporting any failure on stderr.
+fn read_ytc(path: &Path, ctx: &Ctx) -> Result<YtcFile, ExitCode> {
+    let source = std::fs::File::open(path).map_err(|e| {
+        eprintln!("cannot open {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    YtcFile::read_from(BufReader::new(source), &ctx.telemetry).map_err(|e| {
+        eprintln!("cannot read {}: {e}", path.display());
+        ExitCode::FAILURE
+    })
 }
 
 fn describe_world(scale: f64, seed: u64, ctx: &Ctx) -> ExitCode {
@@ -282,11 +408,13 @@ fn characterize_trace(trace: &PathBuf) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Resolves a worker count (`--jobs`), defaulting to one worker per
-/// available CPU. The count only affects wall-clock time — output is
+/// Resolves a worker count (`--jobs`): one worker per available CPU by
+/// default, and never more than that — a larger count would only spawn
+/// threads that wait. The count only affects wall-clock time — output is
 /// byte-identical for any value.
 fn resolve_jobs(flag: Option<usize>) -> usize {
-    flag.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    flag.map_or(cpus, |n| n.min(cpus))
 }
 
 /// Builds the standard scenario with the invocation's telemetry attached
@@ -428,20 +556,10 @@ fn generate_ytc(header: YtcHeader, datasets: Vec<Dataset>, out: &PathBuf, ctx: &
 /// in the file's header (any `--scale`/`--seed` flags are superseded), so
 /// the change-point table is byte-identical to the simulate-then-watch
 /// path that produced the file.
-fn watch_from(path: &PathBuf, dataset: DatasetName, config: WatchConfig, ctx: &Ctx) -> ExitCode {
-    let source = match std::fs::File::open(path) {
+fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx) -> ExitCode {
+    let file = match read_ytc(path, ctx) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot open {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let file = match YtcFile::read_from(BufReader::new(source), &ctx.telemetry) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let columnar = match file.dataset(dataset) {
         Ok(c) => c.clone(),
@@ -651,4 +769,17 @@ fn what_if(name: &str, scale: f64, seed: u64, ctx: &Ctx) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_jobs_caps_at_the_cpu_count() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_jobs(None), cpus);
+        assert_eq!(resolve_jobs(Some(50_000)), cpus);
+        assert_eq!(resolve_jobs(Some(1)), 1);
+    }
 }

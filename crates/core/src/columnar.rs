@@ -1,14 +1,14 @@
 //! The `.ytc` compact columnar dataset format.
 //!
 //! A week-long trace is re-analysed dozens of times per sweep; this module
-//! gives the flow logs a deterministic binary on-disk form so `repro` and
-//! `watch` can skip simulation entirely. The layout is struct-of-arrays,
-//! mirroring [`crate::index::DatasetIndex`]: each [`ytcdn_tstat::FlowRecord`]
-//! column is stored contiguously — delta-encoded start timestamps,
-//! varint durations and byte counts, dictionary-interned server addresses
-//! and video ids (the numeric-index twin of the inline
-//! [`ytcdn_tstat::VideoIdStr`] trick), one resolution byte per flow — plus
-//! a per-hour block index so hour-range reads and
+//! gives the flow logs a deterministic binary on-disk form so `ytcdn repro`
+//! and `ytcdn watch` can skip simulation entirely. The layout is
+//! struct-of-arrays, mirroring [`crate::index::DatasetIndex`]: each
+//! [`ytcdn_tstat::FlowRecord`] column is stored contiguously —
+//! delta-encoded start timestamps, varint durations and byte counts,
+//! dictionary-interned server addresses and video ids (the numeric-index
+//! twin of the inline [`ytcdn_tstat::VideoIdStr`] trick), one resolution
+//! byte per flow — plus a per-hour block index so hour-range reads and
 //! [`DatasetIndex::from_columnar`](crate::index::DatasetIndex::from_columnar)
 //! need no rescan.
 //!
@@ -238,8 +238,8 @@ fn wire_len(v: u64, what: &'static str) -> FormatResult<usize> {
 }
 
 /// The provenance a `.ytc` file records: the scenario inputs that produced
-/// its datasets, so `repro --from` and `watch --from` can rebuild the same
-/// analysis world without re-specifying them.
+/// its datasets, so `ytcdn repro --from` and `ytcdn watch --from` can
+/// rebuild the same analysis world without re-specifying them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YtcHeader {
     /// Workload scale the datasets were simulated at.

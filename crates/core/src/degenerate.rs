@@ -4,7 +4,7 @@
 //! hour, miss a subnet, or contain no video flows at all. Each
 //! [`DegenerateShape`] deterministically degrades a simulated dataset
 //! into one of those shapes so `tests/degenerate_datasets.rs` (and
-//! `repro --degenerate`) can prove the analysis layer degrades to typed
+//! `ytcdn repro --degenerate`) can prove the analysis layer degrades to typed
 //! [`AnalysisError`](crate::error::AnalysisError)s instead of panicking.
 //! The transforms are pure record filters — no wall clock, no RNG — so
 //! a given (scenario seed, shape) pair always produces the same bytes.
@@ -44,7 +44,7 @@ impl DegenerateShape {
         DegenerateShape::TruncatedWeek,
     ];
 
-    /// The CLI spelling of this shape (`repro --degenerate <shape>`).
+    /// The CLI spelling of this shape (`ytcdn repro --degenerate <shape>`).
     pub fn as_str(self) -> &'static str {
         match self {
             DegenerateShape::Empty => "empty",

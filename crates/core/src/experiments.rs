@@ -3,8 +3,8 @@
 //! [`ExperimentSuite`] simulates the five datasets once and exposes a
 //! `table1()` … `fig18()` method per experiment, each returning a plain-text
 //! report that states what the paper observed next to what this
-//! reproduction measures. The `repro` binary in the bench crate and
-//! `EXPERIMENTS.md` are generated from these.
+//! reproduction measures. `ytcdn repro` and `EXPERIMENTS.md` are generated
+//! from these.
 
 use std::fmt::Write as _;
 use std::ops::Range;

@@ -1,6 +1,6 @@
 //! CSV export of every figure's data series.
 //!
-//! The `repro` binary prints human-readable summaries; this module emits
+//! `ytcdn repro` prints human-readable summaries; this module emits
 //! the underlying curves so the paper's plots can be regenerated with any
 //! plotting tool. One CSV per figure, long format:
 //! `series,x,y` with a header row.
@@ -357,7 +357,7 @@ const CHART_GLYPHS: &[char] = &['*', '+', 'o', 'x', '#', '@', '%', '&'];
 /// Renders series as a terminal scatter/line chart, with axis ranges in the
 /// footer and one glyph per series in the legend.
 ///
-/// Intended for the `repro --plot` mode; the CSV export remains the
+/// Intended for the `ytcdn repro --plot` mode; the CSV export remains the
 /// machine-readable path.
 pub fn ascii_chart(series: &[Series], width: usize, height: usize) -> String {
     let width = width.max(16);

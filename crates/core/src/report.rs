@@ -1,6 +1,6 @@
 //! Markdown report generation: a regenerable EXPERIMENTS-style document.
 //!
-//! `repro --markdown FILE` writes this report so paper-vs-measured numbers
+//! `ytcdn repro --markdown FILE` writes this report so paper-vs-measured numbers
 //! can be refreshed mechanically after any model change, instead of being
 //! hand-copied into the repository's EXPERIMENTS.md.
 
@@ -21,7 +21,7 @@ pub fn markdown_report(suite: &ExperimentSuite) -> String {
         "# Reproduction report\n\n\
          *Dissecting Video Server Selection Strategies in the YouTube CDN* (ICDCS 2011).\n\n\
          Generated with seed `{}`, workload scale `{}`. Regenerate with:\n\n\
-         ```sh\ncargo run --release -p ytcdn-bench --bin repro -- --markdown report.md --seed {} --scale {}\n```\n",
+         ```sh\ncargo run --release -p ytcdn-cli -- repro --markdown report.md --seed {} --scale {}\n```\n",
         cfg.seed, cfg.engine.scale, cfg.seed, cfg.engine.scale
     );
     let _ = writeln!(out, "## Paper experiments\n");

@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md narrates paper-vs-measured; this module *executes* it:
 //! every quantitative claim the paper makes that this reproduction targets
 //! is evaluated as a [`Check`] with an explicit tolerance band, and the
-//! whole set renders as a pass/fail table (`repro --scorecard`). The
+//! whole set renders as a pass/fail table (`ytcdn repro --scorecard`). The
 //! integration suite asserts the scorecard passes, so any model change
 //! that degrades fidelity fails CI rather than silently rotting the docs.
 //!

@@ -422,7 +422,7 @@ mod tests {
             FileKind::Example
         );
         assert_eq!(
-            classify("crates/bench/benches/simulation.rs").unwrap().kind,
+            classify("crates/core/benches/index.rs").unwrap().kind,
             FileKind::Bench
         );
         let c = classify("devtools/lint/src/lexer.rs").unwrap();

@@ -172,7 +172,7 @@ pub fn rule(id: &str) -> Option<&'static RuleInfo> {
 const SIM_CRATES: &[&str] = &["cdnsim", "core"];
 
 /// Crates whose output must be a pure function of their inputs (DET002
-/// scope). The CLI and the bench harness are the impure shell around them.
+/// scope). The CLI is the impure shell around them.
 const DETERMINISTIC_CRATES: &[&str] = &[
     "cdnsim",
     "core",
@@ -184,7 +184,7 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// Crates exempt from PAN001: binaries and tooling may panic on bad input.
-const PAN_EXEMPT_CRATES: &[&str] = &["bench", "cli", "lint"];
+const PAN_EXEMPT_CRATES: &[&str] = &["cli", "lint"];
 
 /// Module stems treated as output/serialization paths (DET003 scope):
 /// anything that renders bytes a golden test or a user might diff.

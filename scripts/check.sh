@@ -86,18 +86,30 @@ grep -q "flows=" "$smoke/characterize.txt" \
 # experiments).
 echo "==> repro --jobs differential smoke (1 vs $max)" >&2
 for jobs in 1 "$max"; do
-    cargo run --quiet --release -p ytcdn-bench --bin repro -- \
+    cargo run --quiet --release -p ytcdn-cli -- repro \
         --scale 0.004 --seed 7 --jobs "$jobs" > "$smoke/repro-$jobs.txt" 2>/dev/null
 done
 cmp "$smoke/repro-1.txt" "$smoke/repro-$max.txt" \
     || { echo "check.sh: repro --jobs $max output differs from sequential" >&2; exit 1; }
+
+# A --jobs far above the CPU count is capped there: it must neither abort
+# nor change a byte of the report.
+echo "==> repro --jobs cap smoke (50000 vs 1)" >&2
+for jobs in 1 50000; do
+    cargo run --quiet --release -p ytcdn-cli -- repro \
+        --scale 0.002 --seed 7 --exp table1 --jobs "$jobs" \
+        > "$smoke/cap-$jobs.txt" 2>/dev/null \
+        || { echo "check.sh: repro --jobs $jobs exited non-zero" >&2; exit 1; }
+done
+cmp "$smoke/cap-1.txt" "$smoke/cap-50000.txt" \
+    || { echo "check.sh: repro --jobs 50000 output differs from --jobs 1" >&2; exit 1; }
 
 # Geolocation pipeline: the CBG pass draws per-/24 noise streams, so the
 # geo-heavy experiments (fig3's pooled radius CDFs, table3's continent
 # table) must also be byte-identical at any worker count.
 echo "==> repro geo byte-compare smoke (fig3,table3 at --jobs 1 vs $max)" >&2
 for jobs in 1 "$max"; do
-    cargo run --quiet --release -p ytcdn-bench --bin repro -- \
+    cargo run --quiet --release -p ytcdn-cli -- repro \
         --scale 0.004 --seed 7 --exp fig3,table3 --jobs "$jobs" \
         > "$smoke/geo-$jobs.txt" 2>/dev/null
 done
@@ -108,7 +120,7 @@ cmp "$smoke/geo-1.txt" "$smoke/geo-$max.txt" \
 # sizes must be byte-identical at any worker count on their own.
 echo "==> repro session byte-compare smoke (fig5,fig6 at --jobs 1 vs $max)" >&2
 for jobs in 1 "$max"; do
-    cargo run --quiet --release -p ytcdn-bench --bin repro -- \
+    cargo run --quiet --release -p ytcdn-cli -- repro \
         --scale 0.004 --seed 7 --exp fig5,fig6 --jobs "$jobs" \
         > "$smoke/sessions-$jobs.txt" 2>/dev/null
 done
@@ -125,7 +137,7 @@ echo "==> .ytc columnar smoke (digest, replay, corruption)" >&2
 cargo run --quiet --release -p ytcdn-cli -- generate \
     --scale 0.004 --seed 7 --out "$smoke/ds.ytc" 2>/dev/null
 echo "    dataset.ytc sha256 $(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)" >&2
-cargo run --quiet --release -p ytcdn-bench --bin repro -- \
+cargo run --quiet --release -p ytcdn-cli -- repro \
     --from "$smoke/ds.ytc" --jobs 1 > "$smoke/repro-from.txt" 2>/dev/null \
     || { echo "check.sh: repro --from exited non-zero on a valid file" >&2; exit 1; }
 cmp "$smoke/repro-1.txt" "$smoke/repro-from.txt" \
@@ -134,7 +146,7 @@ cmp "$smoke/repro-1.txt" "$smoke/repro-from.txt" \
 # longer fits), whatever the file's contents.
 bytes="$(stat -c%s "$smoke/ds.ytc" 2>/dev/null || stat -f%z "$smoke/ds.ytc")"
 head -c "$((bytes - 1))" "$smoke/ds.ytc" > "$smoke/corrupt.ytc"
-if cargo run --quiet --release -p ytcdn-bench --bin repro -- \
+if cargo run --quiet --release -p ytcdn-cli -- repro \
     --from "$smoke/corrupt.ytc" > /dev/null 2> "$smoke/corrupt-err.txt"; then
     echo "check.sh: repro --from accepted a corrupt .ytc" >&2; exit 1
 fi
@@ -145,7 +157,7 @@ grep -qi "checksum\|truncated\|corrupt" "$smoke/corrupt-err.txt" \
 # analysis layer — the scorecard renders its unanswerable claims as
 # SKIPPED rows and still exits 0.
 echo "==> repro --degenerate empty smoke" >&2
-cargo run --quiet --release -p ytcdn-bench --bin repro -- \
+cargo run --quiet --release -p ytcdn-cli -- repro \
     --scale 0.004 --seed 7 --degenerate empty --scorecard \
     > "$smoke/degenerate.txt" 2>/dev/null \
     || { echo "check.sh: repro --degenerate empty --scorecard exited non-zero" >&2; exit 1; }

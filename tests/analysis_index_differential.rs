@@ -494,7 +494,7 @@ fn suite_reports_identical_sequential_vs_parallel() {
 }
 
 /// The `.ytc` acceptance criterion: a suite rebuilt from decoded columnar
-/// datasets (`repro --from dataset.ytc`) emits the full report set and
+/// datasets (`ytcdn repro --from dataset.ytc`) emits the full report set and
 /// scorecard byte-identical to the simulate-in-memory path, single- and
 /// multi-threaded alike.
 #[test]

@@ -18,8 +18,8 @@
 //!
 //! The builder is kept honest by `hand_built_file_matches_encoder`, which
 //! requires its canonical output to be byte-identical to
-//! [`YtcFile::encode`]. The CLI-facing half of the contract — `repro
-//! --from corrupt.ytc` exits non-zero with the reason on stderr — is
+//! [`YtcFile::encode`]. The CLI-facing half of the contract — `ytcdn
+//! repro --from corrupt.ytc` exits non-zero with the reason on stderr — is
 //! exercised by `scripts/check.sh`.
 
 use ytcdn_core::columnar::{FORMAT_VERSION, MAGIC};
@@ -511,8 +511,8 @@ fn duplicate_dataset_sections() {
     );
 }
 
-/// Every corruption error renders a human-readable reason — what `repro
-/// --from` prints to stderr before exiting non-zero.
+/// Every corruption error renders a human-readable reason — what `ytcdn
+/// repro --from` prints to stderr before exiting non-zero.
 #[test]
 fn corruption_errors_render_reasons() {
     let errors = [

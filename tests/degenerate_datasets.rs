@@ -130,7 +130,7 @@ fn empty_capture_yields_stable_typed_errors() {
 
 /// An empty capture proves nothing either way: the scorecard must skip
 /// the unanswerable claims with typed reasons and still *pass* on the
-/// remaining ones (`repro --scorecard --degenerate empty` exits 0).
+/// remaining ones (`ytcdn repro --scorecard --degenerate empty` exits 0).
 #[test]
 fn empty_capture_scorecard_skips_and_passes() {
     let suite = degenerate_suite(DegenerateShape::Empty);
