@@ -182,12 +182,6 @@ impl VideoCatalog {
         false
     }
 
-    /// Popularity rank of a video (0 = most popular); promotion does not
-    /// change the static rank.
-    pub fn rank_of(&self, id: VideoId) -> u64 {
-        id.index()
-    }
-
     /// The static (un-promoted) request probability of rank `rank`.
     pub fn weight_of_rank(&self, rank: u64) -> f64 {
         ((rank + 1) as f64).powf(-self.config.zipf_exponent) / self.harmonic

@@ -26,6 +26,8 @@
 //! * deterministic simulation streams: splittable per-dataset, per-hour and
 //!   per-session RNG streams ([`rng`]), so the datasets can be simulated
 //!   concurrently with byte-identical output for any worker count;
+//! * the one ordered worker pool every parallel path in the workspace runs
+//!   on ([`pool`]: [`par_map`] and [`resolve_jobs`]);
 //! * scheduled mid-trace CDN mutations (data-center decommission,
 //!   preferred-mapping flip, cache eviction) giving the change-detection
 //!   workload its ground truth ([`mutation`]).
@@ -57,6 +59,7 @@ pub mod dns;
 pub mod engine;
 pub mod mutation;
 pub mod placement;
+pub mod pool;
 pub mod rng;
 pub mod scenario;
 pub mod topology;
@@ -69,6 +72,7 @@ pub use dns::{DnsDecision, DnsResolver, LdnsId};
 pub use engine::{Engine, SessionOutcome};
 pub use mutation::{InvalidMutation, MutationSchedule, MutationSpec, MutationSpecKind};
 pub use placement::ContentStore;
+pub use pool::{par_map, resolve_jobs};
 pub use rng::SimRng;
 pub use scenario::{run_span_name, ScenarioConfig, StandardScenario, World};
 pub use topology::{DataCenter, DataCenterId, ServerPool, Topology};

@@ -15,6 +15,7 @@
 
 use std::collections::HashSet;
 
+use ytcdn_netsim::splitmix64;
 use ytcdn_tstat::VideoId;
 
 use crate::topology::{DataCenterId, Topology};
@@ -106,7 +107,7 @@ impl ContentStore {
         if let Some(&(_, origin)) = self.uploads.iter().find(|(v, _)| *v == video) {
             return origin;
         }
-        let h = splitmix(video.index() ^ self.config.seed);
+        let h = splitmix64(video.index() ^ self.config.seed);
         self.dcs[(h % self.dcs.len() as u64) as usize]
     }
 
@@ -139,7 +140,7 @@ impl ContentStore {
             return false;
         }
         // Warm tail: deterministic presence draw per (video, dc).
-        let h = splitmix(splitmix(video.index() ^ self.config.seed).wrapping_add(dc.0 as u64));
+        let h = splitmix64(splitmix64(video.index() ^ self.config.seed).wrapping_add(dc.0 as u64));
         let threshold = self.config.warm_presence_prob * self.evict_factor(hour);
         (h >> 11) as f64 / (1u64 << 53) as f64 <= threshold
     }
@@ -170,7 +171,7 @@ impl ContentStore {
     /// redirecting server *believes* the content is. The guess can be wrong,
     /// which produces the paper's 3-flow redirect chains.
     pub fn guess_holder(&self, video: VideoId, not: DataCenterId) -> DataCenterId {
-        let h = splitmix(video.index().wrapping_mul(0x5851_f42d_4c95_7f2d) ^ 0xABCD);
+        let h = splitmix64(video.index().wrapping_mul(0x5851_f42d_4c95_7f2d) ^ 0xABCD);
         let mut idx = (h % self.dcs.len() as u64) as usize;
         if self.dcs[idx] == not {
             idx = (idx + 1) % self.dcs.len();
@@ -182,13 +183,6 @@ impl ContentStore {
     pub fn dcs(&self) -> &[DataCenterId] {
         &self.dcs
     }
-}
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

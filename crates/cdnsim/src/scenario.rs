@@ -6,7 +6,6 @@
 //! infers) — and [`StandardScenario::run_all`] simulates the simultaneous
 //! week-long collection of the paper's Section III-B.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ytcdn_geomodel::Coord;
@@ -476,39 +475,13 @@ impl StandardScenario {
         (dataset, outcome)
     }
 
-    /// Simulates all five datasets in Table I order on `jobs` scoped worker
-    /// threads (clamped to `[1, 5]`). Workers take the next dataset off a
-    /// shared cursor; every dataset runs on its own engine with its own
-    /// seed stream, so the output is identical for any `jobs`.
+    /// Simulates all five datasets in Table I order on the shared worker
+    /// pool ([`crate::par_map`]), one dataset per task. Every dataset runs
+    /// on its own engine with its own seed stream, so the output is
+    /// identical for any `jobs`.
     pub fn run_all(&self, jobs: usize) -> Vec<Dataset> {
         let _span = self.telemetry.span("scenario.run_all");
-        let names = DatasetName::ALL;
-        let jobs = jobs.clamp(1, names.len());
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, Dataset)> = Vec::with_capacity(names.len());
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&name) = names.get(i) else { break };
-                            mine.push((i, self.run(name).0));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for w in workers {
-                let mine = w
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                collected.extend(mine);
-            }
-        });
-        collected.sort_by_key(|&(i, _)| i);
-        collected.into_iter().map(|(_, ds)| ds).collect()
+        crate::par_map(jobs, &DatasetName::ALL, |&name| self.run(name).0)
     }
 }
 

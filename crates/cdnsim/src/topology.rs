@@ -472,11 +472,6 @@ impl Topology {
         &self.registry
     }
 
-    /// Mutable access to the registry so scenarios can add client networks.
-    pub fn registry_mut(&mut self) -> &mut AsRegistry {
-        &mut self.registry
-    }
-
     /// The physical network endpoint of a server.
     ///
     /// Server machines sit within ~15 km of their data center's city center;

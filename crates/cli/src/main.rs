@@ -31,7 +31,7 @@ use std::sync::Arc;
 mod args;
 
 use args::{Command, ParseError, ReproArgs, TelemetryOpts};
-use ytcdn_cdnsim::{MutationSpec, ScenarioConfig, StandardScenario};
+use ytcdn_cdnsim::{resolve_jobs, MutationSpec, ScenarioConfig, StandardScenario};
 use ytcdn_core::experiments::{ExperimentSuite, SuiteConfig};
 use ytcdn_core::perf::perf_report;
 use ytcdn_core::whatif;
@@ -147,7 +147,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             seed,
             landmarks,
             jobs,
-        } => geolocate(dataset, scale, seed, landmarks, resolve_jobs(jobs), ctx),
+        } => geolocate(dataset, scale, seed, landmarks, jobs.unwrap_or(0), ctx),
         Command::WhatIf {
             scenario,
             scale,
@@ -191,7 +191,7 @@ fn repro(args: ReproArgs, ctx: &Ctx) -> ExitCode {
     let config = |scale, seed| SuiteConfig {
         scenario: ScenarioConfig::with_scale(scale, seed),
         full_landmarks: args.full_landmarks,
-        jobs: resolve_jobs(args.jobs),
+        jobs: args.jobs.unwrap_or(0),
     };
     let suite = if let Some(path) = &args.from {
         let file = match read_ytc(path, ctx) {
@@ -408,15 +408,6 @@ fn characterize_trace(trace: &PathBuf) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Resolves a worker count (`--jobs`): one worker per available CPU by
-/// default, and never more than that — a larger count would only spawn
-/// threads that wait. The count only affects wall-clock time — output is
-/// byte-identical for any value.
-fn resolve_jobs(flag: Option<usize>) -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    flag.map_or(cpus, |n| n.min(cpus))
-}
-
 /// Builds the standard scenario with the invocation's telemetry attached
 /// (build phase profiled, engines instrumented per dataset).
 fn scenario(scale: f64, seed: u64, ctx: &Ctx) -> StandardScenario {
@@ -466,7 +457,7 @@ fn generate(
 ) -> ExitCode {
     let datasets: Vec<Dataset> = match dataset {
         Some(n) => vec![s.run(n).0],
-        None => s.run_all(resolve_jobs(None)),
+        None => s.run_all(0),
     };
     if format == args::TraceFormat::Ytc {
         // The columnar format is one file carrying every generated dataset
@@ -585,7 +576,7 @@ fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx)
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), columnar.dataset());
     let index =
-        DatasetIndex::from_columnar(&actx, &columnar, resolve_jobs(None), ctx.telemetry.clone());
+        DatasetIndex::from_columnar(&actx, &columnar, resolve_jobs(0), ctx.telemetry.clone());
     let report = match WatchReport::build(&actx, columnar.dataset(), &index, config) {
         Ok(r) => r,
         Err(e) => {
@@ -606,7 +597,7 @@ fn watch(s: StandardScenario, dataset: DatasetName, config: WatchConfig, ctx: &C
     let (ds, _) = s.run(dataset);
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
-    let index = DatasetIndex::build(&actx, &ds, resolve_jobs(None), ctx.telemetry.clone());
+    let index = DatasetIndex::build(&actx, &ds, resolve_jobs(0), ctx.telemetry.clone());
     let report = match WatchReport::build(&actx, &ds, &index, config) {
         Ok(r) => r,
         Err(e) => {
@@ -652,7 +643,7 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
         100.0 * ctx.nonpreferred_share_of_flows()
     );
 
-    let index = DatasetIndex::build(&ctx, &ds, resolve_jobs(None), cli.telemetry.clone());
+    let index = DatasetIndex::build(&ctx, &ds, resolve_jobs(0), cli.telemetry.clone());
     let st = index.patterns();
     println!(
         "sessions: {} total, {:.1}% single-flow ({:.1}% of those to non-preferred DCs)",
@@ -696,8 +687,7 @@ fn geolocate(
         3,
         seed,
     );
-    let locations =
-        ytcdn_core::geo_analysis::geolocate_servers_parallel(s.world(), &ds, &cbg, seed, jobs);
+    let locations = ytcdn_core::geo_analysis::geolocate_servers(s.world(), &ds, &cbg, seed, jobs);
     let counts = ytcdn_core::geo_analysis::continent_counts(&locations);
     println!(
         "servers per continent: N.America={} Europe={} Others={}",
@@ -769,17 +759,4 @@ fn what_if(name: &str, scale: f64, seed: u64, ctx: &Ctx) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resolve_jobs_caps_at_the_cpu_count() {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(resolve_jobs(None), cpus);
-        assert_eq!(resolve_jobs(Some(50_000)), cpus);
-        assert_eq!(resolve_jobs(Some(1)), 1);
-    }
 }

@@ -9,7 +9,9 @@
 use std::fmt::Write as _;
 use std::ops::Range;
 
-use ytcdn_cdnsim::{ActiveConfig, ActiveExperiment, ScenarioConfig, StandardScenario};
+use ytcdn_cdnsim::{
+    par_map, resolve_jobs, ActiveConfig, ActiveExperiment, ScenarioConfig, StandardScenario,
+};
 use ytcdn_geoloc::Cbg;
 use ytcdn_geomodel::Continent;
 use ytcdn_netsim::{landmarks_with_counts, planetlab_landmarks, WellKnownAs};
@@ -42,18 +44,10 @@ pub struct SuiteConfig {
     pub full_landmarks: bool,
     /// Worker threads for the simulation, index building and
     /// [`ExperimentSuite::run_many`]; `0` (the default) means one per
-    /// available CPU. Any value produces byte-identical reports — `jobs`
-    /// only changes wall-clock time.
+    /// available CPU, and a larger count is capped at the CPU count
+    /// ([`ytcdn_cdnsim::resolve_jobs`]). Any value produces byte-identical
+    /// reports — `jobs` only changes wall-clock time.
     pub jobs: usize,
-}
-
-/// [`SuiteConfig::jobs`] with `0` replaced by the available CPU count.
-fn resolve_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        jobs
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
 }
 
 /// All experiment identifiers, paper order.
@@ -250,8 +244,8 @@ impl ExperimentSuite {
         &self.scenario
     }
 
-    /// The resolved worker-thread count ([`SuiteConfig::jobs`], with `0`
-    /// replaced by the available CPU count).
+    /// The resolved worker-thread count ([`SuiteConfig::jobs`] through
+    /// [`ytcdn_cdnsim::resolve_jobs`]).
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -385,52 +379,14 @@ impl ExperimentSuite {
         result
     }
 
-    /// Runs many experiments concurrently on `jobs` threads (clamped to at
-    /// least 1), returning the reports in input order — the output is
-    /// byte-identical to mapping [`ExperimentSuite::run`] over `ids`
-    /// sequentially, because experiments only read shared state (the lazily
-    /// initialized CBG calibration and session cache are behind
-    /// `OnceLock`/`RwLock`) and results are reassembled by input position.
-    /// A failed experiment occupies its slot as an `Err` — one degenerate
-    /// dataset degrades one report, it does not unwind the pool.
+    /// Runs many experiments on up to `jobs` workers
+    /// ([`ytcdn_cdnsim::par_map`]), returning the reports in input order —
+    /// byte-identical to mapping [`ExperimentSuite::run`] over `ids`, since
+    /// experiments only read shared state (the lazy CBG calibration and
+    /// geolocation index sit behind `OnceLock`). A failed experiment
+    /// occupies its slot as an `Err`; it does not unwind the pool.
     pub fn run_many(&self, ids: &[&str], jobs: usize) -> Vec<AnalysisResult<String>> {
-        let jobs = jobs.clamp(1, ids.len().max(1));
-        if jobs == 1 {
-            return ids.iter().map(|id| self.run(id)).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut results: Vec<AnalysisResult<String>> = ids
-            .iter()
-            .map(|id| {
-                Err(AnalysisError::UnknownExperiment {
-                    id: (*id).to_owned(),
-                })
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(id) = ids.get(i) else { break };
-                            mine.push((i, self.run(id)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for w in workers {
-                let mine = w
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                for (i, report) in mine {
-                    results[i] = report;
-                }
-            }
-        });
-        results
+        par_map(jobs, ids, |id| self.run(id))
     }
 
     /// Table I: traffic summary per dataset.

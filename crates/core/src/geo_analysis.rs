@@ -8,9 +8,8 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ytcdn_cdnsim::World;
+use ytcdn_cdnsim::{par_map, World};
 use ytcdn_geoloc::{Cbg, CbgResult};
 use ytcdn_geomodel::{CityDb, Continent, Coord, Table3Bucket};
 use ytcdn_netsim::{Endpoint, Ipv4Block, NoiseRng};
@@ -99,15 +98,14 @@ pub fn dataset_blocks(
         .collect()
 }
 
-/// CBG-localizes a set of /24 blocks, optionally in parallel.
+/// CBG-localizes a set of /24 blocks on the shared worker pool
+/// ([`ytcdn_cdnsim::par_map`]) with up to `jobs` workers.
 ///
 /// Each block draws its measurement noise from its own splittable stream,
 /// [`NoiseRng::for_stream`]`(seed, block_address)` — so the result for a
 /// block depends only on `(cbg, seed, block, endpoint)`, never on how the
-/// work was ordered or divided. Output is byte-identical for every `jobs`
-/// value; `jobs > 1` fans the blocks out over scoped worker threads that
-/// pull indices off a shared atomic counter and return `(index, result)`
-/// pairs for the parent to reassemble (no shared mutable state).
+/// work was ordered or divided, and the output is byte-identical for
+/// every `jobs` value.
 pub fn localize_blocks(
     cbg: &Cbg,
     seed: u64,
@@ -115,7 +113,7 @@ pub fn localize_blocks(
     jobs: usize,
 ) -> Vec<BlockLocation> {
     let cities = CityDb::builtin();
-    let run_one = |&(block, endpoint): &(Ipv4Block, Endpoint)| -> BlockLocation {
+    par_map(jobs, targets, |&(block, endpoint)| {
         let tag = u64::from(u32::from(block.network()));
         let mut rng = NoiseRng::for_stream(seed, tag);
         let cbg_result = cbg.localize(&endpoint, &mut rng);
@@ -128,36 +126,7 @@ pub fn localize_blocks(
             continent: city.continent,
             truth_continent: truth_city.continent,
         }
-    };
-    let jobs = jobs.clamp(1, targets.len().max(1));
-    if jobs == 1 {
-        return targets.iter().map(run_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, BlockLocation)> = Vec::with_capacity(targets.len());
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(target) = targets.get(i) else { break };
-                        mine.push((i, run_one(target)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for w in workers {
-            let mine = w
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            collected.extend(mine);
-        }
-    });
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, loc)| loc).collect()
+    })
 }
 
 /// Combines a block's shared CBG outcome with one dataset's view of the
@@ -175,20 +144,10 @@ pub(crate) fn block_to_server_location(loc: &BlockLocation, ips: &[Ipv4Addr]) ->
 
 /// Geolocates every /24 of a dataset's servers with CBG (one representative
 /// per /24 — the paper's own aggregation makes block-mates share a data
-/// center anyway).
-pub fn geolocate_servers(
-    world: &World,
-    dataset: &Dataset,
-    cbg: &Cbg,
-    seed: u64,
-) -> Vec<ServerLocation> {
-    geolocate_servers_parallel(world, dataset, cbg, seed, 1)
-}
-
-/// [`geolocate_servers`] across `jobs` worker threads. The per-block noise
-/// streams make the output byte-identical for every `jobs` value (see
+/// center anyway), on up to `jobs` workers. The per-block noise streams
+/// make the output byte-identical for every `jobs` value (see
 /// [`localize_blocks`]).
-pub fn geolocate_servers_parallel(
+pub fn geolocate_servers(
     world: &World,
     dataset: &Dataset,
     cbg: &Cbg,
@@ -302,7 +261,7 @@ mod tests {
     fn geolocation_mostly_correct_continent() {
         let s = scenario();
         let (ds, _) = s.run(DatasetName::Eu1Campus);
-        let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5);
+        let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5, 1);
         assert!(!locs.is_empty());
         let correct = locs
             .iter()
@@ -317,9 +276,9 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         let (ds, _) = s.run(DatasetName::Eu1Campus);
-        let sequential = geolocate_servers(s.world(), &ds, &cbg, 5);
+        let sequential = geolocate_servers(s.world(), &ds, &cbg, 5, 1);
         for jobs in [2, 3, 8] {
-            let parallel = geolocate_servers_parallel(s.world(), &ds, &cbg, 5, jobs);
+            let parallel = geolocate_servers(s.world(), &ds, &cbg, 5, jobs);
             assert_eq!(sequential, parallel, "jobs {jobs}");
         }
     }
@@ -331,7 +290,7 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         let (ds, _) = s.run(DatasetName::Eu1Adsl);
-        let locs = geolocate_servers(s.world(), &ds, &cbg, 5);
+        let locs = geolocate_servers(s.world(), &ds, &cbg, 5, 1);
         let counts = continent_counts(&locs);
         assert!(counts.total() > 0);
         assert!(
@@ -349,12 +308,13 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         // Pool two datasets for coverage of both continents.
-        let mut locs = geolocate_servers(s.world(), &s.run(DatasetName::UsCampus).0, &cbg, 5);
+        let mut locs = geolocate_servers(s.world(), &s.run(DatasetName::UsCampus).0, &cbg, 5, 1);
         locs.extend(geolocate_servers(
             s.world(),
             &s.run(DatasetName::Eu1Campus).0,
             &cbg,
             6,
+            1,
         ));
         let (us, eu) = radius_cdfs(&locs);
         assert!(!us.is_empty() && !eu.is_empty());
@@ -371,7 +331,7 @@ mod tests {
     fn geolocation_error_bounded_by_region() {
         let s = scenario();
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
-        let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5);
+        let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5, 1);
         // The confidence region should usually contain the truth: error
         // below ~2 radii most of the time.
         let ok = locs

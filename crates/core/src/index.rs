@@ -5,11 +5,11 @@
 //! exactly once into flat columns (`Vec<Option<u32>>` of data-center ids,
 //! `Vec<bool>` of video flags), bins the (start-time-sorted) records into
 //! per-hour index ranges, aggregates per-server and per-data-center
-//! traffic, and groups + classifies the default-gap sessions — in
-//! parallel, with output byte-identical to the sequential path (see
-//! [`crate::session::group_sessions_parallel`] for the argument). The
-//! figure analyses (`timeseries`, `videos`, `hotspot`) read these columns
-//! instead of probing the context.
+//! traffic, and groups + classifies the default-gap sessions — sharded
+//! by client over the shared worker pool, with output byte-identical for
+//! any worker count (see [`crate::session::group_sessions`] for the
+//! argument). The figure analyses (`timeseries`, `videos`, `hotspot`)
+//! read these columns instead of probing the context.
 //!
 //! Other gap thresholds (the Figure 5 `T`-sweep) need only session sizes,
 //! and [`DatasetIndex::flows_per_session_sweep`] reads them for every gap
@@ -35,7 +35,7 @@ use ytcdn_tstat::{Dataset, DatasetName, FlowRecord};
 
 use crate::dcmap::AnalysisContext;
 use crate::patterns::PatternStats;
-use crate::session::{bucket_order, group_sessions_parallel, Session};
+use crate::session::{bucket_order, group_sessions, Session};
 use crate::stats::Cdf;
 
 /// The paper's session gap threshold `T` = 1 s, in milliseconds — the gap
@@ -85,8 +85,9 @@ pub struct DatasetIndex {
 
 impl DatasetIndex {
     /// Builds the index: one pass over the records for the columns and
-    /// aggregates, plus a parallel session grouping across `jobs` threads
-    /// (`jobs = 1` is the sequential grouper).
+    /// aggregates, plus a session grouping split into `jobs` client shards
+    /// (`jobs <= 1` is one shard on the calling thread; see
+    /// [`crate::session::group_sessions`]).
     ///
     /// # Panics
     ///
@@ -168,7 +169,7 @@ impl DatasetIndex {
         let hour_ranges =
             precomputed_hours.unwrap_or_else(|| crate::columnar::compute_hour_ranges(records));
 
-        let sessions = group_sessions_parallel(dataset, DEFAULT_GAP_MS, jobs);
+        let sessions = group_sessions(dataset, DEFAULT_GAP_MS, jobs);
         telemetry.counter("index.flows").add(n as u64);
         telemetry
             .counter("index.sessions")

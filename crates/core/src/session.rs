@@ -15,6 +15,7 @@
 
 use std::net::Ipv4Addr;
 
+use ytcdn_cdnsim::par_map;
 use ytcdn_tstat::{Dataset, FlowRecord, VideoId};
 
 /// A group of related flows: one user's attempt to watch one video.
@@ -59,53 +60,36 @@ impl Session {
 }
 
 /// Groups a dataset's flows into video sessions with gap threshold
-/// `gap_ms` (the paper's `T`, in milliseconds).
+/// `gap_ms` (the paper's `T`, in milliseconds), with the bucketing pass
+/// split by client IP into `jobs` shards (clamped to `[1, flows]`) that
+/// run on the shared worker pool ([`ytcdn_cdnsim::par_map`]).
 ///
-/// Returns sessions sorted by start time.
-pub fn group_sessions(dataset: &Dataset, gap_ms: u64) -> Vec<Session> {
-    let mut sessions = group_record_range(dataset, gap_ms, 0..dataset.len());
-    sort_sessions(&mut sessions);
-    sessions
-}
-
-/// [`group_sessions`] with the bucketing pass sharded by client IP across
-/// `jobs` worker threads.
-///
-/// The output is **byte-identical to the sequential grouper for any job
-/// count**: every (client, video) bucket is wholly owned by one shard —
-/// sharding is a function of the client address alone — and within a shard
-/// each bucket's indices are visited in ascending (= start-time) order, so
-/// each shard produces exactly the sessions the sequential pass would for
-/// its clients. The final sort key `(start_ms, end_ms, client_ip, video_id)`
-/// is unique across sessions (two sessions of the same bucket are
-/// separated by more than the gap, so their `start_ms` differ; sessions of
-/// different buckets differ in client or video), so concatenation order
-/// cannot leak into the result.
-pub fn group_sessions_parallel(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Vec<Session> {
-    let jobs = jobs.max(1);
-    if jobs == 1 || dataset.len() < 2 {
-        return group_sessions(dataset, gap_ms);
-    }
-    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); jobs];
-    for (i, r) in dataset.records().iter().enumerate() {
-        shards[u32::from(r.client_ip) as usize % jobs].push(i);
-    }
-    let mut sessions = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|indices| scope.spawn(move || group_record_range(dataset, gap_ms, indices)))
-            .collect();
-        let mut all = Vec::new();
-        for h in handles {
-            // Re-raise a worker panic on the caller thread with its
-            // original payload instead of a generic expect message.
-            all.extend(
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
+/// Returns sessions sorted by start time. The output is **identical for
+/// any `jobs`**: every (client, video) bucket is wholly owned by one shard
+/// — sharding is a function of the client address alone — and within a
+/// shard each bucket's indices are visited in ascending (= start-time)
+/// order, so each shard produces exactly the sessions a single pass would
+/// for its clients. The final sort key `(start_ms, end_ms, client_ip,
+/// video_id)` is unique across sessions (two sessions of the same bucket
+/// are separated by more than the gap, so their `start_ms` differ;
+/// sessions of different buckets differ in client or video), so
+/// concatenation order cannot leak into the result.
+pub fn group_sessions(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Vec<Session> {
+    let shards = jobs.clamp(1, dataset.len().max(1));
+    let mut sessions = if shards == 1 {
+        group_record_range(dataset, gap_ms, 0..dataset.len())
+    } else {
+        let mut by_client: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for (i, r) in dataset.records().iter().enumerate() {
+            by_client[u32::from(r.client_ip) as usize % shards].push(i);
         }
-        all
-    });
+        par_map(jobs, &by_client, |indices| {
+            group_record_range(dataset, gap_ms, indices.iter().copied())
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    };
     sort_sessions(&mut sessions);
     sessions
 }
@@ -164,7 +148,7 @@ fn group_record_range(
 }
 
 /// The canonical session order. The key is unique per session (see
-/// [`group_sessions_parallel`]), which is what makes parallel grouping
+/// [`group_sessions`]), which is what makes sharded grouping
 /// reproducible.
 fn sort_sessions(sessions: &mut [Session]) {
     sessions.sort_by_key(|s| (s.start_ms, s.end_ms, s.client_ip, s.video_id));
@@ -174,7 +158,7 @@ fn sort_sessions(sessions: &mut [Session]) {
 /// — one curve of the paper's Figures 5 and 6.
 pub fn flows_per_session(dataset: &Dataset, gap_ms: u64) -> crate::stats::Cdf {
     crate::stats::Cdf::from_values(
-        group_sessions(dataset, gap_ms)
+        group_sessions(dataset, gap_ms, 1)
             .iter()
             .map(|s| s.flow_count() as f64),
     )
@@ -207,7 +191,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 1, 600, 5000, 1_000_000),
         ]);
-        let sessions = group_sessions(&d, 1_000);
+        let sessions = group_sessions(&d, 1_000, 1);
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].flow_count(), 2);
         assert_eq!(sessions[0].start_ms, 0);
@@ -220,9 +204,9 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 1, 1_200, 5_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000).len(), 2);
+        assert_eq!(group_sessions(&d, 1_000, 1).len(), 2);
         // A larger T merges them (the Figure 5 sensitivity).
-        assert_eq!(group_sessions(&d, 5_000).len(), 1);
+        assert_eq!(group_sessions(&d, 5_000, 1).len(), 1);
     }
 
     #[test]
@@ -231,7 +215,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 2, 150, 5_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000).len(), 2);
+        assert_eq!(group_sessions(&d, 1_000, 1).len(), 2);
     }
 
     #[test]
@@ -240,7 +224,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.2", 1, 150, 5_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000).len(), 2);
+        assert_eq!(group_sessions(&d, 1_000, 1).len(), 2);
     }
 
     #[test]
@@ -250,7 +234,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 10_000, 500),
             flow("10.0.0.1", 1, 2_000, 4_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000).len(), 1);
+        assert_eq!(group_sessions(&d, 1_000, 1).len(), 1);
     }
 
     #[test]
@@ -262,7 +246,7 @@ mod tests {
             flow("10.0.0.1", 1, 1_000, 2_000, 700),
             flow("10.0.0.1", 1, 10_500, 12_000, 1_000_000),
         ]);
-        let sessions = group_sessions(&d, 1_000);
+        let sessions = group_sessions(&d, 1_000, 1);
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].flow_count(), 3);
     }
@@ -275,7 +259,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 1, 1_100, 2_000, 900),
         ]);
-        assert_eq!(group_sessions(&d, 1_000).len(), 1);
+        assert_eq!(group_sessions(&d, 1_000, 1).len(), 1);
     }
 
     #[test]
@@ -285,7 +269,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.3", 4, 2_000, 3_000, 100),
         ]);
-        let sessions = group_sessions(&d, 1_000);
+        let sessions = group_sessions(&d, 1_000, 1);
         let starts: Vec<_> = sessions.iter().map(|s| s.start_ms).collect();
         assert_eq!(starts, vec![0, 2_000, 5_000]);
     }
@@ -296,7 +280,7 @@ mod tests {
             flow("10.0.0.1", 1, 600, 5_000, 1_000_000),
             flow("10.0.0.1", 1, 0, 100, 500),
         ]);
-        let sessions = group_sessions(&d, 1_000);
+        let sessions = group_sessions(&d, 1_000, 1);
         let flows: Vec<&FlowRecord> = sessions[0].flows_iter(&d).collect();
         assert_eq!(flows[0].start_ms, 0);
         assert_eq!(flows[1].start_ms, 600);
@@ -305,7 +289,7 @@ mod tests {
     #[test]
     fn empty_dataset_no_sessions() {
         let d = ds(vec![]);
-        assert!(group_sessions(&d, 1_000).is_empty());
+        assert!(group_sessions(&d, 1_000, 1).is_empty());
         assert!(flows_per_session(&d, 1_000).is_empty());
     }
 
@@ -336,10 +320,10 @@ mod tests {
         records.sort_by_key(|r| r.start_ms);
         let d = ds(records);
         for gap in [100, 1_000, 10_000] {
-            let sequential = group_sessions(&d, gap);
+            let sequential = group_sessions(&d, gap, 1);
             for jobs in [1usize, 2, 3, 4, 7, 16, 64] {
                 assert_eq!(
-                    group_sessions_parallel(&d, gap, jobs),
+                    group_sessions(&d, gap, jobs),
                     sequential,
                     "gap {gap} jobs {jobs}"
                 );
@@ -350,11 +334,11 @@ mod tests {
     #[test]
     fn parallel_grouping_degenerate_inputs() {
         let empty = ds(vec![]);
-        assert!(group_sessions_parallel(&empty, 1_000, 8).is_empty());
+        assert!(group_sessions(&empty, 1_000, 8).is_empty());
         let one = ds(vec![flow("10.0.0.1", 1, 0, 100, 500)]);
         assert_eq!(
-            group_sessions_parallel(&one, 1_000, 8),
-            group_sessions(&one, 1_000)
+            group_sessions(&one, 1_000, 8),
+            group_sessions(&one, 1_000, 1)
         );
         // jobs = 0 is clamped to 1.
         let two = ds(vec![
@@ -362,8 +346,8 @@ mod tests {
             flow("10.0.0.2", 1, 0, 100, 500),
         ]);
         assert_eq!(
-            group_sessions_parallel(&two, 1_000, 0),
-            group_sessions(&two, 1_000)
+            group_sessions(&two, 1_000, 0),
+            group_sessions(&two, 1_000, 1)
         );
     }
 

@@ -14,11 +14,14 @@
 //!   per-access-technology last-mile latency, and random queueing noise.
 //! * [`ping`] — [`Pinger`], a k-probe active measurement returning min/avg
 //!   RTT, the primitive both CBG and the paper's Figure 2 use.
-//! * [`noise`] — [`NoiseRng`], the opaque seeded source of measurement
-//!   noise (an in-tree SplitMix64, like the simulator's `SimRng`);
-//!   dependent crates draw measurement noise through it and simulation
-//!   randomness through `ytcdn-cdnsim`'s `SimRng`, never from an external
-//!   RNG crate (enforced statically by `ytcdn-lint` rule DET001).
+//! * [`rng`] — the workspace's one random-number family, SplitMix64:
+//!   [`SimRng`], the splittable generator the simulator draws from, and
+//!   [`splitmix64`], the stateless hash the placement, video-id and
+//!   anonymization code use;
+//! * [`noise`] — [`NoiseRng`], the seeded source of measurement noise (a
+//!   [`SimRng`] under its own type, so lint rule DET004 can follow noise
+//!   into output sinks); no crate draws from an external RNG crate
+//!   (enforced statically by `ytcdn-lint` rule DET001).
 //! * [`landmark`] — the 215-node PlanetLab-like landmark set with the
 //!   paper's continental distribution.
 //!
@@ -46,6 +49,7 @@ pub mod ip;
 pub mod landmark;
 pub mod noise;
 pub mod ping;
+pub mod rng;
 
 pub use asn::{AsRegistry, Asn, WellKnownAs};
 pub use delay::{AccessKind, DelayModel, Endpoint};
@@ -53,3 +57,4 @@ pub use ip::{BlockAllocator, Ipv4Block};
 pub use landmark::{landmarks_with_counts, planetlab_landmarks, Landmark};
 pub use noise::NoiseRng;
 pub use ping::{Pinger, RttMeasurement};
+pub use rng::{splitmix64, SimRng};

@@ -1,33 +1,24 @@
 //! Measurement-noise randomness.
 //!
 //! Every *measurement* in the reproduction — RTT probes, CBG calibration,
-//! localization — draws its queueing noise through [`NoiseRng`], an opaque
+//! localization — draws its queueing noise through [`NoiseRng`], a
 //! seeded generator owned by this crate. The *simulation* path (session
 //! arrivals, DNS decisions, redirections, replication) draws from
-//! `ytcdn-cdnsim`'s `SimRng` and never from here.
+//! [`SimRng`] and never from here.
 //!
-//! Keeping the two sources in different types makes the boundary statically
-//! checkable: `ytcdn-lint` rule DET001 rejects any mention of an external
-//! RNG crate inside the simulation crates, and callers above `ytcdn-netsim`
-//! only ever see `NoiseRng`.
+//! Both are the same SplitMix64 family ([`crate::rng`]); keeping noise in
+//! its own type makes the boundary statically checkable: `ytcdn-lint`
+//! rule DET004 follows values drawn from a `NoiseRng` into output sinks,
+//! and DET001 rejects any mention of an external RNG crate inside the
+//! simulation crates.
 
-/// The golden-ratio increment of the SplitMix64 Weyl sequence.
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer (Stafford variant 13) — the same mixer the
-/// simulator's `SimRng` uses.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::rng::SimRng;
 
 /// An opaque, seeded source of measurement noise.
 ///
-/// A SplitMix64 generator: a Weyl sequence on the golden gamma through an
-/// avalanching finalizer. The value stream is pinned by
-/// `tests::pinned_streams`, so seeds reproduce the measurements they always
-/// did (CBG regions, landmark jogs, RTT samples).
+/// A [`SimRng`] under its own type. The value stream is pinned by
+/// `tests::pinned_streams`, so seeds reproduce the measurements they
+/// always did (CBG regions, landmark jogs, RTT samples).
 ///
 /// # Examples
 ///
@@ -45,37 +36,32 @@ fn mix(mut z: u64) -> u64 {
 /// assert_eq!(m1, m2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct NoiseRng {
-    state: u64,
-}
+pub struct NoiseRng(SimRng);
 
 impl NoiseRng {
     /// Creates a noise source from a seed. The same seed always yields the
     /// same noise stream.
     pub fn seed_from_u64(seed: u64) -> Self {
-        Self { state: mix(seed) }
+        Self(SimRng::seed_from_u64(seed))
     }
 
     /// A generator for an independent *stream* under `seed`, keyed by `tag`
-    /// — the measurement-noise twin of `SimRng::for_stream` in the
-    /// simulator: any worker can jump straight to the generator for one
-    /// unit of work (e.g. a /24 server block in CBG geolocation) without
-    /// replaying the draws before it, so parallel schedules reproduce the
-    /// sequential value stream exactly.
-    ///
-    /// The derivation is a SplitMix64 hash-combine of `(seed, tag)`; two
-    /// distinct tags start at independently avalanched seeds.
+    /// ([`SimRng::for_stream`] with the one-tag path `[tag]`): any worker
+    /// can jump straight to the generator for one unit of work (e.g. a /24
+    /// server block in CBG geolocation) without replaying the draws before
+    /// it, so parallel schedules reproduce the sequential value stream
+    /// exactly.
     pub fn for_stream(seed: u64, tag: u64) -> Self {
-        Self::seed_from_u64(mix(seed ^ mix(tag.wrapping_add(GOLDEN_GAMMA))))
+        Self(SimRng::for_stream(seed, &[tag]))
     }
 
     /// A uniform draw from `[lo, hi)` with 53 bits of precision
     /// (crate-internal: the delay model's queueing-noise primitive and the
-    /// landmark jog).
+    /// landmark jog). Clamped with `min(hi)`, unlike
+    /// [`SimRng::gen_range`]'s clamp to the value below `hi`; the pinned
+    /// streams depend on it.
     pub(crate) fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        let unit = (mix(self.state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        (lo + unit * (hi - lo)).min(hi)
+        (lo + self.0.gen_f64() * (hi - lo)).min(hi)
     }
 }
 

@@ -14,6 +14,8 @@
 
 use std::net::Ipv4Addr;
 
+use ytcdn_netsim::splitmix64;
+
 use crate::dataset::Dataset;
 
 /// Keyed, deterministic, prefix-preserving IPv4 anonymizer.
@@ -74,13 +76,9 @@ impl Anonymizer {
     }
 }
 
-/// A small keyed PRF (splitmix-style avalanche over key, position, prefix).
+/// A small keyed PRF ([`splitmix64`] over key, position, prefix).
 fn prf(key: u64, bit: u32, prefix: u32) -> u64 {
-    let mut z = key ^ (u64::from(bit) << 56) ^ u64::from(prefix);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(key ^ (u64::from(bit) << 56) ^ u64::from(prefix))
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
+use ytcdn_netsim::splitmix64;
+
 /// YouTube's base64-style VideoID alphabet (RFC 4648 URL-safe).
 const VIDEO_ID_ALPHABET: &[u8; 64] =
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
@@ -45,7 +47,7 @@ impl VideoId {
         // 11 base64 digits encode 66 bits; a u64 always fits. A light
         // bit-mixing pass makes consecutive indices visually unrelated,
         // like real VideoIDs, while remaining invertible.
-        let mixed = mix(self.0);
+        let mixed = splitmix64(self.0);
         let mut chars = [0u8; 11];
         let mut v = mixed as u128;
         for slot in chars.iter_mut().rev() {
@@ -102,15 +104,7 @@ impl PartialEq<&str> for VideoIdStr {
     }
 }
 
-/// Invertible 64-bit mix (splitmix64 finalizer).
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Inverse of [`mix`].
+/// Inverse of [`splitmix64`].
 fn unmix(z: u64) -> u64 {
     // Inverse of each step of splitmix64's finalizer.
     fn unxorshift(mut v: u64, shift: u32) -> u64 {

@@ -41,7 +41,7 @@ fn main() {
         3,
         17,
     );
-    let locations = geolocate_servers(scenario.world(), &dataset, &cbg, 5);
+    let locations = geolocate_servers(scenario.world(), &dataset, &cbg, 5, 1);
     let counts = continent_counts(&locations);
     println!(
         "servers per continent (Table III row): N.America={} Europe={} Others={}",

@@ -55,6 +55,8 @@ cargo run --quiet --release -p ytcdn-cli -- watch \
     || { echo "check.sh: watch exited non-zero" >&2; exit 1; }
 grep -q "CHANGE" "$smoke/watch.txt" \
     || { echo "check.sh: watch found no change point on a mutated trace" >&2; exit 1; }
+grep -q '"event":"window_metrics"' "$smoke/watch-events.jsonl" \
+    || { echo "check.sh: no window_metrics event in the JSONL stream" >&2; exit 1; }
 grep -q '"event":"change_point_detected"' "$smoke/watch-events.jsonl" \
     || { echo "check.sh: no change_point_detected event in the JSONL stream" >&2; exit 1; }
 YTCDN_GOLDEN_JSONL="$smoke/watch-events.jsonl" \
@@ -115,6 +117,17 @@ for jobs in 1 "$max"; do
 done
 cmp "$smoke/geo-1.txt" "$smoke/geo-$max.txt" \
     || { echo "check.sh: geo experiments differ at --jobs $max vs sequential" >&2; exit 1; }
+
+# The CLI's own CBG path: `geolocate` must print the same continent
+# counts and inferred data centers at any worker count.
+echo "==> geolocate byte-compare smoke (EU2 at --jobs 1 vs $max)" >&2
+for jobs in 1 "$max"; do
+    cargo run --quiet --release -p ytcdn-cli -- geolocate \
+        --dataset EU2 --scale 0.002 --seed 7 --jobs "$jobs" \
+        > "$smoke/geolocate-$jobs.txt" 2>/dev/null
+done
+cmp "$smoke/geolocate-1.txt" "$smoke/geolocate-$max.txt" \
+    || { echo "check.sh: geolocate --jobs $max output differs from sequential" >&2; exit 1; }
 
 # Session pipeline: the Figure 5 T-sweep and the Figure 6 default-gap
 # sizes must be byte-identical at any worker count on their own.

@@ -33,7 +33,7 @@ fn cbg_map_agrees_with_ground_truth_on_the_headline_analysis() {
 
     // Paper pipeline: geolocate every /24, cluster by city, build the map.
     let cbg = cbg(world.delay_model());
-    let locations = geolocate_servers(world, &ds, &cbg, 31);
+    let locations = geolocate_servers(world, &ds, &cbg, 31, 1);
     let estimates: Vec<_> = locations.iter().map(|l| (l.ip, l.cbg.estimate)).collect();
     let clusters = cluster_by_city(&estimates, &CityDb::builtin());
     let inferred =
@@ -63,7 +63,7 @@ fn cbg_beats_the_database_baseline() {
     let (ds, _) = scenario.run(DatasetName::Eu1Ftth);
     let world = scenario.world();
     let cbg = cbg(world.delay_model());
-    let locations = geolocate_servers(world, &ds, &cbg, 77);
+    let locations = geolocate_servers(world, &ds, &cbg, 77, 1);
     assert!(!locations.is_empty());
 
     // Database answer: every server in Mountain View.
@@ -94,7 +94,7 @@ fn table3_shape_from_cbg() {
     // US dataset sees mostly NA servers; EU1 mostly European; everyone sees
     // at least some foreign-continent servers (Table III).
     let (us, _) = scenario.run(DatasetName::UsCampus);
-    let us_counts = continent_counts(&geolocate_servers(world, &us, &cbg, 41));
+    let us_counts = continent_counts(&geolocate_servers(world, &us, &cbg, 41, 1));
     assert!(us_counts.north_america > us_counts.europe, "{us_counts:?}");
     let foreign = us_counts.europe + us_counts.others;
     assert!(
@@ -103,7 +103,7 @@ fn table3_shape_from_cbg() {
     );
 
     let (eu, _) = scenario.run(DatasetName::Eu1Adsl);
-    let eu_counts = continent_counts(&geolocate_servers(world, &eu, &cbg, 42));
+    let eu_counts = continent_counts(&geolocate_servers(world, &eu, &cbg, 42, 1));
     assert!(eu_counts.europe > eu_counts.north_america, "{eu_counts:?}");
 }
 

@@ -11,9 +11,7 @@ use ytcdn_cdnsim::ScenarioConfig;
 use ytcdn_core::degenerate::DegenerateShape;
 use ytcdn_core::experiments::{ExperimentSuite, SuiteConfig};
 use ytcdn_core::export::{figure_series, Series};
-use ytcdn_core::geo_analysis::{
-    continent_counts, geolocate_servers, geolocate_servers_parallel, radius_cdfs, ServerLocation,
-};
+use ytcdn_core::geo_analysis::{continent_counts, geolocate_servers, radius_cdfs, ServerLocation};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
@@ -43,16 +41,12 @@ fn geolocation_identical_across_job_counts() {
         let s = suite(scale, seed, 1);
         for name in DatasetName::ALL {
             let ds = s.dataset(name);
-            let sequential = geolocate_servers(s.scenario().world(), ds, s.cbg(), geo_seed(seed));
+            let sequential =
+                geolocate_servers(s.scenario().world(), ds, s.cbg(), geo_seed(seed), 1);
             assert!(!sequential.is_empty(), "{name} at scale {scale}");
             for jobs in JOB_COUNTS {
-                let parallel = geolocate_servers_parallel(
-                    s.scenario().world(),
-                    ds,
-                    s.cbg(),
-                    geo_seed(seed),
-                    jobs,
-                );
+                let parallel =
+                    geolocate_servers(s.scenario().world(), ds, s.cbg(), geo_seed(seed), jobs);
                 assert_eq!(sequential, parallel, "{name} scale {scale} jobs {jobs}");
             }
         }
@@ -69,6 +63,7 @@ fn geo_index_matches_direct_geolocation_per_dataset() {
                 s.dataset(name),
                 s.cbg(),
                 geo_seed(seed),
+                1,
             );
             assert_eq!(
                 s.geo_index().dataset(name),
@@ -90,6 +85,7 @@ fn pooled_locations_match_concatenated_direct_passes() {
             s.dataset(name),
             s.cbg(),
             geo_seed(seed),
+            1,
         ));
     }
     assert_eq!(s.cbg_locations(), direct);
@@ -106,6 +102,7 @@ fn fig3_table3_and_export_serve_the_geo_index_values() {
             s.dataset(name),
             s.cbg(),
             geo_seed(seed),
+            1,
         );
         // table3 counts this dataset exactly as the direct pass does.
         assert_eq!(

@@ -243,7 +243,7 @@ fn sessions_partition_flows() {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
         let mut seen = vec![false; ds.len()];
-        for s in &group_sessions(&ds, gap) {
+        for s in &group_sessions(&ds, gap, 1) {
             for &i in &s.flow_indices {
                 assert!(!seen[i], "flow {i} in two sessions");
                 seen[i] = true;
@@ -259,7 +259,7 @@ fn sessions_partition_flows() {
 fn sessions_are_homogeneous() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
-        for s in group_sessions(&ds, 1_000) {
+        for s in group_sessions(&ds, 1_000, 1) {
             for f in s.flows_iter(&ds) {
                 assert_eq!(f.client_ip, s.client_ip);
                 assert_eq!(f.video_id, s.video_id);
@@ -277,8 +277,8 @@ fn session_count_monotone_in_gap() {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let t1 = rng.gen_range(1u64..3_000);
         let t2 = t1 + rng.gen_range(1u64..300_000);
-        let small = group_sessions(&ds, t1).len();
-        let large = group_sessions(&ds, t2).len();
+        let small = group_sessions(&ds, t1, 1).len();
+        let large = group_sessions(&ds, t2, 1).len();
         assert!(large <= small, "T={t1}: {small} sessions, T={t2}: {large}");
     });
 }
@@ -290,7 +290,7 @@ fn session_gap_rule_holds() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
-        for s in group_sessions(&ds, gap) {
+        for s in group_sessions(&ds, gap, 1) {
             let flows: Vec<_> = s.flows_iter(&ds).collect();
             let mut max_end = flows[0].end_ms;
             for f in &flows[1..] {

@@ -86,7 +86,7 @@ fn empty_dataset_roundtrips_through_every_format() {
     // Analysis still degrades gracefully rather than panicking.
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.001, 6));
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &empty);
-    assert!(group_sessions(&back, 1_000).is_empty());
+    assert!(group_sessions(&back, 1_000, 1).is_empty());
     assert_eq!(
         DatasetIndex::build(&ctx, &back, 2, Telemetry::disabled()).patterns(),
         ytcdn_core::patterns::PatternStats::default()
