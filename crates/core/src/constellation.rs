@@ -285,14 +285,14 @@ impl WatchReport {
         // start time.
         let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
         let mut sessions_in: Vec<u64> = vec![0; num_windows];
-        for s in index.sessions() {
+        for s in index.sessions().iter() {
             let w = (s.start_ms / (wh * HOUR_MS)) as usize;
             if w >= num_windows {
                 continue;
             }
             sessions_in[w] += 1;
-            if let Some(&first) = s.flow_indices.first() {
-                let r = &records[first];
+            if let Some(&first) = s.flow_indices().first() {
+                let r = &records[first as usize];
                 startup[w].push((r.end_ms - r.start_ms) as f64);
             }
         }

@@ -7,7 +7,7 @@
 //! carrying the dominant share of bytes, which is also the lowest-RTT one;
 //! for EU2, the lower-RTT of the two dominant ones).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::error::{AnalysisError, AnalysisResult};
@@ -115,6 +115,9 @@ pub struct AnalysisContext {
     dataset_name: DatasetName,
     dcs: Vec<DcInfo>,
     map: DcMap,
+    /// The analysis servers seen in the dataset, sorted by address, each
+    /// with its data-center index.
+    servers: Vec<(Ipv4Addr, usize)>,
     preferred: usize,
     classifier: FlowClassifier,
 }
@@ -156,15 +159,19 @@ impl AnalysisContext {
         let n = map.metas.len();
         let mut video_bytes = vec![0u64; n];
         let mut video_flows = vec![0u64; n];
-        let mut servers: Vec<BTreeSet<Ipv4Addr>> = vec![BTreeSet::new(); n];
+        let mut servers: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); n];
         for r in dataset.iter() {
             if let Some(idx) = map.dc_of(r.server_ip) {
-                servers[idx].insert(r.server_ip);
+                servers[idx].push(r.server_ip);
                 if classifier.classify(r) == ytcdn_tstat::FlowClass::Video {
                     video_bytes[idx] += r.bytes;
                     video_flows[idx] += 1;
                 }
             }
+        }
+        for seen in &mut servers {
+            seen.sort_unstable();
+            seen.dedup();
         }
 
         // RTT and distance per data center.
@@ -201,10 +208,17 @@ impl AnalysisContext {
             .collect();
 
         let preferred = pick_preferred(&dcs);
+        let mut servers: Vec<(Ipv4Addr, usize)> = servers
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, seen)| seen.iter().map(move |&ip| (ip, idx)))
+            .collect();
+        servers.sort_unstable();
         Ok(Self {
             dataset_name: name,
             dcs,
             map,
+            servers,
             preferred,
             classifier,
         })
@@ -223,6 +237,12 @@ impl AnalysisContext {
     /// The preferred data center.
     pub fn preferred(&self) -> &DcInfo {
         &self.dcs[self.preferred]
+    }
+
+    /// The analysis servers seen in the dataset, sorted by address, each
+    /// with the index of its data center.
+    pub(crate) fn servers(&self) -> &[(Ipv4Addr, usize)] {
+        &self.servers
     }
 
     /// The flow classifier in use (1000-byte threshold).

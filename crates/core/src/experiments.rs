@@ -1134,6 +1134,7 @@ mod tests {
         assert_eq!(snap.histograms["scenario.run_all"].count, 1);
         assert_eq!(snap.histograms["suite.indexes"].count, 1);
         assert_eq!(snap.histograms["index.build"].count, 5);
+        assert_eq!(snap.histograms["index.group"].count, 5);
         // Every known experiment id has a static span name.
         for id in ALL_EXPERIMENTS.iter().chain(EXTENSION_EXPERIMENTS) {
             assert!(experiment_span_name(id).is_some(), "{id}");

@@ -144,19 +144,23 @@ pub fn server_session_breakdown(
         .max()
         .unwrap_or(0);
     let mut out = vec![ServerSessionHour::default(); last_hour as usize + 1];
-    for s in sessions {
+    for s in sessions.iter() {
         if !s.flows_iter(dataset).any(|f| f.server_ip == server) {
             continue;
         }
         let slot = &mut out[(s.start_ms / HOUR_MS) as usize];
-        let prefs: Option<Vec<bool>> = s
-            .flow_indices
+        // (first flow preferred, every flow preferred); `None` when a flow
+        // left the analysis ASes.
+        let tally = s
+            .flow_indices()
             .iter()
-            .map(|&i| index.is_preferred_flow(i))
-            .collect();
-        match prefs {
-            Some(p) if p.iter().all(|&x| x) => slot.all_preferred += 1,
-            Some(p) if p[0] && p[1..].iter().any(|&x| !x) => slot.first_preferred_then_non += 1,
+            .try_fold((None, true), |(first, all), &i| {
+                let p = index.is_preferred_flow(i as usize)?;
+                Some((first.or(Some(p)), all && p))
+            });
+        match tally {
+            Some((_, true)) => slot.all_preferred += 1,
+            Some((Some(true), false)) => slot.first_preferred_then_non += 1,
             _ => slot.others += 1,
         }
     }

@@ -11,16 +11,20 @@
 //! argument). The figure analyses (`timeseries`, `videos`, `hotspot`)
 //! read these columns instead of probing the context.
 //!
-//! Other gap thresholds (the Figure 5 `T`-sweep) need only session sizes,
-//! and [`DatasetIndex::flows_per_session_sweep`] reads them for every gap
-//! off one walk. It orders the records once into (client, video) buckets
-//! — the grouper's own order, `session::bucket_order` — and keeps
-//! an open `(count, end)` run per gap. A flow joins the current run at gap `T`
-//! exactly when the grouper would add it to the current session: both see
-//! a bucket's flows in the same start-time order, and both test
-//! `start_ms <= end + T` against the same running maximum end. So each
-//! gap's run lengths are its session sizes, with no `Session` values
-//! built, no regrouping, and nothing cached between calls.
+//! The sessions are stored as columns ([`Sessions`]): a flat `u32` column
+//! of flow indices in bucket order — each (client, video) bucket one
+//! contiguous run in start-time order — plus one `(offset, len, start,
+//! end)` row per session in canonical order. Other gap thresholds (the
+//! Figure 5 `T`-sweep) need only session sizes, and
+//! [`DatasetIndex::flows_per_session_sweep`] reads them for every gap off
+//! one walk over that stored column, so the bucket order is sorted once
+//! per dataset, by the grouper. The walk keeps an open `(count, end)` run
+//! per gap. A flow joins the current run at gap `T` exactly when the
+//! grouper would add it to the current session: both see a bucket's flows
+//! in the same start-time order, and both test `start_ms <= end + T`
+//! against the same running maximum end. So each gap's run lengths are
+//! its session sizes, with no `Session` values built, no regrouping, and
+//! nothing cached between calls.
 //!
 //! Determinism note: every collection here is a `Vec` or `BTreeMap`
 //! (lint rule `DET003` applies to this module), so iteration order — and
@@ -35,7 +39,7 @@ use ytcdn_tstat::{Dataset, DatasetName, FlowRecord};
 
 use crate::dcmap::AnalysisContext;
 use crate::patterns::PatternStats;
-use crate::session::{bucket_order, group_sessions, Session};
+use crate::session::{group_sessions, Sessions};
 use crate::stats::Cdf;
 
 /// The paper's session gap threshold `T` = 1 s, in milliseconds — the gap
@@ -79,7 +83,7 @@ pub struct DatasetIndex {
     dc_flows: Vec<u64>,
     /// Per data center: all analysis bytes sent.
     dc_bytes: Vec<u64>,
-    sessions: Vec<Session>,
+    sessions: Sessions,
     patterns: PatternStats,
 }
 
@@ -142,7 +146,21 @@ impl DatasetIndex {
 
         let mut flow_dc: Vec<Option<u32>> = Vec::with_capacity(n);
         let mut flow_video: Vec<bool> = Vec::with_capacity(n);
-        let mut server_rows: BTreeMap<Ipv4Addr, ServerStats> = BTreeMap::new();
+        // One row per analysis server the context saw, already sorted by
+        // address; each flow finds its row by binary search. A server the
+        // context did not see (a context built from another dataset) gets
+        // its row inserted in place, and rows no flow reached are dropped,
+        // so the rows are exactly this dataset's analysis servers.
+        let mut servers: Vec<ServerStats> = ctx
+            .servers()
+            .iter()
+            .map(|&(ip, dc)| ServerStats {
+                ip,
+                dc,
+                flows: 0,
+                bytes: 0,
+            })
+            .collect();
         let mut dc_flows = vec![0u64; ctx.dcs().len()];
         let mut dc_bytes = vec![0u64; ctx.dcs().len()];
         for r in records {
@@ -152,16 +170,24 @@ impl DatasetIndex {
             if let Some(d) = dc {
                 dc_flows[d] += 1;
                 dc_bytes[d] += r.bytes;
-                let row = server_rows.entry(r.server_ip).or_insert(ServerStats {
-                    ip: r.server_ip,
-                    dc: d,
-                    flows: 0,
-                    bytes: 0,
-                });
-                row.flows += 1;
-                row.bytes += r.bytes;
+                match servers.binary_search_by_key(&r.server_ip, |s| s.ip) {
+                    Ok(row) => {
+                        servers[row].flows += 1;
+                        servers[row].bytes += r.bytes;
+                    }
+                    Err(row) => servers.insert(
+                        row,
+                        ServerStats {
+                            ip: r.server_ip,
+                            dc: d,
+                            flows: 1,
+                            bytes: r.bytes,
+                        },
+                    ),
+                }
             }
         }
+        servers.retain(|s| s.flows > 0);
 
         // Records are sorted by start time, so each hour is one contiguous
         // index range. A `.ytc` load hands the ranges in pre-validated,
@@ -169,7 +195,9 @@ impl DatasetIndex {
         let hour_ranges =
             precomputed_hours.unwrap_or_else(|| crate::columnar::compute_hour_ranges(records));
 
+        let group_span = telemetry.span("index.group");
         let sessions = group_sessions(dataset, DEFAULT_GAP_MS, jobs);
+        drop(group_span);
         telemetry.counter("index.flows").add(n as u64);
         telemetry
             .counter("index.sessions")
@@ -182,7 +210,7 @@ impl DatasetIndex {
             flow_dc,
             flow_video,
             hour_ranges,
-            servers: server_rows.into_values().collect(),
+            servers,
             dc_flows,
             dc_bytes,
             sessions,
@@ -210,7 +238,7 @@ impl DatasetIndex {
 
     /// The sessions at the paper's default gap (`T` = 1 s), in canonical
     /// order.
-    pub fn sessions(&self) -> &[Session] {
+    pub fn sessions(&self) -> &Sessions {
         &self.sessions
     }
 
@@ -276,11 +304,11 @@ impl DatasetIndex {
     fn classify(&self) -> PatternStats {
         let mut stats = PatternStats::default();
         let mut targets: Vec<bool> = Vec::new();
-        for s in &self.sessions {
+        for s in self.sessions.iter() {
             targets.clear();
             let mut excluded = false;
-            for &i in &s.flow_indices {
-                match self.is_preferred_flow(i) {
+            for &i in s.flow_indices() {
+                match self.is_preferred_flow(i as usize) {
                     Some(p) => targets.push(p),
                     None => {
                         excluded = true;
@@ -326,7 +354,8 @@ impl DatasetIndex {
 
     /// The flows-per-session CDF at each of `gaps_ms`, in input order —
     /// each output-identical to [`crate::session::flows_per_session`] at
-    /// that gap, from one walk over the bucket order (see the module docs).
+    /// that gap, from one walk over the stored bucket-order column (see the
+    /// module docs).
     ///
     /// `dataset` must be the dataset the index was built from.
     pub fn flows_per_session_sweep(&self, dataset: &Dataset, gaps_ms: &[u64]) -> Vec<Cdf> {
@@ -337,8 +366,8 @@ impl DatasetIndex {
         let mut ends = vec![0u64; gaps_ms.len()];
         let mut sizes: Vec<Vec<f64>> = vec![Vec::new(); gaps_ms.len()];
         let mut prev: Option<&FlowRecord> = None;
-        for i in bucket_order(dataset, 0..records.len()) {
-            let r = &records[i];
+        for &i in self.sessions.flows_in_bucket_order() {
+            let r = &records[i as usize];
             let same_bucket =
                 prev.is_some_and(|p| (p.client_ip, p.video_id) == (r.client_ip, r.video_id));
             for ((gap, end), runs) in gaps_ms.iter().zip(&mut ends).zip(&mut sizes) {
@@ -522,22 +551,26 @@ mod tests {
     #[test]
     fn flows_per_session_matches_direct_cdf() {
         let (ds, ctx) = setup(DatasetName::UsCampus);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
         let gaps: Vec<u64> = [1u64, 5, 300].iter().map(|s| s * 1000).collect();
-        let swept = index.flows_per_session_sweep(&ds, &gaps);
-        assert_eq!(swept.len(), gaps.len());
-        for (gap, cdf) in gaps.iter().zip(&swept) {
+        // With more than one job the stored column is the shards' bucket
+        // orders one after another; the sweep must not care.
+        for jobs in [1, 2, 7] {
+            let index = DatasetIndex::build(&ctx, &ds, jobs, Telemetry::disabled());
+            let swept = index.flows_per_session_sweep(&ds, &gaps);
+            assert_eq!(swept.len(), gaps.len());
+            for (gap, cdf) in gaps.iter().zip(&swept) {
+                assert_eq!(
+                    cdf,
+                    &crate::session::flows_per_session(&ds, *gap),
+                    "jobs {jobs} gap {gap}"
+                );
+            }
             assert_eq!(
-                cdf,
-                &crate::session::flows_per_session(&ds, *gap),
-                "gap {gap}"
+                index.flows_per_session(),
+                crate::session::flows_per_session(&ds, DEFAULT_GAP_MS)
             );
+            assert!(index.flows_per_session_sweep(&ds, &[]).is_empty());
         }
-        assert_eq!(
-            index.flows_per_session(),
-            crate::session::flows_per_session(&ds, DEFAULT_GAP_MS)
-        );
-        assert!(index.flows_per_session_sweep(&ds, &[]).is_empty());
     }
 
     #[test]

@@ -87,5 +87,5 @@ pub use constellation::{ChangePoint, WatchConfig, WatchReport};
 pub use dcmap::{AnalysisContext, DcInfo, DcMap};
 pub use error::{AnalysisError, AnalysisResult};
 pub use index::{DatasetIndex, GeoIndex};
-pub use session::{group_sessions, Session};
+pub use session::{group_sessions, Session, Sessions};
 pub use stats::Cdf;

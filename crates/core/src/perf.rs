@@ -11,7 +11,7 @@
 use ytcdn_tstat::Dataset;
 
 use crate::dcmap::AnalysisContext;
-use crate::session::Session;
+use crate::session::Sessions;
 use crate::stats::Cdf;
 
 /// Performance of one video session.
@@ -35,10 +35,10 @@ pub struct SessionPerf {
 pub fn session_perf(
     ctx: &AnalysisContext,
     dataset: &Dataset,
-    sessions: &[Session],
+    sessions: &Sessions,
 ) -> Vec<SessionPerf> {
     let mut out = Vec::with_capacity(sessions.len());
-    for s in sessions {
+    for s in sessions.iter() {
         // The first video flow is the start of playback.
         let Some((video_pos, video)) = s
             .flows_iter(dataset)
@@ -94,7 +94,7 @@ impl PerfReport {
 }
 
 /// Builds the aggregate report.
-pub fn perf_report(ctx: &AnalysisContext, dataset: &Dataset, sessions: &[Session]) -> PerfReport {
+pub fn perf_report(ctx: &AnalysisContext, dataset: &Dataset, sessions: &Sessions) -> PerfReport {
     let perfs = session_perf(ctx, dataset, sessions);
     PerfReport {
         direct_startup: Cdf::from_values(
@@ -187,7 +187,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 204));
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let r = perf_report(&ctx, &ds, &[]);
+        let r = perf_report(&ctx, &ds, &Sessions::default());
         assert_eq!(r.median_redirect_penalty_ms(), 0.0);
         assert_eq!(r.median_rtt_penalty_ms(), 0.0);
     }

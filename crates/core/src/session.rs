@@ -12,6 +12,14 @@
 //! center) apart from *application-layer redirections* (a session whose
 //! first, control flow goes to the preferred data center and whose video
 //! flow does not).
+//!
+//! The sessions of one dataset are stored as columns ([`Sessions`]): one
+//! flat `u32` column of flow indices in *bucket order* — each (client,
+//! video) bucket one contiguous, ascending run — and one row per session,
+//! in canonical order, holding its `(offset, len)` into that column plus
+//! its client, video and time bounds. A [`Session`] is a borrowed view of
+//! one row; grouping two million sessions allocates two vectors, not two
+//! million.
 
 use std::net::Ipv4Addr;
 
@@ -20,23 +28,26 @@ use ytcdn_tstat::{Dataset, FlowRecord, VideoId};
 
 /// A group of related flows: one user's attempt to watch one video.
 ///
-/// Holds indices into the dataset's record slice rather than clones, so
-/// grouping a million-flow dataset stays cheap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Session {
+/// A borrowed view of one row of [`Sessions`]; it owns no heap data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Session<'a> {
     /// The client address.
     pub client_ip: Ipv4Addr,
     /// The video requested.
     pub video_id: VideoId,
-    /// Indices of the member flows in the dataset, in start-time order.
-    pub flow_indices: Vec<usize>,
     /// Session start (first flow's start), ms.
     pub start_ms: u64,
     /// Session end (latest flow end), ms.
     pub end_ms: u64,
+    flow_indices: &'a [u32],
 }
 
-impl Session {
+impl<'a> Session<'a> {
+    /// Indices of the member flows in the dataset, in start-time order.
+    pub fn flow_indices(&self) -> &'a [u32] {
+        self.flow_indices
+    }
+
     /// Number of flows in the session.
     pub fn flow_count(&self) -> usize {
         self.flow_indices.len()
@@ -49,109 +60,219 @@ impl Session {
     ///
     /// Panics (on use) if `dataset` is not the dataset the session was
     /// built from.
-    pub fn flows_iter<'s, 'd: 's>(
-        &'s self,
-        dataset: &'d Dataset,
-    ) -> impl Iterator<Item = &'d FlowRecord> + 's {
+    pub fn flows_iter<'d>(&self, dataset: &'d Dataset) -> impl Iterator<Item = &'d FlowRecord> + 'd
+    where
+        'a: 'd,
+    {
         self.flow_indices
             .iter()
-            .map(move |&i| &dataset.records()[i])
+            .map(move |&i| &dataset.records()[i as usize])
     }
 }
+
+/// One session's row: where its flows sit in the flat column, and the
+/// fields of its [`Session`] view.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    start_ms: u64,
+    end_ms: u64,
+    video_id: VideoId,
+    client_ip: Ipv4Addr,
+    /// The session's flows are `flows[offset..offset + len]`.
+    offset: u32,
+    len: u32,
+}
+
+/// The sessions of one dataset at one gap, as columns (see the module
+/// docs).
+///
+/// Two values are equal when they hold the same sessions in the same
+/// order; how the flat column's buckets are laid out (one run per shard
+/// of the grouping) is not part of the value.
+#[derive(Debug, Clone, Default)]
+pub struct Sessions {
+    /// Every flow index once, bucket by bucket, each bucket ascending.
+    flows: Vec<u32>,
+    /// One row per session, in canonical order.
+    rows: Vec<Row>,
+}
+
+impl Sessions {
+    /// Number of sessions.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no sessions.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The sessions, in canonical `(start_ms, end_ms, client_ip, video_id)`
+    /// order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Session<'_>> + '_ {
+        self.rows.iter().map(|row| {
+            let start = row.offset as usize;
+            Session {
+                client_ip: row.client_ip,
+                video_id: row.video_id,
+                start_ms: row.start_ms,
+                end_ms: row.end_ms,
+                flow_indices: &self.flows[start..start + row.len as usize],
+            }
+        })
+    }
+
+    /// The flat column: every flow index of the dataset once, in bucket
+    /// order. Each (client, video) bucket is one contiguous run whose
+    /// indices ascend (start-time order); the buckets of one grouping shard
+    /// are in `(client, video)` order, and shards follow each other.
+    pub fn flows_in_bucket_order(&self) -> &[u32] {
+        &self.flows
+    }
+}
+
+impl PartialEq for Sessions {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Sessions {}
 
 /// Groups a dataset's flows into video sessions with gap threshold
 /// `gap_ms` (the paper's `T`, in milliseconds), with the bucketing pass
 /// split by client IP into `jobs` shards (clamped to `[1, flows]`) that
 /// run on the shared worker pool ([`ytcdn_cdnsim::par_map`]).
 ///
-/// Returns sessions sorted by start time. The output is **identical for
-/// any `jobs`**: every (client, video) bucket is wholly owned by one shard
-/// — sharding is a function of the client address alone — and within a
+/// Returns the sessions in canonical order: sorted by the key `(start_ms,
+/// end_ms, client_ip, video_id)`. The sessions are **identical for any
+/// `jobs`**: every (client, video) bucket is wholly owned by one shard —
+/// sharding is a function of the client address alone — and within a
 /// shard each bucket's indices are visited in ascending (= start-time)
 /// order, so each shard produces exactly the sessions a single pass would
-/// for its clients. The final sort key `(start_ms, end_ms, client_ip,
-/// video_id)` is unique across sessions (two sessions of the same bucket
-/// are separated by more than the gap, so their `start_ms` differ;
-/// sessions of different buckets differ in client or video), so
-/// concatenation order cannot leak into the result.
-pub fn group_sessions(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Vec<Session> {
-    let shards = jobs.clamp(1, dataset.len().max(1));
-    let mut sessions = if shards == 1 {
-        group_record_range(dataset, gap_ms, 0..dataset.len())
+/// for its clients. The canonical key is unique across sessions (two
+/// sessions of the same bucket are separated by more than the gap, so
+/// their `start_ms` differ; sessions of different buckets differ in client
+/// or video), so concatenation order cannot leak into the result. Only
+/// the flat column's layout depends on `jobs`: it is the shards' bucket
+/// orders, one after another.
+///
+/// # Panics
+///
+/// Panics if the dataset holds more than `u32::MAX` flows (flow indices
+/// are stored as `u32`).
+pub fn group_sessions(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Sessions {
+    let n = dataset.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "{n} flows overflow the u32 session column"
+    );
+    let shards = jobs.clamp(1, n.max(1));
+    let parts = if shards == 1 {
+        vec![group_shard(dataset, gap_ms, 0..n)]
     } else {
-        let mut by_client: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut by_client: Vec<Vec<u32>> = vec![Vec::new(); shards];
         for (i, r) in dataset.records().iter().enumerate() {
-            by_client[u32::from(r.client_ip) as usize % shards].push(i);
+            by_client[u32::from(r.client_ip) as usize % shards].push(i as u32);
         }
         par_map(jobs, &by_client, |indices| {
-            group_record_range(dataset, gap_ms, indices.iter().copied())
+            group_shard(dataset, gap_ms, indices.iter().map(|&i| i as usize))
         })
-        .into_iter()
-        .flatten()
-        .collect()
     };
-    sort_sessions(&mut sessions);
+    let mut sessions = parts
+        .into_iter()
+        .reduce(|mut all, part| {
+            let base = all.flows.len() as u32;
+            all.flows.extend(part.flows);
+            all.rows.extend(part.rows.into_iter().map(|row| Row {
+                offset: row.offset + base,
+                ..row
+            }));
+            all
+        })
+        .unwrap_or_default();
+    sessions.rows = canonical_order(&sessions.flows, &sessions.rows);
     sessions
+}
+
+/// The rows in canonical `(start_ms, end_ms, client_ip, video_id)` order.
+///
+/// Records ascend by start time, so ordering sessions by their first
+/// flow's index orders them by `start_ms`. One `sort_unstable` over
+/// compact `(first flow index, row)` keys — unique, since every flow opens
+/// at most one session — does the bulk of the work; only sessions that
+/// share a `start_ms` are then ordered by the rest of the key.
+fn canonical_order(flows: &[u32], rows: &[Row]) -> Vec<Row> {
+    let mut keys: Vec<u64> = rows
+        .iter()
+        .enumerate()
+        .map(|(k, row)| u64::from(flows[row.offset as usize]) << 32 | k as u64)
+        .collect();
+    keys.sort_unstable();
+    let mut ordered: Vec<Row> = keys.iter().map(|&key| rows[key as u32 as usize]).collect();
+    for tied in ordered.chunk_by_mut(|a, b| a.start_ms == b.start_ms) {
+        tied.sort_unstable_by_key(|r| (r.end_ms, r.client_ip, r.video_id));
+    }
+    ordered
 }
 
 /// Orders record indices into (client, video) buckets: sorted by the key
 /// `(client, video, index)`, so each bucket is one contiguous run and its
 /// indices ascend — which, because records are sorted by start time, is
 /// start-time order. The key is unique per record, so the unstable sort is
-/// deterministic. This one order serves the grouper at any gap and the
-/// index's [`crate::index::DatasetIndex::flows_per_session_sweep`].
-pub(crate) fn bucket_order(
-    dataset: &Dataset,
-    indices: impl IntoIterator<Item = usize>,
-) -> Vec<usize> {
+/// deterministic; it is packed into one `u128` (client in the top 32 bits,
+/// video in the next 64, index in the low 32), so the sort compares single
+/// integers.
+fn bucket_order(dataset: &Dataset, indices: impl IntoIterator<Item = usize>) -> Vec<u32> {
     let records = dataset.records();
-    let mut keys: Vec<(u32, u64, usize)> = indices
+    let mut keys: Vec<u128> = indices
         .into_iter()
         .map(|i| {
             let r = &records[i];
-            (u32::from(r.client_ip), r.video_id.index(), i)
+            u128::from(u32::from(r.client_ip)) << 96
+                | u128::from(r.video_id.index()) << 32
+                | i as u128
         })
         .collect();
     keys.sort_unstable();
-    keys.into_iter().map(|(_, _, i)| i).collect()
+    keys.into_iter().map(|key| key as u32).collect()
 }
 
-/// The shared gap-scan pass over one subset of record indices, walked in
-/// [`bucket_order`]. Returns sessions in arbitrary order; callers sort.
-fn group_record_range(
+/// The gap scan over one shard's record indices, walked in
+/// [`bucket_order`]: a flow joins the open session when it is in the same
+/// bucket and starts within `gap_ms` of the session's latest end. Returns
+/// the shard's flat column and its rows in bucket order; the caller puts
+/// the rows in canonical order.
+fn group_shard(
     dataset: &Dataset,
     gap_ms: u64,
     indices: impl IntoIterator<Item = usize>,
-) -> Vec<Session> {
+) -> Sessions {
     let records = dataset.records();
-    let mut sessions: Vec<Session> = Vec::new();
-    for idx in bucket_order(dataset, indices) {
-        let r = &records[idx];
-        match sessions.last_mut() {
+    let flows = bucket_order(dataset, indices);
+    let mut rows: Vec<Row> = Vec::new();
+    for (pos, &idx) in flows.iter().enumerate() {
+        let r = &records[idx as usize];
+        match rows.last_mut() {
             Some(s)
                 if (s.client_ip, s.video_id) == (r.client_ip, r.video_id)
                     && r.start_ms <= s.end_ms.saturating_add(gap_ms) =>
             {
-                s.flow_indices.push(idx);
+                s.len += 1;
                 s.end_ms = s.end_ms.max(r.end_ms);
             }
-            _ => sessions.push(Session {
-                client_ip: r.client_ip,
-                video_id: r.video_id,
-                flow_indices: vec![idx],
+            _ => rows.push(Row {
                 start_ms: r.start_ms,
                 end_ms: r.end_ms,
+                video_id: r.video_id,
+                client_ip: r.client_ip,
+                offset: pos as u32,
+                len: 1,
             }),
         }
     }
-    sessions
-}
-
-/// The canonical session order. The key is unique per session (see
-/// [`group_sessions`]), which is what makes sharded grouping
-/// reproducible.
-fn sort_sessions(sessions: &mut [Session]) {
-    sessions.sort_by_key(|s| (s.start_ms, s.end_ms, s.client_ip, s.video_id));
+    Sessions { flows, rows }
 }
 
 /// The distribution of flows-per-session for a dataset at one gap threshold
@@ -193,9 +314,10 @@ mod tests {
         ]);
         let sessions = group_sessions(&d, 1_000, 1);
         assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[0].flow_count(), 2);
-        assert_eq!(sessions[0].start_ms, 0);
-        assert_eq!(sessions[0].end_ms, 5000);
+        let only = sessions.iter().next().unwrap();
+        assert_eq!(only.flow_count(), 2);
+        assert_eq!(only.start_ms, 0);
+        assert_eq!(only.end_ms, 5000);
     }
 
     #[test]
@@ -248,7 +370,7 @@ mod tests {
         ]);
         let sessions = group_sessions(&d, 1_000, 1);
         assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[0].flow_count(), 3);
+        assert_eq!(sessions.iter().next().unwrap().flow_count(), 3);
     }
 
     #[test]
@@ -281,7 +403,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
         ]);
         let sessions = group_sessions(&d, 1_000, 1);
-        let flows: Vec<&FlowRecord> = sessions[0].flows_iter(&d).collect();
+        let flows: Vec<&FlowRecord> = sessions.iter().next().unwrap().flows_iter(&d).collect();
         assert_eq!(flows[0].start_ms, 0);
         assert_eq!(flows[1].start_ms, 600);
     }

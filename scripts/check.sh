@@ -142,19 +142,23 @@ cmp "$smoke/sessions-1.txt" "$smoke/sessions-$max.txt" \
 
 # Columnar .ytc smoke, three legs. (1) The file's sha256, so the
 # transcript shows the digest. (2) Replay fidelity: `repro --from
-# dataset.ytc --jobs 1` must print the report byte-identical to `repro
-# --jobs 1` at the same scale/seed — a one-worker simulation against the
-# pool that `generate` ran. (3) Corruption: a flipped byte must exit
-# non-zero with the reason on stderr, never panic.
+# dataset.ytc` at --jobs 1 and at --jobs <max> (the sharded session
+# grouping over decoded columns) must each print the report
+# byte-identical to `repro --jobs 1` at the same scale/seed — a
+# one-worker simulation against the pool that `generate` ran. (3)
+# Corruption: a flipped byte must exit non-zero with the reason on
+# stderr, never panic.
 echo "==> .ytc columnar smoke (digest, replay, corruption)" >&2
 cargo run --quiet --release -p ytcdn-cli -- generate \
     --scale 0.004 --seed 7 --out "$smoke/ds.ytc" 2>/dev/null
 echo "    dataset.ytc sha256 $(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)" >&2
-cargo run --quiet --release -p ytcdn-cli -- repro \
-    --from "$smoke/ds.ytc" --jobs 1 > "$smoke/repro-from.txt" 2>/dev/null \
-    || { echo "check.sh: repro --from exited non-zero on a valid file" >&2; exit 1; }
-cmp "$smoke/repro-1.txt" "$smoke/repro-from.txt" \
-    || { echo "check.sh: repro --from output differs from the in-memory run" >&2; exit 1; }
+for jobs in 1 "$max"; do
+    cargo run --quiet --release -p ytcdn-cli -- repro \
+        --from "$smoke/ds.ytc" --jobs "$jobs" > "$smoke/repro-from-$jobs.txt" 2>/dev/null \
+        || { echo "check.sh: repro --from exited non-zero on a valid file" >&2; exit 1; }
+    cmp "$smoke/repro-1.txt" "$smoke/repro-from-$jobs.txt" \
+        || { echo "check.sh: repro --from --jobs $jobs output differs from the in-memory run" >&2; exit 1; }
+done
 # Chop the trailing byte: guaranteed damage (the whole-file digest no
 # longer fits), whatever the file's contents.
 bytes="$(stat -c%s "$smoke/ds.ytc" 2>/dev/null || stat -f%z "$smoke/ds.ytc")"

@@ -24,7 +24,7 @@ use ytcdn_core::hotspot::{
 use ytcdn_core::index::{DatasetIndex, DEFAULT_GAP_MS};
 use ytcdn_core::patterns::PatternStats;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
-use ytcdn_core::session::{flows_per_session, group_sessions, Session};
+use ytcdn_core::session::{flows_per_session, group_sessions, Sessions};
 use ytcdn_core::timeseries::{hourly_samples, nonpreferred_fraction_cdf, HourSample};
 use ytcdn_core::videos::{
     nonpreferred_video_stats, per_video_counts, NonPreferredVideoStats, VideoCounts,
@@ -49,12 +49,23 @@ fn scenario(scale: f64, seed: u64) -> StandardScenario {
     StandardScenario::build(ScenarioConfig::with_scale(scale, seed))
 }
 
+/// One session as the naive grouper builds it: an owned struct with its
+/// own `Vec` of flow indices, independent of the library's column layout.
+#[derive(Debug)]
+struct NaiveSession {
+    client_ip: Ipv4Addr,
+    video_id: VideoId,
+    flow_indices: Vec<usize>,
+    start_ms: u64,
+    end_ms: u64,
+}
+
 /// The naive reference grouper: bucket flow indices by (client, video) in
 /// a hash map (each bucket fills in ascending, i.e. start-time, order),
 /// scan every bucket once against the gap, and sort the sessions by the
 /// canonical `(start_ms, end_ms, client_ip, video_id)` key. Obvious rather
 /// than fast; the library's sort-based grouper must match it exactly.
-fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<Session> {
+fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<NaiveSession> {
     let mut buckets: HashMap<(Ipv4Addr, VideoId), Vec<usize>> = HashMap::new();
     for (i, r) in ds.records().iter().enumerate() {
         buckets
@@ -62,9 +73,9 @@ fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<Session> {
             .or_default()
             .push(i);
     }
-    let mut sessions: Vec<Session> = Vec::new();
+    let mut sessions: Vec<NaiveSession> = Vec::new();
     for ((client_ip, video_id), indices) in buckets {
-        let mut current: Option<Session> = None;
+        let mut current: Option<NaiveSession> = None;
         for idx in indices {
             let r = &ds.records()[idx];
             match current.as_mut() {
@@ -74,7 +85,7 @@ fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<Session> {
                 }
                 _ => {
                     sessions.extend(current.take());
-                    current = Some(Session {
+                    current = Some(NaiveSession {
                         client_ip,
                         video_id,
                         flow_indices: vec![idx],
@@ -90,15 +101,37 @@ fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<Session> {
     sessions
 }
 
+/// Asserts the library's sessions equal the oracle's, field by field and
+/// flow by flow, in the same order.
+fn assert_sessions_match(sessions: &Sessions, oracle: &[NaiveSession], label: &str) {
+    assert_eq!(sessions.len(), oracle.len(), "{label}: session count");
+    for (k, (s, o)) in sessions.iter().zip(oracle).enumerate() {
+        assert_eq!(
+            (s.client_ip, s.video_id, s.start_ms, s.end_ms),
+            (o.client_ip, o.video_id, o.start_ms, o.end_ms),
+            "{label}: session {k}"
+        );
+        assert!(
+            s.flow_indices()
+                .iter()
+                .map(|&i| i as usize)
+                .eq(o.flow_indices.iter().copied()),
+            "{label}: session {k} flows {:?} vs {:?}",
+            s.flow_indices(),
+            o.flow_indices
+        );
+    }
+}
+
 /// Asserts the grouper at every job count (one shard per job) equals the
 /// naive oracle.
 fn assert_grouping_matches_oracle(ds: &Dataset, gap_ms: u64, label: &str) {
     let oracle = naive_group_sessions(ds, gap_ms);
     for jobs in JOB_COUNTS {
-        assert_eq!(
-            group_sessions(ds, gap_ms, jobs),
-            oracle,
-            "{label} gap={gap_ms} jobs={jobs}"
+        assert_sessions_match(
+            &group_sessions(ds, gap_ms, jobs),
+            &oracle,
+            &format!("{label} gap={gap_ms} jobs={jobs}"),
         );
     }
 }
@@ -151,6 +184,18 @@ fn packed_key_edge_cases() -> Dataset {
     for client in [[10, 0, 0, 3], [10, 0, 0, 4], [10, 0, 0, 5]] {
         records.push(flow(client, u64::MAX, 90_000, 90_400));
     }
+    // Two buckets whose packed keys would collide if the client field
+    // overlapped the video field by one bit (client 0.0.0.0 with video
+    // 2^63, client 0.0.0.1 with video 0), alternating in time.
+    for k in 0..6u64 {
+        let start = 120_000 + k * 300;
+        let (client, video) = if k % 2 == 0 {
+            ([0, 0, 0, 0], 1 << 63)
+        } else {
+            ([0, 0, 0, 1], 0)
+        };
+        records.push(flow(client, video, start, start + 200));
+    }
     Dataset::from_records(DatasetName::UsCampus, records)
 }
 
@@ -184,7 +229,7 @@ fn grouping_matches_oracle_on_packed_key_edge_cases() {
             let sizes: Vec<usize> = sessions
                 .iter()
                 .filter(|s| s.client_ip == client && s.video_id == video)
-                .map(Session::flow_count)
+                .map(|s| s.flow_count())
                 .collect();
             assert_eq!(sizes, [2, 2], "{client} {video:?}");
         }
@@ -368,8 +413,8 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
 
     // Figures 6 and 10: the default-gap sessions and their pattern classes.
     let sessions = naive_group_sessions(ds, DEFAULT_GAP_MS);
-    assert_eq!(index.sessions(), sessions.as_slice(), "{label}: sessions");
-    let targets = |s: &Session| -> Option<Vec<bool>> {
+    assert_sessions_match(index.sessions(), &sessions, label);
+    let targets = |s: &NaiveSession| -> Option<Vec<bool>> {
         s.flow_indices.iter().map(|&i| table[i].target).collect()
     };
     let mut patterns = PatternStats::default();

@@ -243,13 +243,60 @@ fn sessions_partition_flows() {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
         let mut seen = vec![false; ds.len()];
-        for s in &group_sessions(&ds, gap, 1) {
-            for &i in &s.flow_indices {
+        for s in group_sessions(&ds, gap, 1).iter() {
+            for &i in s.flow_indices() {
+                let i = i as usize;
                 assert!(!seen[i], "flow {i} in two sessions");
                 seen[i] = true;
             }
         }
         assert!(seen.iter().all(|&b| b), "some flow in no session");
+    });
+}
+
+/// The sessions' flat column holds every flow index exactly once, each
+/// (client, video) bucket is one contiguous run of it, and every session's
+/// slice ascends inside one bucket — at one shard and at several.
+#[test]
+fn session_column_is_a_bucketed_permutation() {
+    check(CASES, |rng| {
+        let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
+        let gap = rng.gen_range(1u64..5_000);
+        let records = ds.records();
+        for jobs in [1, 4] {
+            let sessions = group_sessions(&ds, gap, jobs);
+            let column = sessions.flows_in_bucket_order();
+            let mut sorted = column.to_vec();
+            sorted.sort_unstable();
+            assert!(
+                sorted.iter().copied().eq(0..ds.len() as u32),
+                "jobs {jobs}: column is not a permutation of the flows"
+            );
+            let bucket = |i: u32| {
+                let r = &records[i as usize];
+                (r.client_ip, r.video_id)
+            };
+            let mut closed = std::collections::BTreeSet::new();
+            for pair in column.windows(2) {
+                if bucket(pair[0]) != bucket(pair[1]) {
+                    assert!(
+                        closed.insert(bucket(pair[0])),
+                        "jobs {jobs}: bucket {:?} split in the column",
+                        bucket(pair[0])
+                    );
+                }
+            }
+            for s in sessions.iter() {
+                let flows = s.flow_indices();
+                assert!(flows.windows(2).all(|w| w[0] < w[1]), "jobs {jobs}");
+                assert!(
+                    flows
+                        .iter()
+                        .all(|&i| bucket(i) == (s.client_ip, s.video_id)),
+                    "jobs {jobs}: session leaves its bucket"
+                );
+            }
+        }
     });
 }
 
@@ -259,7 +306,7 @@ fn sessions_partition_flows() {
 fn sessions_are_homogeneous() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
-        for s in group_sessions(&ds, 1_000, 1) {
+        for s in group_sessions(&ds, 1_000, 1).iter() {
             for f in s.flows_iter(&ds) {
                 assert_eq!(f.client_ip, s.client_ip);
                 assert_eq!(f.video_id, s.video_id);
@@ -290,7 +337,7 @@ fn session_gap_rule_holds() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
-        for s in group_sessions(&ds, gap, 1) {
+        for s in group_sessions(&ds, gap, 1).iter() {
             let flows: Vec<_> = s.flows_iter(&ds).collect();
             let mut max_end = flows[0].end_ms;
             for f in &flows[1..] {
