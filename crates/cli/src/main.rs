@@ -32,7 +32,7 @@ mod args;
 
 use args::{Command, ParseError, ReproArgs, TelemetryOpts};
 use ytcdn_cdnsim::{resolve_jobs, MutationSpec, ScenarioConfig, StandardScenario};
-use ytcdn_core::experiments::{ExperimentSuite, SuiteConfig};
+use ytcdn_core::experiments::{ExperimentSuite, Figure, SuiteConfig};
 use ytcdn_core::perf::perf_report;
 use ytcdn_core::whatif;
 use ytcdn_core::{AnalysisContext, DatasetIndex, WatchConfig, WatchReport, YtcFile, YtcHeader};
@@ -257,8 +257,11 @@ fn repro(args: ReproArgs, ctx: &Ctx) -> ExitCode {
             Ok(report) => {
                 println!("{report}");
                 if args.plot {
-                    if let Ok(series) = ytcdn_core::export::figure_series(&suite, id) {
-                        println!("{}", ytcdn_core::export::ascii_chart(&series, 72, 16));
+                    if let Ok(Figure {
+                        series: Ok(series), ..
+                    }) = suite.figure(id)
+                    {
+                        println!("{}", ytcdn_core::export::ascii_chart(series, 72, 16));
                     }
                 }
             }

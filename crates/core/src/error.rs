@@ -64,6 +64,14 @@ pub enum AnalysisError {
         /// The absent vantage-point dataset.
         dataset: String,
     },
+    /// An experiment does not produce the requested output (a table has no
+    /// data series; a figure has no metric of that name).
+    NotProduced {
+        /// The experiment id.
+        experiment: String,
+        /// What was requested, e.g. `data series`.
+        output: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -93,6 +101,9 @@ impl fmt::Display for AnalysisError {
             Self::NoActiveTraces => write!(f, "no active-measurement traces recorded"),
             Self::MissingDataset { dataset } => {
                 write!(f, "dataset {dataset} missing from the input set")
+            }
+            Self::NotProduced { experiment, output } => {
+                write!(f, "experiment {experiment} produces no {output}")
             }
         }
     }

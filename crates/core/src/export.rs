@@ -1,28 +1,17 @@
-//! CSV export of every figure's data series.
+//! CSV export and terminal charts of every figure's data series.
 //!
 //! `ytcdn repro` prints human-readable summaries; this module emits
 //! the underlying curves so the paper's plots can be regenerated with any
 //! plotting tool. One CSV per figure, long format:
-//! `series,x,y` with a header row.
+//! `series,x,y` with a header row. The series come from each experiment's
+//! cached [`Figure`]; nothing here runs an analysis.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use ytcdn_tstat::{DatasetName, HOUR_MS};
-
-use crate::active_analysis::{most_illustrative_node, ratio_cdf};
-use crate::error::{AnalysisError, AnalysisResult};
-use crate::experiments::{ExperimentSuite, FIG5_GAPS_S};
-use crate::geo_analysis::radius_cdfs;
-use crate::hotspot::{
-    preferred_server_load, server_session_breakdown, top_nonpreferred_videos, video_timeseries,
-};
-use crate::preferred::{bytes_by_distance, bytes_by_rtt};
+use crate::experiments::{ExperimentSuite, Figure, ALL_EXPERIMENTS};
 use crate::stats::Cdf;
-use crate::subnet::subnet_shares;
-use crate::timeseries::{hourly_samples, nonpreferred_fraction_cdf};
-use crate::videos::nonpreferred_video_stats;
 
 /// How many points each exported CDF is decimated to.
 const CDF_POINTS: usize = 400;
@@ -69,269 +58,11 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-/// The figure identifiers this module can export.
-pub const EXPORTABLE_FIGURES: &[&str] = &[
-    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig11",
-    "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-];
-
-/// Computes the data series behind one figure.
-///
-/// # Errors
-///
-/// [`AnalysisError::UnknownExperiment`] for ids this module does not plot
-/// (tables are textual and not exported here), and
-/// [`AnalysisError::NoActiveTraces`] for `fig17` when no active trace
-/// recorded a usable node.
-pub fn figure_series(suite: &ExperimentSuite, id: &str) -> AnalysisResult<Vec<Series>> {
-    let per_dataset = |f: &dyn Fn(DatasetName) -> Series| -> Vec<Series> {
-        DatasetName::ALL.iter().map(|&n| f(n)).collect()
-    };
-    Ok(match id {
-        "fig2" => per_dataset(&|n| {
-            let cdf =
-                crate::geo_analysis::server_rtt_cdf(suite.scenario().world(), suite.dataset(n), 5);
-            Series::from_cdf(n.to_string(), &cdf)
-        }),
-        "fig3" => {
-            let (us, eu) = radius_cdfs(&suite.cbg_locations());
-            vec![Series::from_cdf("US", &us), Series::from_cdf("Europe", &eu)]
-        }
-        "fig4" => per_dataset(&|n| {
-            let cdf = Cdf::from_values(suite.dataset(n).iter().map(|r| r.bytes as f64));
-            Series::from_cdf(n.to_string(), &cdf)
-        }),
-        "fig5" => FIG5_GAPS_S
-            .iter()
-            .zip(suite.fig5_cdfs())
-            .map(|(t, cdf)| Series::from_cdf(format!("{t}sec"), &cdf))
-            .collect(),
-        "fig6" => per_dataset(&|n| {
-            Series::from_cdf(n.to_string(), &suite.dataset_index(n).flows_per_session())
-        }),
-        "fig7" => per_dataset(&|n| Series {
-            name: n.to_string(),
-            points: bytes_by_rtt(suite.context(n))
-                .iter()
-                .map(|s| (s.x, s.cumulative_fraction))
-                .collect(),
-        }),
-        "fig8" => per_dataset(&|n| Series {
-            name: n.to_string(),
-            points: bytes_by_distance(suite.context(n))
-                .iter()
-                .map(|s| (s.x, s.cumulative_fraction))
-                .collect(),
-        }),
-        "fig9" => per_dataset(&|n| {
-            let cdf = nonpreferred_fraction_cdf(suite.dataset_index(n));
-            Series::from_cdf(n.to_string(), &cdf)
-        }),
-        "fig10a" | "fig10b" => {
-            let mut out = Vec::new();
-            for (i, &n) in DatasetName::ALL.iter().enumerate() {
-                let st = suite.dataset_index(n).patterns();
-                let x = i as f64;
-                if id == "fig10a" {
-                    let tot = st.total.max(1) as f64;
-                    push_bar(&mut out, "preferred", x, st.one_flow.preferred as f64 / tot);
-                    push_bar(
-                        &mut out,
-                        "non-preferred",
-                        x,
-                        st.one_flow.non_preferred as f64 / tot,
-                    );
-                } else {
-                    let n2 = (st.two_flow.pp + st.two_flow.pn + st.two_flow.np + st.two_flow.nn)
-                        .max(1) as f64;
-                    push_bar(
-                        &mut out,
-                        "preferred,preferred",
-                        x,
-                        st.two_flow.pp as f64 / n2,
-                    );
-                    push_bar(
-                        &mut out,
-                        "preferred,non-preferred",
-                        x,
-                        st.two_flow.pn as f64 / n2,
-                    );
-                    push_bar(
-                        &mut out,
-                        "non-preferred,preferred",
-                        x,
-                        st.two_flow.np as f64 / n2,
-                    );
-                    push_bar(
-                        &mut out,
-                        "non-preferred,non-preferred",
-                        x,
-                        st.two_flow.nn as f64 / n2,
-                    );
-                }
-            }
-            out
-        }
-        "fig11" => {
-            let samples = hourly_samples(suite.dataset_index(DatasetName::Eu2));
-            vec![
-                Series {
-                    name: "local fraction".into(),
-                    points: samples
-                        .iter()
-                        .filter_map(|s| s.preferred_fraction().map(|f| (s.hour as f64, f)))
-                        .collect(),
-                },
-                Series {
-                    name: "video flows".into(),
-                    points: samples
-                        .iter()
-                        .map(|s| (s.hour as f64, s.total() as f64))
-                        .collect(),
-                },
-            ]
-        }
-        "fig12" => {
-            let subnets = suite
-                .scenario()
-                .world()
-                .vantage(DatasetName::UsCampus)
-                .subnets
-                .clone();
-            let shares = subnet_shares(
-                suite.context(DatasetName::UsCampus),
-                suite.dataset(DatasetName::UsCampus),
-                &subnets,
-            );
-            let mut all = Series {
-                name: "all accesses".into(),
-                points: Vec::new(),
-            };
-            let mut np = Series {
-                name: "non-preferred accesses".into(),
-                points: Vec::new(),
-            };
-            for (i, s) in shares.iter().enumerate() {
-                all.points.push((i as f64, s.share_of_all_flows));
-                np.points.push((i as f64, s.share_of_nonpreferred_flows));
-            }
-            vec![np, all]
-        }
-        "fig13" => per_dataset(&|n| {
-            let st = nonpreferred_video_stats(suite.dataset_index(n), suite.dataset(n));
-            Series::from_cdf(n.to_string(), &st.cdf)
-        }),
-        "fig14" => {
-            let n = DatasetName::Eu1Adsl;
-            let top = top_nonpreferred_videos(suite.dataset_index(n), suite.dataset(n), 4);
-            let mut out = Vec::new();
-            for (rank, (video, _)) in top.iter().enumerate() {
-                let series = video_timeseries(suite.dataset_index(n), suite.dataset(n), *video);
-                out.push(Series {
-                    name: format!("video{} all", rank + 1),
-                    points: series
-                        .iter()
-                        .enumerate()
-                        .map(|(h, v)| (h as f64, v.all as f64))
-                        .collect(),
-                });
-                out.push(Series {
-                    name: format!("video{} non-preferred", rank + 1),
-                    points: series
-                        .iter()
-                        .enumerate()
-                        .map(|(h, v)| (h as f64, v.non_preferred as f64))
-                        .collect(),
-                });
-            }
-            out
-        }
-        "fig15" => {
-            let n = DatasetName::Eu1Adsl;
-            let load = preferred_server_load(suite.dataset_index(n), suite.dataset(n));
-            vec![
-                Series {
-                    name: "avg".into(),
-                    points: load
-                        .iter()
-                        .enumerate()
-                        .map(|(h, l)| (h as f64, l.avg))
-                        .collect(),
-                },
-                Series {
-                    name: "max".into(),
-                    points: load
-                        .iter()
-                        .enumerate()
-                        .map(|(h, l)| (h as f64, l.max as f64))
-                        .collect(),
-                },
-            ]
-        }
-        "fig16" => {
-            let n = DatasetName::Eu1Adsl;
-            let ds = suite.dataset(n);
-            let index = suite.dataset_index(n);
-            let load = preferred_server_load(index, ds);
-            let Some(hot) = load.iter().max_by_key(|h| h.max).and_then(|h| h.max_server) else {
-                return Ok(Vec::new());
-            };
-            let breakdown = server_session_breakdown(index, ds, hot);
-            let series =
-                |name: &str, f: &dyn Fn(&crate::hotspot::ServerSessionHour) -> u64| Series {
-                    name: name.into(),
-                    points: breakdown
-                        .iter()
-                        .enumerate()
-                        .map(|(h, b)| (h as f64, f(b) as f64))
-                        .collect(),
-                };
-            vec![
-                series("all preferred flows", &|b| b.all_preferred),
-                series("only the first flow is preferred", &|b| {
-                    b.first_preferred_then_non
-                }),
-                series("others", &|b| b.others),
-            ]
-        }
-        "fig17" => {
-            let traces = suite.active_traces();
-            let Some(node) = most_illustrative_node(&traces) else {
-                return Err(AnalysisError::NoActiveTraces);
-            };
-            vec![Series {
-                name: node.node.clone(),
-                points: node
-                    .samples
-                    .iter()
-                    .map(|s| ((s.t_ms / (30 * 60 * 1000)) as f64, s.rtt_ms))
-                    .collect(),
-            }]
-        }
-        "fig18" => {
-            let traces = suite.active_traces();
-            vec![Series::from_cdf("RTT1/RTT2", &ratio_cdf(&traces))]
-        }
-        _ => {
-            return Err(AnalysisError::UnknownExperiment { id: id.to_owned() });
-        }
-    })
-}
-
-fn push_bar(out: &mut Vec<Series>, name: &str, x: f64, y: f64) {
-    if let Some(s) = out.iter_mut().find(|s| s.name == name) {
-        s.points.push((x, y));
-    } else {
-        out.push(Series {
-            name: name.to_owned(),
-            points: vec![(x, y)],
-        });
-    }
-}
-
-/// Exports every figure's series as `<dir>/<figN>.csv`; returns the paths
-/// written. Figures whose data is unanswerable on this input (e.g. `fig17`
-/// without active traces) are skipped rather than failing the export.
+/// Exports the series of every paper experiment that has them as
+/// `<dir>/<id>.csv`, read off each experiment's cached [`Figure`]; returns
+/// the paths written. Tables have no series, and figures whose series are
+/// unanswerable on this input (e.g. `fig17` without active traces) are
+/// skipped rather than failing the export.
 ///
 /// # Errors
 ///
@@ -339,13 +70,16 @@ fn push_bar(out: &mut Vec<Series>, name: &str, x: f64, y: f64) {
 pub fn export_all(suite: &ExperimentSuite, dir: &Path) -> io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    for id in EXPORTABLE_FIGURES {
-        let Ok(series) = figure_series(suite, id) else {
+    for id in ALL_EXPERIMENTS {
+        let Ok(Figure {
+            series: Ok(series), ..
+        }) = suite.figure(id)
+        else {
             continue;
         };
         let path = dir.join(format!("{id}.csv"));
         let file = fs::File::create(&path)?;
-        write_csv(io::BufWriter::new(file), &series)?;
+        write_csv(io::BufWriter::new(file), series)?;
         written.push(path);
     }
     Ok(written)
@@ -412,24 +146,12 @@ pub fn ascii_chart(series: &[Series], width: usize, height: usize) -> String {
     out
 }
 
-/// Sanity helper used by tests: the trace length in hours a figure's hourly
-/// series should span.
-pub fn expected_hours(suite: &ExperimentSuite, name: DatasetName) -> u64 {
-    suite
-        .dataset(name)
-        .records()
-        .iter()
-        .map(|r| r.start_ms / HOUR_MS)
-        .max()
-        .map(|h| h + 1)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::SuiteConfig;
     use ytcdn_cdnsim::ScenarioConfig;
+    use ytcdn_tstat::{DatasetName, HOUR_MS};
 
     fn suite() -> ExperimentSuite {
         ExperimentSuite::new(SuiteConfig {
@@ -439,11 +161,20 @@ mod tests {
         })
     }
 
+    /// One experiment's cached series.
+    fn series(s: &ExperimentSuite, id: &str) -> Vec<Series> {
+        let figure = s.figure(id).unwrap_or_else(|e| panic!("{id}: {e}"));
+        figure
+            .series
+            .clone()
+            .unwrap_or_else(|e| panic!("{id}: {e}"))
+    }
+
     #[test]
     fn every_exportable_figure_has_series() {
         let s = suite();
-        for id in EXPORTABLE_FIGURES {
-            let series = figure_series(&s, id).unwrap_or_else(|e| panic!("{id}: {e}"));
+        for id in ALL_EXPERIMENTS.iter().filter(|id| !id.starts_with("table")) {
+            let series = series(&s, id);
             assert!(!series.is_empty(), "{id} produced no series");
             for sr in &series {
                 assert!(!sr.points.is_empty(), "{id}/{} empty", sr.name);
@@ -454,19 +185,22 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            figure_series(&s, "table1").unwrap_err(),
-            crate::AnalysisError::UnknownExperiment {
-                id: "table1".into()
-            }
-        );
+        for id in ["table1", "table2", "table3", "ext-perf"] {
+            assert_eq!(
+                s.figure(id).unwrap().series,
+                Err(crate::AnalysisError::NotProduced {
+                    experiment: id.into(),
+                    output: "data series".into()
+                })
+            );
+        }
     }
 
     #[test]
     fn cdf_series_are_monotone() {
         let s = suite();
         for id in ["fig2", "fig4", "fig6", "fig9", "fig13", "fig18"] {
-            for sr in figure_series(&s, id).unwrap() {
+            for sr in series(&s, id) {
                 assert!(
                     sr.points.windows(2).all(|w| w[0].1 <= w[1].1),
                     "{id}/{} not monotone",
@@ -494,7 +228,8 @@ mod tests {
         let s = suite();
         let dir = std::env::temp_dir().join(format!("ytcdn_export_{}", std::process::id()));
         let written = export_all(&s, &dir).unwrap();
-        assert_eq!(written.len(), EXPORTABLE_FIGURES.len());
+        // Every paper experiment but the three tables.
+        assert_eq!(written.len(), ALL_EXPERIMENTS.len() - 3);
         for p in &written {
             let content = std::fs::read_to_string(p).unwrap();
             assert!(content.lines().count() > 1, "{} nearly empty", p.display());
@@ -505,8 +240,14 @@ mod tests {
     #[test]
     fn hourly_series_span_the_week() {
         let s = suite();
-        let hours = expected_hours(&s, DatasetName::Eu2);
-        let fig11 = figure_series(&s, "fig11").unwrap();
+        let hours = s
+            .dataset(DatasetName::Eu2)
+            .records()
+            .iter()
+            .map(|r| r.start_ms / HOUR_MS + 1)
+            .max()
+            .unwrap_or(0);
+        let fig11 = series(&s, "fig11");
         let flows = fig11.iter().find(|x| x.name == "video flows").unwrap();
         assert_eq!(flows.points.len() as u64, hours);
     }
@@ -555,7 +296,7 @@ mod tests {
         // The exported flow-size CDF must show the control/video split:
         // a visible fraction of mass below 1000 bytes, then a jump region.
         let s = suite();
-        let fig4 = figure_series(&s, "fig4").unwrap();
+        let fig4 = series(&s, "fig4");
         let thr = ytcdn_tstat::FlowClassifier::default().threshold_bytes() as f64;
         for sr in fig4 {
             let below = sr

@@ -2,8 +2,10 @@
 //!
 //! EXPERIMENTS.md narrates paper-vs-measured; this module *executes* it:
 //! every quantitative claim the paper makes that this reproduction targets
-//! is evaluated as a [`Check`] with an explicit tolerance band, and the
-//! whole set renders as a pass/fail table (`ytcdn repro --scorecard`). The
+//! is one row of a table — experiment, metric name, paper value, tolerance
+//! band — evaluated as a [`Check`] against the named metric of that
+//! experiment's cached [`crate::experiments::Figure`], and the whole set
+//! renders as a pass/fail table (`ytcdn repro --scorecard`). The
 //! integration suite asserts the scorecard passes, so any model change
 //! that degrades fidelity fails CI rather than silently rotting the docs.
 //!
@@ -15,14 +17,8 @@
 
 use std::fmt::Write as _;
 
-use ytcdn_tstat::DatasetName;
-
 use crate::error::AnalysisError;
 use crate::experiments::ExperimentSuite;
-use crate::preferred::closest_k_share;
-use crate::subnet::subnet_shares;
-use crate::timeseries::{hourly_samples, load_vs_preferred_correlation};
-use crate::videos::nonpreferred_video_stats;
 
 /// One quantitative claim, checked.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,300 +71,147 @@ impl Scorecard {
     }
 }
 
-/// Evaluates every scorecard check against a simulated suite.
-///
-/// Degenerate inputs do not panic: a claim whose prerequisite data is
-/// missing (empty dataset, no video flows, an absent subnet, no active
-/// traces) lands in [`Scorecard::skipped`] with a typed reason instead of
-/// producing a meaningless number.
-pub fn scorecard(suite: &ExperimentSuite) -> Scorecard {
-    let mut card = Scorecard::default();
-    // Analysis video flows per dataset: the prerequisite for every
-    // flow-derived claim. Zero means "unanswerable", not "failed".
-    let video_flows = |name: DatasetName| -> u64 {
-        suite
-            .context(name)
-            .dcs()
-            .iter()
-            .map(|d| d.video_flows)
-            .sum()
-    };
-    // The typed reason a dataset's flow analyses are unanswerable.
-    let no_flows_error = |name: DatasetName| -> AnalysisError {
-        if suite.dataset(name).is_empty() {
-            AnalysisError::EmptyDataset {
-                dataset: name.to_string(),
-            }
-        } else {
-            AnalysisError::NoVideoFlows {
-                dataset: name.to_string(),
-            }
-        }
-    };
-
-    // --- Table I: flows per dataset, relative to the paper at this scale.
-    let scale = suite.scenario().config().engine.scale;
-    let paper_flows = [874_649.0, 134_789.0, 877_443.0, 91_955.0, 513_403.0];
-    for (name, paper) in DatasetName::ALL.into_iter().zip(paper_flows) {
-        let metric = format!("{name} flows (scaled)");
-        if suite.dataset(name).is_empty() {
-            card.skipped.push(Skipped {
-                experiment: "table1",
-                metric,
-                error: AnalysisError::EmptyDataset {
-                    dataset: name.to_string(),
-                },
-            });
-            continue;
-        }
-        let measured = suite.dataset(name).len() as f64;
-        let target = paper * scale;
-        card.checks.push(Check {
-            experiment: "table1",
-            metric,
-            paper: target,
-            measured,
-            band: (0.80 * target, 1.20 * target),
-        });
-    }
-
-    // --- Figure 3: CBG confidence-region radii, off the shared geo index.
+/// Every claim the scorecard checks, in scorecard order: the experiment
+/// and the name of the [`crate::experiments::Figure`] metric it reads, the
+/// paper's value, and the accepted band (inclusive). Table I's rows are
+/// per unit of workload scale: the paper's flow count times the scale is
+/// the target, and the band is a fraction of that target.
+const CLAIMS: [(&str, &str, f64, (f64, f64)); 25] = [
+    (
+        "table1",
+        "US-Campus flows (scaled)",
+        874_649.0,
+        (0.80, 1.20),
+    ),
+    (
+        "table1",
+        "EU1-Campus flows (scaled)",
+        134_789.0,
+        (0.80, 1.20),
+    ),
+    ("table1", "EU1-ADSL flows (scaled)", 877_443.0, (0.80, 1.20)),
+    ("table1", "EU1-FTTH flows (scaled)", 91_955.0, (0.80, 1.20)),
+    ("table1", "EU2 flows (scaled)", 513_403.0, (0.80, 1.20)),
     // The paper's median is 41 km with 200–320 km 90th percentiles; the
     // reproduction's reduced landmark set is coarser, so the band asserts
     // the order of magnitude (same-continent, not same-city precision).
-    let (fig3_us, fig3_eu) = crate::geo_analysis::radius_cdfs(&suite.cbg_locations());
-    for (label, cdf) in [("US", &fig3_us), ("Europe", &fig3_eu)] {
-        let metric = format!("{label} CBG radius median [km]");
-        if cdf.is_empty() {
-            card.skipped.push(Skipped {
-                experiment: "fig3",
-                metric,
-                error: AnalysisError::EmptyDistribution {
-                    what: format!("{label} CBG radii"),
-                },
-            });
-            continue;
-        }
-        card.checks.push(Check {
-            experiment: "fig3",
-            metric,
-            paper: 41.0,
-            measured: cdf.median(),
-            band: (1.0, 1500.0),
-        });
-    }
+    ("fig3", "US CBG radius median [km]", 41.0, (1.0, 1500.0)),
+    ("fig3", "Europe CBG radius median [km]", 41.0, (1.0, 1500.0)),
+    ("fig7", "US-Campus preferred byte share", 0.90, (0.85, 0.99)),
+    (
+        "fig7",
+        "EU1-Campus preferred byte share",
+        0.90,
+        (0.85, 0.99),
+    ),
+    ("fig7", "EU1-ADSL preferred byte share", 0.90, (0.85, 0.99)),
+    ("fig7", "EU1-FTTH preferred byte share", 0.90, (0.85, 0.99)),
+    (
+        "fig7",
+        "EU2 preferred byte share (split)",
+        0.45,
+        (0.25, 0.60),
+    ),
+    (
+        "fig8",
+        "US-Campus closest-5 DC byte share",
+        0.02,
+        (0.0, 0.05),
+    ),
+    (
+        "fig6",
+        "US-Campus single-flow session fraction",
+        0.765,
+        (0.68, 0.88),
+    ),
+    (
+        "fig6",
+        "EU1-Campus single-flow session fraction",
+        0.765,
+        (0.68, 0.88),
+    ),
+    (
+        "fig6",
+        "EU1-ADSL single-flow session fraction",
+        0.765,
+        (0.68, 0.88),
+    ),
+    (
+        "fig6",
+        "EU1-FTTH single-flow session fraction",
+        0.765,
+        (0.68, 0.88),
+    ),
+    (
+        "fig6",
+        "EU2 single-flow session fraction",
+        0.765,
+        (0.68, 0.88),
+    ),
+    (
+        "fig10a",
+        "EU2 single-flow-to-non-preferred fraction",
+        0.45,
+        (0.30, 0.70),
+    ),
+    (
+        "fig11",
+        "EU2 load/local-fraction correlation",
+        -0.9,
+        (-1.0, -0.6),
+    ),
+    ("fig12", "Net-3 share of all flows", 0.04, (0.02, 0.06)),
+    (
+        "fig12",
+        "Net-3 share of non-preferred flows",
+        0.50,
+        (0.25, 0.70),
+    ),
+    ("fig13", "EU1-ADSL exactly-once fraction", 0.85, (0.6, 1.0)),
+    ("fig18", "nodes with RTT1/RTT2 > 1", 0.40, (0.25, 0.90)),
+    ("fig18", "nodes with RTT1/RTT2 > 10", 0.20, (0.05, 0.50)),
+];
 
-    // --- Figure 7: preferred byte shares.
-    let fig7 = [
-        (DatasetName::UsCampus, 0.90, (0.85, 0.99)),
-        (DatasetName::Eu1Campus, 0.90, (0.85, 0.99)),
-        (DatasetName::Eu1Adsl, 0.90, (0.85, 0.99)),
-        (DatasetName::Eu1Ftth, 0.90, (0.85, 0.99)),
-        (DatasetName::Eu2, 0.45, (0.25, 0.60)),
-    ];
-    for (name, paper, band) in fig7 {
-        let metric = if name == DatasetName::Eu2 {
-            "EU2 preferred byte share (split)".into()
+/// Evaluates every [`CLAIMS`] row against the suite's cached figures
+/// ([`ExperimentSuite::figure`]); nothing here runs an analysis.
+///
+/// Degenerate inputs do not panic: a claim whose prerequisite data is
+/// missing (empty dataset, no video flows, an absent subnet, no active
+/// traces) lands in [`Scorecard::skipped`] with the metric's typed reason
+/// instead of producing a meaningless number.
+pub fn scorecard(suite: &ExperimentSuite) -> Scorecard {
+    let scale = suite.scenario().config().engine.scale;
+    let mut card = Scorecard::default();
+    for (experiment, metric, paper, band) in CLAIMS {
+        let (paper, band) = if experiment == "table1" {
+            let target = paper * scale;
+            (target, (band.0 * target, band.1 * target))
         } else {
-            format!("{name} preferred byte share")
+            (paper, band)
         };
-        if video_flows(name) == 0 {
-            card.skipped.push(Skipped {
-                experiment: "fig7",
-                metric,
-                error: no_flows_error(name),
-            });
-            continue;
-        }
-        card.checks.push(Check {
-            experiment: "fig7",
-            metric,
-            paper,
-            measured: suite.context(name).preferred_share_of_bytes(),
-            band,
+        let measured = suite.figure(experiment).and_then(|figure| {
+            figure.metric(metric).cloned().unwrap_or_else(|| {
+                Err(AnalysisError::NotProduced {
+                    experiment: experiment.to_owned(),
+                    output: format!("metric {metric:?}"),
+                })
+            })
         });
-    }
-
-    // --- Figure 8: US closest-5 share.
-    if video_flows(DatasetName::UsCampus) == 0 {
-        card.skipped.push(Skipped {
-            experiment: "fig8",
-            metric: "US-Campus closest-5 DC byte share".into(),
-            error: no_flows_error(DatasetName::UsCampus),
-        });
-    } else {
-        card.checks.push(Check {
-            experiment: "fig8",
-            metric: "US-Campus closest-5 DC byte share".into(),
-            paper: 0.02,
-            measured: closest_k_share(suite.context(DatasetName::UsCampus), 5),
-            band: (0.0, 0.05),
-        });
-    }
-
-    // --- Figure 6 / 10: session structure.
-    for name in DatasetName::ALL {
-        if video_flows(name) == 0 {
-            card.skipped.push(Skipped {
-                experiment: "fig6",
-                metric: format!("{name} single-flow session fraction"),
-                error: no_flows_error(name),
-            });
-            if name == DatasetName::Eu2 {
-                card.skipped.push(Skipped {
-                    experiment: "fig10a",
-                    metric: "EU2 single-flow-to-non-preferred fraction".into(),
-                    error: no_flows_error(name),
-                });
-            }
-            continue;
-        }
-        let st = suite.dataset_index(name).patterns();
-        card.checks.push(Check {
-            experiment: "fig6",
-            metric: format!("{name} single-flow session fraction"),
-            paper: 0.765,
-            measured: st.single_flow_fraction(),
-            band: (0.68, 0.88),
-        });
-        if name == DatasetName::Eu2 {
-            card.checks.push(Check {
-                experiment: "fig10a",
-                metric: "EU2 single-flow-to-non-preferred fraction".into(),
-                paper: 0.45,
-                measured: st.one_flow_non_preferred_fraction(),
-                band: (0.30, 0.70),
-            });
+        match measured {
+            Ok(measured) => card.checks.push(Check {
+                experiment,
+                metric: metric.to_owned(),
+                paper,
+                measured,
+                band,
+            }),
+            Err(error) => card.skipped.push(Skipped {
+                experiment,
+                metric: metric.to_owned(),
+                error,
+            }),
         }
     }
-
-    // --- Figure 11: EU2 load balancing.
-    let eu2_samples = hourly_samples(suite.dataset_index(DatasetName::Eu2));
-    if eu2_samples.iter().all(|s| s.total() == 0) {
-        card.skipped.push(Skipped {
-            experiment: "fig11",
-            metric: "EU2 load/local-fraction correlation".into(),
-            error: no_flows_error(DatasetName::Eu2),
-        });
-    } else {
-        card.checks.push(Check {
-            experiment: "fig11",
-            metric: "EU2 load/local-fraction correlation".into(),
-            paper: -0.9,
-            measured: load_vs_preferred_correlation(&eu2_samples),
-            band: (-1.0, -0.6),
-        });
-    }
-
-    // --- Figure 12: Net-3 dominance.
-    let subnets = suite
-        .scenario()
-        .world()
-        .vantage(DatasetName::UsCampus)
-        .subnets
-        .clone();
-    let shares = subnet_shares(
-        suite.context(DatasetName::UsCampus),
-        suite.dataset(DatasetName::UsCampus),
-        &subnets,
-    );
-    // `subnet_shares` emits a row per *configured* subnet, so Net-3's row
-    // exists even when the subnet contributed nothing — require actual
-    // flows before trusting its shares.
-    let net3 = shares
-        .iter()
-        .find(|s| s.name == "Net-3")
-        .filter(|s| s.share_of_all_flows > 0.0);
-    match net3 {
-        Some(net3) if video_flows(DatasetName::UsCampus) > 0 => {
-            card.checks.push(Check {
-                experiment: "fig12",
-                metric: "Net-3 share of all flows".into(),
-                paper: 0.04,
-                measured: net3.share_of_all_flows,
-                band: (0.02, 0.06),
-            });
-            card.checks.push(Check {
-                experiment: "fig12",
-                metric: "Net-3 share of non-preferred flows".into(),
-                paper: 0.50,
-                measured: net3.share_of_nonpreferred_flows,
-                band: (0.25, 0.70),
-            });
-        }
-        _ => {
-            let error = if video_flows(DatasetName::UsCampus) == 0 {
-                no_flows_error(DatasetName::UsCampus)
-            } else {
-                AnalysisError::MissingSubnet {
-                    dataset: DatasetName::UsCampus.to_string(),
-                    subnet: "Net-3".into(),
-                }
-            };
-            for metric in [
-                "Net-3 share of all flows",
-                "Net-3 share of non-preferred flows",
-            ] {
-                card.skipped.push(Skipped {
-                    experiment: "fig12",
-                    metric: metric.into(),
-                    error: error.clone(),
-                });
-            }
-        }
-    }
-
-    // --- Figure 13: cold-tail repair.
-    let vstats = nonpreferred_video_stats(
-        suite.dataset_index(DatasetName::Eu1Adsl),
-        suite.dataset(DatasetName::Eu1Adsl),
-    );
-    if vstats.cdf.is_empty() {
-        card.skipped.push(Skipped {
-            experiment: "fig13",
-            metric: "EU1-ADSL exactly-once fraction".into(),
-            error: AnalysisError::EmptyDistribution {
-                what: "EU1-ADSL non-preferred per-video counts".into(),
-            },
-        });
-    } else {
-        card.checks.push(Check {
-            experiment: "fig13",
-            metric: "EU1-ADSL exactly-once fraction".into(),
-            paper: 0.85,
-            measured: vstats.exactly_once_fraction,
-            band: (0.6, 1.0),
-        });
-    }
-
-    // --- Figures 17/18: active experiment.
-    let traces = suite.active_traces();
-    if traces.is_empty() {
-        for metric in ["nodes with RTT1/RTT2 > 1", "nodes with RTT1/RTT2 > 10"] {
-            card.skipped.push(Skipped {
-                experiment: "fig18",
-                metric: metric.into(),
-                error: AnalysisError::NoActiveTraces,
-            });
-        }
-    } else {
-        let rstats = crate::active_analysis::ratio_stats(&traces);
-        card.checks.push(Check {
-            experiment: "fig18",
-            metric: "nodes with RTT1/RTT2 > 1".into(),
-            paper: 0.40,
-            measured: rstats.above_one,
-            band: (0.25, 0.90),
-        });
-        card.checks.push(Check {
-            experiment: "fig18",
-            metric: "nodes with RTT1/RTT2 > 10".into(),
-            paper: 0.20,
-            measured: rstats.above_ten,
-            band: (0.05, 0.50),
-        });
-    }
-
     card
 }
 

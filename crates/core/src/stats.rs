@@ -174,6 +174,21 @@ impl Cdf {
             .collect()
     }
 
+    /// The CDF of both sample sets together, when no sample of `self` lies
+    /// above any sample of `upper` (the two sides of a threshold): one
+    /// concatenation, no re-sort.
+    pub(crate) fn chain(mut self, upper: &Cdf) -> Cdf {
+        debug_assert!(
+            self.sorted
+                .last()
+                .zip(upper.sorted.first())
+                .is_none_or(|(a, b)| a <= b),
+            "chained CDFs overlap"
+        );
+        self.sorted.extend_from_slice(&upper.sorted);
+        self
+    }
+
     /// The underlying sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted

@@ -140,6 +140,27 @@ done
 cmp "$smoke/sessions-1.txt" "$smoke/sessions-$max.txt" \
     || { echo "check.sh: session experiments differ at --jobs $max vs sequential" >&2; exit 1; }
 
+# Renderers: every report, `--plot` chart, the markdown page and every CSV
+# are read off the suite's cached per-experiment figures, which a parallel
+# run_many fills concurrently. All of them must be byte-identical at
+# --jobs 1 and --jobs <max>.
+echo "==> repro renderer byte-compare smoke (--plot, --markdown, --csv at --jobs 1 vs $max)" >&2
+all_ids=table1,table2,table3,fig2,fig3,fig4,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,fig11
+all_ids=$all_ids,fig12,fig13,fig14,fig15,fig16,fig17,fig18,ext-perf,ext-characterize,ext-feb2011
+for jobs in 1 "$max"; do
+    cargo run --quiet --release -p ytcdn-cli -- repro \
+        --scale 0.004 --seed 7 --exp "$all_ids" --plot \
+        --markdown "$smoke/render-$jobs.md" --csv "$smoke/csv-$jobs" --jobs "$jobs" \
+        > "$smoke/render-$jobs.txt" 2>/dev/null \
+        || { echo "check.sh: repro --plot --markdown --csv --jobs $jobs exited non-zero" >&2; exit 1; }
+done
+cmp "$smoke/render-1.txt" "$smoke/render-$max.txt" \
+    || { echo "check.sh: repro --plot output differs at --jobs $max vs sequential" >&2; exit 1; }
+cmp "$smoke/render-1.md" "$smoke/render-$max.md" \
+    || { echo "check.sh: markdown report differs at --jobs $max vs sequential" >&2; exit 1; }
+diff -r "$smoke/csv-1" "$smoke/csv-$max" > /dev/null \
+    || { echo "check.sh: CSV export differs at --jobs $max vs sequential" >&2; exit 1; }
+
 # Columnar .ytc smoke, three legs. (1) The file's sha256, so the
 # transcript shows the digest. (2) Replay fidelity: `repro --from
 # dataset.ytc` at --jobs 1 and at --jobs <max> (the sharded session

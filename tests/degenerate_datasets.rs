@@ -14,7 +14,7 @@ use ytcdn_core::degenerate::DegenerateShape;
 use ytcdn_core::experiments::{
     ExperimentSuite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
-use ytcdn_core::export::{export_all, figure_series, EXPORTABLE_FIGURES};
+use ytcdn_core::export::export_all;
 use ytcdn_core::report::markdown_report;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
 use ytcdn_core::AnalysisError;
@@ -74,9 +74,10 @@ fn every_shape_survives_every_entry_point() {
             "{shape}: scorecard is empty"
         );
 
-        // Figure series: Ok or a typed error, never a panic.
-        for id in EXPORTABLE_FIGURES {
-            let _ = figure_series(&suite, id);
+        // Every figure — report, series, metrics — is Ok or a typed
+        // error, never a panic.
+        for id in &ids {
+            assert!(suite.figure(id).is_ok(), "{shape}: {id} has no figure");
         }
 
         // Markdown report: failed experiments become SKIPPED sections.

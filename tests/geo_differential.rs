@@ -10,7 +10,7 @@
 use ytcdn_cdnsim::ScenarioConfig;
 use ytcdn_core::degenerate::DegenerateShape;
 use ytcdn_core::experiments::{ExperimentSuite, SuiteConfig};
-use ytcdn_core::export::{figure_series, Series};
+use ytcdn_core::export::Series;
 use ytcdn_core::geo_analysis::{continent_counts, geolocate_servers, radius_cdfs, ServerLocation};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
@@ -118,10 +118,13 @@ fn fig3_table3_and_export_serve_the_geo_index_values() {
     assert_eq!(us, us_idx);
     assert_eq!(eu, eu_idx);
     // …and the exported fig3 series are built from the same CDFs.
-    let exported = figure_series(&s, "fig3").expect("fig3 is exportable");
+    let fig3 = s.figure("fig3").expect("fig3 is an experiment");
     assert_eq!(
-        exported,
-        vec![Series::from_cdf("US", &us), Series::from_cdf("Europe", &eu)]
+        fig3.series,
+        Ok(vec![
+            Series::from_cdf("US", &us),
+            Series::from_cdf("Europe", &eu)
+        ])
     );
 }
 

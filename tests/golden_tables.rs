@@ -56,7 +56,7 @@ use ytcdn_core::degenerate::DegenerateShape;
 use ytcdn_core::experiments::{
     ExperimentSuite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
-use ytcdn_core::export::{ascii_chart, figure_series, write_csv, EXPORTABLE_FIGURES};
+use ytcdn_core::export::{ascii_chart, write_csv};
 use ytcdn_core::report::markdown_report;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
 use ytcdn_core::sha256::sha256_hex;
@@ -384,17 +384,17 @@ fn presentation_digests() -> String {
         }
         line("scorecard", render_scorecard(&scorecard(&suite)).as_bytes());
         line("markdown", markdown_report(&suite).as_bytes());
-        for id in EXPORTABLE_FIGURES {
-            let Ok(series) = figure_series(&suite, id) else {
+        for id in ALL_EXPERIMENTS.iter().chain(EXTENSION_EXPERIMENTS) {
+            let Ok(series) = &suite.figure(id).expect("a known experiment").series else {
                 continue;
             };
             let mut csv = Vec::new();
-            write_csv(&mut csv, &series).expect("writing to a Vec cannot fail");
+            write_csv(&mut csv, series).expect("writing to a Vec cannot fail");
             line(&format!("csv/{id}"), &csv);
             if suite.run(id).is_ok() {
                 line(
                     &format!("plot/{id}"),
-                    ascii_chart(&series, 72, 16).as_bytes(),
+                    ascii_chart(series, 72, 16).as_bytes(),
                 );
             }
         }
