@@ -84,6 +84,7 @@ type Driver = fn(&ExperimentSuite) -> Figure;
 /// Every experiment, [`ALL_EXPERIMENTS`] then [`EXTENSION_EXPERIMENTS`]:
 /// its id, its phase-histogram / span name (metric keys must be
 /// `&'static str`, hence the column), and its driver.
+#[rustfmt::skip]
 const EXPERIMENTS: [(&str, &str, Driver); 24] = [
     ("table1", "exp.table1", ExperimentSuite::table1),
     ("table2", "exp.table2", ExperimentSuite::table2),
@@ -107,16 +108,8 @@ const EXPERIMENTS: [(&str, &str, Driver); 24] = [
     ("fig17", "exp.fig17", ExperimentSuite::fig17),
     ("fig18", "exp.fig18", ExperimentSuite::fig18),
     ("ext-perf", "exp.ext-perf", ExperimentSuite::ext_perf),
-    (
-        "ext-characterize",
-        "exp.ext-characterize",
-        ExperimentSuite::ext_characterize,
-    ),
-    (
-        "ext-feb2011",
-        "exp.ext-feb2011",
-        ExperimentSuite::ext_feb2011,
-    ),
+    ("ext-characterize", "exp.ext-characterize", ExperimentSuite::ext_characterize),
+    ("ext-feb2011", "exp.ext-feb2011", ExperimentSuite::ext_feb2011),
 ];
 
 /// One experiment's results, computed once per suite

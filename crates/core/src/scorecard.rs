@@ -76,19 +76,10 @@ impl Scorecard {
 /// paper's value, and the accepted band (inclusive). Table I's rows are
 /// per unit of workload scale: the paper's flow count times the scale is
 /// the target, and the band is a fraction of that target.
+#[rustfmt::skip]
 const CLAIMS: [(&str, &str, f64, (f64, f64)); 25] = [
-    (
-        "table1",
-        "US-Campus flows (scaled)",
-        874_649.0,
-        (0.80, 1.20),
-    ),
-    (
-        "table1",
-        "EU1-Campus flows (scaled)",
-        134_789.0,
-        (0.80, 1.20),
-    ),
+    ("table1", "US-Campus flows (scaled)", 874_649.0, (0.80, 1.20)),
+    ("table1", "EU1-Campus flows (scaled)", 134_789.0, (0.80, 1.20)),
     ("table1", "EU1-ADSL flows (scaled)", 877_443.0, (0.80, 1.20)),
     ("table1", "EU1-FTTH flows (scaled)", 91_955.0, (0.80, 1.20)),
     ("table1", "EU2 flows (scaled)", 513_403.0, (0.80, 1.20)),
@@ -98,75 +89,20 @@ const CLAIMS: [(&str, &str, f64, (f64, f64)); 25] = [
     ("fig3", "US CBG radius median [km]", 41.0, (1.0, 1500.0)),
     ("fig3", "Europe CBG radius median [km]", 41.0, (1.0, 1500.0)),
     ("fig7", "US-Campus preferred byte share", 0.90, (0.85, 0.99)),
-    (
-        "fig7",
-        "EU1-Campus preferred byte share",
-        0.90,
-        (0.85, 0.99),
-    ),
+    ("fig7", "EU1-Campus preferred byte share", 0.90, (0.85, 0.99)),
     ("fig7", "EU1-ADSL preferred byte share", 0.90, (0.85, 0.99)),
     ("fig7", "EU1-FTTH preferred byte share", 0.90, (0.85, 0.99)),
-    (
-        "fig7",
-        "EU2 preferred byte share (split)",
-        0.45,
-        (0.25, 0.60),
-    ),
-    (
-        "fig8",
-        "US-Campus closest-5 DC byte share",
-        0.02,
-        (0.0, 0.05),
-    ),
-    (
-        "fig6",
-        "US-Campus single-flow session fraction",
-        0.765,
-        (0.68, 0.88),
-    ),
-    (
-        "fig6",
-        "EU1-Campus single-flow session fraction",
-        0.765,
-        (0.68, 0.88),
-    ),
-    (
-        "fig6",
-        "EU1-ADSL single-flow session fraction",
-        0.765,
-        (0.68, 0.88),
-    ),
-    (
-        "fig6",
-        "EU1-FTTH single-flow session fraction",
-        0.765,
-        (0.68, 0.88),
-    ),
-    (
-        "fig6",
-        "EU2 single-flow session fraction",
-        0.765,
-        (0.68, 0.88),
-    ),
-    (
-        "fig10a",
-        "EU2 single-flow-to-non-preferred fraction",
-        0.45,
-        (0.30, 0.70),
-    ),
-    (
-        "fig11",
-        "EU2 load/local-fraction correlation",
-        -0.9,
-        (-1.0, -0.6),
-    ),
+    ("fig7", "EU2 preferred byte share (split)", 0.45, (0.25, 0.60)),
+    ("fig8", "US-Campus closest-5 DC byte share", 0.02, (0.0, 0.05)),
+    ("fig6", "US-Campus single-flow session fraction", 0.765, (0.68, 0.88)),
+    ("fig6", "EU1-Campus single-flow session fraction", 0.765, (0.68, 0.88)),
+    ("fig6", "EU1-ADSL single-flow session fraction", 0.765, (0.68, 0.88)),
+    ("fig6", "EU1-FTTH single-flow session fraction", 0.765, (0.68, 0.88)),
+    ("fig6", "EU2 single-flow session fraction", 0.765, (0.68, 0.88)),
+    ("fig10a", "EU2 single-flow-to-non-preferred fraction", 0.45, (0.30, 0.70)),
+    ("fig11", "EU2 load/local-fraction correlation", -0.9, (-1.0, -0.6)),
     ("fig12", "Net-3 share of all flows", 0.04, (0.02, 0.06)),
-    (
-        "fig12",
-        "Net-3 share of non-preferred flows",
-        0.50,
-        (0.25, 0.70),
-    ),
+    ("fig12", "Net-3 share of non-preferred flows", 0.50, (0.25, 0.70)),
     ("fig13", "EU1-ADSL exactly-once fraction", 0.85, (0.6, 1.0)),
     ("fig18", "nodes with RTT1/RTT2 > 1", 0.40, (0.25, 0.90)),
     ("fig18", "nodes with RTT1/RTT2 > 10", 0.20, (0.05, 0.50)),
