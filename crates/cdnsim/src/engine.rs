@@ -709,10 +709,7 @@ mod tests {
         let (ds, outcome) = s.run(DatasetName::Eu1Ftth);
         assert!(outcome.flows > 0);
         assert_eq!(ds.len() as u64, outcome.flows);
-        assert!(ds
-            .records()
-            .windows(2)
-            .all(|w| w[0].start_ms <= w[1].start_ms));
+        assert!(ds.columns().start_ms.windows(2).all(|w| w[0] <= w[1]));
         assert!(ds.iter().all(|r| r.is_well_formed()));
     }
 
@@ -829,7 +826,7 @@ mod tests {
         let world = s.world();
         let pref = world.preferred_dc(DatasetName::Eu2);
         let mut np = 0;
-        let mut by_key: std::collections::HashMap<_, Vec<&ytcdn_tstat::FlowRecord>> =
+        let mut by_key: std::collections::HashMap<_, Vec<ytcdn_tstat::FlowRecord>> =
             Default::default();
         for r in ds.iter() {
             by_key.entry((r.client_ip, r.video_id)).or_default().push(r);

@@ -710,12 +710,7 @@ mod tests {
         let (after, _) = mutated.run(DatasetName::Eu1Ftth);
         // Identical up to the mutation hour, drained after it.
         let cut = 72 * ytcdn_tstat::HOUR_MS;
-        let head = |ds: &Dataset| {
-            ds.iter()
-                .filter(|r| r.start_ms < cut)
-                .cloned()
-                .collect::<Vec<_>>()
-        };
+        let head = |ds: &Dataset| ds.iter().filter(|r| r.start_ms < cut).collect::<Vec<_>>();
         assert_eq!(head(&before), head(&after));
         let at_pref_after_cut = |ds: &Dataset| {
             ds.iter()

@@ -342,7 +342,7 @@ fn anonymize_trace(trace: &PathBuf, out: &PathBuf, seed: u64, ctx: &Ctx) -> Exit
     ctx.progress.note(&format!(
         "anonymized {} flows ({} distinct clients) into {}",
         anon.len(),
-        anon.client_ips().len(),
+        anon.distinct_clients(),
         out.display()
     ));
     ExitCode::SUCCESS

@@ -6,7 +6,6 @@
 //! in-ISP data center), and everything else.
 
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 
 use ytcdn_cdnsim::World;
 use ytcdn_netsim::WellKnownAs;
@@ -37,26 +36,28 @@ impl AsBreakdown {
     }
 }
 
-/// Computes the Table II row for a dataset.
+/// Computes the Table II row for a dataset. Each distinct server — each
+/// entry of the dataset's server dictionary — is classified once; each
+/// flow adds its bytes to its entry by rank.
 pub fn as_breakdown(world: &World, dataset: &Dataset) -> AsBreakdown {
     let home = world.vantage(dataset.name()).home_as;
     let registry = world.topology().registry();
+    let c = dataset.columns();
 
+    let mut entry_bytes = vec![0u64; c.servers.len()];
+    for (&rank, &b) in c.server_ranks.iter().zip(&c.bytes) {
+        entry_bytes[rank as usize] += b;
+    }
     let mut server_count: BTreeMap<WellKnownAs, u64> = BTreeMap::new();
     let mut bytes: BTreeMap<WellKnownAs, u64> = BTreeMap::new();
-    let mut seen: std::collections::HashSet<Ipv4Addr> = Default::default();
-    let mut total_bytes = 0u64;
-
-    for r in dataset.iter() {
-        let bucket = registry.classify(r.server_ip, home);
-        *bytes.entry(bucket).or_default() += r.bytes;
-        total_bytes += r.bytes;
-        if seen.insert(r.server_ip) {
-            *server_count.entry(bucket).or_default() += 1;
-        }
+    for (&ip, &b) in c.servers.iter().zip(&entry_bytes) {
+        let bucket = registry.classify(ip, home);
+        *server_count.entry(bucket).or_default() += 1;
+        *bytes.entry(bucket).or_default() += b;
     }
+    let total_bytes: u64 = entry_bytes.iter().sum();
 
-    let total_servers = seen.len() as f64;
+    let total_servers = c.servers.len() as f64;
     let shares = WellKnownAs::buckets()
         .iter()
         .map(|&b| {

@@ -47,7 +47,7 @@ pub fn characterize(dataset: &Dataset) -> Characterization {
     for r in dataset.iter() {
         *per_client.entry(r.client_ip).or_default() += r.bytes;
         total_bytes += r.bytes;
-        if classifier.classify(r) == ytcdn_tstat::FlowClass::Video {
+        if classifier.classify(&r) == ytcdn_tstat::FlowClass::Video {
             *per_video.entry(r.video_id).or_default() += 1;
             *per_hour.entry(r.start_ms / HOUR_MS).or_default() += 1;
             total_video_flows += 1;

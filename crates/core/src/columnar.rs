@@ -3,21 +3,29 @@
 //! A week-long trace is re-analysed dozens of times per sweep; this module
 //! gives the flow logs a deterministic binary on-disk form so `ytcdn repro`
 //! and `ytcdn watch` can skip simulation entirely. The layout is
-//! struct-of-arrays, mirroring [`crate::index::DatasetIndex`]: each
-//! [`ytcdn_tstat::FlowRecord`] column is stored contiguously —
-//! delta-encoded start timestamps, varint durations and byte counts,
-//! dictionary-interned server addresses and video ids (the numeric-index
-//! twin of the inline [`ytcdn_tstat::VideoIdStr`] trick), one resolution
-//! byte per flow — plus a per-hour block index so hour-range reads and
+//! struct-of-arrays, mirroring the in-memory [`Dataset`]: each column is
+//! stored contiguously — delta-encoded start timestamps, varint durations
+//! and byte counts, raw client addresses, the server and video
+//! dictionaries with one rank per flow (the numeric-index twin of the
+//! inline [`ytcdn_tstat::VideoIdStr`] trick), one resolution byte per flow
+//! — plus a per-hour block index so hour-range reads and
 //! [`DatasetIndex::from_columnar`](crate::index::DatasetIndex::from_columnar)
 //! need no rescan.
+//!
+//! The encoder writes the dataset's dictionaries and ranks as they are
+//! ([`Dataset::from_records`] built them). The decoder validates each
+//! block straight into the final columns and hands them to
+//! [`Dataset::from_columns`], which checks the cross-column invariants:
+//! every rank in range, every dictionary entry referenced, `(start_ms,
+//! end_ms)` order. A file the canonical encoder could not have written is
+//! rejected, so equal datasets are equal bytes.
 //!
 //! Integrity: a versioned header, a SHA-256 per section, and a whole-file
 //! SHA-256 (all in-tree, [`crate::sha256`]). Every way a file can be
 //! malformed surfaces as a typed [`FormatError`] — decoding never panics.
 //!
 //! Determinism: encoding is a pure function of the header values and the
-//! record columns. The same seed/scale/mutations produce byte-identical
+//! dataset columns. The same seed/scale/mutations produce byte-identical
 //! files for any simulation worker count, so golden tests pin whole-file
 //! digests.
 //! The full byte layout is specified in `DESIGN.md` §13.
@@ -32,7 +40,9 @@ use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, FlowRecord, Resolution, VideoId, HOUR_MS};
+use ytcdn_tstat::{
+    ColumnError, Dataset, DatasetColumns, DatasetName, Resolution, VideoId, HOUR_MS,
+};
 
 use crate::sha256::{sha256, Sha256, DIGEST_LEN};
 
@@ -107,7 +117,8 @@ pub enum FormatError {
         /// What invariant failed.
         reason: String,
     },
-    /// A server/video dictionary is unsorted or a reference is out of range.
+    /// A server/video dictionary is unsorted, holds an entry no flow
+    /// references, or a reference is out of range.
     BadDictionary {
         /// What invariant failed.
         what: String,
@@ -120,6 +131,13 @@ pub enum FormatError {
     /// A record violates a flow invariant (`end_ms < start_ms`).
     MalformedRecord {
         /// Index of the record within its dataset.
+        index: usize,
+    },
+    /// Two flows with the same `start_ms` stored with descending `end_ms`:
+    /// the encoder writes flows in `(start_ms, end_ms)` order, so no
+    /// canonical file holds them.
+    OutOfOrder {
+        /// Index of the later record within its dataset.
         index: usize,
     },
     /// The same vantage point appears twice in one file.
@@ -190,6 +208,10 @@ impl fmt::Display for FormatError {
             Self::MalformedRecord { index } => {
                 write!(f, "malformed flow record at index {index} (end < start)")
             }
+            Self::OutOfOrder { index } => write!(
+                f,
+                "flow record {index} ends before its predecessor with the same start"
+            ),
             Self::DuplicateDataset { name } => {
                 write!(f, "dataset {name} appears more than once")
             }
@@ -269,10 +291,11 @@ impl ColumnarDataset {
     /// [`FormatError::MalformedRecord`] if any record has `end_ms <
     /// start_ms` — such a record has no encodable duration.
     pub fn from_dataset(dataset: Dataset) -> FormatResult<Self> {
-        if let Some(index) = dataset.iter().position(|r| !r.is_well_formed()) {
+        let c = dataset.columns();
+        if let Some(index) = c.start_ms.iter().zip(&c.end_ms).position(|(s, e)| e < s) {
             return Err(FormatError::MalformedRecord { index });
         }
-        let hour_ranges = compute_hour_ranges(dataset.records());
+        let hour_ranges = compute_hour_ranges(&c.start_ms);
         Ok(Self {
             dataset,
             hour_ranges,
@@ -296,7 +319,7 @@ impl ColumnarDataset {
     }
 }
 
-/// Per-hour contiguous index ranges over start-time-sorted records: the
+/// Per-hour contiguous index ranges over a sorted start-time column: the
 /// one hour binning, shared by the encoder and
 /// [`crate::index::DatasetIndex::build`]. An empty dataset still gets its
 /// hour-0 range, so the hourly analyses keep their "at least one sample"
@@ -304,21 +327,15 @@ impl ColumnarDataset {
 ///
 /// # Panics
 ///
-/// Panics if the records are not sorted by start time (a [`Dataset`]
-/// always is).
-pub(crate) fn compute_hour_ranges(records: &[FlowRecord]) -> Vec<Range<usize>> {
-    let n = records.len();
-    let hours = records
-        .iter()
-        .map(|r| r.start_ms / HOUR_MS)
-        .max()
-        .unwrap_or(0)
-        + 1;
+/// Panics if `start_ms` is not sorted (a [`Dataset`]'s always is).
+pub(crate) fn compute_hour_ranges(start_ms: &[u64]) -> Vec<Range<usize>> {
+    let n = start_ms.len();
+    let hours = start_ms.last().map_or(0, |&last| last / HOUR_MS) + 1;
     let mut ranges: Vec<Range<usize>> = Vec::with_capacity(hours as usize);
     let mut pos = 0usize;
     for h in 0..hours {
         let start = pos;
-        while pos < n && records[pos].start_ms / HOUR_MS == h {
+        while pos < n && start_ms[pos] / HOUR_MS == h {
             pos += 1;
         }
         ranges.push(start..pos);
@@ -626,12 +643,12 @@ fn push_block(out: &mut Vec<u8>, tag: u8, data: &[u8]) {
 
 /// Encodes one dataset section payload (name byte, flow count, the eight
 /// column blocks in fixed tag order) into `out`, staging each block in
-/// `block`; both buffers are the caller's, reused across sections.
+/// `block`; both buffers are the caller's, reused across sections. The
+/// dataset's columns and dictionaries are written as they are.
 fn encode_section(out: &mut Vec<u8>, block: &mut Vec<u8>, c: &ColumnarDataset) {
-    let records = c.dataset().records();
-    let n = records.len();
+    let cols = c.dataset().columns();
     out.push(name_code(c.dataset().name()));
-    push_varint(out, n as u64);
+    push_varint(out, c.dataset().len() as u64);
 
     // 1: hour index — per-hour flow counts; the ranges are their prefix sums.
     block.clear();
@@ -644,53 +661,52 @@ fn encode_section(out: &mut Vec<u8>, block: &mut Vec<u8>, c: &ColumnarDataset) {
     // 2: start timestamps, delta-encoded (sorted, so deltas are small).
     block.clear();
     let mut prev = 0u64;
-    for r in records {
-        push_varint(block, r.start_ms - prev);
-        prev = r.start_ms;
+    for &start in &cols.start_ms {
+        push_varint(block, start - prev);
+        prev = start;
     }
     push_block(out, TAG_START_MS, block);
 
     // 3: durations (end - start; well-formedness checked at construction).
     block.clear();
-    for r in records {
-        push_varint(block, r.end_ms - r.start_ms);
+    for (&start, &end) in cols.start_ms.iter().zip(&cols.end_ms) {
+        push_varint(block, end - start);
     }
     push_block(out, TAG_DURATION_MS, block);
 
     // 4: byte counts.
     block.clear();
-    for r in records {
-        push_varint(block, r.bytes);
+    for &bytes in &cols.bytes {
+        push_varint(block, bytes);
     }
     push_block(out, TAG_BYTES, block);
 
     // 5: client addresses, raw 4-byte big-endian octets.
     block.clear();
-    for r in records {
-        block.extend_from_slice(&r.client_ip.octets());
+    for &client in &cols.clients {
+        block.extend_from_slice(&client.to_be_bytes());
     }
     push_block(out, TAG_CLIENT_IP, block);
 
-    // 6/7: interned server addresses and video ids — a sorted,
-    // delta-encoded dictionary followed by one reference per flow.
+    // 6/7: the server and video dictionaries, each followed by one rank
+    // per flow.
     block.clear();
-    encode_dict_block(block, records.iter().map(|r| ip_u32(r.server_ip)));
+    let servers = cols.servers.iter().map(|&ip| u64::from(u32::from(ip)));
+    encode_dict_block(block, servers, &cols.server_ranks);
     push_block(out, TAG_SERVER_DICT, block);
 
     block.clear();
-    encode_dict_block(block, records.iter().map(|r| r.video_id.index()));
+    encode_dict_block(
+        block,
+        cols.videos.iter().map(|v| v.index()),
+        &cols.video_ranks,
+    );
     push_block(out, TAG_VIDEO_DICT, block);
 
     // 8: resolutions, one code byte per flow.
     block.clear();
-    for r in records {
-        block.push(resolution_code(r.resolution));
-    }
+    block.extend(cols.resolutions.iter().map(|&r| resolution_code(r)));
     push_block(out, TAG_RESOLUTION, block);
-}
-
-fn ip_u32(ip: Ipv4Addr) -> u32 {
-    u32::from(ip)
 }
 
 fn resolution_code(r: Resolution) -> u8 {
@@ -704,28 +720,21 @@ fn resolution_code(r: Resolution) -> u8 {
     }
 }
 
-/// Dictionary block: entry count, delta-encoded sorted entries (first
-/// absolute, then strictly positive deltas), then one rank per flow. The
-/// dictionary is the sorted, deduplicated values, so an entry's rank is
-/// its position and each flow's rank is one binary search.
-fn encode_dict_block<T: Ord + Copy + Into<u64>>(
+/// Dictionary block: entry count, delta-encoded ascending entries (first
+/// absolute, then strictly positive deltas), then one rank per flow.
+fn encode_dict_block(
     out: &mut Vec<u8>,
-    per_flow: impl Iterator<Item = T> + Clone,
+    entries: impl ExactSizeIterator<Item = u64>,
+    ranks: &[u32],
 ) {
-    let mut dict: Vec<T> = per_flow.clone().collect();
-    dict.sort_unstable();
-    dict.dedup();
-    push_varint(out, dict.len() as u64);
+    push_varint(out, entries.len() as u64);
     let mut prev = 0u64;
-    for (i, value) in dict.iter().enumerate() {
-        let v: u64 = (*value).into();
+    for (i, v) in entries.enumerate() {
         push_varint(out, if i == 0 { v } else { v - prev });
         prev = v;
     }
-    for value in per_flow {
-        // Every per-flow value is in the dictionary built from them above.
-        let rank = dict.binary_search(&value).unwrap_or(0);
-        push_varint(out, rank as u64);
+    for &rank in ranks {
+        push_varint(out, u64::from(rank));
     }
 }
 
@@ -785,24 +794,23 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self, what: &'static str) -> FormatResult<u64> {
+        let rest = &self.buf[self.pos..];
         let mut v = 0u64;
         // LEB128: at most ten 7-bit groups for a u64 (shifts 0, 7, …, 63).
-        for shift in (0..=63u32).step_by(7) {
-            let byte = self.take(1, what)?[0];
+        for (len, (&byte, shift)) in (1usize..).zip(rest.iter().zip((0..=63u32).step_by(7))) {
             if shift == 63 && byte > 1 {
-                // The tenth group may only contribute the top bit.
+                // The tenth group may only contribute the top bit; a
+                // continuation bit there would run past 64 bits.
                 return Err(FormatError::BadVarint { what });
             }
-            let group = u64::from(byte & 0x7f)
-                .checked_shl(shift)
-                .ok_or(FormatError::BadVarint { what })?;
-            v |= group;
+            v |= u64::from(byte & 0x7f).wrapping_shl(shift);
             if byte & 0x80 == 0 {
+                self.pos = self.pos.saturating_add(len);
                 return Ok(v);
             }
         }
-        // A continuation bit on the tenth byte would run past 64 bits.
-        Err(FormatError::BadVarint { what })
+        // Fewer than ten bytes left, every one a continuation.
+        Err(FormatError::Truncated { what })
     }
 }
 
@@ -854,15 +862,21 @@ fn take_block<'a>(r: &mut Reader<'a>, expected: u8) -> FormatResult<&'a [u8]> {
     r.take(len, "block data")
 }
 
-/// Decodes `n` varints from one block, requiring the block to be fully
+/// Decodes `n` varints from one block straight into a column, passing each
+/// (flow index, value) through `value`, and requires the block to be fully
 /// consumed.
-fn decode_varint_column(block: &[u8], n: usize, what: &'static str) -> FormatResult<Vec<u64>> {
+fn decode_column<T>(
+    block: &[u8],
+    n: usize,
+    what: &'static str,
+    mut value: impl FnMut(usize, u64) -> FormatResult<T>,
+) -> FormatResult<Vec<T>> {
     let mut r = Reader::new(block);
     // Each varint is at least one byte, so a well-formed block is at least
     // `n` bytes — the capacity hint cannot be tricked into a huge alloc.
     let mut out = Vec::with_capacity(n.min(block.len()));
-    for _ in 0..n {
-        out.push(r.varint(what)?);
+    for i in 0..n {
+        out.push(value(i, r.varint(what)?)?);
     }
     if r.remaining() != 0 {
         return Err(FormatError::CountMismatch {
@@ -874,14 +888,15 @@ fn decode_varint_column(block: &[u8], n: usize, what: &'static str) -> FormatRes
     Ok(out)
 }
 
-/// Decodes a dictionary block into (sorted entries, per-flow ranks). The
-/// ranks come back as `usize` — each one is validated against `dict_len`
-/// here, so callers can index the entries directly.
-fn decode_dict_block(
+/// Decodes a dictionary block into (ascending entries, each passed through
+/// `entry`, and per-flow ranks). Rank range and use of every entry are
+/// checked by [`Dataset::from_columns`].
+fn decode_dict_block<T>(
     block: &[u8],
     n: usize,
     what: &'static str,
-) -> FormatResult<(Vec<u64>, Vec<usize>)> {
+    mut entry: impl FnMut(u64) -> FormatResult<T>,
+) -> FormatResult<(Vec<T>, Vec<u32>)> {
     let mut r = Reader::new(block);
     let dict_len = wire_len(r.varint(what)?, what)?;
     let mut entries = Vec::with_capacity(dict_len.min(block.len()));
@@ -901,19 +916,15 @@ fn decode_dict_block(
                     what: format!("{what}: entry overflows u64"),
                 })?
         };
-        entries.push(value);
+        entries.push(entry(value)?);
         prev = value;
     }
-    let mut refs = Vec::with_capacity(n.min(block.len()));
+    let mut ranks = Vec::with_capacity(n.min(block.len()));
     for _ in 0..n {
         let raw = r.varint(what)?;
-        let rank = usize::try_from(raw)
-            .ok()
-            .filter(|&k| k < dict_len)
-            .ok_or_else(|| FormatError::BadDictionary {
-                what: format!("{what}: reference {raw} out of range (dict has {dict_len})"),
-            })?;
-        refs.push(rank);
+        ranks.push(u32::try_from(raw).map_err(|_| FormatError::BadDictionary {
+            what: format!("{what}: reference {raw} out of range (dict has {dict_len})"),
+        })?);
     }
     if r.remaining() != 0 {
         return Err(FormatError::CountMismatch {
@@ -922,7 +933,25 @@ fn decode_dict_block(
             found: (n as u64).saturating_add(r.remaining() as u64),
         });
     }
-    Ok((entries, refs))
+    Ok((entries, ranks))
+}
+
+/// Maps a rejected set of decoded columns onto the format's taxonomy.
+fn column_error(e: ColumnError) -> FormatError {
+    match e {
+        ColumnError::LengthMismatch { column, len, flows } => FormatError::CountMismatch {
+            what: column,
+            expected: flows as u64,
+            found: len as u64,
+        },
+        ColumnError::EndBeforeStart { flow } => FormatError::MalformedRecord { index: flow },
+        ColumnError::OutOfOrder { flow } => FormatError::OutOfOrder { index: flow },
+        ColumnError::DictionaryNotAscending { .. }
+        | ColumnError::RankOutOfRange { .. }
+        | ColumnError::UnreferencedEntry { .. } => FormatError::BadDictionary {
+            what: e.to_string(),
+        },
+    }
 }
 
 fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
@@ -965,10 +994,28 @@ fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
         });
     }
 
-    // 2–4: varint columns.
-    let start_deltas = decode_varint_column(take_block(&mut r, TAG_START_MS)?, n, "start_ms")?;
-    let durations = decode_varint_column(take_block(&mut r, TAG_DURATION_MS)?, n, "duration_ms")?;
-    let byte_counts = decode_varint_column(take_block(&mut r, TAG_BYTES)?, n, "bytes")?;
+    // 2–4: varint columns, decoded straight into start, end and bytes.
+    let mut start = 0u64;
+    let start_ms = decode_column(
+        take_block(&mut r, TAG_START_MS)?,
+        n,
+        "start_ms",
+        |_, delta| {
+            start = start
+                .checked_add(delta)
+                .ok_or(FormatError::BadVarint { what: "start_ms" })?;
+            Ok(start)
+        },
+    )?;
+    let duration_block = take_block(&mut r, TAG_DURATION_MS)?;
+    let end_ms = decode_column(duration_block, n, "duration_ms", |i, duration| {
+        start_ms[i]
+            .checked_add(duration)
+            .ok_or(FormatError::BadVarint {
+                what: "duration_ms",
+            })
+    })?;
+    let bytes = decode_column(take_block(&mut r, TAG_BYTES)?, n, "bytes", |_, v| Ok(v))?;
 
     // 5: client addresses — exactly four bytes per flow.
     let client_block = take_block(&mut r, TAG_CLIENT_IP)?;
@@ -983,17 +1030,24 @@ fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
             found: client_block.len() as u64,
         });
     }
+    let clients = client_block
+        .chunks_exact(4)
+        .map(|o| u32::from_be_bytes([o[0], o[1], o[2], o[3]]))
+        .collect();
 
     // 6–7: dictionaries.
-    let (server_dict, server_refs) =
-        decode_dict_block(take_block(&mut r, TAG_SERVER_DICT)?, n, "server dictionary")?;
-    if let Some(&v) = server_dict.iter().find(|&&v| v > u64::from(u32::MAX)) {
-        return Err(FormatError::BadDictionary {
-            what: format!("server dictionary: entry {v} exceeds an IPv4 address"),
-        });
-    }
-    let (video_dict, video_refs) =
-        decode_dict_block(take_block(&mut r, TAG_VIDEO_DICT)?, n, "video dictionary")?;
+    let server_block = take_block(&mut r, TAG_SERVER_DICT)?;
+    let (servers, server_ranks) = decode_dict_block(server_block, n, "server dictionary", |v| {
+        u32::try_from(v)
+            .map(Ipv4Addr::from)
+            .map_err(|_| FormatError::BadDictionary {
+                what: format!("server dictionary: entry {v} exceeds an IPv4 address"),
+            })
+    })?;
+    let video_block = take_block(&mut r, TAG_VIDEO_DICT)?;
+    let (videos, video_ranks) = decode_dict_block(video_block, n, "video dictionary", |v| {
+        Ok(VideoId::from_index(v))
+    })?;
 
     // 8: resolutions — one code byte per flow.
     let res_block = take_block(&mut r, TAG_RESOLUTION)?;
@@ -1004,6 +1058,15 @@ fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
             found: res_block.len() as u64,
         });
     }
+    let resolutions = res_block
+        .iter()
+        .map(|&code| {
+            Resolution::ALL
+                .get(usize::from(code))
+                .copied()
+                .ok_or(FormatError::BadResolution { code })
+        })
+        .collect::<FormatResult<Vec<_>>>()?;
     if r.remaining() != 0 {
         return Err(FormatError::CountMismatch {
             what: "dataset section payload",
@@ -1012,60 +1075,23 @@ fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
         });
     }
 
-    // Reassemble the rows. `chunks_exact(4)` yields exactly `n` client
-    // address chunks (the block length was validated above), so `i` ranges
-    // over every flow without any index arithmetic.
-    let mut records: Vec<FlowRecord> = Vec::with_capacity(n);
-    let mut start = 0u64;
-    for (i, octets) in client_block.chunks_exact(4).enumerate() {
-        start = start
-            .checked_add(start_deltas[i])
-            .ok_or(FormatError::BadVarint { what: "start_ms" })?;
-        let end = start
-            .checked_add(durations[i])
-            .ok_or(FormatError::BadVarint {
-                what: "duration_ms",
-            })?;
-        let resolution = *Resolution::ALL
-            .get(usize::from(res_block[i]))
-            .ok_or(FormatError::BadResolution { code: res_block[i] })?;
-        // Every dictionary entry was range-checked against u32::MAX above;
-        // the try_from keeps the decode path free of lossy casts anyway.
-        let server_raw = server_dict[server_refs[i]];
-        let server_ip = u32::try_from(server_raw).map_err(|_| FormatError::BadDictionary {
-            what: format!("server dictionary: entry {server_raw} exceeds an IPv4 address"),
-        })?;
-        records.push(FlowRecord {
-            client_ip: Ipv4Addr::new(octets[0], octets[1], octets[2], octets[3]),
-            server_ip: Ipv4Addr::from(server_ip),
-            start_ms: start,
-            end_ms: end,
-            bytes: byte_counts[i],
-            video_id: VideoId::from_index(video_dict[video_refs[i]]),
-            resolution,
-        });
-    }
-
     // Cross-validate the hour index against the decoded timestamps: every
     // record must sit in its declared hour, and the trailing hour must be
     // the last non-empty one (so two equal files cannot differ in padding).
     for (h, range) in hour_ranges.iter().enumerate() {
-        for i in range.clone() {
-            if records[i].start_ms / HOUR_MS != h as u64 {
-                return Err(FormatError::BadHourIndex {
-                    reason: format!(
-                        "flow {i} starts in hour {} but is indexed under hour {h}",
-                        records[i].start_ms / HOUR_MS
-                    ),
-                });
-            }
+        if let Some(i) = range.clone().find(|&i| start_ms[i] / HOUR_MS != h as u64) {
+            return Err(FormatError::BadHourIndex {
+                reason: format!(
+                    "flow {i} starts in hour {} but is indexed under hour {h}",
+                    start_ms[i] / HOUR_MS
+                ),
+            });
         }
     }
-    let expected_hours = records
-        .iter()
-        .map(|r| r.start_ms / HOUR_MS)
-        .max()
-        .unwrap_or(0)
+    // Starts ascend by delta construction, so the last is the latest.
+    let expected_hours = start_ms
+        .last()
+        .map_or(0, |&last| last / HOUR_MS)
         .saturating_add(1);
     if hour_ranges.len() as u64 != expected_hours {
         return Err(FormatError::BadHourIndex {
@@ -1076,12 +1102,21 @@ fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
         });
     }
 
-    // `from_records` stable-sorts by (start, end); file order is already
-    // canonical (starts are non-decreasing by delta construction, and the
-    // encoder writes sorted datasets), so this is an identity pass that
-    // restores the `Dataset` invariant for free.
+    // The cross-column invariants: dictionary use, rank range, and
+    // (start, end) order among equal starts.
+    let columns = DatasetColumns {
+        clients,
+        server_ranks,
+        start_ms,
+        end_ms,
+        bytes,
+        video_ranks,
+        resolutions,
+        servers,
+        videos,
+    };
     Ok(ColumnarDataset {
-        dataset: Dataset::from_records(name, records),
+        dataset: Dataset::from_columns(name, columns).map_err(column_error)?,
         hour_ranges,
     })
 }
@@ -1089,6 +1124,7 @@ fn decode_section(payload: &[u8]) -> FormatResult<ColumnarDataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ytcdn_tstat::FlowRecord;
 
     fn flow(start: u64, dur: u64, bytes: u64, video: u64, server: &str) -> FlowRecord {
         FlowRecord {
@@ -1201,7 +1237,7 @@ mod tests {
         assert!(std::error::Error::source(&FormatError::Io(std::io::Error::other("x"))).is_some());
     }
 
-    /// The pre-sorting dictionary encoder, kept as the oracle: a
+    /// The original dictionary encoder, kept as the oracle: a
     /// `BTreeMap` from each distinct value to its rank, looked up per flow.
     fn oracle_dict_block<T: Ord + Copy + Into<u64>>(values: &[T]) -> Vec<u8> {
         use std::collections::BTreeMap;
@@ -1223,10 +1259,33 @@ mod tests {
         out
     }
 
+    /// One flow per value, in order: the dataset builds the dictionaries
+    /// and ranks, the encoder writes them. Values are video ids, and
+    /// server addresses too when they all fit one.
     fn assert_dict_matches_oracle<T: Ord + Copy + Into<u64> + fmt::Debug>(values: &[T]) {
+        let wide: Vec<u64> = values.iter().map(|&v| v.into()).collect();
+        let records = (0u64..)
+            .zip(&wide)
+            .map(|(k, &v)| FlowRecord {
+                server_ip: Ipv4Addr::from(u32::try_from(v).unwrap_or(0)),
+                ..flow(k, 1, 1, v, "0.0.0.0")
+            })
+            .collect();
+        let ds = Dataset::from_records(DatasetName::Eu2, records);
+        let c = ds.columns();
         let mut block = Vec::new();
-        encode_dict_block(&mut block, values.iter().copied());
-        assert_eq!(block, oracle_dict_block(values), "values {values:?}");
+        encode_dict_block(
+            &mut block,
+            c.videos.iter().map(|v| v.index()),
+            &c.video_ranks,
+        );
+        assert_eq!(block, oracle_dict_block(values), "videos {values:?}");
+        if wide.iter().all(|&v| u32::try_from(v).is_ok()) {
+            block.clear();
+            let servers = c.servers.iter().map(|&ip| u64::from(u32::from(ip)));
+            encode_dict_block(&mut block, servers, &c.server_ranks);
+            assert_eq!(block, oracle_dict_block(values), "servers {values:?}");
+        }
     }
 
     #[test]

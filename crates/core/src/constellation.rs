@@ -279,7 +279,7 @@ impl WatchReport {
         let wh = config.window_hours.max(1);
         let hours = index.hour_ranges().len() as u64;
         let num_windows = hours.div_ceil(wh) as usize;
-        let records = dataset.records();
+        let c = dataset.columns();
 
         // Startup samples (first-flow duration) per window, by session
         // start time.
@@ -292,8 +292,8 @@ impl WatchReport {
             }
             sessions_in[w] += 1;
             if let Some(&first) = s.flow_indices().first() {
-                let r = &records[first as usize];
-                startup[w].push((r.end_ms - r.start_ms) as f64);
+                let first = first as usize;
+                startup[w].push((c.end_ms[first] - c.start_ms[first]) as f64);
             }
         }
 
@@ -313,22 +313,21 @@ impl WatchReport {
             let mut dc_bytes: BTreeMap<usize, u64> = BTreeMap::new();
             let mut video_flows = 0u64;
             let mut non_preferred = 0u64;
-            for (i, r) in records.iter().enumerate().take(flow_end).skip(flow_start) {
+            for i in flow_start..flow_end {
                 let Some(dc) = index.dc_of_flow(i) else {
                     continue;
                 };
-                let cluster = by_cluster
-                    .entry(slash24(r.server_ip))
-                    .or_insert(ClusterMass {
-                        slash24: slash24(r.server_ip),
-                        dc,
-                        flows: 0,
-                        bytes: 0,
-                    });
+                let block = slash24(dataset.server_ip(i));
+                let cluster = by_cluster.entry(block).or_insert(ClusterMass {
+                    slash24: block,
+                    dc,
+                    flows: 0,
+                    bytes: 0,
+                });
                 cluster.flows += 1;
-                cluster.bytes += r.bytes;
+                cluster.bytes += c.bytes[i];
                 *dc_flows.entry(dc).or_insert(0) += 1;
-                *dc_bytes.entry(dc).or_insert(0) += r.bytes;
+                *dc_bytes.entry(dc).or_insert(0) += c.bytes[i];
                 if index.is_video_flow(i) {
                     video_flows += 1;
                     if dc != index.preferred_index() {

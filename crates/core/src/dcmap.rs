@@ -115,9 +115,6 @@ pub struct AnalysisContext {
     dataset_name: DatasetName,
     dcs: Vec<DcInfo>,
     map: DcMap,
-    /// The analysis servers seen in the dataset, sorted by address, each
-    /// with its data-center index.
-    servers: Vec<(Ipv4Addr, usize)>,
     preferred: usize,
     classifier: FlowClassifier,
 }
@@ -155,23 +152,33 @@ impl AnalysisContext {
         let vantage_coord = world.vantage(name).city.coord;
         let classifier = FlowClassifier::default();
 
-        // Traffic per data center.
+        // Traffic per data center: each server resolves to its center once,
+        // through the dataset's server dictionary, and each flow is one
+        // indexed load.
         let n = map.metas.len();
+        let server_dc: Vec<Option<usize>> = dataset
+            .server_ips()
+            .iter()
+            .map(|&ip| map.dc_of(ip))
+            .collect();
         let mut video_bytes = vec![0u64; n];
         let mut video_flows = vec![0u64; n];
-        let mut servers: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); n];
-        for r in dataset.iter() {
-            if let Some(idx) = map.dc_of(r.server_ip) {
-                servers[idx].push(r.server_ip);
-                if classifier.classify(r) == ytcdn_tstat::FlowClass::Video {
-                    video_bytes[idx] += r.bytes;
+        let c = dataset.columns();
+        for (&rank, &bytes) in c.server_ranks.iter().zip(&c.bytes) {
+            if let Some(idx) = server_dc[rank as usize] {
+                if classifier.classify_bytes(bytes) == ytcdn_tstat::FlowClass::Video {
+                    video_bytes[idx] += bytes;
                     video_flows[idx] += 1;
                 }
             }
         }
-        for seen in &mut servers {
-            seen.sort_unstable();
-            seen.dedup();
+        // The dictionary is ascending and each of its servers is seen, so
+        // each center's list comes out sorted and distinct.
+        let mut servers: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); n];
+        for (&ip, dc) in dataset.server_ips().iter().zip(&server_dc) {
+            if let Some(idx) = *dc {
+                servers[idx].push(ip);
+            }
         }
 
         // RTT and distance per data center.
@@ -208,17 +215,10 @@ impl AnalysisContext {
             .collect();
 
         let preferred = pick_preferred(&dcs);
-        let mut servers: Vec<(Ipv4Addr, usize)> = servers
-            .iter()
-            .enumerate()
-            .flat_map(|(idx, seen)| seen.iter().map(move |&ip| (ip, idx)))
-            .collect();
-        servers.sort_unstable();
         Ok(Self {
             dataset_name: name,
             dcs,
             map,
-            servers,
             preferred,
             classifier,
         })
@@ -239,12 +239,6 @@ impl AnalysisContext {
         &self.dcs[self.preferred]
     }
 
-    /// The analysis servers seen in the dataset, sorted by address, each
-    /// with the index of its data center.
-    pub(crate) fn servers(&self) -> &[(Ipv4Addr, usize)] {
-        &self.servers
-    }
-
     /// The flow classifier in use (1000-byte threshold).
     pub fn classifier(&self) -> &FlowClassifier {
         &self.classifier
@@ -254,6 +248,13 @@ impl AnalysisContext {
     /// server (Google AS or the EU2 internal center).
     pub fn dc_of(&self, r: &FlowRecord) -> Option<usize> {
         self.map.dc_of(r.server_ip)
+    }
+
+    /// The data-center index of each server in `servers` (a dataset's
+    /// server dictionary), `None` outside the analysis ASes: the per-entry
+    /// table a flow's server rank indexes.
+    pub fn server_dcs(&self, servers: &[Ipv4Addr]) -> Vec<Option<usize>> {
+        servers.iter().map(|&ip| self.map.dc_of(ip)).collect()
     }
 
     /// Whether a flow was served by the preferred data center; `None` when

@@ -60,19 +60,16 @@ impl DegenerateShape {
     pub fn apply(self, world: &World, dataset: Dataset) -> Dataset {
         match self {
             DegenerateShape::Empty => Dataset::new(dataset.name()),
-            DegenerateShape::SingleFlow => Dataset::from_records(
-                dataset.name(),
-                dataset.records().iter().take(1).cloned().collect(),
-            ),
+            DegenerateShape::SingleFlow => {
+                Dataset::from_records(dataset.name(), dataset.iter().take(1).collect())
+            }
             DegenerateShape::NoVideo => {
                 let classifier = FlowClassifier::default();
                 Dataset::from_records(
                     dataset.name(),
                     dataset
-                        .records()
                         .iter()
                         .filter(|r| classifier.classify(r) != FlowClass::Video)
-                        .cloned()
                         .collect(),
                 )
             }
@@ -165,7 +162,7 @@ mod tests {
         assert!(!no_video.is_empty());
         assert!(no_video
             .iter()
-            .all(|r| classifier.classify(r) != FlowClass::Video));
+            .all(|r| classifier.classify(&r) != FlowClass::Video));
 
         let hour = DegenerateShape::SingleHour.apply(world, ds.clone());
         assert!(!hour.is_empty() && hour.len() < n);

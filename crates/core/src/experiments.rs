@@ -29,7 +29,7 @@ use ytcdn_geoloc::Cbg;
 use ytcdn_geomodel::Continent;
 use ytcdn_netsim::{landmarks_with_counts, planetlab_landmarks, WellKnownAs};
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, FlowClassifier};
+use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier};
 
 use crate::active_analysis::{most_illustrative_node, ratio_cdf, ratio_stats};
 use crate::as_analysis::{as_breakdown, WellKnownAsExt};
@@ -663,9 +663,13 @@ impl ExperimentSuite {
         );
         let mut series = Vec::new();
         for ds in &self.datasets {
-            let (video, control): (Vec<_>, Vec<_>) = classifier.partition(ds.iter());
-            let ctrl_cdf = Cdf::from_values(control.iter().map(|f| f.bytes as f64));
-            let vid_cdf = Cdf::from_values(video.iter().map(|f| f.bytes as f64));
+            let (video, control): (Vec<u64>, Vec<u64>) = ds
+                .columns()
+                .bytes
+                .iter()
+                .partition(|&&b| classifier.classify_bytes(b) == FlowClass::Video);
+            let ctrl_cdf = Cdf::from_values(control.iter().map(|&b| b as f64));
+            let vid_cdf = Cdf::from_values(video.iter().map(|&b| b as f64));
             let _ = writeln!(
                 out,
                 "{:<11} {:>12.3} {:>14.0} {:>14.0} {:>12.0}",
@@ -1065,7 +1069,7 @@ impl ExperimentSuite {
         let mut series = Vec::new();
         let mut metrics = Vec::new();
         for ds in &self.datasets {
-            let st = nonpreferred_video_stats(self.dataset_index(ds.name()), ds);
+            let st = nonpreferred_video_stats(self.dataset_index(ds.name()));
             let _ = writeln!(
                 out,
                 "{:<11} {:>10} {:>14.3} {:>20.3} {:>8}",

@@ -242,11 +242,10 @@ mod tests {
         let s = suite();
         let hours = s
             .dataset(DatasetName::Eu2)
-            .records()
-            .iter()
-            .map(|r| r.start_ms / HOUR_MS + 1)
-            .max()
-            .unwrap_or(0);
+            .columns()
+            .start_ms
+            .last()
+            .map_or(0, |&start| start / HOUR_MS + 1);
         let fig11 = series(&s, "fig11");
         let flows = fig11.iter().find(|x| x.name == "video flows").unwrap();
         assert_eq!(flows.points.len() as u64, hours);

@@ -22,8 +22,8 @@ pub fn server_rtt_cdf(world: &World, dataset: &Dataset, probes: u32) -> crate::s
     crate::stats::Cdf::from_values(
         dataset
             .server_ips()
-            .into_iter()
-            .filter_map(|ip| world.ping_server(name, ip, probes, 1234))
+            .iter()
+            .filter_map(|&ip| world.ping_server(name, ip, probes, 1234))
             .map(|m| m.min_ms),
     )
 }
@@ -83,7 +83,7 @@ pub fn dataset_blocks(
     dataset: &Dataset,
 ) -> Vec<(Ipv4Block, Endpoint, Vec<Ipv4Addr>)> {
     let mut by_block: BTreeMap<Ipv4Block, (Endpoint, Vec<Ipv4Addr>)> = BTreeMap::new();
-    for ip in dataset.server_ips() {
+    for &ip in dataset.server_ips() {
         let block = Ipv4Block::slash24_of(ip);
         // Only servers the world knows (i.e. with a pingable endpoint).
         if let Some(entry) = by_block.get_mut(&block) {

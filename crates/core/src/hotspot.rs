@@ -15,9 +15,9 @@ use crate::index::DatasetIndex;
 use crate::videos::per_video_counts;
 
 /// The `k` videos with the highest number of non-preferred accesses
-/// (the paper's Figure 14 selects the top 4), most-redirected first. Ties
-/// are broken by video id, so the result is independent of the per-video
-/// map's iteration order.
+/// (the paper's Figure 14 selects the top 4), most-redirected first, among
+/// the videos with an analysis video flow. Ties are broken by video id:
+/// the per-video counts arrive in id order and the sort is stable.
 pub fn top_nonpreferred_videos(
     index: &DatasetIndex,
     dataset: &Dataset,
@@ -27,7 +27,7 @@ pub fn top_nonpreferred_videos(
         .into_iter()
         .map(|(id, c)| (id, c.non_preferred))
         .collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
     v.truncate(k);
     v
 }
@@ -43,14 +43,16 @@ pub struct VideoHour {
 
 /// Hourly request series for one video over the whole trace.
 pub fn video_timeseries(index: &DatasetIndex, dataset: &Dataset, video: VideoId) -> Vec<VideoHour> {
-    let records = dataset.records();
+    // A video outside the dictionary matches no flow.
+    let rank = dataset.video_ids().binary_search(&video).ok();
+    let video_ranks = &dataset.columns().video_ranks;
     index
         .hour_ranges()
         .iter()
         .map(|range| {
             let mut h = VideoHour::default();
             for i in range.clone() {
-                if records[i].video_id != video || !index.is_video_flow(i) {
+                if Some(video_ranks[i] as usize) != rank || !index.is_video_flow(i) {
                     continue;
                 }
                 let Some(pref) = index.is_preferred_flow(i) else {
@@ -84,7 +86,6 @@ pub struct ServerLoadHour {
 pub fn preferred_server_load(index: &DatasetIndex, dataset: &Dataset) -> Vec<ServerLoadHour> {
     let pref_idx = index.preferred_index();
     let denominator = index.preferred_servers_seen().max(1) as f64;
-    let records = dataset.records();
     index
         .hour_ranges()
         .iter()
@@ -92,7 +93,7 @@ pub fn preferred_server_load(index: &DatasetIndex, dataset: &Dataset) -> Vec<Ser
             let mut m: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
             for i in range.clone() {
                 if index.dc_of_flow(i) == Some(pref_idx) {
-                    *m.entry(records[i].server_ip).or_default() += 1;
+                    *m.entry(dataset.server_ip(i)).or_default() += 1;
                 }
             }
             let total: u64 = m.values().sum();
@@ -144,8 +145,12 @@ pub fn server_session_breakdown(
         .max()
         .unwrap_or(0);
     let mut out = vec![ServerSessionHour::default(); last_hour as usize + 1];
+    // A server outside the dictionary is touched by no session.
+    let rank = dataset.server_ips().binary_search(&server).ok();
+    let server_ranks = &dataset.columns().server_ranks;
     for s in sessions.iter() {
-        if !s.flows_iter(dataset).any(|f| f.server_ip == server) {
+        let touches = |&i: &u32| Some(server_ranks[i as usize] as usize) == rank;
+        if !s.flow_indices().iter().any(touches) {
             continue;
         }
         let slot = &mut out[(s.start_ms / HOUR_MS) as usize];

@@ -1,15 +1,18 @@
 //! The shared columnar analysis index — built once per dataset, answering
 //! every per-figure question without re-deriving state.
 //!
-//! A [`DatasetIndex`] resolves the [`AnalysisContext`]'s per-flow lookups
-//! exactly once into flat columns (`Vec<Option<u32>>` of data-center ids,
-//! `Vec<bool>` of video flags), bins the (start-time-sorted) records into
-//! per-hour index ranges, aggregates per-server and per-data-center
-//! traffic, and groups + classifies the default-gap sessions — sharded
-//! by client over the shared worker pool, with output byte-identical for
-//! any worker count (see [`crate::session::group_sessions`] for the
-//! argument). The figure analyses (`timeseries`, `videos`, `hotspot`)
-//! read these columns instead of probing the context.
+//! A [`DatasetIndex`] resolves the [`AnalysisContext`]'s data-center
+//! lookup once per entry of the dataset's server dictionary, so a flow's
+//! data center is a gather through that per-entry table by its server
+//! rank (kept as a `u32` column beside a `Vec<bool>` of video flags). It
+//! bins the (start-time-sorted) records into per-hour index ranges,
+//! aggregates per-server, per-data-center and per-video traffic (the
+//! last one dense `Vec` by video rank), and groups + classifies the
+//! default-gap sessions — sharded by client over the shared worker pool,
+//! with output byte-identical for any worker count (see
+//! [`crate::session::group_sessions`] for the argument). The figure
+//! analyses (`timeseries`, `videos`, `hotspot`) read these columns instead
+//! of probing the context.
 //!
 //! The sessions are stored as columns ([`Sessions`]): a flat `u32` column
 //! of flow indices in bucket order — each (client, video) bucket one
@@ -35,12 +38,13 @@ use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, FlowRecord};
+use ytcdn_tstat::{Dataset, DatasetName, FlowClass};
 
 use crate::dcmap::AnalysisContext;
 use crate::patterns::PatternStats;
 use crate::session::{group_sessions, Sessions};
 use crate::stats::Cdf;
+use crate::videos::VideoCounts;
 
 /// The paper's session gap threshold `T` = 1 s, in milliseconds — the gap
 /// the index pre-groups sessions at.
@@ -70,11 +74,15 @@ pub struct DatasetIndex {
     dataset_name: DatasetName,
     preferred: usize,
     preferred_servers_seen: usize,
-    /// Per flow: the analysis data-center index, `None` outside the
-    /// analysis ASes. `u32` keeps the column at 8 bytes/flow.
-    flow_dc: Vec<Option<u32>>,
+    /// Per server-dictionary entry: the analysis data-center index, `None`
+    /// outside the analysis ASes.
+    server_dc: Vec<Option<usize>>,
+    /// Per flow: its server's rank in the dictionary.
+    flow_server: Vec<u32>,
     /// Per flow: whether the classifier calls it a video flow.
     flow_video: Vec<bool>,
+    /// Per video-dictionary entry: its analysis video flows.
+    video_counts: Vec<VideoCounts>,
     /// Per hour since trace start: the record-index range starting in it.
     hour_ranges: Vec<Range<usize>>,
     /// Per analysis server, sorted by address.
@@ -141,59 +149,51 @@ impl DatasetIndex {
         telemetry: Telemetry,
     ) -> Self {
         let span = telemetry.span("index.build");
-        let records = dataset.records();
-        let n = records.len();
+        let c = dataset.columns();
+        let n = dataset.len();
+        let preferred = ctx.preferred().index;
 
-        let mut flow_dc: Vec<Option<u32>> = Vec::with_capacity(n);
+        // Per server-dictionary entry: the data center, resolved once, and
+        // the entry's traffic; each flow adds to its entry by rank.
+        let server_dc = ctx.server_dcs(dataset.server_ips());
+        let mut entry_flows = vec![0u64; server_dc.len()];
+        let mut entry_bytes = vec![0u64; server_dc.len()];
         let mut flow_video: Vec<bool> = Vec::with_capacity(n);
-        // One row per analysis server the context saw, already sorted by
-        // address; each flow finds its row by binary search. A server the
-        // context did not see (a context built from another dataset) gets
-        // its row inserted in place, and rows no flow reached are dropped,
-        // so the rows are exactly this dataset's analysis servers.
-        let mut servers: Vec<ServerStats> = ctx
-            .servers()
-            .iter()
-            .map(|&(ip, dc)| ServerStats {
-                ip,
-                dc,
-                flows: 0,
-                bytes: 0,
-            })
-            .collect();
-        let mut dc_flows = vec![0u64; ctx.dcs().len()];
-        let mut dc_bytes = vec![0u64; ctx.dcs().len()];
-        for r in records {
-            let dc = ctx.dc_of(r);
-            flow_dc.push(dc.map(|d| d as u32));
-            flow_video.push(ctx.is_video(r));
-            if let Some(d) = dc {
-                dc_flows[d] += 1;
-                dc_bytes[d] += r.bytes;
-                match servers.binary_search_by_key(&r.server_ip, |s| s.ip) {
-                    Ok(row) => {
-                        servers[row].flows += 1;
-                        servers[row].bytes += r.bytes;
-                    }
-                    Err(row) => servers.insert(
-                        row,
-                        ServerStats {
-                            ip: r.server_ip,
-                            dc: d,
-                            flows: 1,
-                            bytes: r.bytes,
-                        },
-                    ),
-                }
+        let mut video_counts = vec![VideoCounts::default(); c.videos.len()];
+        for ((&server, &bytes), &video) in c.server_ranks.iter().zip(&c.bytes).zip(&c.video_ranks) {
+            let is_video = ctx.classifier().classify_bytes(bytes) == FlowClass::Video;
+            flow_video.push(is_video);
+            entry_flows[server as usize] += 1;
+            entry_bytes[server as usize] += bytes;
+            if let (true, Some(dc)) = (is_video, server_dc[server as usize]) {
+                let counts = &mut video_counts[video as usize];
+                counts.total += 1;
+                counts.non_preferred += u64::from(dc != preferred);
             }
         }
-        servers.retain(|s| s.flows > 0);
+        // One row per analysis server, in dictionary (= address) order.
+        let mut dc_flows = vec![0u64; ctx.dcs().len()];
+        let mut dc_bytes = vec![0u64; ctx.dcs().len()];
+        let mut servers: Vec<ServerStats> = Vec::new();
+        for (k, (&ip, dc)) in dataset.server_ips().iter().zip(&server_dc).enumerate() {
+            if let Some(dc) = *dc {
+                let (flows, bytes) = (entry_flows[k], entry_bytes[k]);
+                dc_flows[dc] += flows;
+                dc_bytes[dc] += bytes;
+                servers.push(ServerStats {
+                    ip,
+                    dc,
+                    flows,
+                    bytes,
+                });
+            }
+        }
 
         // Records are sorted by start time, so each hour is one contiguous
         // index range. A `.ytc` load hands the ranges in pre-validated,
         // skipping the scan.
         let hour_ranges =
-            precomputed_hours.unwrap_or_else(|| crate::columnar::compute_hour_ranges(records));
+            precomputed_hours.unwrap_or_else(|| crate::columnar::compute_hour_ranges(&c.start_ms));
 
         let group_span = telemetry.span("index.group");
         let sessions = group_sessions(dataset, DEFAULT_GAP_MS, jobs);
@@ -205,10 +205,12 @@ impl DatasetIndex {
 
         let mut index = Self {
             dataset_name: dataset.name(),
-            preferred: ctx.preferred().index,
+            preferred,
             preferred_servers_seen: ctx.preferred().servers_seen,
-            flow_dc,
+            server_dc,
+            flow_server: c.server_ranks.clone(),
             flow_video,
+            video_counts,
             hour_ranges,
             servers,
             dc_flows,
@@ -228,12 +230,12 @@ impl DatasetIndex {
 
     /// Number of flows indexed.
     pub fn len(&self) -> usize {
-        self.flow_dc.len()
+        self.flow_server.len()
     }
 
     /// Whether the dataset was empty.
     pub fn is_empty(&self) -> bool {
-        self.flow_dc.is_empty()
+        self.flow_server.is_empty()
     }
 
     /// The sessions at the paper's default gap (`T` = 1 s), in canonical
@@ -262,13 +264,13 @@ impl DatasetIndex {
     /// The data-center index serving flow `i`, `None` outside the analysis
     /// ASes — the columnar equivalent of [`AnalysisContext::dc_of`].
     pub fn dc_of_flow(&self, i: usize) -> Option<usize> {
-        self.flow_dc[i].map(|d| d as usize)
+        self.server_dc[self.flow_server[i] as usize]
     }
 
     /// Whether flow `i` went to the preferred data center — the columnar
     /// equivalent of [`AnalysisContext::is_preferred`].
     pub fn is_preferred_flow(&self, i: usize) -> Option<bool> {
-        self.flow_dc[i].map(|d| d as usize == self.preferred)
+        self.dc_of_flow(i).map(|d| d == self.preferred)
     }
 
     /// Whether flow `i` is a video flow.
@@ -285,6 +287,13 @@ impl DatasetIndex {
     /// Per-server traffic aggregates, sorted by server address.
     pub fn servers(&self) -> &[ServerStats] {
         &self.servers
+    }
+
+    /// Per-video analysis video flows, indexed by rank in the dataset's
+    /// video dictionary ([`Dataset::video_ids`]); a video with no such flow
+    /// counts zero.
+    pub fn video_counts(&self) -> &[VideoCounts] {
+        &self.video_counts
     }
 
     /// Per-data-center flow counts (all analysis flows, control included),
@@ -360,29 +369,26 @@ impl DatasetIndex {
     /// `dataset` must be the dataset the index was built from.
     pub fn flows_per_session_sweep(&self, dataset: &Dataset, gaps_ms: &[u64]) -> Vec<Cdf> {
         debug_assert_eq!(dataset.len(), self.len(), "not the indexed dataset");
-        let records = dataset.records();
+        let c = dataset.columns();
         // Per gap: the open run's latest end, and every run's size so far
         // (the open run's is the last).
         let mut ends = vec![0u64; gaps_ms.len()];
         let mut sizes: Vec<Vec<f64>> = vec![Vec::new(); gaps_ms.len()];
-        let mut prev: Option<&FlowRecord> = None;
-        for &i in self.sessions.flows_in_bucket_order() {
-            let r = &records[i as usize];
-            let same_bucket =
-                prev.is_some_and(|p| (p.client_ip, p.video_id) == (r.client_ip, r.video_id));
+        let column = self.sessions.flows_in_bucket_order();
+        for (&i, &new_bucket) in column.iter().zip(self.sessions.bucket_starts()) {
+            let (start, stop) = (c.start_ms[i as usize], c.end_ms[i as usize]);
             for ((gap, end), runs) in gaps_ms.iter().zip(&mut ends).zip(&mut sizes) {
                 match runs.last_mut() {
-                    Some(count) if same_bucket && r.start_ms <= end.saturating_add(*gap) => {
+                    Some(count) if !new_bucket && start <= end.saturating_add(*gap) => {
                         *count += 1.0;
-                        *end = (*end).max(r.end_ms);
+                        *end = (*end).max(stop);
                     }
                     _ => {
                         runs.push(1.0);
-                        *end = r.end_ms;
+                        *end = stop;
                     }
                 }
             }
-            prev = Some(r);
         }
         sizes.into_iter().map(Cdf::from_values).collect()
     }
@@ -503,9 +509,9 @@ mod tests {
         let index = DatasetIndex::build(&ctx, &ds, 4, Telemetry::disabled());
         assert_eq!(index.len(), ds.len());
         for (i, r) in ds.iter().enumerate() {
-            assert_eq!(index.dc_of_flow(i), ctx.dc_of(r));
-            assert_eq!(index.is_preferred_flow(i), ctx.is_preferred(r));
-            assert_eq!(index.is_video_flow(i), ctx.is_video(r));
+            assert_eq!(index.dc_of_flow(i), ctx.dc_of(&r));
+            assert_eq!(index.is_preferred_flow(i), ctx.is_preferred(&r));
+            assert_eq!(index.is_video_flow(i), ctx.is_video(&r));
         }
         assert_eq!(index.preferred_index(), ctx.preferred().index);
         assert_eq!(index.preferred_servers_seen(), ctx.preferred().servers_seen);
@@ -519,7 +525,7 @@ mod tests {
         for (h, range) in index.hour_ranges().iter().enumerate() {
             assert_eq!(range.start, covered, "hour {h} not contiguous");
             for i in range.clone() {
-                assert_eq!(ds.records()[i].start_ms / ytcdn_tstat::HOUR_MS, h as u64);
+                assert_eq!(ds.row(i).start_ms / ytcdn_tstat::HOUR_MS, h as u64);
             }
             covered = range.end;
         }
@@ -544,7 +550,7 @@ mod tests {
         assert!(index.servers().windows(2).all(|w| w[0].ip < w[1].ip));
         for row in index.servers() {
             let rec = ds.iter().find(|r| r.server_ip == row.ip).expect("seen");
-            assert_eq!(Some(row.dc), ctx.dc_of(rec));
+            assert_eq!(Some(row.dc), ctx.dc_of(&rec));
         }
     }
 

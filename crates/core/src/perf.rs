@@ -47,7 +47,7 @@ pub fn session_perf(
         else {
             continue;
         };
-        let Some(dc_idx) = ctx.dc_of(video) else {
+        let Some(dc_idx) = ctx.dc_of(&video) else {
             continue;
         };
         let preferred = dc_idx == ctx.preferred().index;

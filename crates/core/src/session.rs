@@ -60,13 +60,13 @@ impl<'a> Session<'a> {
     ///
     /// Panics (on use) if `dataset` is not the dataset the session was
     /// built from.
-    pub fn flows_iter<'d>(&self, dataset: &'d Dataset) -> impl Iterator<Item = &'d FlowRecord> + 'd
+    pub fn flows_iter<'d>(&self, dataset: &'d Dataset) -> impl Iterator<Item = FlowRecord> + 'd
     where
         'a: 'd,
     {
         self.flow_indices
             .iter()
-            .map(move |&i| &dataset.records()[i as usize])
+            .map(move |&i| dataset.row(i as usize))
     }
 }
 
@@ -93,6 +93,8 @@ struct Row {
 pub struct Sessions {
     /// Every flow index once, bucket by bucket, each bucket ascending.
     flows: Vec<u32>,
+    /// Per position of `flows`: whether a new bucket starts there.
+    bucket_starts: Vec<bool>,
     /// One row per session, in canonical order.
     rows: Vec<Row>,
 }
@@ -129,6 +131,12 @@ impl Sessions {
     /// are in `(client, video)` order, and shards follow each other.
     pub fn flows_in_bucket_order(&self) -> &[u32] {
         &self.flows
+    }
+
+    /// Per position of [`Sessions::flows_in_bucket_order`]: whether a new
+    /// (client, video) bucket starts there.
+    pub(crate) fn bucket_starts(&self) -> &[bool] {
+        &self.bucket_starts
     }
 }
 
@@ -173,8 +181,8 @@ pub fn group_sessions(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Sessions {
         vec![group_shard(dataset, gap_ms, 0..n)]
     } else {
         let mut by_client: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for (i, r) in dataset.records().iter().enumerate() {
-            by_client[u32::from(r.client_ip) as usize % shards].push(i as u32);
+        for (i, &client) in dataset.columns().clients.iter().enumerate() {
+            by_client[client as usize % shards].push(i as u32);
         }
         par_map(jobs, &by_client, |indices| {
             group_shard(dataset, gap_ms, indices.iter().map(|&i| i as usize))
@@ -185,6 +193,7 @@ pub fn group_sessions(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Sessions {
         .reduce(|mut all, part| {
             let base = all.flows.len() as u32;
             all.flows.extend(part.flows);
+            all.bucket_starts.extend(part.bucket_starts);
             all.rows.extend(part.rows.into_iter().map(|row| Row {
                 offset: row.offset + base,
                 ..row
@@ -218,29 +227,25 @@ fn canonical_order(flows: &[u32], rows: &[Row]) -> Vec<Row> {
 }
 
 /// Orders record indices into (client, video) buckets: sorted by the key
-/// `(client, video, index)`, so each bucket is one contiguous run and its
-/// indices ascend — which, because records are sorted by start time, is
-/// start-time order. The key is unique per record, so the unstable sort is
-/// deterministic; it is packed into one `u128` (client in the top 32 bits,
-/// video in the next 64, index in the low 32), so the sort compares single
-/// integers.
-fn bucket_order(dataset: &Dataset, indices: impl IntoIterator<Item = usize>) -> Vec<u32> {
-    let records = dataset.records();
+/// `(client, video rank, index)`, so each bucket is one contiguous run and
+/// its indices ascend — which, because records are sorted by start time,
+/// is start-time order. Rank order is video-id order (the dictionary is
+/// sorted). The key is unique per record, so the unstable sort is
+/// deterministic; it is packed into one `u128` (client in bits 64–95,
+/// video rank in 32–63, index in the low 32), so the sort compares single
+/// integers, and a key's bucket is its bits above the index.
+fn bucket_keys(dataset: &Dataset, indices: impl IntoIterator<Item = usize>) -> Vec<u128> {
+    let c = dataset.columns();
     let mut keys: Vec<u128> = indices
         .into_iter()
-        .map(|i| {
-            let r = &records[i];
-            u128::from(u32::from(r.client_ip)) << 96
-                | u128::from(r.video_id.index()) << 32
-                | i as u128
-        })
+        .map(|i| u128::from(c.clients[i]) << 64 | u128::from(c.video_ranks[i]) << 32 | i as u128)
         .collect();
     keys.sort_unstable();
-    keys.into_iter().map(|key| key as u32).collect()
+    keys
 }
 
-/// The gap scan over one shard's record indices, walked in
-/// [`bucket_order`]: a flow joins the open session when it is in the same
+/// The gap scan over one shard's record indices, walked in the order of
+/// [`bucket_keys`]: a flow joins the open session when it is in the same
 /// bucket and starts within `gap_ms` of the session's latest end. Returns
 /// the shard's flat column and its rows in bucket order; the caller puts
 /// the rows in canonical order.
@@ -249,30 +254,39 @@ fn group_shard(
     gap_ms: u64,
     indices: impl IntoIterator<Item = usize>,
 ) -> Sessions {
-    let records = dataset.records();
-    let flows = bucket_order(dataset, indices);
+    let c = dataset.columns();
+    let keys = bucket_keys(dataset, indices);
+    let mut flows: Vec<u32> = Vec::with_capacity(keys.len());
+    let mut bucket_starts: Vec<bool> = Vec::with_capacity(keys.len());
     let mut rows: Vec<Row> = Vec::new();
-    for (pos, &idx) in flows.iter().enumerate() {
-        let r = &records[idx as usize];
+    let mut bucket = None;
+    for (pos, &key) in keys.iter().enumerate() {
+        let idx = key as u32;
+        let new_bucket = bucket != Some(key >> 32);
+        bucket = Some(key >> 32);
+        flows.push(idx);
+        bucket_starts.push(new_bucket);
+        let (start_ms, end_ms) = (c.start_ms[idx as usize], c.end_ms[idx as usize]);
         match rows.last_mut() {
-            Some(s)
-                if (s.client_ip, s.video_id) == (r.client_ip, r.video_id)
-                    && r.start_ms <= s.end_ms.saturating_add(gap_ms) =>
-            {
+            Some(s) if !new_bucket && start_ms <= s.end_ms.saturating_add(gap_ms) => {
                 s.len += 1;
-                s.end_ms = s.end_ms.max(r.end_ms);
+                s.end_ms = s.end_ms.max(end_ms);
             }
             _ => rows.push(Row {
-                start_ms: r.start_ms,
-                end_ms: r.end_ms,
-                video_id: r.video_id,
-                client_ip: r.client_ip,
+                start_ms,
+                end_ms,
+                video_id: c.videos[(key >> 32) as u32 as usize],
+                client_ip: Ipv4Addr::from((key >> 64) as u32),
                 offset: pos as u32,
                 len: 1,
             }),
         }
     }
-    Sessions { flows, rows }
+    Sessions {
+        flows,
+        bucket_starts,
+        rows,
+    }
 }
 
 /// The distribution of flows-per-session for a dataset at one gap threshold
@@ -403,7 +417,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
         ]);
         let sessions = group_sessions(&d, 1_000, 1);
-        let flows: Vec<&FlowRecord> = sessions.iter().next().unwrap().flows_iter(&d).collect();
+        let flows: Vec<FlowRecord> = sessions.iter().next().unwrap().flows_iter(&d).collect();
         assert_eq!(flows[0].start_ms, 0);
         assert_eq!(flows[1].start_ms, 600);
     }

@@ -7,8 +7,10 @@
 //! accesses. This module computes the two bars of Figure 12 for every
 //! subnet.
 
+use std::net::Ipv4Addr;
+
 use ytcdn_cdnsim::SubnetConfig;
-use ytcdn_tstat::Dataset;
+use ytcdn_tstat::{Dataset, FlowClass};
 
 use crate::dcmap::AnalysisContext;
 
@@ -44,14 +46,18 @@ pub fn subnet_shares(
     let mut nonpref = vec![0u64; subnets.len()];
     let mut total_all = 0u64;
     let mut total_nonpref = 0u64;
-    for r in dataset.iter() {
-        if !ctx.is_video(r) {
+    let c = dataset.columns();
+    let server_dc = ctx.server_dcs(dataset.server_ips());
+    for ((&client, &server), &bytes) in c.clients.iter().zip(&c.server_ranks).zip(&c.bytes) {
+        if ctx.classifier().classify_bytes(bytes) != FlowClass::Video {
             continue;
         }
-        let Some(pref) = ctx.is_preferred(r) else {
+        let Some(dc) = server_dc[server as usize] else {
             continue;
         };
-        let Some(idx) = subnets.iter().position(|s| s.block.contains(r.client_ip)) else {
+        let pref = dc == ctx.preferred().index;
+        let client = Ipv4Addr::from(client);
+        let Some(idx) = subnets.iter().position(|s| s.block.contains(client)) else {
             continue;
         };
         all[idx] += 1;

@@ -6,8 +6,6 @@
 //! pull-through replication) and a long tail of videos redirected hundreds
 //! of times (flash-crowd hot spots).
 
-use std::collections::HashMap;
-
 use ytcdn_tstat::{Dataset, VideoId};
 
 use crate::index::DatasetIndex;
@@ -38,46 +36,34 @@ pub struct NonPreferredVideoStats {
     pub max_count: u64,
 }
 
-/// Counts requests per video (analysis video flows only), reading each
-/// flow's target off the index columns.
-pub fn per_video_counts(index: &DatasetIndex, dataset: &Dataset) -> HashMap<VideoId, VideoCounts> {
-    let mut out: HashMap<VideoId, VideoCounts> = HashMap::new();
-    for (i, r) in dataset.iter().enumerate() {
-        if !index.is_video_flow(i) {
-            continue;
-        }
-        let Some(pref) = index.is_preferred_flow(i) else {
-            continue;
-        };
-        let c = out.entry(r.video_id).or_default();
-        c.total += 1;
-        if !pref {
-            c.non_preferred += 1;
-        }
-    }
-    out
+/// Request counts per video with at least one analysis video flow, in
+/// video-id order, read off the index's dense per-video column.
+/// `dataset` must be the dataset the index was built from.
+pub fn per_video_counts(index: &DatasetIndex, dataset: &Dataset) -> Vec<(VideoId, VideoCounts)> {
+    dataset
+        .video_ids()
+        .iter()
+        .zip(index.video_counts())
+        .filter(|(_, c)| c.total > 0)
+        .map(|(&video, &c)| (video, c))
+        .collect()
 }
 
-/// Computes the Figure 13 statistics. Every derived quantity is
-/// order-independent (the CDF sorts its samples; the rest are counts), so
-/// the per-video map's iteration order does not reach the output.
-pub fn nonpreferred_video_stats(index: &DatasetIndex, dataset: &Dataset) -> NonPreferredVideoStats {
-    let counts = per_video_counts(index, dataset);
-    let nonpref: Vec<(&VideoId, &VideoCounts)> = counts
+/// Computes the Figure 13 statistics from the index's per-video column.
+pub fn nonpreferred_video_stats(index: &DatasetIndex) -> NonPreferredVideoStats {
+    let nonpref: Vec<&VideoCounts> = index
+        .video_counts()
         .iter()
-        .filter(|(_, c)| c.non_preferred >= 1)
+        .filter(|c| c.non_preferred >= 1)
         .collect();
-    let cdf = Cdf::from_values(nonpref.iter().map(|(_, c)| c.non_preferred as f64));
-    let once: Vec<_> = nonpref
-        .iter()
-        .filter(|(_, c)| c.non_preferred == 1)
-        .collect();
+    let cdf = Cdf::from_values(nonpref.iter().map(|c| c.non_preferred as f64));
+    let once: Vec<_> = nonpref.iter().filter(|c| c.non_preferred == 1).collect();
     let exactly_once_fraction = if nonpref.is_empty() {
         0.0
     } else {
         once.len() as f64 / nonpref.len() as f64
     };
-    let once_and_single = once.iter().filter(|(_, c)| c.total == 1).count();
+    let once_and_single = once.iter().filter(|c| c.total == 1).count();
     let exactly_once_and_single_access_fraction = if once.is_empty() {
         0.0
     } else {
@@ -104,7 +90,7 @@ mod tests {
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
-        nonpreferred_video_stats(&index, &ds)
+        nonpreferred_video_stats(&index)
     }
 
     #[test]
@@ -156,8 +142,9 @@ mod tests {
             assert!(c.non_preferred <= c.total, "{v}: {c:?}");
             assert!(c.total >= 1);
         }
+        assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
         // Totals match the context's flow accounting.
-        let total_flows: u64 = counts.values().map(|c| c.total).sum();
+        let total_flows: u64 = counts.iter().map(|(_, c)| c.total).sum();
         let ctx_total: u64 = ctx.dcs().iter().map(|d| d.video_flows).sum();
         assert_eq!(total_flows, ctx_total);
     }
@@ -169,7 +156,7 @@ mod tests {
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu1Ftth);
         let index = DatasetIndex::build(&ctx, &empty, 2, Telemetry::disabled());
-        let st = nonpreferred_video_stats(&index, &empty);
+        let st = nonpreferred_video_stats(&index);
         assert!(st.cdf.is_empty());
         assert_eq!(st.exactly_once_fraction, 0.0);
         assert_eq!(st.max_count, 0);

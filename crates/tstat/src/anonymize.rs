@@ -64,10 +64,8 @@ impl Anonymizer {
     /// addresses intact.
     pub fn anonymize_dataset(&self, dataset: &Dataset) -> Dataset {
         let records = dataset
-            .records()
             .iter()
-            .map(|r| {
-                let mut r = r.clone();
+            .map(|mut r| {
                 r.client_ip = self.anonymize_ip(r.client_ip);
                 r
             })
@@ -112,7 +110,7 @@ mod tests {
             }],
         );
         let anon = Anonymizer::new(99).anonymize_dataset(&ds);
-        let (orig, new) = (&ds.records()[0], &anon.records()[0]);
+        let (orig, new) = (ds.row(0), anon.row(0));
         assert_ne!(new.client_ip, orig.client_ip);
         assert_eq!(new.server_ip, orig.server_ip);
         assert_eq!(new.bytes, orig.bytes);

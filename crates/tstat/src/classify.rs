@@ -7,6 +7,8 @@
 //! (HTTP redirects, resolution-change responses) while larger flows carry
 //! video payload. Manual experiments confirmed the threshold.
 
+use std::borrow::Borrow;
+
 use crate::flow::FlowRecord;
 
 /// The two flow populations of the paper's Section VI-A.
@@ -80,14 +82,16 @@ impl FlowClassifier {
         self.classify_bytes(flow.bytes)
     }
 
-    /// Splits an iterator of flows into `(video, control)` populations.
-    pub fn partition<'a, I>(&self, flows: I) -> (Vec<&'a FlowRecord>, Vec<&'a FlowRecord>)
+    /// Splits an iterator of flows — rows or references to rows — into
+    /// `(video, control)` populations.
+    pub fn partition<F, I>(&self, flows: I) -> (Vec<F>, Vec<F>)
     where
-        I: IntoIterator<Item = &'a FlowRecord>,
+        F: Borrow<FlowRecord>,
+        I: IntoIterator<Item = F>,
     {
         flows
             .into_iter()
-            .partition(|f| self.classify(f) == FlowClass::Video)
+            .partition(|f| self.classify(f.borrow()) == FlowClass::Video)
     }
 }
 

@@ -1,11 +1,11 @@
-//! Named per-vantage-point flow datasets.
+//! Named per-vantage-point flow datasets, stored as columns with a server
+//! and a video dictionary (see [`Dataset`]).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
-use crate::flow::FlowRecord;
+use crate::flow::{FlowRecord, Resolution, VideoId};
 use crate::summary::TrafficSummary;
 
 /// The five vantage points of the paper's Table I.
@@ -68,10 +68,25 @@ impl FromStr for DatasetName {
     }
 }
 
-/// A week-long flow log collected at one vantage point.
+/// A week-long flow log collected at one vantage point, stored as columns.
 ///
-/// Records are kept sorted by start time — the order a passive monitor
-/// produces them — which downstream session grouping relies on.
+/// Each flow is one position across seven columns: client address, server
+/// rank, start and end time, byte count, video rank and resolution — 37
+/// bytes per flow. The two ranks index per-dataset dictionaries, the
+/// distinct server addresses and the distinct video ids, each sorted
+/// ascending and holding exactly the values some flow references. So a
+/// dictionary's length is the distinct count, a fact that depends only on
+/// the server (its data center, its AS) can be resolved once per
+/// dictionary entry, and rank order is value order.
+///
+/// Flows are kept sorted by `(start_ms, end_ms)` — the order a passive
+/// monitor produces them — which downstream session grouping relies on.
+/// The representation is canonical: two datasets holding the same flows in
+/// the same order are equal, column for column, and the `.ytc` encoder
+/// writes the columns as they are.
+///
+/// [`FlowRecord`] is the by-value row view ([`Dataset::row`],
+/// [`Dataset::iter`]); hot analysis loops read the columns.
 ///
 /// # Examples
 ///
@@ -86,7 +101,33 @@ impl FromStr for DatasetName {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     name: DatasetName,
-    records: Vec<FlowRecord>,
+    columns: DatasetColumns,
+}
+
+/// The columns of a [`Dataset`], one entry per flow except the two
+/// dictionaries. [`Dataset::from_columns`] checks every invariant listed
+/// here before it accepts them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DatasetColumns {
+    /// Client address per flow, as the big-endian `u32` of its octets.
+    pub clients: Vec<u32>,
+    /// Server per flow: a position in `servers`.
+    pub server_ranks: Vec<u32>,
+    /// Flow start per flow, ms since the start of the collection window;
+    /// `(start_ms, end_ms)` ascends across flows.
+    pub start_ms: Vec<u64>,
+    /// Flow end per flow, never before its start.
+    pub end_ms: Vec<u64>,
+    /// Bytes carried server→client per flow.
+    pub bytes: Vec<u64>,
+    /// Video per flow: a position in `videos`.
+    pub video_ranks: Vec<u32>,
+    /// Requested resolution per flow.
+    pub resolutions: Vec<Resolution>,
+    /// The server dictionary: strictly ascending, every entry referenced.
+    pub servers: Vec<Ipv4Addr>,
+    /// The video dictionary: strictly ascending, every entry referenced.
+    pub videos: Vec<VideoId>,
 }
 
 impl Dataset {
@@ -94,14 +135,79 @@ impl Dataset {
     pub fn new(name: DatasetName) -> Self {
         Self {
             name,
-            records: Vec::new(),
+            columns: DatasetColumns::default(),
         }
     }
 
-    /// Builds a dataset from records, sorting them by start time.
+    /// Builds a dataset from records: stably sorts them by `(start_ms,
+    /// end_ms)`, builds both dictionaries (sort and dedup), and ranks each
+    /// flow's server and video in them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` records (ranks are `u32`).
     pub fn from_records(name: DatasetName, mut records: Vec<FlowRecord>) -> Self {
+        assert!(
+            u32::try_from(records.len()).is_ok(),
+            "{} flows overflow the u32 rank columns",
+            records.len()
+        );
         records.sort_by_key(|r| (r.start_ms, r.end_ms));
-        Self { name, records }
+        let n = records.len();
+        let mut c = DatasetColumns {
+            clients: Vec::with_capacity(n),
+            server_ranks: Vec::with_capacity(n),
+            start_ms: Vec::with_capacity(n),
+            end_ms: Vec::with_capacity(n),
+            bytes: Vec::with_capacity(n),
+            video_ranks: Vec::with_capacity(n),
+            resolutions: Vec::with_capacity(n),
+            servers: sorted_distinct(records.iter().map(|r| r.server_ip)),
+            videos: sorted_distinct(records.iter().map(|r| r.video_id)),
+        };
+        for r in &records {
+            c.clients.push(u32::from(r.client_ip));
+            c.server_ranks.push(rank(&c.servers, r.server_ip));
+            c.start_ms.push(r.start_ms);
+            c.end_ms.push(r.end_ms);
+            c.bytes.push(r.bytes);
+            c.video_ranks.push(rank(&c.videos, r.video_id));
+            c.resolutions.push(r.resolution);
+        }
+        Self { name, columns: c }
+    }
+
+    /// Builds a dataset straight from its columns — what the `.ytc`
+    /// decoder does — after checking every [`DatasetColumns`] invariant.
+    ///
+    /// # Errors
+    ///
+    /// The [`ColumnError`] naming the first invariant that fails.
+    pub fn from_columns(name: DatasetName, columns: DatasetColumns) -> Result<Self, ColumnError> {
+        let c = &columns;
+        let flows = c.start_ms.len();
+        for (column, len) in [
+            ("client", c.clients.len()),
+            ("server rank", c.server_ranks.len()),
+            ("end_ms", c.end_ms.len()),
+            ("bytes", c.bytes.len()),
+            ("video rank", c.video_ranks.len()),
+            ("resolution", c.resolutions.len()),
+        ] {
+            if len != flows {
+                return Err(ColumnError::LengthMismatch { column, len, flows });
+            }
+        }
+        check_dictionary("server", &c.servers, &c.server_ranks)?;
+        check_dictionary("video", &c.videos, &c.video_ranks)?;
+        let times = c.start_ms.iter().zip(&c.end_ms);
+        if let Some(flow) = times.clone().position(|(start, end)| end < start) {
+            return Err(ColumnError::EndBeforeStart { flow });
+        }
+        if let Some(pos) = times.clone().zip(times.skip(1)).position(|(a, b)| b < a) {
+            return Err(ColumnError::OutOfOrder { flow: pos + 1 });
+        }
+        Ok(Self { name, columns })
     }
 
     /// The vantage point this dataset was collected at.
@@ -109,47 +215,74 @@ impl Dataset {
         self.name
     }
 
-    /// Appends a record, keeping start-time order.
-    pub fn push(&mut self, record: FlowRecord) {
-        let pos = self
-            .records
-            .partition_point(|r| (r.start_ms, r.end_ms) <= (record.start_ms, record.end_ms));
-        self.records.insert(pos, record);
-    }
-
     /// Number of flow records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.columns.start_ms.len()
     }
 
     /// Whether the dataset has no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.columns.start_ms.is_empty()
     }
 
-    /// The records, sorted by start time.
-    pub fn records(&self) -> &[FlowRecord] {
-        &self.records
+    /// The columns.
+    pub fn columns(&self) -> &DatasetColumns {
+        &self.columns
     }
 
-    /// Iterates over the records.
-    pub fn iter(&self) -> std::slice::Iter<'_, FlowRecord> {
-        self.records.iter()
+    /// Flow `i` as a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn row(&self, i: usize) -> FlowRecord {
+        let c = &self.columns;
+        FlowRecord {
+            client_ip: Ipv4Addr::from(c.clients[i]),
+            server_ip: self.server_ip(i),
+            start_ms: c.start_ms[i],
+            end_ms: c.end_ms[i],
+            bytes: c.bytes[i],
+            video_id: c.videos[c.video_ranks[i] as usize],
+            resolution: c.resolutions[i],
+        }
     }
 
-    /// Distinct server IPs observed.
-    pub fn server_ips(&self) -> BTreeSet<Ipv4Addr> {
-        self.records.iter().map(|r| r.server_ip).collect()
+    /// The rows, in `(start_ms, end_ms)` order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FlowRecord> + '_ {
+        (0..self.len()).map(|i| self.row(i))
     }
 
-    /// Distinct client IPs observed.
-    pub fn client_ips(&self) -> BTreeSet<Ipv4Addr> {
-        self.records.iter().map(|r| r.client_ip).collect()
+    /// The server address of flow `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn server_ip(&self, i: usize) -> Ipv4Addr {
+        self.columns.servers[self.columns.server_ranks[i] as usize]
+    }
+
+    /// Distinct server IPs observed, ascending: the server dictionary.
+    pub fn server_ips(&self) -> &[Ipv4Addr] {
+        &self.columns.servers
+    }
+
+    /// Distinct videos requested, ascending: the video dictionary.
+    pub fn video_ids(&self) -> &[VideoId] {
+        &self.columns.videos
+    }
+
+    /// Number of distinct client IPs observed.
+    pub fn distinct_clients(&self) -> usize {
+        let mut clients = self.columns.clients.clone();
+        clients.sort_unstable();
+        clients.dedup();
+        clients.len()
     }
 
     /// Total bytes across all flows.
     pub fn total_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.bytes).sum()
+        self.columns.bytes.iter().sum()
     }
 
     /// Computes the Table I row for this dataset.
@@ -160,47 +293,141 @@ impl Dataset {
     /// A new dataset containing only flows *starting* within
     /// `[start_ms, end_ms)` — hour- or day-slicing for time-window analyses.
     pub fn time_slice(&self, start_ms: u64, end_ms: u64) -> Dataset {
-        Dataset {
-            name: self.name,
-            records: self
-                .records
-                .iter()
-                .filter(|r| r.start_ms >= start_ms && r.start_ms < end_ms)
-                .cloned()
-                .collect(),
-        }
+        self.filtered(|r| (start_ms..end_ms).contains(&r.start_ms))
     }
 
     /// A new dataset containing only flows whose client passes `keep` —
     /// e.g. one subnet's traffic.
     pub fn filter_clients(&self, mut keep: impl FnMut(Ipv4Addr) -> bool) -> Dataset {
-        Dataset {
-            name: self.name,
-            records: self
-                .records
-                .iter()
-                .filter(|r| keep(r.client_ip))
-                .cloned()
-                .collect(),
+        self.filtered(|r| keep(r.client_ip))
+    }
+
+    fn filtered(&self, keep: impl FnMut(&FlowRecord) -> bool) -> Dataset {
+        Dataset::from_records(self.name, self.iter().filter(keep).collect())
+    }
+}
+
+/// The distinct values, ascending.
+fn sorted_distinct<T: Ord>(values: impl Iterator<Item = T>) -> Vec<T> {
+    let mut dict: Vec<T> = values.collect();
+    dict.sort_unstable();
+    dict.dedup();
+    dict
+}
+
+/// The position of `value` in `dict`, which holds it: `from_records` built
+/// the dictionary from the same values, and bounds its length by `u32`.
+fn rank<T: Ord>(dict: &[T], value: T) -> u32 {
+    dict.binary_search(&value).unwrap_or(0) as u32
+}
+
+/// Checks one dictionary: entries strictly ascending, every rank in range,
+/// every entry referenced by some flow.
+fn check_dictionary<T: Ord>(
+    dictionary: &'static str,
+    entries: &[T],
+    ranks: &[u32],
+) -> Result<(), ColumnError> {
+    if entries.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(ColumnError::DictionaryNotAscending { dictionary });
+    }
+    let mut referenced = vec![false; entries.len()];
+    for (flow, &rank) in ranks.iter().enumerate() {
+        match referenced.get_mut(rank as usize) {
+            Some(seen) => *seen = true,
+            None => {
+                return Err(ColumnError::RankOutOfRange {
+                    dictionary,
+                    flow,
+                    rank,
+                    len: entries.len(),
+                })
+            }
+        }
+    }
+    match referenced.iter().position(|seen| !seen) {
+        Some(rank) => Err(ColumnError::UnreferencedEntry { dictionary, rank }),
+        None => Ok(()),
+    }
+}
+
+/// Why [`Dataset::from_columns`] rejected a set of columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ColumnError {
+    /// A per-flow column's length differs from the start column's.
+    LengthMismatch {
+        /// The column.
+        column: &'static str,
+        /// Its length.
+        len: usize,
+        /// The flow count (the start column's length).
+        flows: usize,
+    },
+    /// A dictionary's entries are not strictly ascending.
+    DictionaryNotAscending {
+        /// `server` or `video`.
+        dictionary: &'static str,
+    },
+    /// A flow's rank points past the end of its dictionary.
+    RankOutOfRange {
+        /// `server` or `video`.
+        dictionary: &'static str,
+        /// The flow.
+        flow: usize,
+        /// Its rank.
+        rank: u32,
+        /// The dictionary's length.
+        len: usize,
+    },
+    /// A dictionary entry no flow references.
+    UnreferencedEntry {
+        /// `server` or `video`.
+        dictionary: &'static str,
+        /// The entry's rank.
+        rank: usize,
+    },
+    /// A flow ends before it starts.
+    EndBeforeStart {
+        /// The flow.
+        flow: usize,
+    },
+    /// A flow sorts before the one preceding it by `(start_ms, end_ms)`.
+    OutOfOrder {
+        /// The flow.
+        flow: usize,
+    },
+}
+
+impl fmt::Display for ColumnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::LengthMismatch { column, len, flows } => {
+                write!(f, "{column} column holds {len} entries for {flows} flows")
+            }
+            Self::DictionaryNotAscending { dictionary } => {
+                write!(f, "{dictionary} dictionary: entries not strictly ascending")
+            }
+            Self::RankOutOfRange {
+                dictionary,
+                flow,
+                rank,
+                len,
+            } => write!(
+                f,
+                "{dictionary} dictionary: reference {rank} of flow {flow} out of range (dict has {len})"
+            ),
+            Self::UnreferencedEntry { dictionary, rank } => {
+                write!(f, "{dictionary} dictionary: entry {rank} referenced by no flow")
+            }
+            Self::EndBeforeStart { flow } => write!(f, "flow {flow} ends before it starts"),
+            Self::OutOfOrder { flow } => {
+                write!(f, "flow {flow} sorts before its predecessor by (start, end)")
+            }
         }
     }
 }
 
-impl Extend<FlowRecord> for Dataset {
-    fn extend<T: IntoIterator<Item = FlowRecord>>(&mut self, iter: T) {
-        self.records.extend(iter);
-        self.records.sort_by_key(|r| (r.start_ms, r.end_ms));
-    }
-}
-
-impl<'a> IntoIterator for &'a Dataset {
-    type Item = &'a FlowRecord;
-    type IntoIter = std::slice::Iter<'a, FlowRecord>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.iter()
-    }
-}
+impl std::error::Error for ColumnError {}
 
 /// Errors from dataset parsing.
 #[derive(Debug)]
@@ -255,37 +482,78 @@ mod tests {
     }
 
     #[test]
-    fn push_keeps_order() {
-        let mut ds = Dataset::new(DatasetName::UsCampus);
-        ds.push(flow(100, 1));
-        ds.push(flow(50, 1));
-        ds.push(flow(75, 1));
-        let starts: Vec<_> = ds.iter().map(|r| r.start_ms).collect();
-        assert_eq!(starts, vec![50, 75, 100]);
-    }
-
-    #[test]
-    fn extend_keeps_order() {
-        let mut ds = Dataset::new(DatasetName::UsCampus);
-        ds.extend([flow(100, 1), flow(10, 1)]);
-        ds.extend([flow(55, 1)]);
-        let starts: Vec<_> = ds.iter().map(|r| r.start_ms).collect();
-        assert_eq!(starts, vec![10, 55, 100]);
-    }
-
-    #[test]
     fn distinct_ip_sets() {
-        let mut ds = Dataset::new(DatasetName::Eu1Adsl);
         let mut f1 = flow(0, 10);
         f1.client_ip = "10.0.0.1".parse().unwrap();
         f1.server_ip = "74.125.0.1".parse().unwrap();
         let mut f2 = flow(1, 20);
         f2.client_ip = "10.0.0.2".parse().unwrap();
         f2.server_ip = "74.125.0.1".parse().unwrap();
-        ds.extend([f1, f2]);
-        assert_eq!(ds.client_ips().len(), 2);
+        let ds = Dataset::from_records(DatasetName::Eu1Adsl, vec![f1, f2]);
+        assert_eq!(ds.distinct_clients(), 2);
         assert_eq!(ds.server_ips().len(), 1);
         assert_eq!(ds.total_bytes(), 30);
+    }
+
+    #[test]
+    fn rows_round_trip_through_the_columns() {
+        let mut records: Vec<FlowRecord> = (0..6u64).map(|k| flow(100 - k * 10, k)).collect();
+        records[2].server_ip = "74.125.9.9".parse().unwrap();
+        records[4].video_id = VideoId::from_index(u64::MAX);
+        let ds = Dataset::from_records(DatasetName::Eu2, records.clone());
+        records.reverse();
+        assert_eq!(ds.iter().collect::<Vec<_>>(), records);
+        assert_eq!(ds.row(3), records[3]);
+        let c = ds.columns();
+        assert_eq!(c.servers.len(), 2);
+        assert!(c.videos.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(Dataset::from_columns(DatasetName::Eu2, c.clone()), Ok(ds));
+    }
+
+    #[test]
+    fn from_columns_checks_every_invariant() {
+        let ds = Dataset::from_records(DatasetName::Eu2, vec![flow(0, 1), flow(5, 2)]);
+        let check = |edit: fn(&mut DatasetColumns)| {
+            let mut c = ds.columns().clone();
+            edit(&mut c);
+            Dataset::from_columns(DatasetName::Eu2, c).unwrap_err()
+        };
+        assert!(matches!(
+            check(|c| c.bytes.push(3)),
+            ColumnError::LengthMismatch {
+                column: "bytes",
+                ..
+            }
+        ));
+        assert!(matches!(
+            check(|c| c.server_ranks[1] = 1),
+            ColumnError::RankOutOfRange {
+                dictionary: "server",
+                flow: 1,
+                rank: 1,
+                len: 1
+            }
+        ));
+        assert!(matches!(
+            check(|c| c.video_ranks[1] = 0),
+            ColumnError::UnreferencedEntry {
+                dictionary: "video",
+                rank: 1
+            }
+        ));
+        assert!(matches!(
+            check(|c| c.videos.swap(0, 1)),
+            ColumnError::DictionaryNotAscending {
+                dictionary: "video"
+            }
+        ));
+        assert_eq!(
+            check(|c| c.end_ms[1] = 4),
+            ColumnError::EndBeforeStart { flow: 1 }
+        );
+        let unsorted = check(|c| c.start_ms[0] = 6);
+        assert_eq!(unsorted, ColumnError::OutOfOrder { flow: 1 });
+        assert!(unsorted.to_string().contains("flow 1"));
     }
 
     #[test]

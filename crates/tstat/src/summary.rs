@@ -28,7 +28,7 @@ impl TrafficSummary {
             flows: dataset.len(),
             bytes: dataset.total_bytes(),
             servers: dataset.server_ips().len(),
-            clients: dataset.client_ips().len(),
+            clients: dataset.distinct_clients(),
         }
     }
 

@@ -34,7 +34,7 @@ pub const HEADER: &str = "#client_ip server_ip t_start_ms t_end_ms bytes video_i
 pub fn write_textlog<W: Write>(dataset: &Dataset, mut w: W) -> std::io::Result<()> {
     writeln!(w, "#dataset {}", dataset.name())?;
     writeln!(w, "{HEADER}")?;
-    for r in dataset.records() {
+    for r in dataset.iter() {
         writeln!(
             w,
             "{} {} {} {} {} {} {}",
@@ -229,7 +229,7 @@ mod tests {
         let ds = read_textlog(input.as_bytes()).unwrap();
         assert_eq!(ds.name(), DatasetName::Eu1Ftth);
         assert_eq!(ds.len(), 1);
-        assert_eq!(ds.records()[0].bytes, 900);
+        assert_eq!(ds.row(0).bytes, 900);
     }
 
     #[test]

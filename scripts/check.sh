@@ -82,6 +82,22 @@ cargo run --quiet --release -p ytcdn-cli -- characterize \
 grep -q "flows=" "$smoke/characterize.txt" \
     || { echo "check.sh: characterize printed no summary for the anonymized trace" >&2; exit 1; }
 
+# analyze --trace is the one CLI path where the text parser's rows feed an
+# analysis context and an index: it must run on a generated text log and
+# on its anonymized copy, and print the session summary for each.
+echo "==> analyze --trace smoke (text log and its anonymized copy)" >&2
+cargo run --quiet --release -p ytcdn-cli -- generate \
+    --dataset EU2 --scale 0.004 --seed 7 --format text --out "$smoke/analyze.log" 2>/dev/null
+cargo run --quiet --release -p ytcdn-cli -- anonymize \
+    --trace "$smoke/analyze.log" --out "$smoke/analyze-anon.log" --seed 3 2>/dev/null
+for trace in analyze analyze-anon; do
+    cargo run --quiet --release -p ytcdn-cli -- analyze \
+        --trace "$smoke/$trace.log" --scale 0.004 --seed 7 > "$smoke/$trace.txt" 2>/dev/null \
+        || { echo "check.sh: analyze --trace $trace.log exited non-zero" >&2; exit 1; }
+    grep -q "^sessions:" "$smoke/$trace.txt" \
+        || { echo "check.sh: analyze --trace $trace.log printed no sessions line" >&2; exit 1; }
+done
+
 # Analysis pipeline: repro must print byte-identical reports at --jobs 1
 # (one simulation worker, sequential index build + experiment loop) and
 # --jobs <max> (the dataset pool, parallel grouping and concurrent

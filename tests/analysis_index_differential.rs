@@ -67,7 +67,7 @@ struct NaiveSession {
 /// than fast; the library's sort-based grouper must match it exactly.
 fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<NaiveSession> {
     let mut buckets: HashMap<(Ipv4Addr, VideoId), Vec<usize>> = HashMap::new();
-    for (i, r) in ds.records().iter().enumerate() {
+    for (i, r) in ds.iter().enumerate() {
         buckets
             .entry((r.client_ip, r.video_id))
             .or_default()
@@ -77,7 +77,7 @@ fn naive_group_sessions(ds: &Dataset, gap_ms: u64) -> Vec<NaiveSession> {
     for ((client_ip, video_id), indices) in buckets {
         let mut current: Option<NaiveSession> = None;
         for idx in indices {
-            let r = &ds.records()[idx];
+            let r = ds.row(idx);
             match current.as_mut() {
                 Some(s) if r.start_ms <= s.end_ms.saturating_add(gap_ms) => {
                     s.flow_indices.push(idx);
@@ -287,8 +287,8 @@ fn flow_table(ctx: &AnalysisContext, ds: &Dataset) -> Vec<FlowRow> {
             hour: (r.start_ms / HOUR_MS) as usize,
             video: r.video_id,
             server: r.server_ip,
-            is_video: ctx.is_video(r),
-            target: ctx.is_preferred(r),
+            is_video: ctx.is_video(&r),
+            target: ctx.is_preferred(&r),
         })
         .collect()
 }
@@ -352,7 +352,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
             .unwrap_or(0),
     };
     assert_eq!(
-        nonpreferred_video_stats(&index, ds),
+        nonpreferred_video_stats(&index),
         want,
         "{label}: Figure 13 stats"
     );

@@ -462,6 +462,68 @@ fn dictionary_entries_not_strictly_ascending() {
     );
 }
 
+/// The canonical encoder writes exactly the values some flow uses, so a
+/// dictionary entry no flow references is malformed, in either dictionary.
+#[test]
+fn dictionary_entry_referenced_by_no_flow() {
+    let server = decode_err(|s| {
+        let mut server = varint(2);
+        server.extend(varint(SERVER_U32));
+        server.extend(varint(1)); // a second address, never referenced
+        server.extend(varint(0));
+        s.blocks[5].1 = server;
+    });
+    assert!(
+        matches!(server, FormatError::BadDictionary { ref what }
+            if what.contains("server") && what.contains("referenced by no flow")),
+        "got {server}"
+    );
+    let video = decode_err(|s| {
+        let mut video = varint(2);
+        video.extend(varint(7));
+        video.extend(varint(1)); // video 8, never referenced
+        video.extend(varint(1)); // the one flow watches video 8
+        s.blocks[6].1 = video;
+    });
+    assert!(
+        matches!(video, FormatError::BadDictionary { ref what }
+            if what.contains("video") && what.contains("entry 0 referenced by no flow")),
+        "got {video}"
+    );
+}
+
+/// Two flows with the same start stored with descending ends: the encoder
+/// writes `(start_ms, end_ms)` order, so the decoder rejects the pair
+/// rather than re-sorting it.
+#[test]
+fn equal_starts_with_descending_ends() {
+    let two_flows = |durations: [u64; 2]| {
+        let mut s = canonical_section();
+        s.flow_count = 2;
+        let twice = |v: u64| [varint(v), varint(v)].concat();
+        s.blocks[0].1 = [varint(1), varint(2)].concat();
+        s.blocks[1].1 = [varint(5), varint(0)].concat();
+        s.blocks[2].1 = [varint(durations[0]), varint(durations[1])].concat();
+        s.blocks[3].1 = twice(10);
+        s.blocks[4].1 = vec![10, 0, 0, 1, 10, 0, 0, 2];
+        s.blocks[5].1 = [varint(1), varint(SERVER_U32), twice(0)].concat();
+        s.blocks[6].1 = [varint(1), varint(7), twice(0)].concat();
+        s.blocks[7].1 = vec![0, 0];
+        YtcFile::decode(&file_with(s))
+    };
+    assert_eq!(
+        two_flows([1, 3])
+            .expect("ascending ends decode")
+            .total_flows(),
+        2
+    );
+    let err = two_flows([3, 1]).expect_err("descending ends must not decode");
+    assert!(
+        matches!(err, FormatError::OutOfOrder { index: 1 }),
+        "got {err}"
+    );
+}
+
 #[test]
 fn server_dictionary_entry_wider_than_ipv4() {
     let err = decode_err(|s| {

@@ -221,7 +221,7 @@ fn net3_bias_matches_figure12() {
 fn cold_tail_repair_matches_figure13() {
     let h = Harness::new();
     for name in [DatasetName::Eu1Adsl, DatasetName::UsCampus] {
-        let st = nonpreferred_video_stats(&h.index(name), h.dataset(name));
+        let st = nonpreferred_video_stats(&h.index(name));
         assert!(
             st.exactly_once_fraction > 0.55,
             "{name}: exactly-once {}",
@@ -246,7 +246,7 @@ fn control_flows_precede_video_flows_in_redirected_sessions() {
     let mut checked = 0;
     for s in sessions.iter().filter(|s| s.flow_count() >= 2) {
         // In a redirect chain every flow but the last video flow is small.
-        let classes: Vec<FlowClass> = s.flows_iter(ds).map(|f| classifier.classify(f)).collect();
+        let classes: Vec<FlowClass> = s.flows_iter(ds).map(|f| classifier.classify(&f)).collect();
         if classes[0] == FlowClass::Control {
             // Control flows come first; at least one video flow follows.
             assert!(

@@ -120,7 +120,7 @@ fn analysis_on_foreign_only_dataset_is_safe() {
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     assert_eq!(ctx.preferred_share_of_bytes(), 0.0);
     assert_eq!(ctx.nonpreferred_share_of_flows(), 0.0);
-    assert!(ctx.dc_of(&ds.records()[0]).is_none());
+    assert!(ctx.dc_of(&ds.row(0)).is_none());
 }
 
 #[test]

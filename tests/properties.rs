@@ -7,6 +7,7 @@
 //! that replays by itself; the edge values a shrinker would find (0, the
 //! type's maximum, equal pairs) are covered by explicit cases instead.
 
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -15,6 +16,7 @@ use ytcdn_cdnsim::dns::{DnsResolver, LdnsId, LdnsPolicy};
 use ytcdn_cdnsim::{ContentStore, DataCenterId, SimRng, Topology};
 use ytcdn_core::session::group_sessions;
 use ytcdn_core::stats::Cdf;
+use ytcdn_core::{YtcFile, YtcHeader};
 use ytcdn_geomodel::{min_rtt_ms, Coord};
 use ytcdn_netsim::{AccessKind, DelayModel, Endpoint};
 use ytcdn_tstat::{
@@ -188,6 +190,59 @@ fn textlog_roundtrip_arbitrary_records() {
     });
 }
 
+/// Asserts the three producers of a [`Dataset`] agree on `records`:
+/// `from_records`, a `.ytc` encode→decode of its result and a text-log
+/// write→parse of it give equal datasets; both dictionaries are strictly
+/// ascending and hold exactly the distinct values; and the row view is
+/// the input stably sorted by `(start_ms, end_ms)`.
+fn assert_one_value_from_every_producer(records: Vec<FlowRecord>) {
+    let ds = Dataset::from_records(DatasetName::Eu2, records.clone());
+    let mut sorted = records.clone();
+    sorted.sort_by_key(|r| (r.start_ms, r.end_ms));
+    assert!(ds.iter().eq(sorted), "rows are not the stably sorted input");
+    let servers: BTreeSet<Ipv4Addr> = records.iter().map(|r| r.server_ip).collect();
+    let videos: BTreeSet<VideoId> = records.iter().map(|r| r.video_id).collect();
+    assert!(ds.server_ips().iter().eq(&servers), "server dictionary");
+    assert!(ds.video_ids().iter().eq(&videos), "video dictionary");
+
+    let header = YtcHeader {
+        scale: 1.0,
+        seed: 0,
+        mutations: vec![],
+    };
+    let file = YtcFile::new(header, vec![ds.clone()]).expect("well-formed rows encode");
+    let decoded = YtcFile::decode(&file.encode()).expect("own encode decodes");
+    assert_eq!(decoded.datasets().len(), 1, ".ytc encode→decode");
+    assert_eq!(decoded.datasets()[0].dataset(), &ds, ".ytc encode→decode");
+    let mut text = Vec::new();
+    write_textlog(&ds, &mut text).expect("writing to a Vec");
+    let parsed = read_textlog(&text[..]).expect("own text log parses");
+    assert_eq!(parsed, ds, "text write→parse");
+}
+
+#[test]
+fn every_producer_builds_the_same_dataset() {
+    assert_one_value_from_every_producer(Vec::new());
+    check(CASES, |rng| {
+        // Few distinct starts and durations (ties on start_ms and on the
+        // whole sort key), across several hours; few servers and videos
+        // (repeats), including the widest video id.
+        let records = vec_of(rng, 0..40, |rng| {
+            let start = rng.gen_range(0u64..6) * (HOUR_MS / 2);
+            FlowRecord {
+                client_ip: Ipv4Addr::new(10, 0, 0, rng.gen_range(0u8..3)),
+                server_ip: Ipv4Addr::new(74, 125, 0, rng.gen_range(0u8..4)),
+                start_ms: start,
+                end_ms: start + rng.gen_range(0u64..3) * 100,
+                bytes: rng.gen_range(0u64..5_000_000),
+                video_id: VideoId::from_index([0, 7, 1 << 40, u64::MAX][rng.gen_range(0..4)]),
+                resolution: Resolution::ALL[rng.gen_range(0..Resolution::ALL.len())],
+            }
+        });
+        assert_one_value_from_every_producer(records);
+    });
+}
+
 // ---- CDFs (ytcdn-core stats) ----
 
 fn values(rng: &mut SimRng, len: Range<usize>, span: f64) -> Vec<f64> {
@@ -262,7 +317,6 @@ fn session_column_is_a_bucketed_permutation() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
-        let records = ds.records();
         for jobs in [1, 4] {
             let sessions = group_sessions(&ds, gap, jobs);
             let column = sessions.flows_in_bucket_order();
@@ -273,7 +327,7 @@ fn session_column_is_a_bucketed_permutation() {
                 "jobs {jobs}: column is not a permutation of the flows"
             );
             let bucket = |i: u32| {
-                let r = &records[i as usize];
+                let r = ds.row(i as usize);
                 (r.client_ip, r.video_id)
             };
             let mut closed = std::collections::BTreeSet::new();
