@@ -1,6 +1,6 @@
 //! The one worker pool every parallel path in the workspace runs on.
 //!
-//! Datasets, client-IP shards, /24 server blocks and experiments are all
+//! Datasets, their index builds, /24 server blocks and experiments are all
 //! independent units of work whose combined output must be byte-identical
 //! for any worker count. [`par_map`] is that pattern written once: scoped
 //! workers pull the next item off a shared cursor, and the results are

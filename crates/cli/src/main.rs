@@ -31,7 +31,7 @@ use std::sync::Arc;
 mod args;
 
 use args::{Command, ParseError, ReproArgs, TelemetryOpts};
-use ytcdn_cdnsim::{resolve_jobs, MutationSpec, ScenarioConfig, StandardScenario};
+use ytcdn_cdnsim::{MutationSpec, ScenarioConfig, StandardScenario};
 use ytcdn_core::experiments::{ExperimentSuite, Figure, SuiteConfig};
 use ytcdn_core::perf::perf_report;
 use ytcdn_core::whatif;
@@ -578,8 +578,7 @@ fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx)
     };
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), columnar.dataset());
-    let index =
-        DatasetIndex::from_columnar(&actx, &columnar, resolve_jobs(0), ctx.telemetry.clone());
+    let index = DatasetIndex::build(&actx, columnar.dataset(), ctx.telemetry.clone());
     let report = match WatchReport::build(&actx, columnar.dataset(), &index, config) {
         Ok(r) => r,
         Err(e) => {
@@ -600,7 +599,7 @@ fn watch(s: StandardScenario, dataset: DatasetName, config: WatchConfig, ctx: &C
     let (ds, _) = s.run(dataset);
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
-    let index = DatasetIndex::build(&actx, &ds, resolve_jobs(0), ctx.telemetry.clone());
+    let index = DatasetIndex::build(&actx, &ds, ctx.telemetry.clone());
     let report = match WatchReport::build(&actx, &ds, &index, config) {
         Ok(r) => r,
         Err(e) => {
@@ -646,7 +645,7 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
         100.0 * ctx.nonpreferred_share_of_flows()
     );
 
-    let index = DatasetIndex::build(&ctx, &ds, resolve_jobs(0), cli.telemetry.clone());
+    let index = DatasetIndex::build(&ctx, &ds, cli.telemetry.clone());
     let st = index.patterns();
     println!(
         "sessions: {} total, {:.1}% single-flow ({:.1}% of those to non-preferred DCs)",

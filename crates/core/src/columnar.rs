@@ -8,9 +8,8 @@
 //! and byte counts, raw client addresses, the server and video
 //! dictionaries with one rank per flow (the numeric-index twin of the
 //! inline [`ytcdn_tstat::VideoIdStr`] trick), one resolution byte per flow
-//! — plus a per-hour block index so hour-range reads and
-//! [`DatasetIndex::from_columnar`](crate::index::DatasetIndex::from_columnar)
-//! need no rescan.
+//! — plus a per-hour block index, which the decoder cross-validates
+//! against the timestamp column.
 //!
 //! The encoder writes the dataset's dictionaries and ranks as they are
 //! ([`Dataset::from_records`] built them). The decoder validates each
@@ -365,7 +364,7 @@ impl YtcFile {
     pub fn new(header: YtcHeader, datasets: Vec<Dataset>) -> FormatResult<Self> {
         let mut seen = [false; DatasetName::ALL.len()];
         for ds in &datasets {
-            let slot = name_code(ds.name()) as usize;
+            let slot = ds.name().index();
             if seen[slot] {
                 return Err(FormatError::DuplicateDataset {
                     name: ds.name().to_string(),
@@ -496,7 +495,7 @@ impl YtcFile {
                 });
             }
             let columnar = decode_section(payload)?;
-            let slot = usize::from(name_code(columnar.dataset().name()));
+            let slot = columnar.dataset().name().index();
             if seen[slot] {
                 return Err(FormatError::DuplicateDataset {
                     name: columnar.dataset().name().to_string(),
@@ -554,15 +553,10 @@ impl YtcFile {
     }
 }
 
-/// The wire code of a dataset name: its position in [`DatasetName::ALL`].
+/// The wire code of a dataset name: its position in [`DatasetName::ALL`]
+/// ([`DatasetName::index`]), which is below 5 and so fits the byte.
 fn name_code(name: DatasetName) -> u8 {
-    match name {
-        DatasetName::UsCampus => 0,
-        DatasetName::Eu1Campus => 1,
-        DatasetName::Eu1Adsl => 2,
-        DatasetName::Eu1Ftth => 3,
-        DatasetName::Eu2 => 4,
-    }
+    name.index() as u8
 }
 
 fn name_from_code(code: u8) -> FormatResult<DatasetName> {

@@ -522,7 +522,7 @@ mod tests {
     ) -> WatchReport {
         let (ds, _) = scenario.run(name);
         let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, 1, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         WatchReport::build(&ctx, &ds, &index, config).unwrap()
     }
 
@@ -591,7 +591,7 @@ mod tests {
         let (ds, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu2);
-        let index = DatasetIndex::build(&ctx, &empty, 1, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
         let err = WatchReport::build(&ctx, &empty, &index, WatchConfig::default()).unwrap_err();
         assert_eq!(
             err,

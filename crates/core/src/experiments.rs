@@ -18,7 +18,6 @@
 //! `NoVideoFlows`.
 
 use std::fmt::Write as _;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use ytcdn_cdnsim::{
@@ -208,9 +207,9 @@ impl ExperimentSuite {
     /// `config.scenario` (so ground-truth contexts and the what-if
     /// experiments keep working — the caller must pass the scale and seed
     /// recorded in the file's [`crate::columnar::YtcHeader`]), but the
-    /// flow logs come straight off the decoded columns, indexes included
-    /// via [`DatasetIndex::from_columnar`]. Reports are byte-identical to
-    /// the simulate-in-memory path for matching scale/seed/mutations.
+    /// flow logs come straight off the decoded columns. Reports are
+    /// byte-identical to the simulate-in-memory path for matching
+    /// scale/seed/mutations.
     ///
     /// Datasets may arrive in any order; if the same vantage point appears
     /// twice the last one wins ([`crate::columnar::YtcFile::decode`]
@@ -226,21 +225,19 @@ impl ExperimentSuite {
         columnar: Vec<crate::columnar::ColumnarDataset>,
     ) -> AnalysisResult<Self> {
         let scenario = StandardScenario::build_instrumented(config.scenario, telemetry.clone());
-        let mut slots: Vec<Option<crate::columnar::ColumnarDataset>> =
-            DatasetName::ALL.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<Dataset>> = DatasetName::ALL.iter().map(|_| None).collect();
         for c in columnar {
-            let slot = Self::slot(c.dataset().name());
-            slots[slot] = Some(c);
+            let ds = c.into_dataset();
+            let slot = ds.name().index();
+            slots[slot] = Some(ds);
         }
         let datasets = slots
             .into_iter()
             .zip(DatasetName::ALL)
             .map(|(slot, name)| {
-                let c = slot.ok_or_else(|| AnalysisError::MissingDataset {
+                slot.ok_or_else(|| AnalysisError::MissingDataset {
                     dataset: name.to_string(),
-                })?;
-                let hours = c.hour_ranges().to_vec();
-                Ok((c.into_dataset(), Some(hours)))
+                })
             })
             .collect::<AnalysisResult<_>>()?;
         Ok(Self::assemble(config, telemetry, scenario, datasets))
@@ -252,27 +249,28 @@ impl ExperimentSuite {
             .run_all(resolve_jobs(config.jobs))
             .into_iter()
             .map(|ds| match shape {
-                Some(shape) => (shape.apply(scenario.world(), ds), None),
-                None => (ds, None),
+                Some(shape) => shape.apply(scenario.world(), ds),
+                None => ds,
             })
             .collect();
         Self::assemble(config, telemetry, scenario, datasets)
     }
 
     /// The step both constructors share: resolves the worker count, then
-    /// builds each dataset's context (`suite.contexts` span) and index
-    /// (`suite.indexes` span). Each dataset may carry its precomputed hour
-    /// ranges (a `.ytc` load does), which the index reuses instead of
-    /// rescanning the timestamps.
+    /// builds each dataset's context in turn (`suite.contexts` span) and
+    /// the five indexes on the worker pool, one dataset per task
+    /// (`suite.indexes` span). `par_map` returns the indexes in dataset
+    /// order, and each index is a function of its dataset and context
+    /// alone, so the suite is the same for any worker count.
     fn assemble(
         config: SuiteConfig,
         telemetry: Telemetry,
         scenario: StandardScenario,
-        datasets: Vec<(Dataset, Option<Vec<Range<usize>>>)>,
+        datasets: Vec<Dataset>,
     ) -> Self {
         let jobs = resolve_jobs(config.jobs);
-        let (datasets, hours): (Vec<Dataset>, Vec<_>) = datasets.into_iter().unzip();
-        // `slot` relies on the datasets arriving in DatasetName::ALL order.
+        // The accessors index by DatasetName::index, which relies on the
+        // datasets arriving in DatasetName::ALL order.
         debug_assert!(datasets
             .iter()
             .zip(DatasetName::ALL)
@@ -286,14 +284,10 @@ impl ExperimentSuite {
         };
         let indexes = {
             let _span = telemetry.span("suite.indexes");
-            datasets
-                .iter()
-                .zip(&contexts)
-                .zip(hours)
-                .map(|((ds, ctx), hours)| {
-                    DatasetIndex::build_with_hours(ctx, ds, hours, jobs, telemetry.clone())
-                })
-                .collect()
+            let pairs: Vec<(&Dataset, &AnalysisContext)> = datasets.iter().zip(&contexts).collect();
+            par_map(jobs, &pairs, |&(ds, ctx)| {
+                DatasetIndex::build(ctx, ds, telemetry.clone())
+            })
         };
         Self {
             config,
@@ -327,32 +321,19 @@ impl ExperimentSuite {
         &self.telemetry
     }
 
-    /// The position of a dataset in the suite's vectors. The suite
-    /// simulates (and keeps) the five datasets in [`DatasetName::ALL`]
-    /// order, so the lookup is total — no find-and-panic needed.
-    fn slot(name: DatasetName) -> usize {
-        match name {
-            DatasetName::UsCampus => 0,
-            DatasetName::Eu1Campus => 1,
-            DatasetName::Eu1Adsl => 2,
-            DatasetName::Eu1Ftth => 3,
-            DatasetName::Eu2 => 4,
-        }
-    }
-
     /// A dataset by name.
     pub fn dataset(&self, name: DatasetName) -> &Dataset {
-        &self.datasets[Self::slot(name)]
+        &self.datasets[name.index()]
     }
 
     /// A dataset's analysis context.
     pub fn context(&self, name: DatasetName) -> &AnalysisContext {
-        &self.contexts[Self::slot(name)]
+        &self.contexts[name.index()]
     }
 
     /// A dataset's columnar index.
     pub fn dataset_index(&self, name: DatasetName) -> &DatasetIndex {
-        &self.indexes[Self::slot(name)]
+        &self.indexes[name.index()]
     }
 
     /// The suite's calibrated CBG instance (lazily built once; shared by
@@ -1401,6 +1382,30 @@ mod tests {
             full_landmarks: false,
             jobs: 0,
         })
+    }
+
+    #[test]
+    fn indexes_built_on_the_pool_match_sequential() {
+        // The five indexes come back from `par_map` in dataset order, each
+        // the same as one built on the calling thread.
+        let config = |jobs| SuiteConfig {
+            scenario: ScenarioConfig::with_scale(0.003, 7),
+            full_landmarks: false,
+            jobs,
+        };
+        let (one, two) = (
+            ExperimentSuite::new(config(1)),
+            ExperimentSuite::new(config(2)),
+        );
+        for name in DatasetName::ALL {
+            let (a, b) = (one.dataset_index(name), two.dataset_index(name));
+            assert_eq!(a.dataset_name(), name);
+            assert_eq!(b.dataset_name(), name);
+            assert_eq!(a.sessions(), b.sessions(), "{name}: sessions");
+            assert_eq!(a.patterns(), b.patterns(), "{name}: patterns");
+            assert_eq!(a.servers(), b.servers(), "{name}: servers");
+            assert_eq!(a.hour_ranges(), b.hour_ranges(), "{name}: hour ranges");
+        }
     }
 
     #[test]

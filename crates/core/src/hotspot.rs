@@ -184,7 +184,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.015, 3));
         let (ds, _) = s.run(DatasetName::Eu1Adsl);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         (s, ds, index)
     }
 

@@ -8,9 +8,9 @@
 //! bins the (start-time-sorted) records into per-hour index ranges,
 //! aggregates per-server, per-data-center and per-video traffic (the
 //! last one dense `Vec` by video rank), and groups + classifies the
-//! default-gap sessions — sharded by client over the shared worker pool,
-//! with output byte-identical for any worker count (see
-//! [`crate::session::group_sessions`] for the argument). The figure
+//! default-gap sessions in one pass ([`crate::session::group_sessions`]).
+//! One index is built per dataset on one thread; the suite builds the
+//! five datasets' indexes on the shared worker pool. The figure
 //! analyses (`timeseries`, `videos`, `hotspot`) read these columns instead
 //! of probing the context.
 //!
@@ -66,7 +66,7 @@ pub struct ServerStats {
 
 /// The columnar index over one dataset.
 ///
-/// Built once (in parallel) per dataset; all accessors are cheap reads.
+/// Built once per dataset; all accessors are cheap reads.
 /// Sessions are grouped at the default gap only; other gaps are swept on
 /// demand (see the module docs), so the index holds no lock and no cache.
 #[derive(Debug)]
@@ -97,57 +97,15 @@ pub struct DatasetIndex {
 
 impl DatasetIndex {
     /// Builds the index: one pass over the records for the columns and
-    /// aggregates, plus a session grouping split into `jobs` client shards
-    /// (`jobs <= 1` is one shard on the calling thread; see
-    /// [`crate::session::group_sessions`]).
+    /// aggregates, one scan of the timestamps for the hour ranges, and one
+    /// session grouping ([`crate::session::group_sessions`]).
     ///
     /// # Panics
     ///
     /// Panics if `dataset`'s records are not sorted by start time (the
     /// dataset invariant every producer in this workspace upholds), or if
     /// `ctx` was built from a different dataset.
-    pub fn build(
-        ctx: &AnalysisContext,
-        dataset: &Dataset,
-        jobs: usize,
-        telemetry: Telemetry,
-    ) -> Self {
-        Self::build_with_hours(ctx, dataset, None, jobs, telemetry)
-    }
-
-    /// Builds the index from decoded `.ytc` columns, reusing the hour
-    /// index that came off disk instead of re-scanning the timestamps —
-    /// output-identical to [`DatasetIndex::build`] over the same records
-    /// (the decoder already cross-validated the ranges against the
-    /// timestamp column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` was built from a different dataset.
-    pub fn from_columnar(
-        ctx: &AnalysisContext,
-        columnar: &crate::columnar::ColumnarDataset,
-        jobs: usize,
-        telemetry: Telemetry,
-    ) -> Self {
-        Self::build_with_hours(
-            ctx,
-            columnar.dataset(),
-            Some(columnar.hour_ranges().to_vec()),
-            jobs,
-            telemetry,
-        )
-    }
-
-    /// [`DatasetIndex::build`], reusing `precomputed_hours` as the hour
-    /// ranges when given (they must be what the scan would derive).
-    pub(crate) fn build_with_hours(
-        ctx: &AnalysisContext,
-        dataset: &Dataset,
-        precomputed_hours: Option<Vec<Range<usize>>>,
-        jobs: usize,
-        telemetry: Telemetry,
-    ) -> Self {
+    pub fn build(ctx: &AnalysisContext, dataset: &Dataset, telemetry: Telemetry) -> Self {
         let span = telemetry.span("index.build");
         let c = dataset.columns();
         let n = dataset.len();
@@ -190,13 +148,11 @@ impl DatasetIndex {
         }
 
         // Records are sorted by start time, so each hour is one contiguous
-        // index range. A `.ytc` load hands the ranges in pre-validated,
-        // skipping the scan.
-        let hour_ranges =
-            precomputed_hours.unwrap_or_else(|| crate::columnar::compute_hour_ranges(&c.start_ms));
+        // index range.
+        let hour_ranges = crate::columnar::compute_hour_ranges(&c.start_ms);
 
         let group_span = telemetry.span("index.group");
-        let sessions = group_sessions(dataset, DEFAULT_GAP_MS, jobs);
+        let sessions = group_sessions(dataset, DEFAULT_GAP_MS);
         drop(group_span);
         telemetry.counter("index.flows").add(n as u64);
         telemetry
@@ -221,6 +177,24 @@ impl DatasetIndex {
         index.patterns = index.classify();
         drop(span);
         index
+    }
+
+    /// [`DatasetIndex::build`] over a decoded `.ytc` dataset, under the
+    /// signature the pipeline benchmark (`perfbench/`) compiles against.
+    /// The worker count is ignored: one index is built on one thread, and
+    /// [`crate::experiments::ExperimentSuite`] builds the datasets'
+    /// indexes on the worker pool instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` was built from a different dataset.
+    pub fn from_columnar(
+        ctx: &AnalysisContext,
+        columnar: &crate::columnar::ColumnarDataset,
+        _jobs: usize,
+        telemetry: Telemetry,
+    ) -> Self {
+        Self::build(ctx, columnar.dataset(), telemetry)
     }
 
     /// The dataset this index describes.
@@ -472,14 +446,7 @@ impl GeoIndex {
     /// One dataset's server locations — what `geolocate_servers` over that
     /// dataset (same cbg/seed) returns, served from the shared pass.
     pub fn dataset(&self, name: DatasetName) -> &[crate::geo_analysis::ServerLocation] {
-        let slot = match name {
-            DatasetName::UsCampus => 0,
-            DatasetName::Eu1Campus => 1,
-            DatasetName::Eu1Adsl => 2,
-            DatasetName::Eu1Ftth => 3,
-            DatasetName::Eu2 => 4,
-        };
-        &self.per_dataset[slot]
+        &self.per_dataset[name.index()]
     }
 
     /// All five datasets' locations concatenated in [`DatasetName::ALL`]
@@ -506,7 +473,7 @@ mod tests {
     #[test]
     fn columns_match_context_probes() {
         let (ds, ctx) = setup(DatasetName::Eu1Adsl);
-        let index = DatasetIndex::build(&ctx, &ds, 4, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         assert_eq!(index.len(), ds.len());
         for (i, r) in ds.iter().enumerate() {
             assert_eq!(index.dc_of_flow(i), ctx.dc_of(&r));
@@ -520,7 +487,7 @@ mod tests {
     #[test]
     fn hour_ranges_partition_the_trace() {
         let (ds, ctx) = setup(DatasetName::UsCampus);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let mut covered = 0usize;
         for (h, range) in index.hour_ranges().iter().enumerate() {
             assert_eq!(range.start, covered, "hour {h} not contiguous");
@@ -535,7 +502,7 @@ mod tests {
     #[test]
     fn aggregates_are_consistent() {
         let (ds, ctx) = setup(DatasetName::Eu1Ftth);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let analysis_flows = ds.iter().filter(|r| ctx.dc_of(r).is_some()).count() as u64;
         assert_eq!(index.dc_flows().iter().sum::<u64>(), analysis_flows);
         assert_eq!(
@@ -558,31 +525,27 @@ mod tests {
     fn flows_per_session_matches_direct_cdf() {
         let (ds, ctx) = setup(DatasetName::UsCampus);
         let gaps: Vec<u64> = [1u64, 5, 300].iter().map(|s| s * 1000).collect();
-        // With more than one job the stored column is the shards' bucket
-        // orders one after another; the sweep must not care.
-        for jobs in [1, 2, 7] {
-            let index = DatasetIndex::build(&ctx, &ds, jobs, Telemetry::disabled());
-            let swept = index.flows_per_session_sweep(&ds, &gaps);
-            assert_eq!(swept.len(), gaps.len());
-            for (gap, cdf) in gaps.iter().zip(&swept) {
-                assert_eq!(
-                    cdf,
-                    &crate::session::flows_per_session(&ds, *gap),
-                    "jobs {jobs} gap {gap}"
-                );
-            }
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let swept = index.flows_per_session_sweep(&ds, &gaps);
+        assert_eq!(swept.len(), gaps.len());
+        for (gap, cdf) in gaps.iter().zip(&swept) {
             assert_eq!(
-                index.flows_per_session(),
-                crate::session::flows_per_session(&ds, DEFAULT_GAP_MS)
+                cdf,
+                &crate::session::flows_per_session(&ds, *gap),
+                "gap {gap}"
             );
-            assert!(index.flows_per_session_sweep(&ds, &[]).is_empty());
         }
+        assert_eq!(
+            index.flows_per_session(),
+            crate::session::flows_per_session(&ds, DEFAULT_GAP_MS)
+        );
+        assert!(index.flows_per_session_sweep(&ds, &[]).is_empty());
     }
 
     #[test]
     fn from_columnar_matches_build() {
         let (ds, ctx) = setup(DatasetName::Eu1Ftth);
-        let built = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let built = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let columnar =
             crate::columnar::ColumnarDataset::from_dataset(ds.clone()).expect("well-formed");
         let from_ytc = DatasetIndex::from_columnar(&ctx, &columnar, 2, Telemetry::disabled());
@@ -602,7 +565,7 @@ mod tests {
     fn empty_dataset_index() {
         let (_, ctx) = setup(DatasetName::Eu1Adsl);
         let empty = Dataset::new(DatasetName::Eu1Adsl);
-        let index = DatasetIndex::build(&ctx, &empty, 4, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
         assert!(index.is_empty());
         assert!(index.sessions().is_empty());
         assert_eq!(index.patterns(), PatternStats::default());

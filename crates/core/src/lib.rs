@@ -42,10 +42,9 @@
 //! let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 1));
 //! let (dataset, _) = scenario.run(DatasetName::Eu1Campus);
 //! // ...and run the paper's analysis on the flow log: sessions at the
-//! // paper's T = 1 s, grouped in two client shards (any count gives the
-//! // same sessions).
+//! // paper's T = 1 s.
 //! let ctx = AnalysisContext::from_ground_truth(scenario.world(), &dataset);
-//! let sessions = group_sessions(&dataset, 1_000, 2);
+//! let sessions = group_sessions(&dataset, 1_000);
 //! let single: usize = sessions.iter().filter(|s| s.flow_count() == 1).count();
 //! // Figure 6: 72.5–80.5% of sessions consist of a single flow.
 //! let frac = single as f64 / sessions.len() as f64;

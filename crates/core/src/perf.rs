@@ -135,7 +135,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 202));
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let sessions = group_sessions(&ds, 1_000, 1);
+        let sessions = group_sessions(&ds, 1_000);
         perf_report(&ctx, &ds, &sessions)
     }
 
@@ -172,7 +172,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 203));
         let (ds, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let sessions = group_sessions(&ds, 1_000, 1);
+        let sessions = group_sessions(&ds, 1_000);
         let r = perf_report(&ctx, &ds, &sessions);
         // The spill target is a real Google DC ~1000 km away: RTT penalty
         // is tens of ms but far from intercontinental.

@@ -23,7 +23,6 @@
 
 use std::net::Ipv4Addr;
 
-use ytcdn_cdnsim::par_map;
 use ytcdn_tstat::{Dataset, FlowRecord, VideoId};
 
 /// A group of related flows: one user's attempt to watch one video.
@@ -72,7 +71,7 @@ impl<'a> Session<'a> {
 
 /// One session's row: where its flows sit in the flat column, and the
 /// fields of its [`Session`] view.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Row {
     start_ms: u64,
     end_ms: u64,
@@ -85,11 +84,7 @@ struct Row {
 
 /// The sessions of one dataset at one gap, as columns (see the module
 /// docs).
-///
-/// Two values are equal when they hold the same sessions in the same
-/// order; how the flat column's buckets are laid out (one run per shard
-/// of the grouping) is not part of the value.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Sessions {
     /// Every flow index once, bucket by bucket, each bucket ascending.
     flows: Vec<u32>,
@@ -127,8 +122,8 @@ impl Sessions {
 
     /// The flat column: every flow index of the dataset once, in bucket
     /// order. Each (client, video) bucket is one contiguous run whose
-    /// indices ascend (start-time order); the buckets of one grouping shard
-    /// are in `(client, video)` order, and shards follow each other.
+    /// indices ascend (start-time order), and the buckets follow each other
+    /// in `(client, video)` order.
     pub fn flows_in_bucket_order(&self) -> &[u32] {
         &self.flows
     }
@@ -140,124 +135,32 @@ impl Sessions {
     }
 }
 
-impl PartialEq for Sessions {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for Sessions {}
-
 /// Groups a dataset's flows into video sessions with gap threshold
-/// `gap_ms` (the paper's `T`, in milliseconds), with the bucketing pass
-/// split by client IP into `jobs` shards (clamped to `[1, flows]`) that
-/// run on the shared worker pool ([`ytcdn_cdnsim::par_map`]).
+/// `gap_ms` (the paper's `T`, in milliseconds): one sort of the flows into
+/// (client, video) buckets, then one gap scan over them. A flow joins the
+/// open session when it is in the same bucket and starts within `gap_ms`
+/// of the session's latest end.
 ///
 /// Returns the sessions in canonical order: sorted by the key `(start_ms,
-/// end_ms, client_ip, video_id)`. The sessions are **identical for any
-/// `jobs`**: every (client, video) bucket is wholly owned by one shard —
-/// sharding is a function of the client address alone — and within a
-/// shard each bucket's indices are visited in ascending (= start-time)
-/// order, so each shard produces exactly the sessions a single pass would
-/// for its clients. The canonical key is unique across sessions (two
+/// end_ms, client_ip, video_id)`. The key is unique across sessions (two
 /// sessions of the same bucket are separated by more than the gap, so
 /// their `start_ms` differ; sessions of different buckets differ in client
-/// or video), so concatenation order cannot leak into the result. Only
-/// the flat column's layout depends on `jobs`: it is the shards' bucket
-/// orders, one after another.
+/// or video), so the order is a function of the sessions alone.
 ///
 /// # Panics
 ///
 /// Panics if the dataset holds more than `u32::MAX` flows (flow indices
 /// are stored as `u32`).
-pub fn group_sessions(dataset: &Dataset, gap_ms: u64, jobs: usize) -> Sessions {
+pub fn group_sessions(dataset: &Dataset, gap_ms: u64) -> Sessions {
     let n = dataset.len();
     assert!(
         u32::try_from(n).is_ok(),
         "{n} flows overflow the u32 session column"
     );
-    let shards = jobs.clamp(1, n.max(1));
-    let parts = if shards == 1 {
-        vec![group_shard(dataset, gap_ms, 0..n)]
-    } else {
-        let mut by_client: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for (i, &client) in dataset.columns().clients.iter().enumerate() {
-            by_client[client as usize % shards].push(i as u32);
-        }
-        par_map(jobs, &by_client, |indices| {
-            group_shard(dataset, gap_ms, indices.iter().map(|&i| i as usize))
-        })
-    };
-    let mut sessions = parts
-        .into_iter()
-        .reduce(|mut all, part| {
-            let base = all.flows.len() as u32;
-            all.flows.extend(part.flows);
-            all.bucket_starts.extend(part.bucket_starts);
-            all.rows.extend(part.rows.into_iter().map(|row| Row {
-                offset: row.offset + base,
-                ..row
-            }));
-            all
-        })
-        .unwrap_or_default();
-    sessions.rows = canonical_order(&sessions.flows, &sessions.rows);
-    sessions
-}
-
-/// The rows in canonical `(start_ms, end_ms, client_ip, video_id)` order.
-///
-/// Records ascend by start time, so ordering sessions by their first
-/// flow's index orders them by `start_ms`. One `sort_unstable` over
-/// compact `(first flow index, row)` keys — unique, since every flow opens
-/// at most one session — does the bulk of the work; only sessions that
-/// share a `start_ms` are then ordered by the rest of the key.
-fn canonical_order(flows: &[u32], rows: &[Row]) -> Vec<Row> {
-    let mut keys: Vec<u64> = rows
-        .iter()
-        .enumerate()
-        .map(|(k, row)| u64::from(flows[row.offset as usize]) << 32 | k as u64)
-        .collect();
-    keys.sort_unstable();
-    let mut ordered: Vec<Row> = keys.iter().map(|&key| rows[key as u32 as usize]).collect();
-    for tied in ordered.chunk_by_mut(|a, b| a.start_ms == b.start_ms) {
-        tied.sort_unstable_by_key(|r| (r.end_ms, r.client_ip, r.video_id));
-    }
-    ordered
-}
-
-/// Orders record indices into (client, video) buckets: sorted by the key
-/// `(client, video rank, index)`, so each bucket is one contiguous run and
-/// its indices ascend — which, because records are sorted by start time,
-/// is start-time order. Rank order is video-id order (the dictionary is
-/// sorted). The key is unique per record, so the unstable sort is
-/// deterministic; it is packed into one `u128` (client in bits 64–95,
-/// video rank in 32–63, index in the low 32), so the sort compares single
-/// integers, and a key's bucket is its bits above the index.
-fn bucket_keys(dataset: &Dataset, indices: impl IntoIterator<Item = usize>) -> Vec<u128> {
     let c = dataset.columns();
-    let mut keys: Vec<u128> = indices
-        .into_iter()
-        .map(|i| u128::from(c.clients[i]) << 64 | u128::from(c.video_ranks[i]) << 32 | i as u128)
-        .collect();
-    keys.sort_unstable();
-    keys
-}
-
-/// The gap scan over one shard's record indices, walked in the order of
-/// [`bucket_keys`]: a flow joins the open session when it is in the same
-/// bucket and starts within `gap_ms` of the session's latest end. Returns
-/// the shard's flat column and its rows in bucket order; the caller puts
-/// the rows in canonical order.
-fn group_shard(
-    dataset: &Dataset,
-    gap_ms: u64,
-    indices: impl IntoIterator<Item = usize>,
-) -> Sessions {
-    let c = dataset.columns();
-    let keys = bucket_keys(dataset, indices);
-    let mut flows: Vec<u32> = Vec::with_capacity(keys.len());
-    let mut bucket_starts: Vec<bool> = Vec::with_capacity(keys.len());
+    let keys = bucket_keys(dataset);
+    let mut flows: Vec<u32> = Vec::with_capacity(n);
+    let mut bucket_starts: Vec<bool> = Vec::with_capacity(n);
     let mut rows: Vec<Row> = Vec::new();
     let mut bucket = None;
     for (pos, &key) in keys.iter().enumerate() {
@@ -282,6 +185,7 @@ fn group_shard(
             }),
         }
     }
+    let rows = canonical_order(&flows, &rows);
     Sessions {
         flows,
         bucket_starts,
@@ -289,11 +193,55 @@ fn group_shard(
     }
 }
 
+/// The rows in canonical `(start_ms, end_ms, client_ip, video_id)` order.
+///
+/// Records ascend by start time, so ordering sessions by their first
+/// flow's index orders them by `start_ms`. One `sort_unstable` over
+/// compact `(first flow index, row)` keys — unique, since every flow opens
+/// at most one session — does the bulk of the work; only sessions that
+/// share a `start_ms` are then ordered by the rest of the key.
+fn canonical_order(flows: &[u32], rows: &[Row]) -> Vec<Row> {
+    let mut keys: Vec<u64> = rows
+        .iter()
+        .enumerate()
+        .map(|(k, row)| u64::from(flows[row.offset as usize]) << 32 | k as u64)
+        .collect();
+    keys.sort_unstable();
+    let mut ordered: Vec<Row> = keys.iter().map(|&key| rows[key as u32 as usize]).collect();
+    for tied in ordered.chunk_by_mut(|a, b| a.start_ms == b.start_ms) {
+        tied.sort_unstable_by_key(|r| (r.end_ms, r.client_ip, r.video_id));
+    }
+    ordered
+}
+
+/// Orders the record indices into (client, video) buckets: sorted by the
+/// key `(client, video rank, index)`, so each bucket is one contiguous run
+/// and its indices ascend — which, because records are sorted by start
+/// time, is start-time order. Rank order is video-id order (the dictionary
+/// is sorted). The key is unique per record, so the unstable sort is
+/// deterministic; it is packed into one `u128` (client in bits 64–95,
+/// video rank in 32–63, index in the low 32), so the sort compares single
+/// integers, and a key's bucket is its bits above the index.
+fn bucket_keys(dataset: &Dataset) -> Vec<u128> {
+    let c = dataset.columns();
+    let mut keys: Vec<u128> = c
+        .clients
+        .iter()
+        .zip(&c.video_ranks)
+        .enumerate()
+        .map(|(i, (&client, &video))| {
+            u128::from(client) << 64 | u128::from(video) << 32 | i as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
 /// The distribution of flows-per-session for a dataset at one gap threshold
 /// — one curve of the paper's Figures 5 and 6.
 pub fn flows_per_session(dataset: &Dataset, gap_ms: u64) -> crate::stats::Cdf {
     crate::stats::Cdf::from_values(
-        group_sessions(dataset, gap_ms, 1)
+        group_sessions(dataset, gap_ms)
             .iter()
             .map(|s| s.flow_count() as f64),
     )
@@ -326,7 +274,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 1, 600, 5000, 1_000_000),
         ]);
-        let sessions = group_sessions(&d, 1_000, 1);
+        let sessions = group_sessions(&d, 1_000);
         assert_eq!(sessions.len(), 1);
         let only = sessions.iter().next().unwrap();
         assert_eq!(only.flow_count(), 2);
@@ -340,9 +288,9 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 1, 1_200, 5_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000, 1).len(), 2);
+        assert_eq!(group_sessions(&d, 1_000).len(), 2);
         // A larger T merges them (the Figure 5 sensitivity).
-        assert_eq!(group_sessions(&d, 5_000, 1).len(), 1);
+        assert_eq!(group_sessions(&d, 5_000).len(), 1);
     }
 
     #[test]
@@ -351,7 +299,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 2, 150, 5_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000, 1).len(), 2);
+        assert_eq!(group_sessions(&d, 1_000).len(), 2);
     }
 
     #[test]
@@ -360,7 +308,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.2", 1, 150, 5_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000, 1).len(), 2);
+        assert_eq!(group_sessions(&d, 1_000).len(), 2);
     }
 
     #[test]
@@ -370,7 +318,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 10_000, 500),
             flow("10.0.0.1", 1, 2_000, 4_000, 1_000_000),
         ]);
-        assert_eq!(group_sessions(&d, 1_000, 1).len(), 1);
+        assert_eq!(group_sessions(&d, 1_000).len(), 1);
     }
 
     #[test]
@@ -382,7 +330,7 @@ mod tests {
             flow("10.0.0.1", 1, 1_000, 2_000, 700),
             flow("10.0.0.1", 1, 10_500, 12_000, 1_000_000),
         ]);
-        let sessions = group_sessions(&d, 1_000, 1);
+        let sessions = group_sessions(&d, 1_000);
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions.iter().next().unwrap().flow_count(), 3);
     }
@@ -395,7 +343,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.1", 1, 1_100, 2_000, 900),
         ]);
-        assert_eq!(group_sessions(&d, 1_000, 1).len(), 1);
+        assert_eq!(group_sessions(&d, 1_000).len(), 1);
     }
 
     #[test]
@@ -405,7 +353,7 @@ mod tests {
             flow("10.0.0.1", 1, 0, 100, 500),
             flow("10.0.0.3", 4, 2_000, 3_000, 100),
         ]);
-        let sessions = group_sessions(&d, 1_000, 1);
+        let sessions = group_sessions(&d, 1_000);
         let starts: Vec<_> = sessions.iter().map(|s| s.start_ms).collect();
         assert_eq!(starts, vec![0, 2_000, 5_000]);
     }
@@ -416,7 +364,7 @@ mod tests {
             flow("10.0.0.1", 1, 600, 5_000, 1_000_000),
             flow("10.0.0.1", 1, 0, 100, 500),
         ]);
-        let sessions = group_sessions(&d, 1_000, 1);
+        let sessions = group_sessions(&d, 1_000);
         let flows: Vec<FlowRecord> = sessions.iter().next().unwrap().flows_iter(&d).collect();
         assert_eq!(flows[0].start_ms, 0);
         assert_eq!(flows[1].start_ms, 600);
@@ -425,66 +373,8 @@ mod tests {
     #[test]
     fn empty_dataset_no_sessions() {
         let d = ds(vec![]);
-        assert!(group_sessions(&d, 1_000, 1).is_empty());
+        assert!(group_sessions(&d, 1_000).is_empty());
         assert!(flows_per_session(&d, 1_000).is_empty());
-    }
-
-    #[test]
-    fn parallel_grouping_matches_sequential() {
-        // Many clients, some sharing videos, some overlapping in time, so
-        // every shard count slices the buckets differently.
-        let mut records = Vec::new();
-        for c in 0u32..23 {
-            for v in 0u64..3 {
-                let base = u64::from(c) * 37 + v * 911;
-                records.push(flow(
-                    &format!("10.0.{}.{}", c / 7, c % 7 + 1),
-                    v,
-                    base,
-                    base + 400,
-                    900,
-                ));
-                records.push(flow(
-                    &format!("10.0.{}.{}", c / 7, c % 7 + 1),
-                    v,
-                    base + 500,
-                    base + 4_000,
-                    1_000_000,
-                ));
-            }
-        }
-        records.sort_by_key(|r| r.start_ms);
-        let d = ds(records);
-        for gap in [100, 1_000, 10_000] {
-            let sequential = group_sessions(&d, gap, 1);
-            for jobs in [1usize, 2, 3, 4, 7, 16, 64] {
-                assert_eq!(
-                    group_sessions(&d, gap, jobs),
-                    sequential,
-                    "gap {gap} jobs {jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_grouping_degenerate_inputs() {
-        let empty = ds(vec![]);
-        assert!(group_sessions(&empty, 1_000, 8).is_empty());
-        let one = ds(vec![flow("10.0.0.1", 1, 0, 100, 500)]);
-        assert_eq!(
-            group_sessions(&one, 1_000, 8),
-            group_sessions(&one, 1_000, 1)
-        );
-        // jobs = 0 is clamped to 1.
-        let two = ds(vec![
-            flow("10.0.0.1", 1, 0, 100, 500),
-            flow("10.0.0.2", 1, 0, 100, 500),
-        ]);
-        assert_eq!(
-            group_sessions(&two, 1_000, 0),
-            group_sessions(&two, 1_000, 1)
-        );
     }
 
     #[test]

@@ -112,7 +112,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 99));
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         (hourly_samples(&index), nonpreferred_fraction_cdf(&index))
     }
 

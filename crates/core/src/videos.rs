@@ -89,7 +89,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.015, 13));
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         nonpreferred_video_stats(&index)
     }
 
@@ -136,7 +136,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 13));
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let counts = per_video_counts(&index, &ds);
         for (v, c) in &counts {
             assert!(c.non_preferred <= c.total, "{v}: {c:?}");
@@ -155,7 +155,7 @@ mod tests {
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu1Ftth);
-        let index = DatasetIndex::build(&ctx, &empty, 2, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
         let st = nonpreferred_video_stats(&index);
         assert!(st.cdf.is_empty());
         assert_eq!(st.exactly_once_fraction, 0.0);

@@ -34,6 +34,18 @@ impl DatasetName {
         DatasetName::Eu2,
     ];
 
+    /// The dataset's position in [`DatasetName::ALL`]: the slot it takes
+    /// in every per-dataset vector, and its `.ytc` wire code.
+    pub fn index(self) -> usize {
+        match self {
+            DatasetName::UsCampus => 0,
+            DatasetName::Eu1Campus => 1,
+            DatasetName::Eu1Adsl => 2,
+            DatasetName::Eu1Ftth => 3,
+            DatasetName::Eu2 => 4,
+        }
+    }
+
     /// The paper's name for the dataset, as a static string (the form used
     /// by [`fmt::Display`], CLI flags, and telemetry scopes).
     pub fn as_str(self) -> &'static str {
@@ -469,6 +481,13 @@ mod tests {
             assert_eq!(n.to_string().parse::<DatasetName>().unwrap(), n);
         }
         assert!("EU3".parse::<DatasetName>().is_err());
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for n in DatasetName::ALL {
+            assert_eq!(DatasetName::ALL[n.index()], n);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
         100.0 * ctx.nonpreferred_share_of_flows()
     );
 
-    let index = DatasetIndex::build(&ctx, &dataset, 2, Telemetry::disabled());
+    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
     let samples = hourly_samples(&index);
     println!(
         "\ncorrelation(hourly load, local fraction) = {:.3}  — strongly negative = load balancing",

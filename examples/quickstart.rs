@@ -33,7 +33,7 @@ fn main() {
 
     // Step 2: build the analysis index, which groups flows into video
     // sessions (T = 1 s) and classifies them.
-    let index = DatasetIndex::build(&ctx, &dataset, 2, Telemetry::disabled());
+    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
     let stats = index.patterns();
     println!(
         "{} sessions: {:.1}% single-flow, {:.1}% of single-flow ones to non-preferred DCs",

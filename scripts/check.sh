@@ -99,9 +99,9 @@ for trace in analyze analyze-anon; do
 done
 
 # Analysis pipeline: repro must print byte-identical reports at --jobs 1
-# (one simulation worker, sequential index build + experiment loop) and
-# --jobs <max> (the dataset pool, parallel grouping and concurrent
-# experiments).
+# (one simulation worker, sequential index builds + experiment loop) and
+# --jobs <max> (the dataset pool, the five index builds on the pool and
+# concurrent experiments).
 echo "==> repro --jobs differential smoke (1 vs $max)" >&2
 for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- repro \
@@ -179,8 +179,8 @@ diff -r "$smoke/csv-1" "$smoke/csv-$max" > /dev/null \
 
 # Columnar .ytc smoke, three legs. (1) The file's sha256, so the
 # transcript shows the digest. (2) Replay fidelity: `repro --from
-# dataset.ytc` at --jobs 1 and at --jobs <max> (the sharded session
-# grouping over decoded columns) must each print the report
+# dataset.ytc` at --jobs 1 and at --jobs <max> (the five index builds
+# over decoded columns on the pool) must each print the report
 # byte-identical to `repro --jobs 1` at the same scale/seed — a
 # one-worker simulation against the pool that `generate` ran. (3)
 # Corruption: a flipped byte must exit non-zero with the reason on
@@ -217,5 +217,14 @@ cargo run --quiet --release -p ytcdn-cli -- repro \
     || { echo "check.sh: repro --degenerate empty --scorecard exited non-zero" >&2; exit 1; }
 grep -q "SKIPPED:" "$smoke/degenerate.txt" \
     || { echo "check.sh: degenerate scorecard has no SKIPPED rows" >&2; exit 1; }
+
+# Benchmark self-test: perfbench/ is its own Cargo package that compiles
+# against the library API, and nothing else builds it. selftest.py builds
+# it, runs both workloads at scale 0.02 against their pinned .ytc digest
+# and the scorecard, and checks that every metric BENCHMARK.json names is
+# emitted with its unit.
+echo "==> perfbench selftest (build the benchmark, both workloads at scale 0.02)" >&2
+python3 perfbench/selftest.py \
+    || { echo "check.sh: perfbench selftest failed" >&2; exit 1; }
 
 echo "check.sh: OK" >&2

@@ -1,8 +1,8 @@
 //! Differential harness: the columnar analysis index vs naive references.
 //!
 //! The [`DatasetIndex`] contract mirrors the simulator's: byte identity
-//! for any worker count. Session grouping, at any `jobs`, must
-//! reproduce a naive hash-bucket reference grouper; the index's gap sweep
+//! for any worker count. Session grouping must reproduce a naive
+//! hash-bucket reference grouper; the index's gap sweep
 //! must reproduce the direct flows-per-session CDF at every gap; every
 //! figure analysis must equal what a naive per-flow table, built from the
 //! context's own probes, derives; and the whole experiment suite must emit
@@ -32,11 +32,6 @@ use ytcdn_core::videos::{
 use ytcdn_core::{AnalysisContext, Cdf};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::{Dataset, DatasetName, FlowRecord, Resolution, VideoId, HOUR_MS};
-
-/// The worker counts every differential case runs: the degenerate 1, even
-/// splits, a count that does not divide anything evenly, and far more
-/// workers than this container has cores.
-const JOB_COUNTS: [usize; 5] = [1, 2, 4, 7, 16];
 
 /// The (scale, seed) pairs the per-dataset cases cover.
 const CASES: [(f64, u64); 2] = [(0.004, 2), (0.008, 55)];
@@ -123,17 +118,13 @@ fn assert_sessions_match(sessions: &Sessions, oracle: &[NaiveSession], label: &s
     }
 }
 
-/// Asserts the grouper at every job count (one shard per job) equals the
-/// naive oracle.
+/// Asserts the grouper equals the naive oracle.
 fn assert_grouping_matches_oracle(ds: &Dataset, gap_ms: u64, label: &str) {
-    let oracle = naive_group_sessions(ds, gap_ms);
-    for jobs in JOB_COUNTS {
-        assert_sessions_match(
-            &group_sessions(ds, gap_ms, jobs),
-            &oracle,
-            &format!("{label} gap={gap_ms} jobs={jobs}"),
-        );
-    }
+    assert_sessions_match(
+        &group_sessions(ds, gap_ms),
+        &naive_group_sessions(ds, gap_ms),
+        &format!("{label} gap={gap_ms}"),
+    );
 }
 
 /// Asserts the index's one-walk sweep equals the direct per-gap CDF.
@@ -200,7 +191,7 @@ fn packed_key_edge_cases() -> Dataset {
 }
 
 #[test]
-fn parallel_grouping_identical_across_job_counts() {
+fn grouping_matches_oracle_on_simulated_datasets() {
     for (scale, seed) in CASES {
         let s = scenario(scale, seed);
         for name in DatasetName::ALL {
@@ -223,7 +214,7 @@ fn grouping_matches_oracle_on_packed_key_edge_cases() {
         assert_grouping_matches_oracle(&ds, gap_ms, "edge cases");
     }
     // The extreme keys survive into the sessions intact.
-    let sessions = group_sessions(&ds, DEFAULT_GAP_MS, 1);
+    let sessions = group_sessions(&ds, DEFAULT_GAP_MS);
     for client in [Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST] {
         for video in [VideoId::from_index(0), VideoId::from_index(u64::MAX)] {
             let sizes: Vec<usize> = sessions
@@ -243,7 +234,7 @@ fn sweep_matches_direct_flows_per_session() {
         for name in DatasetName::ALL {
             let (ds, _) = s.run(name);
             let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-            let index = DatasetIndex::build(&ctx, &ds, 2, Telemetry::disabled());
+            let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
             assert_sweep_matches_direct(&index, &ds, &format!("{name} scale={scale} seed={seed}"));
         }
     }
@@ -256,7 +247,7 @@ fn sweep_matches_direct_flows_per_session() {
         ("single flow", single),
         ("edge cases", packed_key_edge_cases()),
     ] {
-        let index = DatasetIndex::build(&ctx, &ds, 4, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         assert_sweep_matches_direct(&index, &ds, label);
     }
 }
@@ -297,7 +288,7 @@ fn flow_table(ctx: &AnalysisContext, ds: &Dataset) -> Vec<FlowRow> {
 /// every figure analysis equals what the naive per-flow table derives.
 fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
     let ctx = AnalysisContext::from_ground_truth(world, ds);
-    let index = DatasetIndex::build(&ctx, ds, 4, Telemetry::disabled());
+    let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
     let table = flow_table(&ctx, ds);
     let hours = table.iter().map(|f| f.hour + 1).max().unwrap_or(1);
 
@@ -500,7 +491,7 @@ fn analyses_match_naive_oracle() {
 /// between a single-threaded suite and a many-threaded one, whether the
 /// experiments themselves run via `run` or concurrently via `run_many`.
 /// A `jobs` far above the CPU count is capped there, never one thread per
-/// session shard.
+/// requested job.
 #[test]
 fn suite_reports_identical_sequential_vs_parallel() {
     for (scale, seed) in [(0.003, 7), (0.004, 2)] {

@@ -140,8 +140,8 @@ fn analysis_is_pure() {
     assert_eq!(c1.preferred().city_name, c2.preferred().city_name);
     assert_eq!(c1.preferred().rtt_ms, c2.preferred().rtt_ms);
     assert_eq!(
-        group_sessions(&ds, 1_000, 1).len(),
-        group_sessions(&ds, 1_000, 1).len()
+        group_sessions(&ds, 1_000).len(),
+        group_sessions(&ds, 1_000).len()
     );
 }
 

@@ -36,12 +36,7 @@ impl Harness {
     }
 
     fn index(&self, name: DatasetName) -> DatasetIndex {
-        DatasetIndex::build(
-            &self.ctx(name),
-            self.dataset(name),
-            2,
-            Telemetry::disabled(),
-        )
+        DatasetIndex::build(&self.ctx(name), self.dataset(name), Telemetry::disabled())
     }
 
     fn dataset(&self, name: DatasetName) -> &ytcdn_tstat::Dataset {
@@ -116,7 +111,7 @@ fn paper_headline_claims_hold() {
 fn session_structure_matches_figure6() {
     let h = Harness::new();
     for ds in &h.datasets {
-        let sessions = group_sessions(ds, 1_000, 1);
+        let sessions = group_sessions(ds, 1_000);
         let single =
             sessions.iter().filter(|s| s.flow_count() == 1).count() as f64 / sessions.len() as f64;
         // Paper: 72.5–80.5% single-flow sessions.
@@ -242,7 +237,7 @@ fn control_flows_precede_video_flows_in_redirected_sessions() {
     let h = Harness::new();
     let ds = h.dataset(DatasetName::Eu1Campus);
     let classifier = FlowClassifier::default();
-    let sessions = group_sessions(ds, 1_000, 1);
+    let sessions = group_sessions(ds, 1_000);
     let mut checked = 0;
     for s in sessions.iter().filter(|s| s.flow_count() >= 2) {
         // In a redirect chain every flow but the last video flow is small.

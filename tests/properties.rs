@@ -298,7 +298,7 @@ fn sessions_partition_flows() {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
         let mut seen = vec![false; ds.len()];
-        for s in group_sessions(&ds, gap, 1).iter() {
+        for s in group_sessions(&ds, gap).iter() {
             for &i in s.flow_indices() {
                 let i = i as usize;
                 assert!(!seen[i], "flow {i} in two sessions");
@@ -309,47 +309,45 @@ fn sessions_partition_flows() {
     });
 }
 
-/// The sessions' flat column holds every flow index exactly once, each
-/// (client, video) bucket is one contiguous run of it, and every session's
-/// slice ascends inside one bucket — at one shard and at several.
+/// The sessions' flat column holds every flow index exactly once, the
+/// (client, video) buckets are contiguous runs that ascend in `(client,
+/// video)` order across the whole column, and every session's slice
+/// ascends inside one bucket.
 #[test]
 fn session_column_is_a_bucketed_permutation() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
-        for jobs in [1, 4] {
-            let sessions = group_sessions(&ds, gap, jobs);
-            let column = sessions.flows_in_bucket_order();
-            let mut sorted = column.to_vec();
-            sorted.sort_unstable();
+        let sessions = group_sessions(&ds, gap);
+        let column = sessions.flows_in_bucket_order();
+        let mut sorted = column.to_vec();
+        sorted.sort_unstable();
+        assert!(
+            sorted.iter().copied().eq(0..ds.len() as u32),
+            "column is not a permutation of the flows"
+        );
+        let bucket = |i: u32| {
+            let r = ds.row(i as usize);
+            (r.client_ip, r.video_id)
+        };
+        for pair in column.windows(2) {
+            let (a, b) = (bucket(pair[0]), bucket(pair[1]));
             assert!(
-                sorted.iter().copied().eq(0..ds.len() as u32),
-                "jobs {jobs}: column is not a permutation of the flows"
+                a < b || (a == b && pair[0] < pair[1]),
+                "bucket {a:?} (flow {}) before {b:?} (flow {})",
+                pair[0],
+                pair[1]
             );
-            let bucket = |i: u32| {
-                let r = ds.row(i as usize);
-                (r.client_ip, r.video_id)
-            };
-            let mut closed = std::collections::BTreeSet::new();
-            for pair in column.windows(2) {
-                if bucket(pair[0]) != bucket(pair[1]) {
-                    assert!(
-                        closed.insert(bucket(pair[0])),
-                        "jobs {jobs}: bucket {:?} split in the column",
-                        bucket(pair[0])
-                    );
-                }
-            }
-            for s in sessions.iter() {
-                let flows = s.flow_indices();
-                assert!(flows.windows(2).all(|w| w[0] < w[1]), "jobs {jobs}");
-                assert!(
-                    flows
-                        .iter()
-                        .all(|&i| bucket(i) == (s.client_ip, s.video_id)),
-                    "jobs {jobs}: session leaves its bucket"
-                );
-            }
+        }
+        for s in sessions.iter() {
+            let flows = s.flow_indices();
+            assert!(flows.windows(2).all(|w| w[0] < w[1]));
+            assert!(
+                flows
+                    .iter()
+                    .all(|&i| bucket(i) == (s.client_ip, s.video_id)),
+                "session leaves its bucket"
+            );
         }
     });
 }
@@ -360,7 +358,7 @@ fn session_column_is_a_bucketed_permutation() {
 fn sessions_are_homogeneous() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
-        for s in group_sessions(&ds, 1_000, 1).iter() {
+        for s in group_sessions(&ds, 1_000).iter() {
             for f in s.flows_iter(&ds) {
                 assert_eq!(f.client_ip, s.client_ip);
                 assert_eq!(f.video_id, s.video_id);
@@ -378,8 +376,8 @@ fn session_count_monotone_in_gap() {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let t1 = rng.gen_range(1u64..3_000);
         let t2 = t1 + rng.gen_range(1u64..300_000);
-        let small = group_sessions(&ds, t1, 1).len();
-        let large = group_sessions(&ds, t2, 1).len();
+        let small = group_sessions(&ds, t1).len();
+        let large = group_sessions(&ds, t2).len();
         assert!(large <= small, "T={t1}: {small} sessions, T={t2}: {large}");
     });
 }
@@ -391,7 +389,7 @@ fn session_gap_rule_holds() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
-        for s in group_sessions(&ds, gap, 1).iter() {
+        for s in group_sessions(&ds, gap).iter() {
             let flows: Vec<_> = s.flows_iter(&ds).collect();
             let mut max_end = flows[0].end_ms;
             for f in &flows[1..] {

@@ -24,8 +24,8 @@ fn textlog_roundtrip_preserves_analysis() {
     let ctx_a = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     let ctx_b = AnalysisContext::from_ground_truth(scenario.world(), &back);
     assert_eq!(ctx_a.preferred().city_name, ctx_b.preferred().city_name);
-    let index_a = DatasetIndex::build(&ctx_a, &ds, 2, Telemetry::disabled());
-    let index_b = DatasetIndex::build(&ctx_b, &back, 2, Telemetry::disabled());
+    let index_a = DatasetIndex::build(&ctx_a, &ds, Telemetry::disabled());
+    let index_b = DatasetIndex::build(&ctx_b, &back, Telemetry::disabled());
     assert_eq!(index_a.sessions().len(), index_b.sessions().len());
     assert_eq!(index_a.patterns(), index_b.patterns());
 }
@@ -86,9 +86,9 @@ fn empty_dataset_roundtrips_through_every_format() {
     // Analysis still degrades gracefully rather than panicking.
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.001, 6));
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &empty);
-    assert!(group_sessions(&back, 1_000, 1).is_empty());
+    assert!(group_sessions(&back, 1_000).is_empty());
     assert_eq!(
-        DatasetIndex::build(&ctx, &back, 2, Telemetry::disabled()).patterns(),
+        DatasetIndex::build(&ctx, &back, Telemetry::disabled()).patterns(),
         ytcdn_core::patterns::PatternStats::default()
     );
 }
