@@ -119,6 +119,9 @@ pub struct VideoCatalog {
     votd: VotdSchedule,
     /// Normalization constant of the truncated zeta distribution.
     harmonic: f64,
+    /// `n^(1 - s) - 1`, the span of the inverse-transform Zipf draw
+    /// (unused when `s` = 1).
+    zipf_span: f64,
 }
 
 impl VideoCatalog {
@@ -140,15 +143,17 @@ impl VideoCatalog {
         // normalizes a sampling weight.
         let n = config.num_videos as f64;
         let s = config.zipf_exponent;
+        let zipf_span = n.powf(1.0 - s) - 1.0;
         let harmonic = if (s - 1.0).abs() < 1e-9 {
             n.ln() + 0.577_215_664_9
         } else {
-            (n.powf(1.0 - s) - 1.0) / (1.0 - s) + 0.5 * (1.0 + n.powf(-s))
+            zipf_span / (1.0 - s) + 0.5 * (1.0 + n.powf(-s))
         };
         Self {
             config,
             votd,
             harmonic,
+            zipf_span,
         }
     }
 
@@ -212,8 +217,7 @@ impl VideoCatalog {
         let rank = if (s - 1.0).abs() < 1e-9 {
             n.powf(u) - 1.0
         } else {
-            let a = 1.0 - s;
-            ((u * (n.powf(a) - 1.0)) + 1.0).powf(1.0 / a) - 1.0
+            ((u * self.zipf_span) + 1.0).powf(1.0 / (1.0 - s)) - 1.0
         };
         (rank.max(0.0) as u64).min(self.config.num_videos - 1)
     }

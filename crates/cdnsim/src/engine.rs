@@ -207,6 +207,36 @@ fn draw_session_prelude(
     }
 }
 
+/// The `(data center, server)` hops a session contacts, in order; all but
+/// the last answer with a redirect. A chain has at most three hops: the
+/// DNS-chosen data center, a wrong guess, and the video's origin.
+struct Chain {
+    hops: [(DataCenterId, Ipv4Addr); 3],
+    len: usize,
+}
+
+impl Chain {
+    fn new(first: (DataCenterId, Ipv4Addr)) -> Self {
+        Self {
+            hops: [first; 3],
+            len: 1,
+        }
+    }
+
+    fn push(&mut self, hop: (DataCenterId, Ipv4Addr)) {
+        self.hops[self.len] = hop;
+        self.len += 1;
+    }
+
+    fn last(&self) -> (DataCenterId, Ipv4Addr) {
+        self.hops[self.len - 1]
+    }
+
+    fn hops(&self) -> &[(DataCenterId, Ipv4Addr)] {
+        &self.hops[..self.len]
+    }
+}
+
 /// Simulates one vantage point for one week.
 pub struct Engine<'w> {
     topo: &'w Topology,
@@ -216,8 +246,10 @@ pub struct Engine<'w> {
     dns: DnsResolver,
     mutations: Arc<MutationSchedule>,
     store: ContentStore,
-    /// Arrivals per (server, hour); the application-layer overload signal.
-    arrivals: HashMap<(Ipv4Addr, u64), u32>,
+    /// Arrivals per server in the current hour; the application-layer
+    /// overload signal. Sessions run in hour order, so `run` clears it at
+    /// each new hour.
+    arrivals: HashMap<Ipv4Addr, u32>,
     /// Floor RTT (incl. peering penalty) from the vantage point to each DC.
     rtt_to_dc: Vec<f64>,
     server_cap: u32,
@@ -305,11 +337,18 @@ impl<'w> Engine<'w> {
     }
 
     /// Runs the full week and returns the dataset plus ground truth.
+    ///
+    /// With telemetry attached, the `engine.hours` span times the hour loop
+    /// and `engine.columns` the build of the dataset's columns.
     pub fn run(mut self) -> (Dataset, SessionOutcome) {
+        let telemetry = self.tel.as_ref().map(|tel| tel.telemetry.clone());
+        let span = |name| telemetry.as_ref().map(|t| t.span(name));
+        let hours_span = span("engine.hours");
         let total = (self.vp.sessions_per_week as f64 * self.config.scale).round() as u64;
         let model = WorkloadModel::new(total, 0.0);
         let mut ordinal: u64 = 0;
         for hour in 0..WEEK_HOURS {
+            self.arrivals.clear();
             for t in model.hour_times(self.seed, hour) {
                 let mut rng = SimRng::for_stream(self.seed, &[stream::SESSION, ordinal]);
                 self.simulate_session(t, &mut rng);
@@ -322,6 +361,8 @@ impl<'w> Engine<'w> {
             tel.sessions.add(self.outcome.sessions);
             tel.flows.add(self.outcome.flows);
         }
+        drop(hours_span);
+        let _columns_span = span("engine.columns");
         (
             Dataset::from_records(self.vp.dataset, self.records),
             self.outcome,
@@ -366,7 +407,8 @@ impl<'w> Engine<'w> {
         let client_ip = p.client_ip;
         let meta = p.meta;
         let resolution = p.resolution;
-        let hops = self.resolve_chain(decision.dc, meta.id, t, rng);
+        let chain = self.resolve_chain(decision.dc, meta.id, t, rng);
+        let hops = chain.hops();
         if let Some(tel) = &self.tel {
             tel.chain_hops.record(hops.len() as f64);
         }
@@ -392,8 +434,7 @@ impl<'w> Engine<'w> {
         for &hop in &hops[..hops.len() - 1] {
             cursor = self.emit_control(cursor, client_ip, hop, meta.id, resolution, rng);
         }
-        // ytcdn-lint: allow(PAN001) — resolve_chain seeds `hops` with the resolved DC before any redirect
-        let serving = *hops.last().expect("chain has at least one hop");
+        let serving = chain.last();
         // Watch behaviour calibrated to the paper's Table I volumes:
         // a modest fraction of views run to completion, most abandon early,
         // and datasets differ in mean consumption (watch_scale).
@@ -438,18 +479,18 @@ impl<'w> Engine<'w> {
     }
 
     /// Walks the server-selection chain for a session mapped to `dc0`,
-    /// returning the contacted `(data center, server)` hops. All but the
-    /// last answer with a redirect.
+    /// returning the contacted hops.
     fn resolve_chain(
         &mut self,
         dc0: DataCenterId,
         video: VideoId,
         t: u64,
         rng: &mut SimRng,
-    ) -> Vec<(DataCenterId, Ipv4Addr)> {
+    ) -> Chain {
         let hour = t / HOUR_MS;
         let server0 = self.server_in(dc0, video, rng);
-        self.note_arrival(server0, hour);
+        self.note_arrival(server0);
+        let mut hops = Chain::new((dc0, server0));
 
         if !self.store.has_at(dc0, video, hour) {
             // Content miss: redirect until the video is found, then pull it
@@ -463,7 +504,6 @@ impl<'w> Engine<'w> {
                     video_rank: video.index(),
                 });
             }
-            let mut hops = vec![(dc0, server0)];
             // A miss at a *non-preferred* data center often bounces the
             // client to the replica closest to it — which is the network's
             // preferred data center when it holds the video. This is the
@@ -477,7 +517,7 @@ impl<'w> Engine<'w> {
                 && rng.gen_bool(0.5)
             {
                 let hs = self.server_in(home_pref, video, rng);
-                self.note_arrival(hs, hour);
+                self.note_arrival(hs);
                 hops.push((home_pref, hs));
                 self.observe_redirect(t, RedirectKind::ContentMiss, dc0, home_pref);
                 self.pull_through(t, dc0, video);
@@ -488,7 +528,7 @@ impl<'w> Engine<'w> {
                 let g = self.store.guess_holder(video, dc0);
                 if self.store.has_at(g, video, hour) {
                     let gs = self.server_in(g, video, rng);
-                    self.note_arrival(gs, hour);
+                    self.note_arrival(gs);
                     hops.push((g, gs));
                     self.observe_redirect(t, RedirectKind::ContentMiss, dc0, g);
                     self.pull_through(t, dc0, video);
@@ -497,15 +537,14 @@ impl<'w> Engine<'w> {
                 // Wrong guess: one more control hop.
                 self.outcome.double_redirects += 1;
                 let gs = self.server_in(g, video, rng);
-                self.note_arrival(gs, hour);
+                self.note_arrival(gs);
                 hops.push((g, gs));
                 self.observe_redirect(t, RedirectKind::WrongGuess, dc0, g);
             }
             let origin = self.store.origin_of(video);
             let os = self.server_in(origin, video, rng);
-            self.note_arrival(os, hour);
-            // ytcdn-lint: allow(PAN001) — `hops` is seeded with the resolved DC above
-            let from = hops.last().expect("chain has at least one hop").0;
+            self.note_arrival(os);
+            let from = hops.last().0;
             hops.push((origin, os));
             self.observe_redirect(t, RedirectKind::ContentMiss, from, origin);
             self.pull_through(t, dc0, video);
@@ -513,7 +552,7 @@ impl<'w> Engine<'w> {
         }
 
         let pinned = video.index() >= self.store.config().popular_below_rank;
-        if pinned && self.arrivals[&(server0, hour)] > self.server_cap {
+        if pinned && self.arrivals[&server0] > self.server_cap {
             // Hot spot: a single-video cache host is past its hourly budget;
             // shed the request to another data center that has the content.
             // Popular content is replicated on every machine of the data
@@ -523,12 +562,11 @@ impl<'w> Engine<'w> {
             self.outcome.overload_redirects += 1;
             let target = self.overflow_target(dc0, video, hour);
             let ts = self.server_in(target, video, rng);
-            self.note_arrival(ts, hour);
+            self.note_arrival(ts);
             self.observe_redirect(t, RedirectKind::Overload, dc0, target);
-            return vec![(dc0, server0), (target, ts)];
+            hops.push((target, ts));
         }
-
-        vec![(dc0, server0)]
+        hops
     }
 
     fn observe_redirect(&self, t: u64, kind: RedirectKind, from: DataCenterId, to: DataCenterId) {
@@ -561,26 +599,22 @@ impl<'w> Engine<'w> {
         }
     }
 
-    fn note_arrival(&mut self, server: Ipv4Addr, hour: u64) {
-        *self.arrivals.entry((server, hour)).or_insert(0) += 1;
+    fn note_arrival(&mut self, server: Ipv4Addr) {
+        *self.arrivals.entry(server).or_insert(0) += 1;
     }
 
     /// Where an overloaded server sheds load: the best alternate that has
     /// the content (and is not decommissioned), falling back to the video's
     /// origin.
-    fn overflow_target(&mut self, dc0: DataCenterId, video: VideoId, hour: u64) -> DataCenterId {
-        let alternates: Vec<DataCenterId> = self.dns.policies()[0]
+    fn overflow_target(&self, dc0: DataCenterId, video: VideoId, hour: u64) -> DataCenterId {
+        self.dns.policies()[0]
             .alternates
             .iter()
             .copied()
-            .filter(|&d| d != dc0 && !self.mutations.is_down(d, hour))
-            .collect();
-        for d in alternates {
-            if self.store.has_at(d, video, hour) {
-                return d;
-            }
-        }
-        self.store.origin_of(video)
+            .find(|&d| {
+                d != dc0 && !self.mutations.is_down(d, hour) && self.store.has_at(d, video, hour)
+            })
+            .unwrap_or_else(|| self.store.origin_of(video))
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -782,11 +782,20 @@ mod tests {
             outcome.overload_redirects
         );
         assert_eq!(snap.counter("placement.replication"), outcome.replications);
-        // The run span and throughput gauge were recorded.
-        assert_eq!(
-            snap.histograms[run_span_name(DatasetName::UsCampus)].count,
-            1
-        );
+        // The run span, its two engine layers and the throughput gauge
+        // were recorded, each span closed once per run.
+        for span in [
+            run_span_name(DatasetName::UsCampus),
+            "engine.hours",
+            "engine.columns",
+        ] {
+            assert_eq!(snap.histograms[span].count, 1, "{span}");
+        }
+        instrumented.run(DatasetName::Eu2);
+        let snap = instrumented.telemetry().metrics_snapshot().unwrap();
+        for span in ["engine.hours", "engine.columns"] {
+            assert_eq!(snap.histograms[span].count, 2, "{span}");
+        }
         assert!(snap.gauges["scenario.sessions_per_sec"] > 0.0);
     }
 

@@ -151,42 +151,56 @@ impl Dataset {
         }
     }
 
-    /// Builds a dataset from records: stably sorts them by `(start_ms,
-    /// end_ms)`, builds both dictionaries (sort and dedup), and ranks each
-    /// flow's server and video in them.
+    /// Builds a dataset from records: sorts them by `(start_ms, end_ms)`,
+    /// keeping equal times in input order, and builds both dictionaries
+    /// with each flow's rank in them.
+    ///
+    /// The flow order is one unstable sort of `(start_ms, end_ms, input
+    /// position)` keys, which are unique, so it is the stable order. Each
+    /// dictionary is one unstable sort of packed `(value, flow)` keys and
+    /// one scan that opens a new rank at each change of value.
     ///
     /// # Panics
     ///
     /// Panics if there are more than `u32::MAX` records (ranks are `u32`).
-    pub fn from_records(name: DatasetName, mut records: Vec<FlowRecord>) -> Self {
+    pub fn from_records(name: DatasetName, records: Vec<FlowRecord>) -> Self {
         assert!(
             u32::try_from(records.len()).is_ok(),
             "{} flows overflow the u32 rank columns",
             records.len()
         );
-        records.sort_by_key(|r| (r.start_ms, r.end_ms));
-        let n = records.len();
-        let mut c = DatasetColumns {
-            clients: Vec::with_capacity(n),
-            server_ranks: Vec::with_capacity(n),
-            start_ms: Vec::with_capacity(n),
-            end_ms: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            video_ranks: Vec::with_capacity(n),
-            resolutions: Vec::with_capacity(n),
-            servers: sorted_distinct(records.iter().map(|r| r.server_ip)),
-            videos: sorted_distinct(records.iter().map(|r| r.video_id)),
+        let mut order: Vec<(u64, u64, u32)> = (0u32..)
+            .zip(&records)
+            .map(|(k, r)| (r.start_ms, r.end_ms, k))
+            .collect();
+        order.sort_unstable();
+        let rows = || order.iter().map(|&(_, _, k)| &records[k as usize]);
+        let (servers, server_ranks) = dictionary(
+            (0u64..)
+                .zip(rows())
+                .map(|(flow, r)| (u64::from(u32::from(r.server_ip)) << 32) | flow)
+                .collect(),
+            |key| (Ipv4Addr::from((key >> 32) as u32), key as u32),
+        );
+        let (videos, video_ranks) = dictionary(
+            (0u128..)
+                .zip(rows())
+                .map(|(flow, r)| (u128::from(r.video_id.index()) << 32) | flow)
+                .collect(),
+            |key| (VideoId::from_index((key >> 32) as u64), key as u32),
+        );
+        let columns = DatasetColumns {
+            clients: rows().map(|r| u32::from(r.client_ip)).collect(),
+            server_ranks,
+            start_ms: order.iter().map(|&(start, _, _)| start).collect(),
+            end_ms: order.iter().map(|&(_, end, _)| end).collect(),
+            bytes: rows().map(|r| r.bytes).collect(),
+            video_ranks,
+            resolutions: rows().map(|r| r.resolution).collect(),
+            servers,
+            videos,
         };
-        for r in &records {
-            c.clients.push(u32::from(r.client_ip));
-            c.server_ranks.push(rank(&c.servers, r.server_ip));
-            c.start_ms.push(r.start_ms);
-            c.end_ms.push(r.end_ms);
-            c.bytes.push(r.bytes);
-            c.video_ranks.push(rank(&c.videos, r.video_id));
-            c.resolutions.push(r.resolution);
-        }
-        Self { name, columns: c }
+        Self { name, columns }
     }
 
     /// Builds a dataset straight from its columns — what the `.ytc`
@@ -319,18 +333,24 @@ impl Dataset {
     }
 }
 
-/// The distinct values, ascending.
-fn sorted_distinct<T: Ord>(values: impl Iterator<Item = T>) -> Vec<T> {
-    let mut dict: Vec<T> = values.collect();
-    dict.sort_unstable();
-    dict.dedup();
-    dict
-}
-
-/// The position of `value` in `dict`, which holds it: `from_records` built
-/// the dictionary from the same values, and bounds its length by `u32`.
-fn rank<T: Ord>(dict: &[T], value: T) -> u32 {
-    dict.binary_search(&value).unwrap_or(0) as u32
+/// A dictionary and its rank column from packed `(value, flow)` keys, one
+/// per flow: `split` unpacks a key. Sorting the keys groups each value's
+/// flows, in value order, so one scan ranks them.
+fn dictionary<K: Ord, V: PartialEq>(
+    mut keys: Vec<K>,
+    split: impl Fn(K) -> (V, u32),
+) -> (Vec<V>, Vec<u32>) {
+    keys.sort_unstable();
+    let mut dict: Vec<V> = Vec::new();
+    let mut ranks = vec![0u32; keys.len()];
+    for key in keys {
+        let (value, flow) = split(key);
+        if dict.last() != Some(&value) {
+            dict.push(value);
+        }
+        ranks[flow as usize] = (dict.len() - 1) as u32;
+    }
+    (dict, ranks)
 }
 
 /// Checks one dictionary: entries strictly ascending, every rank in range,

@@ -177,9 +177,12 @@ cmp "$smoke/render-1.md" "$smoke/render-$max.md" \
 diff -r "$smoke/csv-1" "$smoke/csv-$max" > /dev/null \
     || { echo "check.sh: CSV export differs at --jobs $max vs sequential" >&2; exit 1; }
 
-# Columnar .ytc smoke, three legs. (1) The file's sha256, so the
-# transcript shows the digest. (2) Replay fidelity: `repro --from
-# dataset.ytc` at --jobs 1 and at --jobs <max> (the five index builds
+# Columnar .ytc smoke, three legs. (1) The file's sha256 against the
+# committed digest: the CLI's write path (worker pool, from_records,
+# encoder, file writer) must stay byte for byte what it was; a change
+# that means to move these bytes re-pins YTC_SHA256. (2) Replay
+# fidelity: `repro --from dataset.ytc` at --jobs 1 and at --jobs <max>
+# (the five index builds
 # over decoded columns on the pool) must each print the report
 # byte-identical to `repro --jobs 1` at the same scale/seed — a
 # one-worker simulation against the pool that `generate` ran. (3)
@@ -188,7 +191,11 @@ diff -r "$smoke/csv-1" "$smoke/csv-$max" > /dev/null \
 echo "==> .ytc columnar smoke (digest, replay, corruption)" >&2
 cargo run --quiet --release -p ytcdn-cli -- generate \
     --scale 0.004 --seed 7 --out "$smoke/ds.ytc" 2>/dev/null
-echo "    dataset.ytc sha256 $(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)" >&2
+YTC_SHA256=1bc6dc28c4f69f9268666e10c7b97983b7c8da660c104b0d7052d9a960d50750
+ytc_sha256="$(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)"
+echo "    dataset.ytc sha256 $ytc_sha256" >&2
+[ "$ytc_sha256" = "$YTC_SHA256" ] \
+    || { echo "check.sh: generate --scale 0.004 --seed 7 wrote a .ytc with sha256 $ytc_sha256, pinned $YTC_SHA256" >&2; exit 1; }
 for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- repro \
         --from "$smoke/ds.ytc" --jobs "$jobs" > "$smoke/repro-from-$jobs.txt" 2>/dev/null \

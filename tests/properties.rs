@@ -20,8 +20,8 @@ use ytcdn_core::{YtcFile, YtcHeader};
 use ytcdn_geomodel::{min_rtt_ms, Coord};
 use ytcdn_netsim::{AccessKind, DelayModel, Endpoint};
 use ytcdn_tstat::{
-    read_textlog, write_textlog, Anonymizer, Dataset, DatasetName, FlowClass, FlowClassifier,
-    FlowRecord, Resolution, VideoId, HOUR_MS,
+    read_textlog, write_textlog, Anonymizer, Dataset, DatasetColumns, DatasetName, FlowClass,
+    FlowClassifier, FlowRecord, Resolution, VideoId, HOUR_MS,
 };
 
 /// Root seed of every property's case streams.
@@ -240,6 +240,95 @@ fn every_producer_builds_the_same_dataset() {
             }
         });
         assert_one_value_from_every_producer(records);
+    });
+}
+
+/// The columns of `records` as `from_records` built them before its key
+/// sorts: a stable row sort by `(start_ms, end_ms)`, each dictionary a
+/// `sort_unstable` + `dedup` of the values, and one `binary_search` rank
+/// per flow.
+fn row_sort_oracle(mut records: Vec<FlowRecord>) -> DatasetColumns {
+    records.sort_by_key(|r| (r.start_ms, r.end_ms));
+    let mut servers: Vec<Ipv4Addr> = records.iter().map(|r| r.server_ip).collect();
+    servers.sort_unstable();
+    servers.dedup();
+    let mut videos: Vec<VideoId> = records.iter().map(|r| r.video_id).collect();
+    videos.sort_unstable();
+    videos.dedup();
+    let rank = |found: Result<usize, usize>| found.expect("the dictionary holds it") as u32;
+    DatasetColumns {
+        clients: records.iter().map(|r| u32::from(r.client_ip)).collect(),
+        server_ranks: records
+            .iter()
+            .map(|r| rank(servers.binary_search(&r.server_ip)))
+            .collect(),
+        start_ms: records.iter().map(|r| r.start_ms).collect(),
+        end_ms: records.iter().map(|r| r.end_ms).collect(),
+        bytes: records.iter().map(|r| r.bytes).collect(),
+        video_ranks: records
+            .iter()
+            .map(|r| rank(videos.binary_search(&r.video_id)))
+            .collect(),
+        resolutions: records.iter().map(|r| r.resolution).collect(),
+        servers,
+        videos,
+    }
+}
+
+fn assert_from_records_matches_oracle(records: Vec<FlowRecord>) {
+    let ds = Dataset::from_records(DatasetName::Eu1Ftth, records.clone());
+    assert_eq!(ds.columns(), &row_sort_oracle(records));
+}
+
+#[test]
+fn from_records_matches_the_row_sort_oracle() {
+    assert_from_records_matches_oracle(Vec::new());
+    let widest = FlowRecord {
+        client_ip: Ipv4Addr::BROADCAST,
+        server_ip: Ipv4Addr::BROADCAST,
+        start_ms: u64::MAX,
+        end_ms: u64::MAX,
+        bytes: u64::MAX,
+        video_id: VideoId::from_index(u64::MAX),
+        resolution: Resolution::R1080,
+    };
+    assert_from_records_matches_oracle(vec![widest]);
+    // Six rows tied on the whole sort key, differing in every other field:
+    // the output keeps them in input order.
+    let tied = (0..6u8)
+        .map(|k| FlowRecord {
+            client_ip: Ipv4Addr::new(10, 0, 0, k),
+            server_ip: Ipv4Addr::new(74, 125, 0, 5 - k),
+            start_ms: 5,
+            end_ms: 9,
+            bytes: u64::from(k),
+            video_id: VideoId::from_index(u64::from(5 - k)),
+            resolution: Resolution::ALL[usize::from(k) % Resolution::ALL.len()],
+        })
+        .collect();
+    assert_from_records_matches_oracle(tied);
+    check(CASES, |rng| {
+        // Four starts and at most two ends per start, so many rows tie on
+        // `(start_ms, end_ms)` while their other fields differ; few servers
+        // and videos, so both dictionaries repeat; and times, byte counts
+        // and video ids reach `u64::MAX`.
+        let records = vec_of(rng, 0..48, |rng| {
+            let start = [0, 1, HOUR_MS, u64::MAX][rng.gen_range(0..4)];
+            FlowRecord {
+                client_ip: Ipv4Addr::new(10, 0, 0, rng.gen_range(0u8..4)),
+                server_ip: [
+                    Ipv4Addr::UNSPECIFIED,
+                    Ipv4Addr::new(74, 125, 0, 1),
+                    Ipv4Addr::BROADCAST,
+                ][rng.gen_range(0..3)],
+                start_ms: start,
+                end_ms: start.saturating_add(rng.gen_range(0u64..2)),
+                bytes: [0, 1_500, u64::MAX][rng.gen_range(0..3)],
+                video_id: VideoId::from_index([0, 7, 1 << 40, u64::MAX][rng.gen_range(0..4)]),
+                resolution: Resolution::ALL[rng.gen_range(0..Resolution::ALL.len())],
+            }
+        });
+        assert_from_records_matches_oracle(records);
     });
 }
 
