@@ -7,8 +7,9 @@
 //! the client elsewhere — because the content is missing (Section VII-C,
 //! "availability of unpopular videos") or because the server is overloaded
 //! (Section VII-C, "alleviating hot-spots due to popular videos"). The
-//! engine emits the [`FlowRecord`]s a Tstat probe at the network edge would
-//! log.
+//! engine emits the flows a Tstat probe at the network edge would log, one
+//! vector per column, and orders them and builds the dataset's dictionaries
+//! itself (see [`Engine::run`]).
 //!
 //! # Determinism
 //!
@@ -20,13 +21,13 @@
 //! [`StandardScenario::run_all`](crate::StandardScenario::run_all) simulate
 //! the datasets concurrently and still produce byte-identical output.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use ytcdn_geomodel::Continent;
 use ytcdn_netsim::{AccessKind, DelayModel, Endpoint};
 use ytcdn_telemetry::{Counter, Event, Histogram, RedirectKind, Telemetry};
-use ytcdn_tstat::{Dataset, FlowRecord, Resolution, VideoId, HOUR_MS};
+use ytcdn_tstat::{flow_order, Dataset, DatasetColumns, Resolution, VideoId, HOUR_MS};
 
 use crate::catalog::{sample_resolution, VideoCatalog, VideoMeta};
 use crate::dns::{DnsCause, DnsDecision, DnsResolver, LdnsPolicy};
@@ -207,33 +208,104 @@ fn draw_session_prelude(
     }
 }
 
-/// The `(data center, server)` hops a session contacts, in order; all but
-/// the last answer with a redirect. A chain has at most three hops: the
+/// The `(data center, server slot)` hops a session contacts, in order; all
+/// but the last answer with a redirect. A chain has at most three hops: the
 /// DNS-chosen data center, a wrong guess, and the video's origin.
 struct Chain {
-    hops: [(DataCenterId, Ipv4Addr); 3],
+    hops: [(DataCenterId, u32); 3],
     len: usize,
 }
 
 impl Chain {
-    fn new(first: (DataCenterId, Ipv4Addr)) -> Self {
+    fn new(first: (DataCenterId, u32)) -> Self {
         Self {
             hops: [first; 3],
             len: 1,
         }
     }
 
-    fn push(&mut self, hop: (DataCenterId, Ipv4Addr)) {
+    fn push(&mut self, hop: (DataCenterId, u32)) {
         self.hops[self.len] = hop;
         self.len += 1;
     }
 
-    fn last(&self) -> (DataCenterId, Ipv4Addr) {
+    fn last(&self) -> (DataCenterId, u32) {
         self.hops[self.len - 1]
     }
 
-    fn hops(&self) -> &[(DataCenterId, Ipv4Addr)] {
+    fn hops(&self) -> &[(DataCenterId, u32)] {
         &self.hops[..self.len]
+    }
+}
+
+/// The sites of a non-Google pool with their draw weights — 3 on the
+/// vantage point's continent, 1 elsewhere — and the weights' sum.
+struct SiteTable {
+    sites: Vec<(DataCenterId, f64)>,
+    total: f64,
+}
+
+impl SiteTable {
+    fn new(topo: &Topology, pool: ServerPool, continent: Continent) -> Self {
+        let sites: Vec<(DataCenterId, f64)> = topo
+            .dcs_in_pool(pool)
+            .map(|d| (d.id, if d.continent() == continent { 3.0 } else { 1.0 }))
+            .collect();
+        let total = sites.iter().map(|&(_, w)| w).sum();
+        Self { sites, total }
+    }
+
+    /// A weighted random site.
+    fn pick(&self, rng: &mut SimRng) -> DataCenterId {
+        debug_assert!(!self.sites.is_empty());
+        let mut pick = rng.gen_range(0.0..self.total);
+        for &(site, w) in &self.sites {
+            if pick < w {
+                return site;
+            }
+            pick -= w;
+        }
+        self.sites[self.sites.len() - 1].0
+    }
+}
+
+/// The flows an engine emitted, one vector per column, in emission order.
+/// A flow's server is its slot (see `Engine::server_base`) and its video
+/// the video's index.
+#[derive(Default)]
+struct EmittedFlows {
+    clients: Vec<u32>,
+    slots: Vec<u32>,
+    start_ms: Vec<u64>,
+    end_ms: Vec<u64>,
+    bytes: Vec<u64>,
+    videos: Vec<u64>,
+    resolutions: Vec<Resolution>,
+}
+
+impl EmittedFlows {
+    fn len(&self) -> usize {
+        self.start_ms.len()
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        client_ip: Ipv4Addr,
+        slot: u32,
+        start_ms: u64,
+        end_ms: u64,
+        bytes: u64,
+        video: VideoId,
+        resolution: Resolution,
+    ) {
+        self.clients.push(u32::from(client_ip));
+        self.slots.push(slot);
+        self.start_ms.push(start_ms);
+        self.end_ms.push(end_ms);
+        self.bytes.push(bytes);
+        self.videos.push(video.index());
+        self.resolutions.push(resolution);
     }
 }
 
@@ -246,16 +318,25 @@ pub struct Engine<'w> {
     dns: DnsResolver,
     mutations: Arc<MutationSchedule>,
     store: ContentStore,
-    /// Arrivals per server in the current hour; the application-layer
+    /// The slot of each data center's first server, by [`DataCenterId`]: a
+    /// server's slot is its data center's base plus its position in
+    /// [`DataCenter::servers`](crate::DataCenter::servers), so the slots
+    /// number every server of the topology densely, in topology order.
+    server_base: Vec<u32>,
+    /// Arrivals per server slot in the current hour; the application-layer
     /// overload signal. Sessions run in hour order, so `run` clears it at
     /// each new hour.
-    arrivals: HashMap<Ipv4Addr, u32>,
+    arrivals: Vec<u32>,
+    /// Where legacy YouTube-EU sessions go.
+    legacy_sites: SiteTable,
+    /// Where third-party sessions go.
+    third_party_sites: SiteTable,
     /// Floor RTT (incl. peering penalty) from the vantage point to each DC.
     rtt_to_dc: Vec<f64>,
     server_cap: u32,
     seed: u64,
     outcome: SessionOutcome,
-    records: Vec<FlowRecord>,
+    flows: EmittedFlows,
     tel: Option<EngineTelemetry>,
 }
 
@@ -286,6 +367,12 @@ impl<'w> Engine<'w> {
             .collect();
         let server_cap =
             ((vp.mix.server_capacity_per_hour as f64 * config.scale).round() as u32).max(2);
+        let mut server_base = Vec::with_capacity(topo.dcs().len());
+        let mut slots: u32 = 0;
+        for dc in topo.dcs() {
+            server_base.push(slots);
+            slots += dc.num_servers() as u32;
+        }
         Self {
             topo,
             catalog,
@@ -294,12 +381,15 @@ impl<'w> Engine<'w> {
             dns: DnsResolver::new(policies),
             mutations: Arc::new(MutationSchedule::default()),
             store,
-            arrivals: HashMap::new(),
+            server_base,
+            arrivals: vec![0; slots as usize],
+            legacy_sites: SiteTable::new(topo, ServerPool::LegacyYouTubeEu, vp.city.continent),
+            third_party_sites: SiteTable::new(topo, ServerPool::ThirdParty, vp.city.continent),
             rtt_to_dc,
             server_cap,
             seed,
             outcome: SessionOutcome::default(),
-            records: Vec::new(),
+            flows: EmittedFlows::default(),
             tel: None,
         }
     }
@@ -338,35 +428,91 @@ impl<'w> Engine<'w> {
 
     /// Runs the full week and returns the dataset plus ground truth.
     ///
+    /// The hour loop emits the flows as columns in emission order;
+    /// [`flow_order`] then orders them, and the columns are built straight
+    /// from the emitted vectors and handed to [`Dataset::from_columns`].
     /// With telemetry attached, the `engine.hours` span times the hour loop
     /// and `engine.columns` the build of the dataset's columns.
     pub fn run(mut self) -> (Dataset, SessionOutcome) {
         let telemetry = self.tel.as_ref().map(|tel| tel.telemetry.clone());
         let span = |name| telemetry.as_ref().map(|t| t.span(name));
         let hours_span = span("engine.hours");
+        let flows = self.simulate_week();
+        drop(hours_span);
+        let _columns_span = span("engine.columns");
+        (self.dataset(flows), self.outcome)
+    }
+
+    /// Simulates the week's sessions in time order and returns the flows
+    /// they emitted.
+    fn simulate_week(&mut self) -> EmittedFlows {
         let total = (self.vp.sessions_per_week as f64 * self.config.scale).round() as u64;
         let model = WorkloadModel::new(total, 0.0);
         let mut ordinal: u64 = 0;
         for hour in 0..WEEK_HOURS {
-            self.arrivals.clear();
+            self.arrivals.fill(0);
             for t in model.hour_times(self.seed, hour) {
                 let mut rng = SimRng::for_stream(self.seed, &[stream::SESSION, ordinal]);
                 self.simulate_session(t, &mut rng);
                 ordinal += 1;
             }
         }
-        self.outcome.flows = self.records.len() as u64;
+        self.outcome.flows = self.flows.len() as u64;
         self.outcome.replications = self.store.replications() as u64;
         if let Some(tel) = &self.tel {
             tel.sessions.add(self.outcome.sessions);
             tel.flows.add(self.outcome.flows);
         }
-        drop(hours_span);
-        let _columns_span = span("engine.columns");
-        (
-            Dataset::from_records(self.vp.dataset, self.records),
-            self.outcome,
-        )
+        std::mem::take(&mut self.flows)
+    }
+
+    /// The dataset of `flows`. The server dictionary is the slots in use,
+    /// sorted by address; the video dictionary comes from a table over the
+    /// video indices (see [`video_dictionary`]). Each column is gathered
+    /// through the order and its emitted vector freed before the next.
+    fn dataset(&self, flows: EmittedFlows) -> Dataset {
+        let order = flow_order(&flows.start_ms, &flows.end_ms);
+        let (servers, server_rank) = self.server_dictionary(&flows.slots);
+        let (videos, video_ranks) = video_dictionary(&flows.videos);
+        let columns = DatasetColumns {
+            clients: gather(&order, flows.clients),
+            server_ranks: order
+                .iter()
+                .map(|&k| server_rank[flows.slots[k as usize] as usize])
+                .collect(),
+            start_ms: gather(&order, flows.start_ms),
+            end_ms: gather(&order, flows.end_ms),
+            bytes: gather(&order, flows.bytes),
+            video_ranks: gather(&order, video_ranks),
+            resolutions: gather(&order, flows.resolutions),
+            servers,
+            videos,
+        };
+        Dataset::from_columns(self.vp.dataset, columns)
+            // ytcdn-lint: allow(PAN001) — the columns are built ordered, equal in length, with both dictionaries ascending and fully referenced
+            .expect("the engine builds valid columns")
+    }
+
+    /// The server dictionary of the slots in `slots`: the addresses in
+    /// use, ascending, and a table from slot to rank in it.
+    fn server_dictionary(&self, slots: &[u32]) -> (Vec<Ipv4Addr>, Vec<u32>) {
+        let mut rank = vec![0u32; self.arrivals.len()];
+        for &slot in slots {
+            rank[slot as usize] = 1;
+        }
+        let mut in_use: Vec<(Ipv4Addr, u32)> = Vec::new();
+        for (dc, &base) in self.topo.dcs().iter().zip(&self.server_base) {
+            for (&ip, slot) in dc.servers.iter().zip(base..) {
+                if rank[slot as usize] != 0 {
+                    in_use.push((ip, slot));
+                }
+            }
+        }
+        in_use.sort_unstable();
+        for (r, &(_, slot)) in (0u32..).zip(&in_use) {
+            rank[slot as usize] = r;
+        }
+        (in_use.into_iter().map(|(ip, _)| ip).collect(), rank)
     }
 
     fn simulate_session(&mut self, t: u64, rng: &mut SimRng) {
@@ -552,7 +698,7 @@ impl<'w> Engine<'w> {
         }
 
         let pinned = video.index() >= self.store.config().popular_below_rank;
-        if pinned && self.arrivals[&server0] > self.server_cap {
+        if pinned && self.arrivals[server0 as usize] > self.server_cap {
             // Hot spot: a single-video cache host is past its hourly budget;
             // shed the request to another data center that has the content.
             // Popular content is replicated on every machine of the data
@@ -590,17 +736,20 @@ impl<'w> Engine<'w> {
 
     /// The server handling `video` within `dc`: popular content is on every
     /// machine (load-balanced), tail content is pinned to one cache host.
-    fn server_in(&mut self, dc: DataCenterId, video: VideoId, rng: &mut SimRng) -> Ipv4Addr {
+    /// Returns the server's slot.
+    fn server_in(&self, dc: DataCenterId, video: VideoId, rng: &mut SimRng) -> u32 {
+        let base = self.server_base[dc.0];
         let dc = self.topo.dc(dc);
-        if video.index() < self.store.config().popular_below_rank {
-            dc.random_server(rng)
+        let index = if video.index() < self.store.config().popular_below_rank {
+            dc.random_server_index(rng)
         } else {
-            dc.server_for_video(video)
-        }
+            dc.server_index_for_video(video)
+        };
+        base + index as u32
     }
 
-    fn note_arrival(&mut self, server: Ipv4Addr) {
-        *self.arrivals.entry(server).or_insert(0) += 1;
+    fn note_arrival(&mut self, slot: u32) {
+        self.arrivals[slot as usize] += 1;
     }
 
     /// Where an overloaded server sheds load: the best alternate that has
@@ -622,7 +771,7 @@ impl<'w> Engine<'w> {
         &mut self,
         t: u64,
         client_ip: Ipv4Addr,
-        hop: (DataCenterId, Ipv4Addr),
+        hop: (DataCenterId, u32),
         video: VideoId,
         resolution: Resolution,
         rng: &mut SimRng,
@@ -630,15 +779,8 @@ impl<'w> Engine<'w> {
         let rtt = self.rtt_to_dc[hop.0 .0];
         let dur = (2.0 * rtt) as u64 + rng.gen_range(20u64..120);
         let bytes = rng.gen_range(80u64..900);
-        self.records.push(FlowRecord {
-            client_ip,
-            server_ip: hop.1,
-            start_ms: t,
-            end_ms: t + dur,
-            bytes,
-            video_id: video,
-            resolution,
-        });
+        self.flows
+            .push(client_ip, hop.1, t, t + dur, bytes, video, resolution);
         // Gap before the next flow of the session: well under the paper's
         // 1-second grouping threshold.
         t + dur + rng.gen_range(50u64..500)
@@ -649,7 +791,7 @@ impl<'w> Engine<'w> {
         &mut self,
         t: u64,
         client_ip: Ipv4Addr,
-        hop: (DataCenterId, Ipv4Addr),
+        hop: (DataCenterId, u32),
         video: VideoId,
         duration_s: u32,
         resolution: Resolution,
@@ -663,15 +805,8 @@ impl<'w> Engine<'w> {
         let tput = throughput_bytes_per_ms(self.vp.access) * rng.gen_range(0.6..1.3);
         let dur = ((bytes as f64 / tput) as u64).max(200);
         let end = t + dur;
-        self.records.push(FlowRecord {
-            client_ip,
-            server_ip: hop.1,
-            start_ms: t,
-            end_ms: end,
-            bytes,
-            video_id: video,
-            resolution,
-        });
+        self.flows
+            .push(client_ip, hop.1, t, end, bytes, video, resolution);
         end
     }
 
@@ -689,29 +824,13 @@ impl<'w> Engine<'w> {
         pool: ServerPool,
         rng: &mut SimRng,
     ) {
-        let sites: Vec<_> = self.topo.dcs_in_pool(pool).collect();
-        debug_assert!(!sites.is_empty());
-        let weights: Vec<f64> = sites
-            .iter()
-            .map(|d| {
-                if d.continent() == self.vp.city.continent {
-                    3.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut pick = rng.gen_range(0.0..total);
-        let mut site = sites[sites.len() - 1];
-        for (d, w) in sites.iter().zip(&weights) {
-            if pick < *w {
-                site = d;
-                break;
-            }
-            pick -= w;
-        }
-        let (site_id, server) = (site.id, site.random_server(rng));
+        let sites = match pool {
+            ServerPool::LegacyYouTubeEu => &self.legacy_sites,
+            _ => &self.third_party_sites,
+        };
+        let site_id = sites.pick(rng);
+        let server =
+            self.server_base[site_id.0] + self.topo.dc(site_id).random_server_index(rng) as u32;
         let frac = rng.gen_range(0.02..0.25) * self.vp.mix.legacy_bytes_scale / 0.15
             * self.vp.mix.watch_scale;
         self.emit_video(
@@ -727,14 +846,176 @@ impl<'w> Engine<'w> {
     }
 }
 
+/// `column` read through `order`; the column is freed on return.
+fn gather<T: Copy>(order: &[u32], column: Vec<T>) -> Vec<T> {
+    order.iter().map(|&k| column[k as usize]).collect()
+}
+
+/// The video dictionary of the video indices `videos` (one per flow), with
+/// each flow's rank in it. When every index is below 2^20 (all the
+/// standard million-video catalog draws) or below 8 per flow, they are
+/// ranked through a table indexed by video, so the table takes at most
+/// 4 MiB or 32 bytes per flow; wider indices (a custom catalog or
+/// promotion schedule far out in the id space) are ranked through a sort.
+fn video_dictionary(videos: &[u64]) -> (Vec<VideoId>, Vec<u32>) {
+    let Some(&max) = videos.iter().max() else {
+        return (Vec::new(), Vec::new());
+    };
+    if max >= (videos.len() as u64).saturating_mul(8).max(1 << 20) {
+        let mut dictionary = videos.to_vec();
+        dictionary.sort_unstable();
+        dictionary.dedup();
+        let ranks = videos
+            .iter()
+            .map(|&v| dictionary.partition_point(|&d| d < v) as u32)
+            .collect();
+        return (
+            dictionary.into_iter().map(VideoId::from_index).collect(),
+            ranks,
+        );
+    }
+    // Mark the indices in use, then one ascending scan turns each mark
+    // into the index's rank.
+    let mut table = vec![0u32; max as usize + 1];
+    for &v in videos {
+        table[v as usize] = 1;
+    }
+    let mut dictionary = Vec::new();
+    for (v, entry) in (0u64..).zip(&mut table) {
+        if *entry != 0 {
+            *entry = dictionary.len() as u32;
+            dictionary.push(VideoId::from_index(v));
+        }
+    }
+    let ranks = videos.iter().map(|&v| table[v as usize]).collect();
+    (dictionary, ranks)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::Engine;
+    use std::net::Ipv4Addr;
+
+    use super::{EmittedFlows, Engine};
+    use crate::catalog::{CatalogConfig, VideoCatalog, VotdSchedule};
     use crate::scenario::{ScenarioConfig, StandardScenario};
-    use ytcdn_tstat::{DatasetName, FlowClass, FlowClassifier};
+    use crate::topology::DataCenterId;
+    use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier, FlowRecord, VideoId};
 
     fn small_scenario() -> StandardScenario {
         StandardScenario::build(ScenarioConfig::with_scale(0.01, 7))
+    }
+
+    /// The flows as rows in emission order. Each slot maps back to its
+    /// server through the data center whose base is the last at or below
+    /// it, not through the dictionary builder's walk of the topology.
+    fn emitted_rows(engine: &Engine<'_>, flows: &EmittedFlows) -> Vec<FlowRecord> {
+        let server_ip = |slot: u32| -> Ipv4Addr {
+            let dc = engine.server_base.partition_point(|&base| base <= slot) - 1;
+            let index = slot - engine.server_base[dc];
+            engine.topo.dc(DataCenterId(dc)).servers[index as usize]
+        };
+        (0..flows.len())
+            .map(|k| FlowRecord {
+                client_ip: Ipv4Addr::from(flows.clients[k]),
+                server_ip: server_ip(flows.slots[k]),
+                start_ms: flows.start_ms[k],
+                end_ms: flows.end_ms[k],
+                bytes: flows.bytes[k],
+                video_id: VideoId::from_index(flows.videos[k]),
+                resolution: flows.resolutions[k],
+            })
+            .collect()
+    }
+
+    /// Runs `engine`'s week and checks its dataset against
+    /// `Dataset::from_records` over the rows it emitted; returns the flow
+    /// count.
+    fn assert_matches_from_records(mut engine: Engine<'_>) -> usize {
+        let flows = engine.simulate_week();
+        let rows = emitted_rows(&engine, &flows);
+        let n = rows.len();
+        let oracle = Dataset::from_records(engine.vp.dataset, rows);
+        assert_eq!(engine.dataset(flows), oracle, "{}", engine.vp.dataset);
+        n
+    }
+
+    fn assert_scenario_matches_from_records(s: &StandardScenario) {
+        for name in DatasetName::ALL {
+            let flows = assert_matches_from_records(s.make_engine(s.vantage_idx(name)));
+            assert!(flows > 0, "{name} emitted no flows");
+        }
+    }
+
+    #[test]
+    fn columns_match_from_records_over_the_emitted_rows() {
+        for seed in [3, 7, 11] {
+            assert_scenario_matches_from_records(&StandardScenario::build(
+                ScenarioConfig::with_scale(0.003, seed),
+            ));
+        }
+    }
+
+    #[test]
+    fn mutated_columns_match_from_records_over_the_emitted_rows() {
+        for spec in [
+            "dc-down@72:Milan",
+            "prefer-flip@96:Frankfurt",
+            "cache-evict@120:0.5",
+        ] {
+            let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.003, 7));
+            s.set_mutations(&[spec.parse().unwrap()]).unwrap();
+            assert_scenario_matches_from_records(&s);
+        }
+    }
+
+    /// An engine for EU1-ADSL of `s` over `catalog` at engine scale `scale`.
+    fn engine_with<'w>(
+        s: &'w StandardScenario,
+        catalog: &'w VideoCatalog,
+        scale: f64,
+    ) -> Engine<'w> {
+        let world = s.world();
+        let mut config = s.config().engine;
+        config.scale = scale;
+        Engine::new(
+            world.topology(),
+            catalog,
+            world.delay_model(),
+            world.vantage(DatasetName::Eu1Adsl),
+            world.policies(DatasetName::Eu1Adsl).to_vec(),
+            s.fresh_store(),
+            config,
+            5,
+        )
+    }
+
+    #[test]
+    fn an_engine_without_flows_builds_the_empty_dataset() {
+        let s = small_scenario();
+        let catalog = s.world().catalog();
+        assert_eq!(
+            assert_matches_from_records(engine_with(&s, catalog, 0.0)),
+            0
+        );
+        let (ds, outcome) = engine_with(&s, catalog, 0.0).run();
+        assert_eq!(ds, Dataset::new(DatasetName::Eu1Adsl));
+        assert_eq!(outcome.flows, 0);
+    }
+
+    #[test]
+    fn promoted_videos_far_outside_the_catalog_match_from_records() {
+        // Promotions at the top of the id space take the video dictionary
+        // off its dense table.
+        let s = small_scenario();
+        let config = CatalogConfig {
+            votd_share: 0.5,
+            ..CatalogConfig::default()
+        };
+        let catalog = VideoCatalog::new(config, VotdSchedule::daily_for_week(u64::MAX - 7));
+        let flows = assert_matches_from_records(engine_with(&s, &catalog, 0.003));
+        let (ds, _) = engine_with(&s, &catalog, 0.003).run();
+        assert_eq!(ds.len(), flows);
+        assert!(ds.video_ids().last() >= Some(&VideoId::from_index(u64::MAX - 7)));
     }
 
     #[test]

@@ -122,15 +122,15 @@ impl ContentStore {
     /// during the run and pinned uploads are exempt from eviction; only the
     /// warm-tail presence threshold shrinks when a scheduled eviction is in
     /// effect.
+    ///
+    /// The rank tests come before the replica lookup: a popular video that
+    /// is not a pinned upload is present everywhere, replica or not.
     pub fn has_at(&self, dc: DataCenterId, video: VideoId, hour: u64) -> bool {
-        if self.replicated.contains(&(dc, video)) {
-            return true;
-        }
         if let Some(&(_, origin)) = self.uploads.iter().find(|(v, _)| *v == video) {
-            return dc == origin;
+            return dc == origin || self.replicated.contains(&(dc, video));
         }
         let rank = video.index();
-        if rank < self.config.popular_below_rank {
+        if rank < self.config.popular_below_rank || self.replicated.contains(&(dc, video)) {
             return true;
         }
         if self.origin_of(video) == dc {
@@ -321,6 +321,77 @@ mod tests {
         s.replicate(other, v);
         assert!(s.has_at(other, v, 100));
         assert!(s.has_at(origin, v, 100));
+    }
+
+    /// `has_at` with the replica lookup first, as it was written before
+    /// the rank tests moved ahead of it.
+    fn has_at_replica_first(s: &ContentStore, dc: DataCenterId, video: VideoId, hour: u64) -> bool {
+        if s.replicated.contains(&(dc, video)) {
+            return true;
+        }
+        if let Some(&(_, origin)) = s.uploads.iter().find(|(v, _)| *v == video) {
+            return dc == origin;
+        }
+        let rank = video.index();
+        if rank < s.config.popular_below_rank {
+            return true;
+        }
+        if s.origin_of(video) == dc {
+            return true;
+        }
+        if rank >= s.config.fresh_above_rank {
+            return false;
+        }
+        let h = splitmix64(splitmix64(video.index() ^ s.config.seed).wrapping_add(dc.0 as u64));
+        let threshold = s.config.warm_presence_prob * s.evict_factor(hour);
+        (h >> 11) as f64 / (1u64 << 53) as f64 <= threshold
+    }
+
+    #[test]
+    fn has_at_agrees_with_the_replica_first_order() {
+        let mut s = store();
+        s.set_evictions(vec![(72, 0.5), (120, 0.8)]);
+        let dcs = s.dcs().to_vec();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = |bound: u64| {
+            x = splitmix64(x);
+            x % bound
+        };
+        // Every rank band: popular, warm tail and fresh uploads, each
+        // threshold's neighbours, and ids far outside the catalog.
+        let bands = [
+            0,
+            19_999,
+            20_000,
+            500_000,
+            849_999,
+            850_000,
+            999_999,
+            u64::MAX - 64,
+        ];
+        let video = |next: &mut dyn FnMut(u64) -> u64| {
+            VideoId::from_index(bands[next(bands.len() as u64) as usize].saturating_add(next(40)))
+        };
+        // Pinned uploads, popular and not, and replicas of every kind.
+        for k in 0..12 {
+            s.upload(video(&mut next), dcs[k % dcs.len()]);
+        }
+        for _ in 0..400 {
+            let (dc, v) = (dcs[next(dcs.len() as u64) as usize], video(&mut next));
+            s.replicate(dc, v);
+        }
+        for _ in 0..20_000 {
+            let (dc, v, hour) = (
+                dcs[next(dcs.len() as u64) as usize],
+                video(&mut next),
+                next(168),
+            );
+            assert_eq!(
+                s.has_at(dc, v, hour),
+                has_at_replica_first(&s, dc, v, hour),
+                "{dc} {v:?} {hour}"
+            );
+        }
     }
 
     #[test]

@@ -404,7 +404,7 @@ impl StandardScenario {
     /// # Panics
     ///
     /// Panics if the scenario does not include `name`.
-    fn vantage_idx(&self, name: DatasetName) -> usize {
+    pub(crate) fn vantage_idx(&self, name: DatasetName) -> usize {
         self.world
             .vantages
             .iter()
@@ -419,7 +419,7 @@ impl StandardScenario {
 
     /// Builds a fresh engine for one dataset, instrumented with the
     /// scenario's telemetry scoped to the dataset name.
-    fn make_engine(&self, idx: usize) -> Engine<'_> {
+    pub(crate) fn make_engine(&self, idx: usize) -> Engine<'_> {
         let vp = &self.world.vantages[idx];
         Engine::new(
             &self.world.topology,

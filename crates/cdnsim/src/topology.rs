@@ -84,17 +84,24 @@ impl DataCenter {
     /// a single-server hot spot (the paper's Figure 15: max per-server load
     /// far above the average).
     pub fn server_for_video(&self, video: VideoId) -> Ipv4Addr {
+        self.servers[self.server_index_for_video(video)]
+    }
+
+    /// The position in [`DataCenter::servers`] of
+    /// [`DataCenter::server_for_video`].
+    pub fn server_index_for_video(&self, video: VideoId) -> usize {
         let h = video
             .index()
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(self.id.0 as u64)
             .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        self.servers[(h >> 32) as usize % self.servers.len()]
+        (h >> 32) as usize % self.servers.len()
     }
 
-    /// A uniformly random server (used by pools without per-video mapping).
-    pub fn random_server(&self, rng: &mut SimRng) -> Ipv4Addr {
-        self.servers[rng.gen_range(0..self.servers.len())]
+    /// The position in [`DataCenter::servers`] of a uniformly random
+    /// server (used by pools without per-video mapping).
+    pub fn random_server_index(&self, rng: &mut SimRng) -> usize {
+        rng.gen_range(0..self.servers.len())
     }
 }
 
@@ -662,8 +669,7 @@ mod tests {
         let dc = &topo.dcs()[3];
         let mut rng = SimRng::seed_from_u64(0);
         for _ in 0..50 {
-            let s = dc.random_server(&mut rng);
-            assert!(dc.servers.contains(&s));
+            assert!(dc.random_server_index(&mut rng) < dc.num_servers());
         }
     }
 

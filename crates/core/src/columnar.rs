@@ -12,7 +12,8 @@
 //! against the timestamp column.
 //!
 //! The encoder writes the dataset's dictionaries and ranks as they are
-//! ([`Dataset::from_records`] built them). The decoder validates each
+//! (the simulation engine, or [`Dataset::from_records`] for any other
+//! source of rows, built them). The decoder validates each
 //! block straight into the final columns and hands them to
 //! [`Dataset::from_columns`], which checks the cross-column invariants:
 //! every rank in range, every dictionary entry referenced, `(start_ms,

@@ -155,26 +155,21 @@ impl Dataset {
     /// keeping equal times in input order, and builds both dictionaries
     /// with each flow's rank in them.
     ///
-    /// The flow order is one unstable sort of `(start_ms, end_ms, input
-    /// position)` keys, which are unique, so it is the stable order. Each
-    /// dictionary is one unstable sort of packed `(value, flow)` keys and
-    /// one scan that opens a new rank at each change of value.
+    /// The flow order is [`flow_order`]. Each dictionary is one unstable
+    /// sort of packed `(value, flow)` keys and one scan that opens a new
+    /// rank at each change of value. The simulation engine builds its
+    /// columns without this constructor; it stays the reference the
+    /// engine's columns are tested against, and the builder of filtered
+    /// copies ([`Dataset::time_slice`], [`Dataset::filter_clients`]).
     ///
     /// # Panics
     ///
     /// Panics if there are more than `u32::MAX` records (ranks are `u32`).
     pub fn from_records(name: DatasetName, records: Vec<FlowRecord>) -> Self {
-        assert!(
-            u32::try_from(records.len()).is_ok(),
-            "{} flows overflow the u32 rank columns",
-            records.len()
-        );
-        let mut order: Vec<(u64, u64, u32)> = (0u32..)
-            .zip(&records)
-            .map(|(k, r)| (r.start_ms, r.end_ms, k))
-            .collect();
-        order.sort_unstable();
-        let rows = || order.iter().map(|&(_, _, k)| &records[k as usize]);
+        let start_ms: Vec<u64> = records.iter().map(|r| r.start_ms).collect();
+        let end_ms: Vec<u64> = records.iter().map(|r| r.end_ms).collect();
+        let order = flow_order(&start_ms, &end_ms);
+        let rows = || order.iter().map(|&k| &records[k as usize]);
         let (servers, server_ranks) = dictionary(
             (0u64..)
                 .zip(rows())
@@ -192,8 +187,8 @@ impl Dataset {
         let columns = DatasetColumns {
             clients: rows().map(|r| u32::from(r.client_ip)).collect(),
             server_ranks,
-            start_ms: order.iter().map(|&(start, _, _)| start).collect(),
-            end_ms: order.iter().map(|&(_, end, _)| end).collect(),
+            start_ms: order.iter().map(|&k| start_ms[k as usize]).collect(),
+            end_ms: order.iter().map(|&k| end_ms[k as usize]).collect(),
             bytes: rows().map(|r| r.bytes).collect(),
             video_ranks,
             resolutions: rows().map(|r| r.resolution).collect(),
@@ -331,6 +326,54 @@ impl Dataset {
     fn filtered(&self, keep: impl FnMut(&FlowRecord) -> bool) -> Dataset {
         Dataset::from_records(self.name, self.iter().filter(keep).collect())
     }
+}
+
+/// The order that sorts flows by `(start_ms, end_ms)`, equal times kept in
+/// input order: the input positions, in output order. It is the sort of
+/// the unique keys `(start_ms, end_ms, input position)`.
+///
+/// Flows that arrive almost in order cost little. One backward pass keeps
+/// in place every flow whose key is below every later key; those flows
+/// are already sorted among themselves. Only the rest are sorted, and one
+/// merge of the two runs gives the order. The result is the same for any
+/// input.
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length, or if they hold more than
+/// `u32::MAX` flows (positions are `u32`).
+pub fn flow_order(start_ms: &[u64], end_ms: &[u64]) -> Vec<u32> {
+    assert_eq!(start_ms.len(), end_ms.len(), "one end per start");
+    let flows = u32::try_from(start_ms.len())
+        .unwrap_or_else(|_| panic!("{} flows overflow the u32 positions", start_ms.len()));
+    let key = |k: u32| (start_ms[k as usize], end_ms[k as usize], k);
+    let mut in_place: Vec<u32> = Vec::with_capacity(start_ms.len());
+    let mut rest: Vec<(u64, u64, u32)> = Vec::new();
+    // The least `(start, end)` of the flows after `k`; a tie keeps `k` in
+    // place, as its position is the lower.
+    let mut floor = (u64::MAX, u64::MAX);
+    for k in (0..flows).rev() {
+        let time = (start_ms[k as usize], end_ms[k as usize]);
+        if time <= floor {
+            floor = time;
+            in_place.push(k);
+        } else {
+            rest.push(key(k));
+        }
+    }
+    in_place.reverse();
+    rest.sort_unstable();
+    let mut rest = rest.into_iter().peekable();
+    let mut order = Vec::with_capacity(start_ms.len());
+    for k in in_place {
+        let next = key(k);
+        while let Some((_, _, r)) = rest.next_if(|&r| r < next) {
+            order.push(r);
+        }
+        order.push(k);
+    }
+    order.extend(rest.map(|(_, _, r)| r));
+    order
 }
 
 /// A dictionary and its rank column from packed `(value, flow)` keys, one
@@ -518,6 +561,63 @@ mod tests {
         );
         let starts: Vec<_> = ds.iter().map(|r| r.start_ms).collect();
         assert_eq!(starts, vec![10, 30, 50]);
+    }
+
+    /// The order as one unstable sort of `(start, end, index)` keys.
+    fn sorted_order(start_ms: &[u64], end_ms: &[u64]) -> Vec<u32> {
+        let mut keys: Vec<(u64, u64, u32)> = (0u32..)
+            .zip(start_ms.iter().zip(end_ms))
+            .map(|(k, (&start, &end))| (start, end, k))
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(_, _, k)| k).collect()
+    }
+
+    #[test]
+    fn flow_order_matches_a_key_sort() {
+        let max = u64::MAX;
+        let cases: Vec<(Vec<u64>, Vec<u64>)> = vec![
+            (vec![], vec![]),
+            (vec![7], vec![9]),
+            (vec![max], vec![max]),
+            // Reverse sorted.
+            (
+                (0..50).rev().collect(),
+                (0..50).rev().map(|t| t + 3).collect(),
+            ),
+            // All starts equal, ends in every order.
+            (vec![4; 8], vec![9, 4, 7, 4, 9, 5, 4, 8]),
+            // `(start, end)` ties, in place and out of place.
+            (vec![1, 1, 0, 1, 0, 1], vec![2, 2, 5, 2, 5, 1]),
+            // `u64::MAX` times among small ones.
+            (vec![max, 0, max, 3, max, 0], vec![max, max, max, 3, max, 0]),
+            // Sessions: ascending starts with later flows that overtake.
+            (
+                vec![0, 10, 5, 20, 12, 30, 25],
+                vec![30, 40, 6, 25, 14, 31, 26],
+            ),
+        ];
+        for (start, end) in cases {
+            assert_eq!(
+                flow_order(&start, &end),
+                sorted_order(&start, &end),
+                "{start:?} {end:?}"
+            );
+        }
+        // A pseudo-random mix of runs and stragglers.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for _ in 0..64 {
+            let n = next(200) as usize;
+            let start: Vec<u64> = (0..n as u64).map(|k| k / 3 + next(4)).collect();
+            let end: Vec<u64> = start.iter().map(|&s| s + next(3)).collect();
+            assert_eq!(flow_order(&start, &end), sorted_order(&start, &end));
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod textlog;
 
 pub use anonymize::Anonymizer;
 pub use classify::{FlowClass, FlowClassifier};
-pub use dataset::{ColumnError, Dataset, DatasetColumns, DatasetError, DatasetName};
+pub use dataset::{flow_order, ColumnError, Dataset, DatasetColumns, DatasetError, DatasetName};
 pub use flow::{FlowRecord, ParseVideoIdError, Resolution, VideoId, VideoIdStr};
 pub use summary::TrafficSummary;
 pub use textlog::{read_textlog, write_textlog};

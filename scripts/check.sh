@@ -178,9 +178,10 @@ diff -r "$smoke/csv-1" "$smoke/csv-$max" > /dev/null \
     || { echo "check.sh: CSV export differs at --jobs $max vs sequential" >&2; exit 1; }
 
 # Columnar .ytc smoke, three legs. (1) The file's sha256 against the
-# committed digest: the CLI's write path (worker pool, from_records,
-# encoder, file writer) must stay byte for byte what it was; a change
-# that means to move these bytes re-pins YTC_SHA256. (2) Replay
+# committed digests, unmutated and with one mutation of each kind: the
+# CLI's write path (worker pool, the engine's own column build, encoder,
+# file writer) must stay byte for byte what it was; a change that means to
+# move these bytes re-pins YTC_SHA256 and YTC_MUTATED_SHA256. (2) Replay
 # fidelity: `repro --from dataset.ytc` at --jobs 1 and at --jobs <max>
 # (the five index builds
 # over decoded columns on the pool) must each print the report
@@ -196,6 +197,14 @@ ytc_sha256="$(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)"
 echo "    dataset.ytc sha256 $ytc_sha256" >&2
 [ "$ytc_sha256" = "$YTC_SHA256" ] \
     || { echo "check.sh: generate --scale 0.004 --seed 7 wrote a .ytc with sha256 $ytc_sha256, pinned $YTC_SHA256" >&2; exit 1; }
+mutations=(--mutate dc-down@72:Milan --mutate prefer-flip@96:Frankfurt --mutate cache-evict@120:0.5)
+cargo run --quiet --release -p ytcdn-cli -- generate \
+    --scale 0.004 --seed 7 "${mutations[@]}" --out "$smoke/mutated.ytc" 2>/dev/null
+YTC_MUTATED_SHA256=8b334eeddc5ed08bc4ddc2d1e8a68dd919b351745f6d6ff4a5afb13a63a2454a
+ytc_sha256="$(sha256sum "$smoke/mutated.ytc" | cut -d' ' -f1)"
+echo "    mutated.ytc sha256 $ytc_sha256" >&2
+[ "$ytc_sha256" = "$YTC_MUTATED_SHA256" ] \
+    || { echo "check.sh: generate --scale 0.004 --seed 7 ${mutations[*]} wrote a .ytc with sha256 $ytc_sha256, pinned $YTC_MUTATED_SHA256" >&2; exit 1; }
 for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- repro \
         --from "$smoke/ds.ytc" --jobs "$jobs" > "$smoke/repro-from-$jobs.txt" 2>/dev/null \
