@@ -5,10 +5,21 @@
 //! "constellations" and flagging a reconfiguration whenever consecutive
 //! constellations drift apart. This module applies that idea to the
 //! reproduction's traces: per window (default 6 h, grouping the
-//! [`DatasetIndex`] per-hour ranges), observed analysis servers are
-//! clustered by /24 — which, in this topology, is the routing-visible
-//! granularity of a data center — and the constellation is summarized as
-//! the per-data-center distribution of the window's flows.
+//! [`DatasetIndex`] per-hour ranges), the constellation is the
+//! per-data-center distribution of the window's analysis flows. A flow's
+//! data center is [`DatasetIndex::dc_of_flow`], i.e. the server → data
+//! center map of the [`AnalysisContext`] the index was built from; `ytcdn
+//! watch` builds it with `AnalysisContext::from_ground_truth`, so the
+//! detector reads the simulator's own map. Each window also reports the
+//! observed servers grouped by /24 ([`WindowStats::clusters`]), but those
+//! clusters do not enter the distance.
+//!
+//! Each window is one pass over its flows into counters indexed by the
+//! server's rank in the dataset's address-sorted dictionary, then one fold
+//! of the ranks into /24 clusters (each a contiguous run of ranks) and
+//! per-data-center totals. Its sessions are the next run of the
+//! start-ordered sessions, and its startup percentiles are read from them
+//! by selection, not by sorting the window's samples.
 //!
 //! # The distance
 //!
@@ -58,6 +69,7 @@ use ytcdn_tstat::{Dataset, HOUR_MS};
 use crate::dcmap::AnalysisContext;
 use crate::error::{AnalysisError, AnalysisResult};
 use crate::index::DatasetIndex;
+use crate::stats::select_quantiles;
 
 /// Default window width, in trace hours.
 pub const DEFAULT_WINDOW_HOURS: u64 = 6;
@@ -196,15 +208,6 @@ fn slash24(ip: Ipv4Addr) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(ip) & 0xffff_ff00)
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample, 0.0 when empty.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// The tail-bucketed total-variation distance between a window's per-DC
 /// flow counts and the regime pool's (see the module docs).
 fn regime_distance(cur: &BTreeMap<usize, u64>, pool: &BTreeMap<usize, u64>) -> f64 {
@@ -258,6 +261,32 @@ fn share_deltas(cur: &BTreeMap<usize, u64>, pool: &BTreeMap<usize, u64>) -> BTre
     deltas
 }
 
+/// The data centers a change point implicates: at most three whose flow
+/// share moved by at least 0.01, largest move first.
+fn affected_dcs(
+    ctx: &AnalysisContext,
+    cur: &BTreeMap<usize, u64>,
+    pool: &BTreeMap<usize, u64>,
+) -> Vec<AffectedDc> {
+    let mut affected: Vec<AffectedDc> = share_deltas(cur, pool)
+        .into_iter()
+        .filter(|&(_, d)| d.abs() >= 0.01)
+        .map(|(dc, delta_share)| AffectedDc {
+            dc,
+            city: ctx.dcs()[dc].city_name.clone(),
+            delta_share,
+        })
+        .collect();
+    affected.sort_by(|a, b| {
+        b.delta_share
+            .abs()
+            .total_cmp(&a.delta_share.abs())
+            .then(a.dc.cmp(&b.dc))
+    });
+    affected.truncate(3);
+    affected
+}
+
 impl WatchReport {
     /// Builds the report over one indexed dataset.
     ///
@@ -281,21 +310,18 @@ impl WatchReport {
         let num_windows = hours.div_ceil(wh) as usize;
         let c = dataset.columns();
 
-        // Startup samples (first-flow duration) per window, by session
-        // start time.
-        let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
-        let mut sessions_in: Vec<u64> = vec![0; num_windows];
-        for s in index.sessions().iter() {
-            let w = (s.start_ms / (wh * HOUR_MS)) as usize;
-            if w >= num_windows {
-                continue;
-            }
-            sessions_in[w] += 1;
-            if let Some(&first) = s.flow_indices().first() {
-                let first = first as usize;
-                startup[w].push((c.end_ms[first] - c.start_ms[first]) as f64);
-            }
-        }
+        // Sessions come in canonical order, which ascends by start time,
+        // so each window's sessions are the next run of them; `startup`
+        // holds the current window's startup samples (first-flow
+        // durations).
+        let mut sessions = index.sessions().iter().peekable();
+        let mut startup: Vec<f64> = Vec::new();
+
+        // Per server-dictionary rank, over the current window: analysis
+        // flows and bytes. Zeroed as each window is folded.
+        let servers = dataset.server_ips();
+        let mut rank_flows = vec![0u64; servers.len()];
+        let mut rank_bytes = vec![0u64; servers.len()];
 
         let mut windows: Vec<WindowStats> = Vec::with_capacity(num_windows);
         let mut change_points: Vec<ChangePoint> = Vec::new();
@@ -308,26 +334,25 @@ impl WatchReport {
             let flow_start = index.hour_ranges()[start_hour as usize].start;
             let flow_end = index.hour_ranges()[end_hour as usize - 1].end;
 
-            let mut by_cluster: BTreeMap<Ipv4Addr, ClusterMass> = BTreeMap::new();
-            let mut dc_flows: BTreeMap<usize, u64> = BTreeMap::new();
-            let mut dc_bytes: BTreeMap<usize, u64> = BTreeMap::new();
+            let window_end_ms = (w as u64 + 1) * wh * HOUR_MS;
+            let mut sessions_in = 0u64;
+            startup.clear();
+            while let Some(s) = sessions.next_if(|s| s.start_ms < window_end_ms) {
+                sessions_in += 1;
+                if let Some(&first) = s.flow_indices().first() {
+                    startup.push((c.end_ms[first as usize] - s.start_ms) as f64);
+                }
+            }
+
             let mut video_flows = 0u64;
             let mut non_preferred = 0u64;
             for i in flow_start..flow_end {
-                let Some(dc) = index.dc_of_flow(i) else {
+                let rank = c.server_ranks[i] as usize;
+                let Some(dc) = index.dc_of_server(rank) else {
                     continue;
                 };
-                let block = slash24(dataset.server_ip(i));
-                let cluster = by_cluster.entry(block).or_insert(ClusterMass {
-                    slash24: block,
-                    dc,
-                    flows: 0,
-                    bytes: 0,
-                });
-                cluster.flows += 1;
-                cluster.bytes += c.bytes[i];
-                *dc_flows.entry(dc).or_insert(0) += 1;
-                *dc_bytes.entry(dc).or_insert(0) += c.bytes[i];
+                rank_flows[rank] += 1;
+                rank_bytes[rank] += c.bytes[i];
                 if index.is_video_flow(i) {
                     video_flows += 1;
                     if dc != index.preferred_index() {
@@ -336,8 +361,39 @@ impl WatchReport {
                 }
             }
 
+            // Fold the ranks into /24 clusters and per-DC totals. The
+            // dictionary is sorted by address, so each /24 is one run of
+            // ranks. `DcMap` resolves a server by its /24, so every rank of
+            // a cluster has the cluster's DC.
+            let mut clusters: Vec<ClusterMass> = Vec::new();
+            let mut dc_flows: BTreeMap<usize, u64> = BTreeMap::new();
+            let mut dc_bytes: BTreeMap<usize, u64> = BTreeMap::new();
+            for (rank, &ip) in servers.iter().enumerate() {
+                let flows = std::mem::take(&mut rank_flows[rank]);
+                let Some(dc) = index.dc_of_server(rank).filter(|_| flows > 0) else {
+                    continue;
+                };
+                let bytes = std::mem::take(&mut rank_bytes[rank]);
+                *dc_flows.entry(dc).or_insert(0) += flows;
+                *dc_bytes.entry(dc).or_insert(0) += bytes;
+                let block = slash24(ip);
+                match clusters.last_mut() {
+                    Some(cluster) if cluster.slash24 == block => {
+                        debug_assert_eq!(cluster.dc, dc, "a /24 spans two data centers");
+                        cluster.flows += flows;
+                        cluster.bytes += bytes;
+                    }
+                    _ => clusters.push(ClusterMass {
+                        slash24: block,
+                        dc,
+                        flows,
+                        bytes,
+                    }),
+                }
+            }
+
             let analysis_flows: u64 = dc_flows.values().sum();
-            let bytes: u64 = by_cluster.values().map(|c| c.bytes).sum();
+            let bytes: u64 = clusters.iter().map(|c| c.bytes).sum();
             let active = analysis_flows >= config.min_flows;
             let distance = if active {
                 regime_distance(&dc_flows, &pool)
@@ -345,27 +401,11 @@ impl WatchReport {
                 0.0
             };
             if distance > config.threshold {
-                let mut affected: Vec<AffectedDc> = share_deltas(&dc_flows, &pool)
-                    .into_iter()
-                    .filter(|&(_, d)| d.abs() >= 0.01)
-                    .map(|(dc, delta_share)| AffectedDc {
-                        dc,
-                        city: ctx.dcs()[dc].city_name.clone(),
-                        delta_share,
-                    })
-                    .collect();
-                affected.sort_by(|a, b| {
-                    b.delta_share
-                        .abs()
-                        .total_cmp(&a.delta_share.abs())
-                        .then(a.dc.cmp(&b.dc))
-                });
-                affected.truncate(3);
                 change_points.push(ChangePoint {
                     window: w,
                     hour: start_hour,
                     distance,
-                    affected,
+                    affected: affected_dcs(ctx, &dc_flows, &pool),
                 });
                 // The change window opens the new regime.
                 pool.clear();
@@ -376,30 +416,32 @@ impl WatchReport {
                 }
             }
 
-            let mut startup_sorted = std::mem::take(&mut startup[w]);
-            startup_sorted.sort_by(f64::total_cmp);
-            let mut dc_sorted: Vec<f64> = dc_bytes.values().map(|&b| b as f64).collect();
-            dc_sorted.sort_by(f64::total_cmp);
+            let quantiles = [0.50, 0.90, 0.99];
+            let [startup_ms_p50, startup_ms_p90, startup_ms_p99] =
+                select_quantiles(&mut startup, quantiles);
+            let mut dc_totals: Vec<f64> = dc_bytes.values().map(|&b| b as f64).collect();
+            let [dc_bytes_p50, dc_bytes_p90, dc_bytes_p99] =
+                select_quantiles(&mut dc_totals, quantiles);
 
             windows.push(WindowStats {
                 window: w,
                 start_hour,
                 end_hour,
                 flows: (flow_end - flow_start) as u64,
-                sessions: sessions_in[w],
+                sessions: sessions_in,
                 bytes,
-                startup_ms_p50: percentile(&startup_sorted, 0.50),
-                startup_ms_p90: percentile(&startup_sorted, 0.90),
-                startup_ms_p99: percentile(&startup_sorted, 0.99),
+                startup_ms_p50,
+                startup_ms_p90,
+                startup_ms_p99,
                 non_preferred_fraction: if video_flows == 0 {
                     0.0
                 } else {
                     non_preferred as f64 / video_flows as f64
                 },
-                dc_bytes_p50: percentile(&dc_sorted, 0.50),
-                dc_bytes_p90: percentile(&dc_sorted, 0.90),
-                dc_bytes_p99: percentile(&dc_sorted, 0.99),
-                clusters: by_cluster.into_values().collect(),
+                dc_bytes_p50,
+                dc_bytes_p90,
+                dc_bytes_p99,
+                clusters,
                 distance,
             });
         }
@@ -515,6 +557,145 @@ mod tests {
     use ytcdn_telemetry::Telemetry;
     use ytcdn_tstat::DatasetName;
 
+    /// Nearest-rank percentile of an ascending-sorted sample, 0.0 when
+    /// empty: the oracle's sort-then-read rule.
+    fn percentile(sorted: &[f64], q: f64) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        sorted[crate::stats::nearest_rank(sorted.len(), q)]
+    }
+
+    /// The per-flow ordered-map build [`WatchReport::build`] replaced, kept
+    /// as its oracle: three `BTreeMap` inserts per flow and a sort per
+    /// window. The caller checks for an empty index.
+    fn build_by_maps(
+        ctx: &AnalysisContext,
+        dataset: &Dataset,
+        index: &DatasetIndex,
+        config: WatchConfig,
+    ) -> WatchReport {
+        let wh = config.window_hours.max(1);
+        let hours = index.hour_ranges().len() as u64;
+        let num_windows = hours.div_ceil(wh) as usize;
+        let c = dataset.columns();
+
+        // Startup samples (first-flow duration) per window, by session
+        // start time.
+        let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
+        let mut sessions_in: Vec<u64> = vec![0; num_windows];
+        for s in index.sessions().iter() {
+            let w = (s.start_ms / (wh * HOUR_MS)) as usize;
+            if w >= num_windows {
+                continue;
+            }
+            sessions_in[w] += 1;
+            if let Some(&first) = s.flow_indices().first() {
+                let first = first as usize;
+                startup[w].push((c.end_ms[first] - c.start_ms[first]) as f64);
+            }
+        }
+
+        let mut windows: Vec<WindowStats> = Vec::with_capacity(num_windows);
+        let mut change_points: Vec<ChangePoint> = Vec::new();
+        // Per-DC flow counts pooled over the current regime's active
+        // windows; cleared when a change point fires.
+        let mut pool: BTreeMap<usize, u64> = BTreeMap::new();
+        for w in 0..num_windows {
+            let start_hour = w as u64 * wh;
+            let end_hour = (start_hour + wh).min(hours);
+            let flow_start = index.hour_ranges()[start_hour as usize].start;
+            let flow_end = index.hour_ranges()[end_hour as usize - 1].end;
+
+            let mut by_cluster: BTreeMap<Ipv4Addr, ClusterMass> = BTreeMap::new();
+            let mut dc_flows: BTreeMap<usize, u64> = BTreeMap::new();
+            let mut dc_bytes: BTreeMap<usize, u64> = BTreeMap::new();
+            let mut video_flows = 0u64;
+            let mut non_preferred = 0u64;
+            for i in flow_start..flow_end {
+                let Some(dc) = index.dc_of_flow(i) else {
+                    continue;
+                };
+                let block = slash24(dataset.server_ip(i));
+                let cluster = by_cluster.entry(block).or_insert(ClusterMass {
+                    slash24: block,
+                    dc,
+                    flows: 0,
+                    bytes: 0,
+                });
+                cluster.flows += 1;
+                cluster.bytes += c.bytes[i];
+                *dc_flows.entry(dc).or_insert(0) += 1;
+                *dc_bytes.entry(dc).or_insert(0) += c.bytes[i];
+                if index.is_video_flow(i) {
+                    video_flows += 1;
+                    if dc != index.preferred_index() {
+                        non_preferred += 1;
+                    }
+                }
+            }
+
+            let analysis_flows: u64 = dc_flows.values().sum();
+            let bytes: u64 = by_cluster.values().map(|c| c.bytes).sum();
+            let active = analysis_flows >= config.min_flows;
+            let distance = if active {
+                regime_distance(&dc_flows, &pool)
+            } else {
+                0.0
+            };
+            if distance > config.threshold {
+                change_points.push(ChangePoint {
+                    window: w,
+                    hour: start_hour,
+                    distance,
+                    affected: affected_dcs(ctx, &dc_flows, &pool),
+                });
+                // The change window opens the new regime.
+                pool.clear();
+            }
+            if active {
+                for (&dc, &n) in &dc_flows {
+                    *pool.entry(dc).or_insert(0) += n;
+                }
+            }
+
+            let mut startup_sorted = std::mem::take(&mut startup[w]);
+            startup_sorted.sort_by(f64::total_cmp);
+            let mut dc_sorted: Vec<f64> = dc_bytes.values().map(|&b| b as f64).collect();
+            dc_sorted.sort_by(f64::total_cmp);
+
+            windows.push(WindowStats {
+                window: w,
+                start_hour,
+                end_hour,
+                flows: (flow_end - flow_start) as u64,
+                sessions: sessions_in[w],
+                bytes,
+                startup_ms_p50: percentile(&startup_sorted, 0.50),
+                startup_ms_p90: percentile(&startup_sorted, 0.90),
+                startup_ms_p99: percentile(&startup_sorted, 0.99),
+                non_preferred_fraction: if video_flows == 0 {
+                    0.0
+                } else {
+                    non_preferred as f64 / video_flows as f64
+                },
+                dc_bytes_p50: percentile(&dc_sorted, 0.50),
+                dc_bytes_p90: percentile(&dc_sorted, 0.90),
+                dc_bytes_p99: percentile(&dc_sorted, 0.99),
+                clusters: by_cluster.into_values().collect(),
+                distance,
+            });
+        }
+
+        WatchReport {
+            dataset: index.dataset_name().to_string(),
+            window_hours: wh,
+            threshold: config.threshold,
+            windows,
+            change_points,
+        }
+    }
+
     fn report_for(
         scenario: &StandardScenario,
         name: DatasetName,
@@ -603,11 +784,53 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.50), 2.0);
-        assert_eq!(percentile(&v, 0.90), 4.0);
+        let mut v = [4.0, 2.0, 1.0, 3.0];
+        assert_eq!(select_quantiles(&mut v, [0.50, 0.90]), [2.0, 4.0]);
+        assert_eq!(select_quantiles(&mut [], [0.5]), [0.0]);
+        assert_eq!(select_quantiles(&mut [7.0], [0.99]), [7.0]);
+        v.sort_by(f64::total_cmp);
+        assert_eq!((percentile(&v, 0.50), percentile(&v, 0.90)), (2.0, 4.0));
         assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
+    }
+
+    /// `build` equals its map oracle on unmutated and mutated traces of
+    /// every dataset, at two seeds, under the default windows and under
+    /// one-hour windows with a low activity floor.
+    #[test]
+    fn build_matches_the_map_oracle() {
+        let specs: [&[&str]; 4] = [
+            &[],
+            &["dc-down@72:Milan"],
+            &["prefer-flip@96:Frankfurt"],
+            &["cache-evict@48:0.3"],
+        ];
+        let configs = [
+            WatchConfig::default(),
+            WatchConfig {
+                window_hours: 1,
+                threshold: 0.2,
+                min_flows: 5,
+            },
+        ];
+        for seed in [7, 12] {
+            for spec in specs {
+                let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.005, seed));
+                let parsed: Vec<_> = spec.iter().map(|m| m.parse().unwrap()).collect();
+                s.set_mutations(&parsed).unwrap();
+                for name in DatasetName::ALL {
+                    let (ds, _) = s.run(name);
+                    let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+                    let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+                    for config in configs {
+                        assert_eq!(
+                            WatchReport::build(&ctx, &ds, &index, config).unwrap(),
+                            build_by_maps(&ctx, &ds, &index, config),
+                            "seed {seed}, {spec:?}, {name}, {config:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

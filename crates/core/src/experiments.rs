@@ -28,7 +28,7 @@ use ytcdn_geoloc::Cbg;
 use ytcdn_geomodel::Continent;
 use ytcdn_netsim::{landmarks_with_counts, planetlab_landmarks, WellKnownAs};
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier};
+use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier, TrafficSummary};
 
 use crate::active_analysis::{most_illustrative_node, ratio_cdf, ratio_stats};
 use crate::as_analysis::{as_breakdown, WellKnownAsExt};
@@ -42,7 +42,7 @@ use crate::hotspot::{
 };
 use crate::index::DatasetIndex;
 use crate::preferred::{bytes_by_distance, bytes_by_rtt, closest_k_share, ShareStep};
-use crate::stats::Cdf;
+use crate::stats::{nearest_rank, values_at_ranks, Cdf};
 use crate::subnet::subnet_shares;
 use crate::timeseries::{hourly_samples, load_vs_preferred_correlation, nonpreferred_fraction_cdf};
 use crate::videos::nonpreferred_video_stats;
@@ -474,7 +474,15 @@ impl ExperimentSuite {
         );
         let mut metrics = Vec::new();
         for ds in &self.datasets {
-            let s = ds.summary();
+            // `Dataset::summary`, with the client count the session
+            // grouping already took.
+            let s = TrafficSummary {
+                dataset: ds.name(),
+                flows: ds.len(),
+                bytes: ds.total_bytes(),
+                servers: ds.server_ips().len(),
+                clients: self.dataset_index(ds.name()).sessions().distinct_clients(),
+            };
             let _ = writeln!(
                 out,
                 "{:<11} {:>9} {:>12.2} {:>8} {:>8}",
@@ -630,9 +638,11 @@ impl ExperimentSuite {
     }
 
     /// Figure 4: CDF of flow sizes (the control/video kink at 1000 B). The
-    /// series is each dataset's all-flows CDF: the classifier splits on a
-    /// byte threshold, so it is the sorted control sizes followed by the
-    /// sorted video sizes.
+    /// series is each dataset's all-flows CDF. The classifier splits on a
+    /// byte threshold, so in sorted order the control sizes come first, and
+    /// every number the figure shows is the size at one rank: the two
+    /// medians, the maximum and the series' decimated points. Those ranks
+    /// are read by [`values_at_ranks`], with no sort of the byte column.
     fn fig4(&self) -> Figure {
         let classifier = FlowClassifier::default();
         let mut out =
@@ -644,36 +654,38 @@ impl ExperimentSuite {
         );
         let mut series = Vec::new();
         for ds in &self.datasets {
-            let (video, control): (Vec<u64>, Vec<u64>) = ds
-                .columns()
-                .bytes
+            let bytes = &ds.columns().bytes;
+            let n = bytes.len();
+            let control = bytes
                 .iter()
-                .partition(|&&b| classifier.classify_bytes(b) == FlowClass::Video);
-            let ctrl_cdf = Cdf::from_values(control.iter().map(|&b| b as f64));
-            let vid_cdf = Cdf::from_values(video.iter().map(|&b| b as f64));
+                .filter(|&&b| classifier.classify_bytes(b) == FlowClass::Control)
+                .count();
+            // The rank of the median of the sorted run `start..end`.
+            let median = |start: usize, end: usize| {
+                (start < end).then(|| start + nearest_rank(end - start, 0.5))
+            };
+            let (ctrl_median, video_median, max) =
+                (median(0, control), median(control, n), n.checked_sub(1));
+            let mut ranks: Vec<usize> = Series::cdf_ranks(n)
+                .chain([ctrl_median, video_median, max].into_iter().flatten())
+                .collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            let sizes = values_at_ranks(bytes, &ranks);
+            let at = |rank: Option<usize>| {
+                rank.map_or(0.0, |r| sizes[ranks.partition_point(|&x| x < r)] as f64)
+            };
             let _ = writeln!(
                 out,
                 "{:<11} {:>12.3} {:>14.0} {:>14.0} {:>12.0}",
                 ds.name().to_string(),
-                control.len() as f64 / ds.len() as f64,
-                if ctrl_cdf.is_empty() {
-                    0.0
-                } else {
-                    ctrl_cdf.median()
-                },
-                if vid_cdf.is_empty() {
-                    0.0
-                } else {
-                    vid_cdf.median()
-                },
-                if vid_cdf.is_empty() {
-                    0.0
-                } else {
-                    vid_cdf.max()
-                },
+                control as f64 / n as f64,
+                at(ctrl_median),
+                at(video_median),
+                at(max.filter(|_| control < n)),
             );
-            let all = ctrl_cdf.chain(&vid_cdf);
-            series.push(Series::from_cdf(ds.name().to_string(), &all));
+            let points = Series::cdf_ranks(n).map(|r| at(Some(r)));
+            series.push(Series::from_cdf_ranks(ds.name().to_string(), n, points));
         }
         Figure::new(out, series, Vec::new())
     }
@@ -1382,6 +1394,61 @@ mod tests {
             full_landmarks: false,
             jobs: 0,
         })
+    }
+
+    /// Figure 4 as it was built before it read ranks: partition the byte
+    /// column, sort each side as `f64`, and chain the two CDFs. The oracle
+    /// of [`ExperimentSuite::fig4`].
+    fn fig4_by_partition(suite: &ExperimentSuite) -> Figure {
+        let classifier = FlowClassifier::default();
+        let mut out =
+            String::from("Figure 4 — flow-size CDF (paper: bimodal with a kink at 1000 bytes)\n");
+        let _ = writeln!(
+            out,
+            "{:<11} {:>12} {:>14} {:>14} {:>12}",
+            "Dataset", "ctrl share", "p50 ctrl [B]", "p50 video [B]", "max [B]"
+        );
+        let mut series = Vec::new();
+        for ds in &suite.datasets {
+            let (video, control): (Vec<u64>, Vec<u64>) = ds
+                .columns()
+                .bytes
+                .iter()
+                .partition(|&&b| classifier.classify_bytes(b) == FlowClass::Video);
+            let ctrl_cdf = Cdf::from_values(control.iter().map(|&b| b as f64));
+            let vid_cdf = Cdf::from_values(video.iter().map(|&b| b as f64));
+            let or_zero = |v: AnalysisResult<f64>| v.unwrap_or(0.0);
+            let _ = writeln!(
+                out,
+                "{:<11} {:>12.3} {:>14.0} {:>14.0} {:>12.0}",
+                ds.name().to_string(),
+                control.len() as f64 / ds.len() as f64,
+                or_zero(ctrl_cdf.try_median()),
+                or_zero(vid_cdf.try_median()),
+                or_zero(vid_cdf.try_max()),
+            );
+            let all = Cdf::from_values(ctrl_cdf.samples().iter().chain(vid_cdf.samples()).copied());
+            series.push(Series::from_cdf(ds.name().to_string(), &all));
+        }
+        Figure::new(out, series, Vec::new())
+    }
+
+    #[test]
+    fn fig4_matches_the_partition_oracle() {
+        let healthy = suite();
+        let config = SuiteConfig {
+            scenario: ScenarioConfig::with_scale(0.003, 9),
+            full_landmarks: false,
+            jobs: 1,
+        };
+        let no_video = ExperimentSuite::with_degenerate(
+            config,
+            Telemetry::disabled(),
+            DegenerateShape::NoVideo,
+        );
+        for suite in [&healthy, &no_video] {
+            assert_eq!(suite.figure("fig4").unwrap(), &fig4_by_partition(suite));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::experiments::{ExperimentSuite, Figure, ALL_EXPERIMENTS};
-use crate::stats::Cdf;
+use crate::stats::{plot_ranks, Cdf};
 
 /// How many points each exported CDF is decimated to.
 const CDF_POINTS: usize = 400;
@@ -31,6 +31,27 @@ impl Series {
         Series {
             name: name.into(),
             points: cdf.plot_points(CDF_POINTS),
+        }
+    }
+
+    /// The ranks of `n` sorted samples that [`Series::from_cdf`] reads.
+    pub(crate) fn cdf_ranks(n: usize) -> impl Iterator<Item = usize> {
+        plot_ranks(n, CDF_POINTS).map(|(i, _)| i)
+    }
+
+    /// The series [`Series::from_cdf`] builds from the CDF of `n` samples,
+    /// given only the samples at [`Series::cdf_ranks`], in that order.
+    pub(crate) fn from_cdf_ranks(
+        name: impl Into<String>,
+        n: usize,
+        values: impl IntoIterator<Item = f64>,
+    ) -> Self {
+        Series {
+            name: name.into(),
+            points: plot_ranks(n, CDF_POINTS)
+                .zip(values)
+                .map(|((_, y), x)| (x, y))
+                .collect(),
         }
     }
 }

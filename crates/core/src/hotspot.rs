@@ -6,7 +6,6 @@
 //! average exactly then, and that the affected server's sessions switch
 //! from all-preferred to (preferred → non-preferred) redirection patterns.
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use ytcdn_tstat::{Dataset, VideoId, HOUR_MS};
@@ -83,29 +82,46 @@ pub struct ServerLoadHour {
 /// center. "Requests" counts every flow a server answers — control flows
 /// included, since a redirecting server still served the request. Ties for
 /// the maximum go to the lowest address.
+///
+/// Each hour tallies its flows in a counter per server-dictionary rank,
+/// shared by all hours: the ranks an hour touched are read, then zeroed.
+/// The dictionary is sorted by address, so the lowest rank is the lowest
+/// address.
 pub fn preferred_server_load(index: &DatasetIndex, dataset: &Dataset) -> Vec<ServerLoadHour> {
     let pref_idx = index.preferred_index();
     let denominator = index.preferred_servers_seen().max(1) as f64;
+    let servers = dataset.server_ips();
+    let preferred: Vec<bool> = (0..servers.len())
+        .map(|rank| index.dc_of_server(rank) == Some(pref_idx))
+        .collect();
+    let server_ranks = &dataset.columns().server_ranks;
+    let mut load = vec![0u64; servers.len()];
+    let mut touched: Vec<usize> = Vec::new();
     index
         .hour_ranges()
         .iter()
         .map(|range| {
-            let mut m: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
-            for i in range.clone() {
-                if index.dc_of_flow(i) == Some(pref_idx) {
-                    *m.entry(dataset.server_ip(i)).or_default() += 1;
+            for &rank in &server_ranks[range.clone()] {
+                let rank = rank as usize;
+                if preferred[rank] {
+                    if load[rank] == 0 {
+                        touched.push(rank);
+                    }
+                    load[rank] += 1;
                 }
             }
-            let total: u64 = m.values().sum();
-            let (max_server, max) = m
-                .into_iter()
-                .max_by_key(|&(ip, n)| (n, std::cmp::Reverse(ip)))
-                .map(|(ip, n)| (Some(ip), n))
-                .unwrap_or((None, 0));
+            let total: u64 = touched.iter().map(|&rank| load[rank]).sum();
+            let top = touched
+                .iter()
+                .map(|&rank| (load[rank], std::cmp::Reverse(rank)))
+                .max();
+            for rank in touched.drain(..) {
+                load[rank] = 0;
+            }
             ServerLoadHour {
                 avg: total as f64 / denominator,
-                max,
-                max_server,
+                max: top.map_or(0, |(max, _)| max),
+                max_server: top.map(|(_, rank)| servers[rank.0]),
             }
         })
         .collect()
@@ -275,6 +291,99 @@ mod tests {
             redirected > 0,
             "hot server shows no redirection: {breakdown:?}"
         );
+    }
+
+    /// The per-hour ordered-map fold [`preferred_server_load`] replaced,
+    /// kept as its oracle.
+    fn preferred_server_load_by_map(
+        index: &DatasetIndex,
+        dataset: &Dataset,
+    ) -> Vec<ServerLoadHour> {
+        use std::collections::BTreeMap;
+        let pref_idx = index.preferred_index();
+        let denominator = index.preferred_servers_seen().max(1) as f64;
+        index
+            .hour_ranges()
+            .iter()
+            .map(|range| {
+                let mut m: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
+                for i in range.clone() {
+                    if index.dc_of_flow(i) == Some(pref_idx) {
+                        *m.entry(dataset.server_ip(i)).or_default() += 1;
+                    }
+                }
+                let total: u64 = m.values().sum();
+                let (max_server, max) = m
+                    .into_iter()
+                    .max_by_key(|&(ip, n)| (n, std::cmp::Reverse(ip)))
+                    .map(|(ip, n)| (Some(ip), n))
+                    .unwrap_or((None, 0));
+                ServerLoadHour {
+                    avg: total as f64 / denominator,
+                    max,
+                    max_server,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn server_load_matches_the_map_oracle() {
+        let s = StandardScenario::build(ScenarioConfig::with_scale(0.006, 9));
+        for name in DatasetName::ALL {
+            let (ds, _) = s.run(name);
+            let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+            let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+            assert_eq!(
+                preferred_server_load(&index, &ds),
+                preferred_server_load_by_map(&index, &ds),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn server_load_ties_go_to_the_lowest_address() {
+        use ytcdn_tstat::{FlowRecord, Resolution};
+        // Hour 0: .9 and .3 tie at two flows each, .5 has one; hour 1: .7
+        // alone; hour 2: nothing. The ties arrive highest address first.
+        let (s, ds, _) = setup();
+        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+        let preferred: Vec<Ipv4Addr> = ds
+            .server_ips()
+            .iter()
+            .zip(ctx.server_dcs(ds.server_ips()))
+            .filter(|&(_, dc)| dc == Some(ctx.preferred().index))
+            .map(|(&ip, _)| ip)
+            .take(4)
+            .collect();
+        assert_eq!(preferred.len(), 4, "four preferred servers");
+        let (low, mid, high, other) = (preferred[0], preferred[1], preferred[2], preferred[3]);
+        let flow = |server: Ipv4Addr, start_ms: u64| FlowRecord {
+            client_ip: Ipv4Addr::new(10, 0, 0, 1),
+            server_ip: server,
+            start_ms,
+            end_ms: start_ms + 10,
+            bytes: 5_000,
+            video_id: VideoId::from_index(1),
+            resolution: Resolution::R360,
+        };
+        let records = vec![
+            flow(high, 0),
+            flow(high, 1),
+            flow(mid, 2),
+            flow(low, 3),
+            flow(low, 4),
+            flow(other, HOUR_MS + 5),
+        ];
+        let small = Dataset::from_records(ds.name(), records);
+        let small_ctx = AnalysisContext::from_ground_truth(s.world(), &small);
+        let index = DatasetIndex::build(&small_ctx, &small, Telemetry::disabled());
+        let load = preferred_server_load(&index, &small);
+        assert_eq!(load, preferred_server_load_by_map(&index, &small));
+        assert_eq!(load.len(), 2);
+        assert_eq!((load[0].max, load[0].max_server), (2, Some(low)));
+        assert_eq!((load[1].max, load[1].max_server), (1, Some(other)));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! grouper would add it to the current session: both see a bucket's flows
 //! in the same start-time order, and both test `start_ms <= end + T`
 //! against the same running maximum end. So each gap's run lengths are
-//! its session sizes, with no `Session` values built, no regrouping, and
-//! nothing cached between calls.
+//! its session sizes, tallied into one histogram per gap and read out by
+//! [`Cdf::from_counts`], with no `Session` values built, no regrouping, no
+//! sort, and nothing cached between calls.
 //!
 //! Determinism note: every collection here is a `Vec` or `BTreeMap`
 //! (lint rule `DET003` applies to this module), so iteration order — and
@@ -42,7 +43,7 @@ use ytcdn_tstat::{Dataset, DatasetName, FlowClass};
 
 use crate::dcmap::AnalysisContext;
 use crate::patterns::PatternStats;
-use crate::session::{group_sessions, Sessions};
+use crate::session::{group_sessions, tally, Sessions};
 use crate::stats::Cdf;
 use crate::videos::VideoCounts;
 
@@ -241,6 +242,12 @@ impl DatasetIndex {
         self.server_dc[self.flow_server[i] as usize]
     }
 
+    /// The data-center index of the server at `rank` in the dataset's
+    /// server dictionary, `None` outside the analysis ASes.
+    pub fn dc_of_server(&self, rank: usize) -> Option<usize> {
+        self.server_dc[rank]
+    }
+
     /// Whether flow `i` went to the preferred data center — the columnar
     /// equivalent of [`AnalysisContext::is_preferred`].
     pub fn is_preferred_flow(&self, i: usize) -> Option<bool> {
@@ -332,7 +339,7 @@ impl DatasetIndex {
     /// The flows-per-session CDF at the default gap — one curve of
     /// Figure 6, read off the pre-grouped sessions.
     pub(crate) fn flows_per_session(&self) -> Cdf {
-        Cdf::from_values(self.sessions.iter().map(|s| s.flow_count() as f64))
+        Cdf::from_counts(&self.sessions.size_counts())
     }
 
     /// The flows-per-session CDF at each of `gaps_ms`, in input order —
@@ -344,27 +351,34 @@ impl DatasetIndex {
     pub fn flows_per_session_sweep(&self, dataset: &Dataset, gaps_ms: &[u64]) -> Vec<Cdf> {
         debug_assert_eq!(dataset.len(), self.len(), "not the indexed dataset");
         let c = dataset.columns();
-        // Per gap: the open run's latest end, and every run's size so far
-        // (the open run's is the last).
-        let mut ends = vec![0u64; gaps_ms.len()];
-        let mut sizes: Vec<Vec<f64>> = vec![Vec::new(); gaps_ms.len()];
+        // Per gap: the open run's latest end and size (0 before the first
+        // flow), and the histogram of the closed runs' sizes.
+        let mut open = vec![(0u64, 0usize); gaps_ms.len()];
+        let mut counts: Vec<Vec<u64>> = vec![Vec::new(); gaps_ms.len()];
         let column = self.sessions.flows_in_bucket_order();
         for (&i, &new_bucket) in column.iter().zip(self.sessions.bucket_starts()) {
             let (start, stop) = (c.start_ms[i as usize], c.end_ms[i as usize]);
-            for ((gap, end), runs) in gaps_ms.iter().zip(&mut ends).zip(&mut sizes) {
-                match runs.last_mut() {
-                    Some(count) if !new_bucket && start <= end.saturating_add(*gap) => {
-                        *count += 1.0;
-                        *end = (*end).max(stop);
+            for ((gap, (end, size)), hist) in gaps_ms.iter().zip(&mut open).zip(&mut counts) {
+                if *size > 0 && !new_bucket && start <= end.saturating_add(*gap) {
+                    *size += 1;
+                    *end = (*end).max(stop);
+                } else {
+                    if *size > 0 {
+                        tally(hist, *size);
                     }
-                    _ => {
-                        runs.push(1.0);
-                        *end = stop;
-                    }
+                    (*end, *size) = (stop, 1);
                 }
             }
         }
-        sizes.into_iter().map(Cdf::from_values).collect()
+        open.iter()
+            .zip(&mut counts)
+            .map(|(&(_, size), hist)| {
+                if size > 0 {
+                    tally(hist, size);
+                }
+                Cdf::from_counts(hist)
+            })
+            .collect()
     }
 }
 

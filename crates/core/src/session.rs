@@ -92,6 +92,8 @@ pub struct Sessions {
     bucket_starts: Vec<bool>,
     /// One row per session, in canonical order.
     rows: Vec<Row>,
+    /// Distinct client addresses among the grouped flows.
+    clients: usize,
 }
 
 impl Sessions {
@@ -133,6 +135,29 @@ impl Sessions {
     pub(crate) fn bucket_starts(&self) -> &[bool] {
         &self.bucket_starts
     }
+
+    /// Distinct client addresses in the dataset — Table I's client count,
+    /// [`Dataset::distinct_clients`], counted while grouping.
+    pub fn distinct_clients(&self) -> usize {
+        self.clients
+    }
+
+    /// The flows-per-session histogram: `counts[k]` sessions of `k` flows.
+    pub(crate) fn size_counts(&self) -> Vec<u64> {
+        let mut counts = Vec::new();
+        for row in &self.rows {
+            tally(&mut counts, row.len as usize);
+        }
+        counts
+    }
+}
+
+/// Adds one sample of size `size` to the histogram `counts`.
+pub(crate) fn tally(counts: &mut Vec<u64>, size: usize) {
+    if counts.len() <= size {
+        counts.resize(size + 1, 0);
+    }
+    counts[size] += 1;
 }
 
 /// Groups a dataset's flows into video sessions with gap threshold
@@ -163,9 +188,13 @@ pub fn group_sessions(dataset: &Dataset, gap_ms: u64) -> Sessions {
     let mut bucket_starts: Vec<bool> = Vec::with_capacity(n);
     let mut rows: Vec<Row> = Vec::new();
     let mut bucket = None;
+    // Keys ascend with the client in their top bits, so each client is
+    // one run of keys.
+    let mut clients = 0usize;
     for (pos, &key) in keys.iter().enumerate() {
         let idx = key as u32;
         let new_bucket = bucket != Some(key >> 32);
+        clients += usize::from(bucket.is_none_or(|b| b >> 32 != key >> 64));
         bucket = Some(key >> 32);
         flows.push(idx);
         bucket_starts.push(new_bucket);
@@ -190,6 +219,7 @@ pub fn group_sessions(dataset: &Dataset, gap_ms: u64) -> Sessions {
         flows,
         bucket_starts,
         rows,
+        clients,
     }
 }
 
@@ -374,6 +404,7 @@ mod tests {
     fn empty_dataset_no_sessions() {
         let d = ds(vec![]);
         assert!(group_sessions(&d, 1_000).is_empty());
+        assert_eq!(group_sessions(&d, 1_000).distinct_clients(), 0);
         assert!(flows_per_session(&d, 1_000).is_empty());
     }
 

@@ -67,9 +67,7 @@ impl Cdf {
                 what: format!("p{p} of empty CDF"),
             });
         }
-        let n = self.sorted.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Ok(self.sorted[rank.clamp(1, n) - 1])
+        Ok(self.sorted[nearest_rank(self.sorted.len(), p / 100.0)])
     }
 
     /// The `p`-th percentile (nearest-rank), `p` in `[0, 100]`.
@@ -159,34 +157,21 @@ impl Cdf {
     /// `max_points` points — e.g. n=10, max_points=4 → 6 points — which
     /// violated this method's "at most" contract.)
     pub fn plot_points(&self, max_points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || max_points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        let k = max_points.min(n);
-        (1..=k)
-            .map(|j| {
-                // Highest rank covered by the j-th of k evenly spaced
-                // quantiles; strictly increasing because n >= k.
-                let i = j * n / k - 1;
-                (self.sorted[i], (i + 1) as f64 / n as f64)
-            })
+        plot_ranks(self.sorted.len(), max_points)
+            .map(|(i, y)| (self.sorted[i], y))
             .collect()
     }
 
-    /// The CDF of both sample sets together, when no sample of `self` lies
-    /// above any sample of `upper` (the two sides of a threshold): one
-    /// concatenation, no re-sort.
-    pub(crate) fn chain(mut self, upper: &Cdf) -> Cdf {
-        debug_assert!(
-            self.sorted
-                .last()
-                .zip(upper.sorted.first())
-                .is_none_or(|(a, b)| a <= b),
-            "chained CDFs overlap"
-        );
-        self.sorted.extend_from_slice(&upper.sorted);
-        self
+    /// The CDF of small non-negative integer samples given as a histogram:
+    /// `counts[v]` samples of value `v`. Equal to [`Cdf::from_values`] over
+    /// the expanded samples, with no sort.
+    pub fn from_counts(counts: &[u64]) -> Self {
+        let n = counts.iter().sum::<u64>() as usize;
+        let mut sorted = Vec::with_capacity(n);
+        for (v, &count) in counts.iter().enumerate() {
+            sorted.extend(std::iter::repeat_n(v as f64, count as usize));
+        }
+        Self { sorted }
     }
 
     /// The underlying sorted samples.
@@ -214,6 +199,109 @@ impl Cdf {
         }
         max_gap
     }
+}
+
+/// The 0-based index of the nearest-rank `q`-quantile (`q` in `[0, 1]`) of
+/// `n >= 1` ascending samples: rank `⌈q·n⌉`, clamped to `1..=n`. The one
+/// rank rule of every percentile in the analyses.
+pub(crate) fn nearest_rank(n: usize, q: f64) -> usize {
+    debug_assert!(n > 0, "nearest rank of no samples");
+    ((q * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
+/// The sorted-order ranks [`Cdf::plot_points`] reads from `n` samples,
+/// each with its cumulative fraction: the highest rank covered by the
+/// `j`-th of `k = min(n, max_points)` evenly spaced quantiles, for
+/// `j = 1..=k`. Strictly increasing, because `n >= k`.
+pub(crate) fn plot_ranks(n: usize, max_points: usize) -> impl Iterator<Item = (usize, f64)> {
+    let k = max_points.min(n);
+    (1..=k).map(move |j| {
+        let i = j * n / k - 1;
+        (i, (i + 1) as f64 / n as f64)
+    })
+}
+
+/// The values at the sorted-order positions `ranks` (ascending, each below
+/// `values.len()`) of `values`: what indexing a sorted copy would read,
+/// without sorting it. One pass counts the values per [`rank_bucket`], a
+/// prefix sum locates each rank's bucket, and a second pass gathers only
+/// the values of those buckets to sort. A bucket below 2^13 holds one
+/// value, so its ranks are read off the key.
+pub(crate) fn values_at_ranks(values: &[u64], ranks: &[usize]) -> Vec<u64> {
+    debug_assert!(ranks.is_sorted() && ranks.last().is_none_or(|&r| r < values.len()));
+    const EXACT: usize = 1 << 13;
+    let Some(&max) = values.iter().max() else {
+        return Vec::new();
+    };
+    // `start[k]`: how many values lie in the buckets below `k`.
+    let mut start = vec![0usize; rank_bucket(max) + 2];
+    for &v in values {
+        start[rank_bucket(v) + 1] += 1;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let buckets: Vec<usize> = ranks
+        .iter()
+        .map(|&r| start.partition_point(|&s| s <= r) - 1)
+        .collect();
+    let mut wanted = vec![false; start.len()];
+    for &k in buckets.iter().filter(|&&k| k >= EXACT) {
+        wanted[k] = true;
+    }
+    let mut gathered: Vec<u64> = values
+        .iter()
+        .copied()
+        .filter(|&v| wanted[rank_bucket(v)])
+        .collect();
+    gathered.sort_unstable();
+    // The wanted buckets sit in `gathered` one after another, in order.
+    let mut base = 0;
+    let mut prev: Option<usize> = None;
+    ranks
+        .iter()
+        .zip(&buckets)
+        .map(|(&r, &k)| {
+            if k < EXACT {
+                return k as u64;
+            }
+            if let Some(p) = prev.filter(|&p| p != k) {
+                base += start[p + 1] - start[p];
+            }
+            prev = Some(k);
+            gathered[base + (r - start[k])]
+        })
+        .collect()
+}
+
+/// A bucket key of a `u64` that never decreases as the value grows: the
+/// value itself below 2^13; above, its octave and the 12 bits below its
+/// leading one, so a bucket spans at most 1/4096 of its values. The key
+/// stays under 2^18. Branch-free: `e` is the octave, at least 12.
+fn rank_bucket(v: u64) -> usize {
+    let e = 63 - (v | 1 << 12).leading_zeros() as usize;
+    4096 * (e - 12) + (v >> (e - 12)) as usize
+}
+
+/// The nearest-rank values at the ascending quantiles `qs` of `values`, in
+/// any order, found by selection instead of a sort; all 0.0 when `values`
+/// is empty. Each selection runs on the prefix the previous (higher) one
+/// left below it. Reorders `values`.
+pub(crate) fn select_quantiles<const N: usize>(values: &mut [f64], qs: [f64; N]) -> [f64; N] {
+    debug_assert!(qs.is_sorted(), "quantiles not ascending");
+    let mut out = [0.0; N];
+    let n = values.len();
+    if n == 0 {
+        return out;
+    }
+    let mut end = n;
+    for (slot, &q) in out.iter_mut().zip(&qs).rev() {
+        let k = nearest_rank(n, q);
+        let (_, &mut v, _) = values[..end].select_nth_unstable_by(k, f64::total_cmp);
+        *slot = v;
+        end = k + 1;
+    }
+    out
 }
 
 impl FromIterator<f64> for Cdf {
@@ -383,6 +471,99 @@ mod tests {
         let mut cdf = Cdf::from_values([5.0, 1.0]);
         cdf.extend([3.0, 0.5]);
         assert_eq!(cdf.samples(), &[0.5, 1.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn from_counts_matches_from_values_of_the_expanded_samples() {
+        let cases: [&[u64]; 6] = [
+            &[],
+            &[0, 0],
+            &[3],
+            &[0, 5, 2, 0, 1],
+            &[1, 0, 0, 0, 0, 7],
+            &[2; 40],
+        ];
+        for counts in cases {
+            let expanded = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(v, &c)| std::iter::repeat_n(v as f64, c as usize));
+            assert_eq!(
+                Cdf::from_counts(counts),
+                Cdf::from_values(expanded),
+                "{counts:?}"
+            );
+        }
+        assert!(Cdf::from_counts(&[]).is_empty());
+        assert!(Cdf::from_counts(&[0, 0, 0]).is_empty());
+    }
+
+    #[test]
+    fn values_at_ranks_match_a_sorted_copy() {
+        let mut x = 0x2545_f491_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut inputs: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![u64::MAX, 0, u64::MAX, 1 << 13, (1 << 13) - 1, 4096, 4095],
+            vec![7; 50],
+        ];
+        // Wide, heavy-tailed and tied values, as flow sizes are.
+        for len in [1usize, 10, 999, 5000] {
+            inputs.push((0..len).map(|_| next() >> (next() % 64)).collect());
+            inputs.push((0..len).map(|_| 8_000 + next() % 400).collect());
+        }
+        for values in inputs {
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let n = values.len();
+            let all: Vec<usize> = (0..n).collect();
+            assert_eq!(values_at_ranks(&values, &all), sorted, "every rank of {n}");
+            let some: Vec<usize> = plot_ranks(n, 7).map(|(i, _)| i).collect();
+            let want: Vec<u64> = some.iter().map(|&i| sorted[i]).collect();
+            assert_eq!(values_at_ranks(&values, &some), want, "plot ranks of {n}");
+        }
+    }
+
+    #[test]
+    fn rank_buckets_never_decrease() {
+        let mut probes: Vec<u64> = (0..20_000).collect();
+        for e in 12..64 {
+            let p = 1u64 << e;
+            probes.extend([p - 2, p - 1, p, p + 1, p + (p >> 12), p | (p - 1)]);
+        }
+        probes.push(u64::MAX);
+        probes.sort_unstable();
+        assert!(probes
+            .windows(2)
+            .all(|w| rank_bucket(w[0]) <= rank_bucket(w[1])));
+        assert!((0..1 << 13).all(|v| rank_bucket(v) == v as usize));
+        assert!(rank_bucket(u64::MAX) < 1 << 18);
+    }
+
+    #[test]
+    fn select_quantiles_matches_the_sorted_ranks() {
+        // Pseudo-random samples with ties, against the ranks of a sort.
+        let mut x = 0x9e37_79b9_u64;
+        for n in [1usize, 2, 3, 7, 10, 99, 100, 101, 1000] {
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    ((x >> 33) % 50) as f64
+                })
+                .collect();
+            let cdf = Cdf::from_values(values.iter().copied());
+            let mut scratch = values.clone();
+            let got = select_quantiles(&mut scratch, [0.0, 0.5, 0.9, 0.99, 1.0]);
+            let want = [0.0, 50.0, 90.0, 99.0, 100.0].map(|p| cdf.percentile(p));
+            assert_eq!(got, want, "n={n}");
+        }
+        assert_eq!(select_quantiles(&mut [], [0.5, 0.9]), [0.0, 0.0]);
     }
 
     #[test]

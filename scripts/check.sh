@@ -72,6 +72,25 @@ cargo run --quiet --release -p ytcdn-cli -- watch \
 cmp "$smoke/watch.txt" "$smoke/watch-from.txt" \
     || { echo "check.sh: watch --from differs from the simulate path" >&2; exit 1; }
 
+# The watch table, byte for byte: the CLI's change-point table of every
+# dataset at scale 0.004, seed 7, and of EU1-ADSL under dc-down@72:Milan,
+# against pinned digests (tests/golden_tables.rs pins the same tables).
+echo "==> watch table digest pins" >&2
+while read -r digest dataset mutation; do
+    cargo run --quiet --release -p ytcdn-cli -- watch --dataset "$dataset" \
+        --scale 0.004 --seed 7 ${mutation:+--mutate "$mutation"} \
+        > "$smoke/watch-pin.txt" 2>/dev/null
+    echo "$digest  $smoke/watch-pin.txt" | sha256sum --quiet -c - \
+        || { echo "check.sh: watch table of $dataset $mutation drifted from its pin" >&2; exit 1; }
+done <<'PINS'
+41c3ad0f08d5af58a78f7577f20e9c61933546de6c2137b6400a8c04df9affaa US-Campus
+7f65d5be525ccef8aca8337533d095627141e2f788e7ae092adf8c083fe0a5a5 EU1-Campus
+e508537bb9dcba64118df0bd6b4911ee6c5632daf37b65ea439eb37a47a6ffb6 EU1-ADSL
+2a32da469d4aefa0903792b3cf0a424557eb6f2565940b4f2f1e6aa11571ef6c EU1-FTTH
+47ad8b1b876e7bf9a66b2596b3f8b9b28b143cd3948de12820b46aee1d88c329 EU2
+6791d9a5e2443631f6f435b7a50beab7dec8959aaa22bb342b5e3b2fbca4e335 EU1-ADSL dc-down@72:Milan
+PINS
+
 # Text trace smoke: the generated text log survives anonymization, and the
 # anonymized trace still characterizes.
 echo "==> text trace smoke (anonymize, characterize)" >&2

@@ -118,12 +118,19 @@ fn assert_sessions_match(sessions: &Sessions, oracle: &[NaiveSession], label: &s
     }
 }
 
-/// Asserts the grouper equals the naive oracle.
+/// Asserts the grouper equals the naive oracle, and counts the dataset's
+/// distinct clients as `Dataset::distinct_clients` does.
 fn assert_grouping_matches_oracle(ds: &Dataset, gap_ms: u64, label: &str) {
+    let sessions = group_sessions(ds, gap_ms);
     assert_sessions_match(
-        &group_sessions(ds, gap_ms),
+        &sessions,
         &naive_group_sessions(ds, gap_ms),
         &format!("{label} gap={gap_ms}"),
+    );
+    assert_eq!(
+        sessions.distinct_clients(),
+        ds.distinct_clients(),
+        "{label} gap={gap_ms}: distinct clients"
     );
 }
 

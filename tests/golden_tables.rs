@@ -36,6 +36,12 @@
 //! report errs while its CSV is written; fig11's report errs with one
 //! reason and its scorecard row skips with another).
 //!
+//! The `watch` change-point table is pinned the same way (`WATCH`): the
+//! SHA-256 of `WatchReport::render_table` for each dataset at scale 0.004,
+//! seed 7, plus EU1-ADSL under `dc-down@72:Milan`, the one trace of these
+//! on which the detector fires. `scripts/check.sh` and CI pin the CLI's
+//! `watch` output of the same six traces.
+//!
 //! ## Update procedure
 //!
 //! If your change *intentionally* alters the simulation, re-baseline:
@@ -44,8 +50,8 @@
 //! cargo test --test golden_tables -- --ignored --nocapture print_golden_values
 //! ```
 //!
-//! then paste the printed `GOLDEN` table, `FIG5_FIG6` and `PRESENTATION`
-//! text over the ones below. State in the PR
+//! then paste the printed `GOLDEN` table, `FIG5_FIG6`, `PRESENTATION` and
+//! `WATCH` text over the ones below. State in the PR
 //! description why the simulation changed; an unexplained golden diff is the
 //! red flag these tests exist to raise.
 
@@ -60,7 +66,7 @@ use ytcdn_core::export::{ascii_chart, write_csv};
 use ytcdn_core::report::markdown_report;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
 use ytcdn_core::sha256::sha256_hex;
-use ytcdn_core::AnalysisContext;
+use ytcdn_core::{AnalysisContext, DatasetIndex, WatchConfig, WatchReport};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
@@ -421,6 +427,59 @@ fn presentation_outputs_match_golden() {
     );
 }
 
+/// SHA-256 of the `watch` table, one `<trace> <digest>` line per trace, at
+/// scale 0.004, seed 7 (see the module docs).
+const WATCH: &str = "\
+US-Campus 442d43cda16c11b0a56834cc8494f6263bc437f6333bb362e808da4b035a6047
+EU1-Campus fdfb807092140a2075151d30583e31c54c1730622361ad00280292403a94dd5f
+EU1-ADSL 1d6594b150546642e364e4127d83045ef04a4b303d6a5f2998da1db3c6a3f315
+EU1-FTTH ec254c774eedf3e0de671ab601669cc56b11d8be0f76eceb5633cda6449b5956
+EU2 f8fac05ce1b6586203aaabff4e65803dcea53fceeae28d2253921f44b155aa26
+EU1-ADSL+dc-down@72:Milan 83d5ad8cd4f2536c52a058b80ae0552203ad8771dd54eeed95c35ff59b1138d5
+";
+
+/// The `WATCH` lines for the current build: the default-config watch
+/// table of every dataset, then of the mutated trace.
+fn watch_digests() -> String {
+    let config = ScenarioConfig::with_scale(0.004, 7);
+    let mut mutated = StandardScenario::build(config);
+    mutated
+        .set_mutations(&["dc-down@72:Milan".parse().expect("a valid spec")])
+        .expect("Milan is a data center");
+    let traces = DatasetName::ALL
+        .iter()
+        .map(|&name| (name.to_string(), StandardScenario::build(config), name))
+        .chain([(
+            "EU1-ADSL+dc-down@72:Milan".to_string(),
+            mutated,
+            DatasetName::Eu1Adsl,
+        )]);
+    let mut out = String::new();
+    for (label, s, name) in traces {
+        let (ds, _) = s.run(name);
+        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let report = WatchReport::build(&ctx, &ds, &index, WatchConfig::default())
+            .expect("every golden trace has flows");
+        let _ = writeln!(
+            out,
+            "{label} {}",
+            sha256_hex(report.render_table().as_bytes())
+        );
+    }
+    out
+}
+
+#[test]
+fn watch_tables_match_golden() {
+    assert_eq!(
+        watch_digests(),
+        WATCH,
+        "watch tables drifted from golden — if intentional, follow the \
+         update procedure in tests/golden_tables.rs"
+    );
+}
+
 /// Regeneration helper — see the update procedure in the module docs.
 #[test]
 #[ignore = "regeneration helper, run with --ignored --nocapture"]
@@ -448,4 +507,5 @@ fn print_golden_values() {
         "const PRESENTATION: &str = \"\\\n{}\";",
         presentation_digests()
     );
+    println!("const WATCH: &str = \"\\\n{}\";", watch_digests());
 }
