@@ -32,7 +32,7 @@ use ytcdn_tstat::{flow_order, Dataset, DatasetColumns, Resolution, VideoId, HOUR
 use crate::catalog::{sample_resolution, VideoCatalog, VideoMeta};
 use crate::dns::{DnsCause, DnsDecision, DnsResolver, LdnsPolicy};
 use crate::mutation::MutationSchedule;
-use crate::placement::ContentStore;
+use crate::placement::{ContentStore, POPULAR_BELOW_RANK};
 use crate::rng::{stream, SimRng};
 use crate::topology::{DataCenterId, ServerPool, Topology};
 use crate::vantage::VantagePoint;
@@ -66,14 +66,15 @@ pub struct SessionOutcome {
     pub replications: u64,
 }
 
+/// Probability that a miss redirect goes through a wrong first guess
+/// (producing a 3-flow chain).
+const GUESS_MISS_PROB: f64 = 0.25;
+
 /// Tunables that are not per-vantage-point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Workload and capacity scale relative to the paper (1.0 = Table I).
     pub scale: f64,
-    /// Probability that a miss redirect goes through a wrong first guess
-    /// (producing a 3-flow chain).
-    pub guess_miss_prob: f64,
     /// Disable pull-through replication (ablation: every access to a cold
     /// video redirects, so repeat accesses never move to the preferred DC).
     pub disable_replication: bool,
@@ -83,7 +84,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             scale: 0.1,
-            guess_miss_prob: 0.25,
             disable_replication: false,
         }
     }
@@ -669,7 +669,7 @@ impl<'w> Engine<'w> {
                 self.pull_through(t, dc0, video);
                 return hops;
             }
-            let guess_missed = rng.gen_bool(self.config.guess_miss_prob);
+            let guess_missed = rng.gen_bool(GUESS_MISS_PROB);
             if guess_missed {
                 let g = self.store.guess_holder(video, dc0);
                 if self.store.has_at(g, video, hour) {
@@ -697,7 +697,7 @@ impl<'w> Engine<'w> {
             return hops;
         }
 
-        let pinned = video.index() >= self.store.config().popular_below_rank;
+        let pinned = video.index() >= POPULAR_BELOW_RANK;
         if pinned && self.arrivals[server0 as usize] > self.server_cap {
             // Hot spot: a single-video cache host is past its hourly budget;
             // shed the request to another data center that has the content.
@@ -740,7 +740,7 @@ impl<'w> Engine<'w> {
     fn server_in(&self, dc: DataCenterId, video: VideoId, rng: &mut SimRng) -> u32 {
         let base = self.server_base[dc.0];
         let dc = self.topo.dc(dc);
-        let index = if video.index() < self.store.config().popular_below_rank {
+        let index = if video.index() < POPULAR_BELOW_RANK {
             dc.random_server_index(rng)
         } else {
             dc.server_index_for_video(video)

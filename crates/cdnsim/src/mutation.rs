@@ -231,16 +231,6 @@ impl MutationSchedule {
             .map(|&(_, dc)| dc)
     }
 
-    /// The surviving warm-tail presence factor at `hour`: the smallest
-    /// factor among evictions already in effect, 1.0 before any.
-    pub fn evict_factor(&self, hour: u64) -> f64 {
-        self.evictions
-            .iter()
-            .filter(|&&(h, _)| hour >= h)
-            .map(|&(_, f)| f)
-            .fold(1.0, f64::min)
-    }
-
     /// The cache-eviction timetable, for seeding a
     /// [`ContentStore`](crate::placement::ContentStore).
     pub fn evictions(&self) -> &[(u64, f64)] {
@@ -278,6 +268,7 @@ impl MutationSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::{ContentStore, PlacementConfig};
 
     fn topo() -> Topology {
         Topology::standard()
@@ -292,6 +283,13 @@ mod tests {
 
     fn parse(s: &str) -> MutationSpec {
         s.parse().unwrap()
+    }
+
+    /// A content store with `schedule`'s evictions installed.
+    fn store(topo: &Topology, schedule: &MutationSchedule) -> ContentStore {
+        let mut store = ContentStore::new(PlacementConfig::default(), topo);
+        store.set_evictions(schedule.evictions().to_vec());
+        store
     }
 
     #[test]
@@ -384,8 +382,9 @@ mod tests {
             schedule.preferred_override(100),
             Some(dc_named(&topo, "Frankfurt"))
         );
-        assert_eq!(schedule.evict_factor(119), 1.0);
-        assert_eq!(schedule.evict_factor(120), 0.5);
+        let store = store(&topo, &schedule);
+        assert_eq!(store.evict_factor(119), 1.0);
+        assert_eq!(store.evict_factor(120), 0.5);
         assert_eq!(schedule.effective_hours(), vec![72, 96, 120]);
     }
 
@@ -448,7 +447,7 @@ mod tests {
         let milan = dc_named(&topo, "Milan");
         let schedule = MutationSchedule::default();
         assert!(schedule.is_empty());
-        assert_eq!(schedule.evict_factor(100), 1.0);
+        assert_eq!(store(&topo, &schedule).evict_factor(100), 1.0);
         assert!(schedule.effective_hours().is_empty());
         let policy = LdnsPolicy {
             preferred: milan,

@@ -20,28 +20,29 @@ use ytcdn_tstat::VideoId;
 
 use crate::topology::{DataCenterId, Topology};
 
+/// Videos with rank below this are replicated at every data center.
+pub(crate) const POPULAR_BELOW_RANK: u64 = 20_000;
+
+/// Videos with rank at or above this are "recent uploads": present only at
+/// their origin until pulled.
+const FRESH_ABOVE_RANK: u64 = 850_000;
+
+/// Seed for the deterministic origin and presence draws.
+const PRESENCE_SEED: u64 = 0xCDC5_11AD;
+
 /// Parameters of the placement model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementConfig {
-    /// Videos with rank below this are replicated at every data center.
-    pub popular_below_rank: u64,
-    /// Videos with rank at or above this are "recent uploads": present only
-    /// at their origin until pulled.
-    pub fresh_above_rank: u64,
-    /// Probability that a warm-tail video (between the two thresholds) is
-    /// already present at a given data center when the trace starts.
+    /// Probability that a warm-tail video (ranked between the popular head
+    /// and the recent uploads) is already present at a given data center
+    /// when the trace starts.
     pub warm_presence_prob: f64,
-    /// Seed for the deterministic presence draws.
-    pub seed: u64,
 }
 
 impl Default for PlacementConfig {
     fn default() -> Self {
         Self {
-            popular_below_rank: 20_000,
-            fresh_above_rank: 850_000,
             warm_presence_prob: 0.97,
-            seed: 0xCDC5_11AD,
         }
     }
 }
@@ -90,11 +91,6 @@ impl ContentStore {
         self.evictions.sort_by_key(|&(hour, _)| hour);
     }
 
-    /// The placement parameters.
-    pub fn config(&self) -> &PlacementConfig {
-        &self.config
-    }
-
     /// Registers a brand-new upload stored only at `origin` (and at data
     /// centers that later pull it). Mirrors the paper's test video upload.
     pub fn upload(&mut self, video: VideoId, origin: DataCenterId) {
@@ -107,7 +103,7 @@ impl ContentStore {
         if let Some(&(_, origin)) = self.uploads.iter().find(|(v, _)| *v == video) {
             return origin;
         }
-        let h = splitmix64(video.index() ^ self.config.seed);
+        let h = splitmix64(video.index() ^ PRESENCE_SEED);
         self.dcs[(h % self.dcs.len() as u64) as usize]
     }
 
@@ -130,24 +126,24 @@ impl ContentStore {
             return dc == origin || self.replicated.contains(&(dc, video));
         }
         let rank = video.index();
-        if rank < self.config.popular_below_rank || self.replicated.contains(&(dc, video)) {
+        if rank < POPULAR_BELOW_RANK || self.replicated.contains(&(dc, video)) {
             return true;
         }
         if self.origin_of(video) == dc {
             return true;
         }
-        if rank >= self.config.fresh_above_rank {
+        if rank >= FRESH_ABOVE_RANK {
             return false;
         }
         // Warm tail: deterministic presence draw per (video, dc).
-        let h = splitmix64(splitmix64(video.index() ^ self.config.seed).wrapping_add(dc.0 as u64));
+        let h = splitmix64(splitmix64(video.index() ^ PRESENCE_SEED).wrapping_add(dc.0 as u64));
         let threshold = self.config.warm_presence_prob * self.evict_factor(hour);
         (h >> 11) as f64 / (1u64 << 53) as f64 <= threshold
     }
 
     /// The surviving warm-tail factor at `hour`: the smallest factor among
     /// evictions already in effect, 1.0 before any.
-    fn evict_factor(&self, hour: u64) -> f64 {
+    pub(crate) fn evict_factor(&self, hour: u64) -> f64 {
         self.evictions
             .iter()
             .filter(|&&(h, _)| hour >= h)
@@ -333,16 +329,16 @@ mod tests {
             return dc == origin;
         }
         let rank = video.index();
-        if rank < s.config.popular_below_rank {
+        if rank < POPULAR_BELOW_RANK {
             return true;
         }
         if s.origin_of(video) == dc {
             return true;
         }
-        if rank >= s.config.fresh_above_rank {
+        if rank >= FRESH_ABOVE_RANK {
             return false;
         }
-        let h = splitmix64(splitmix64(video.index() ^ s.config.seed).wrapping_add(dc.0 as u64));
+        let h = splitmix64(splitmix64(video.index() ^ PRESENCE_SEED).wrapping_add(dc.0 as u64));
         let threshold = s.config.warm_presence_prob * s.evict_factor(hour);
         (h >> 11) as f64 / (1u64 << 53) as f64 <= threshold
     }

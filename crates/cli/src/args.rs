@@ -774,9 +774,20 @@ mod tests {
     #[test]
     fn parse_whatif() {
         assert!(matches!(
-            cmd("whatif --scenario feb2011"),
-            Command::WhatIf { scenario, .. } if scenario == "feb2011"
+            cmd("whatif --scenario any-name"),
+            Command::WhatIf { scenario, .. } if scenario == "any-name"
         ));
+    }
+
+    #[test]
+    fn usage_lists_every_counterfactual() {
+        for c in ytcdn_core::whatif::COUNTERFACTUALS {
+            assert!(
+                USAGE.contains(c.name),
+                "USAGE lacks whatif scenario {}",
+                c.name
+            );
+        }
     }
 
     #[test]
@@ -834,7 +845,7 @@ mod tests {
                 "--jobs",
             ),
             (
-                "whatif --scenario no-votd --from /nonexistent --window 3",
+                "whatif --scenario x --from /nonexistent --window 3",
                 "--from",
             ),
             ("generate --out x --plot", "--plot"),

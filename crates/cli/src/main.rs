@@ -125,7 +125,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             out,
             format,
             mutate,
-        } => match mutated_scenario(scale, seed, &mutate, ctx) {
+        } => match scenario(scale, seed, &mutate, ctx) {
             Ok(s) => generate(
                 s,
                 dataset,
@@ -170,8 +170,8 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             };
             match from {
                 Some(path) => watch_from(&path, dataset, config, ctx),
-                None => match mutated_scenario(scale, seed, &mutate, ctx) {
-                    Ok(s) => watch(s, dataset, config, ctx),
+                None => match scenario(scale, seed, &mutate, ctx) {
+                    Ok(s) => watch(&s, &s.run(dataset).0, config, ctx),
                     Err(code) => code,
                 },
             }
@@ -308,7 +308,10 @@ fn read_ytc(path: &Path, ctx: &Ctx) -> Result<YtcFile, ExitCode> {
 }
 
 fn describe_world(scale: f64, seed: u64, ctx: &Ctx) -> ExitCode {
-    let s = scenario(scale, seed, ctx);
+    let s = match scenario(scale, seed, &[], ctx) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     for name in DatasetName::ALL {
         println!("{}", s.world().describe(name));
     }
@@ -412,24 +415,19 @@ fn characterize_trace(trace: &PathBuf) -> ExitCode {
 }
 
 /// Builds the standard scenario with the invocation's telemetry attached
-/// (build phase profiled, engines instrumented per dataset).
-fn scenario(scale: f64, seed: u64, ctx: &Ctx) -> StandardScenario {
-    StandardScenario::build_instrumented(
-        ScenarioConfig::with_scale(scale, seed),
-        ctx.telemetry.clone(),
-    )
-}
-
-/// Builds the standard scenario and installs every `--mutate` spec as a
-/// compiled schedule. Any malformed spec or unknown city is reported here
-/// and the subcommand exits without running.
-fn mutated_scenario(
+/// (build phase profiled, engines instrumented per dataset) and installs
+/// every `--mutate` spec as a compiled schedule. Any malformed spec or
+/// unknown city is reported here and the subcommand exits without running.
+fn scenario(
     scale: f64,
     seed: u64,
     specs: &[String],
     ctx: &Ctx,
 ) -> Result<StandardScenario, ExitCode> {
-    let mut s = scenario(scale, seed, ctx);
+    let mut s = StandardScenario::build_instrumented(
+        ScenarioConfig::with_scale(scale, seed),
+        ctx.telemetry.clone(),
+    );
     let parsed: Result<Vec<MutationSpec>, String> = specs
         .iter()
         .map(|spec| spec.parse().map_err(|e| format!("{e}")))
@@ -556,13 +554,13 @@ fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx)
         Err(code) => return code,
     };
     let columnar = match file.dataset(dataset) {
-        Ok(c) => c.clone(),
+        Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e} in {}", path.display());
             return ExitCode::FAILURE;
         }
     };
-    let header = file.header.clone();
+    let header = &file.header;
     ctx.progress.note(&format!(
         "loaded {} ({} flows) from {} — scale {}, seed {}, {} mutation(s); skipping simulation",
         dataset,
@@ -572,42 +570,29 @@ fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx)
         header.seed,
         header.mutations.len()
     ));
-    let s = match mutated_scenario(header.scale, header.seed, &header.mutations, ctx) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let _span = ctx.telemetry.span("analysis.watch");
-    let actx = AnalysisContext::from_ground_truth(s.world(), columnar.dataset());
-    let index = DatasetIndex::build(&actx, columnar.dataset(), ctx.telemetry.clone());
-    let report = match WatchReport::build(&actx, columnar.dataset(), &index, config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    report.emit(&ctx.telemetry.with_scope(dataset.as_str()));
-    println!("{}", report.render_table());
-    ExitCode::SUCCESS
+    match scenario(header.scale, header.seed, &header.mutations, ctx) {
+        Ok(s) => watch(&s, columnar.dataset(), config, ctx),
+        Err(code) => code,
+    }
 }
 
-/// `ytcdn watch`: simulate one dataset (optionally with scheduled
-/// mutations), window it, and print the change-point table. Windowed
-/// metrics and detected change points also go to the telemetry stream when
-/// `--telemetry` is given, scoped to the dataset name.
-fn watch(s: StandardScenario, dataset: DatasetName, config: WatchConfig, ctx: &Ctx) -> ExitCode {
-    let (ds, _) = s.run(dataset);
+/// `ytcdn watch`: window one dataset — simulated in `s` (optionally with
+/// scheduled mutations) or loaded off a `.ytc` file — and print the
+/// change-point table. Windowed metrics and detected change points also go
+/// to the telemetry stream when `--telemetry` is given, scoped to the
+/// dataset name.
+fn watch(s: &StandardScenario, ds: &Dataset, config: WatchConfig, ctx: &Ctx) -> ExitCode {
     let _span = ctx.telemetry.span("analysis.watch");
-    let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
-    let index = DatasetIndex::build(&actx, &ds, ctx.telemetry.clone());
-    let report = match WatchReport::build(&actx, &ds, &index, config) {
+    let actx = AnalysisContext::from_ground_truth(s.world(), ds);
+    let index = DatasetIndex::build(&actx, ds, ctx.telemetry.clone());
+    let report = match WatchReport::build(&actx, ds, &index, config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    report.emit(&ctx.telemetry.with_scope(dataset.as_str()));
+    report.emit(&ctx.telemetry.with_scope(ds.name().as_str()));
     println!("{}", report.render_table());
     ExitCode::SUCCESS
 }
@@ -628,7 +613,10 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let s = scenario(scale, seed, cli);
+    let s = match scenario(scale, seed, &[], cli) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     println!("{}", ds.summary());
 
     let _span = cli.telemetry.span("analysis.trace");
@@ -658,7 +646,7 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
         st.two_flow.pp, st.two_flow.pn, st.two_flow.np, st.two_flow.nn
     );
 
-    let perf = perf_report(&ctx, &ds, index.sessions());
+    let perf = perf_report(&ctx, &ds, &index);
     println!(
         "performance: median redirect startup penalty {:.0} ms, median non-preferred RTT penalty {:.1} ms",
         perf.median_redirect_penalty_ms(),
@@ -675,7 +663,10 @@ fn geolocate(
     jobs: usize,
     ctx: &Ctx,
 ) -> ExitCode {
-    let s = scenario(scale, seed, ctx);
+    let s = match scenario(scale, seed, &[], ctx) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     let (ds, _) = s.run(dataset);
     ctx.progress.note(&format!(
         "calibrating CBG on {landmarks} landmarks, geolocating {} servers…",
@@ -722,43 +713,12 @@ fn scaled_landmark_spec(n: usize) -> Vec<(ytcdn_geomodel::Continent, usize)> {
 
 fn what_if(name: &str, scale: f64, seed: u64, ctx: &Ctx) -> ExitCode {
     let _span = ctx.telemetry.span("analysis.whatif");
-    let base = ScenarioConfig::with_scale(scale, seed);
-    let outcomes: Vec<whatif::WhatIfOutcome> = match name {
-        "feb2011" => {
-            let (a, b) = whatif::feb2011_us_campus(base);
-            vec![a, b]
-        }
-        "fixed-peering" => {
-            let (a, b) = whatif::fixed_us_peering(base);
-            vec![a, b]
-        }
-        "no-votd" => {
-            let (a, b) = whatif::without_votd(base, DatasetName::Eu1Adsl);
-            vec![a, b]
-        }
-        "eu2-capacity" => whatif::eu2_capacity_sweep(base, &[0.5, 1.0, 4.0, 10.0]),
-        "popularity" => whatif::popularity_sweep(base, &[0.7, 0.9, 1.2], DatasetName::Eu1Adsl),
-        other => {
-            eprintln!(
-                "unknown scenario {other:?}; known: feb2011, fixed-peering, no-votd, eu2-capacity, popularity"
-            );
-            return ExitCode::FAILURE;
-        }
+    let Some(counterfactual) = whatif::find(name) else {
+        let known: Vec<&str> = whatif::COUNTERFACTUALS.iter().map(|c| c.name).collect();
+        eprintln!("unknown scenario {name:?}; known: {}", known.join(", "));
+        return ExitCode::FAILURE;
     };
-    println!(
-        "{:<16} {:>14} {:>10} {:>12} {:>15} {:>13}",
-        "scenario", "preferred", "dist[km]", "pref bytes", "non-pref flows", "mean RTT[ms]"
-    );
-    for o in outcomes {
-        println!(
-            "{:<16} {:>14} {:>10.0} {:>12.3} {:>15.3} {:>13.1}",
-            o.label,
-            o.preferred_city,
-            o.preferred_distance_km,
-            o.preferred_byte_share,
-            o.nonpreferred_flow_share,
-            o.mean_serving_rtt_ms
-        );
-    }
+    let outcomes = whatif::run(counterfactual, ScenarioConfig::with_scale(scale, seed));
+    print!("{}", whatif::render(&outcomes));
     ExitCode::SUCCESS
 }

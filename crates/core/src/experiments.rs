@@ -1215,7 +1215,7 @@ impl ExperimentSuite {
             "Dataset", "startup penalty [ms]", "RTT penalty [ms]"
         );
         for (ds, ctx) in self.datasets.iter().zip(&self.contexts) {
-            let r = crate::perf::perf_report(ctx, ds, self.dataset_index(ds.name()).sessions());
+            let r = crate::perf::perf_report(ctx, ds, self.dataset_index(ds.name()));
             let _ = writeln!(
                 out,
                 "{:<11} {:>22.0} {:>22.1}",
@@ -1254,11 +1254,11 @@ impl ExperimentSuite {
 
     /// Extension: the February-2011 mapping change (paper Section VI-B).
     fn ext_feb2011(&self) -> Figure {
-        let (before, after) = crate::whatif::feb2011_us_campus(self.config.scenario);
+        let outcomes = crate::whatif::run(&crate::whatif::FEB2011, self.config.scenario);
         let mut out = String::from(
             "Extension — Feb 2011 mapping change (paper: US-Campus moved to a DC with RTT > 100 ms)\n",
         );
-        for o in [before, after] {
+        for o in outcomes {
             let _ = writeln!(
                 out,
                 "{:<10} preferred={:<14} dist={:>5.0} km  mean serving RTT={:>6.1} ms  pref-bytes={:.3}",

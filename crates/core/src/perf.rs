@@ -11,7 +11,7 @@
 use ytcdn_tstat::Dataset;
 
 use crate::dcmap::AnalysisContext;
-use crate::session::Sessions;
+use crate::index::DatasetIndex;
 use crate::stats::Cdf;
 
 /// Performance of one video session.
@@ -30,31 +30,32 @@ pub struct SessionPerf {
     pub redirect_hops: usize,
 }
 
-/// Computes per-session performance; sessions with no video flow or flows
-/// outside the analysis ASes are skipped.
+/// Computes per-session performance over the index's default-gap
+/// sessions, reading each flow's video flag and data center off the index;
+/// sessions with no video flow or flows outside the analysis ASes are
+/// skipped.
 pub fn session_perf(
     ctx: &AnalysisContext,
     dataset: &Dataset,
-    sessions: &Sessions,
+    index: &DatasetIndex,
 ) -> Vec<SessionPerf> {
+    let start_ms = &dataset.columns().start_ms;
+    let sessions = index.sessions();
     let mut out = Vec::with_capacity(sessions.len());
     for s in sessions.iter() {
         // The first video flow is the start of playback.
-        let Some((video_pos, video)) = s
-            .flows_iter(dataset)
-            .enumerate()
-            .find(|(_, f)| ctx.is_video(f))
-        else {
+        let flows = s.flow_indices();
+        let Some(video_pos) = flows.iter().position(|&i| index.is_video_flow(i as usize)) else {
             continue;
         };
-        let Some(dc_idx) = ctx.dc_of(&video) else {
+        let video = flows[video_pos] as usize;
+        let Some(dc_idx) = index.dc_of_flow(video) else {
             continue;
         };
-        let preferred = dc_idx == ctx.preferred().index;
         out.push(SessionPerf {
-            startup_ms: video.start_ms.saturating_sub(s.start_ms),
+            startup_ms: start_ms[video].saturating_sub(s.start_ms),
             serving_rtt_ms: ctx.dcs()[dc_idx].rtt_ms,
-            preferred,
+            preferred: dc_idx == index.preferred_index(),
             redirect_hops: video_pos,
         });
     }
@@ -94,8 +95,8 @@ impl PerfReport {
 }
 
 /// Builds the aggregate report.
-pub fn perf_report(ctx: &AnalysisContext, dataset: &Dataset, sessions: &Sessions) -> PerfReport {
-    let perfs = session_perf(ctx, dataset, sessions);
+pub fn perf_report(ctx: &AnalysisContext, dataset: &Dataset, index: &DatasetIndex) -> PerfReport {
+    let perfs = session_perf(ctx, dataset, index);
     PerfReport {
         direct_startup: Cdf::from_values(
             perfs
@@ -127,16 +128,19 @@ pub fn perf_report(ctx: &AnalysisContext, dataset: &Dataset, sessions: &Sessions
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::group_sessions;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
+    use ytcdn_telemetry::Telemetry;
     use ytcdn_tstat::DatasetName;
+
+    fn report_of(s: &StandardScenario, ds: &Dataset) -> PerfReport {
+        let ctx = AnalysisContext::from_ground_truth(s.world(), ds);
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        perf_report(&ctx, ds, &index)
+    }
 
     fn report(name: DatasetName) -> PerfReport {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 202));
-        let (ds, _) = s.run(name);
-        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let sessions = group_sessions(&ds, 1_000);
-        perf_report(&ctx, &ds, &sessions)
+        report_of(&s, &s.run(name).0)
     }
 
     #[test]
@@ -170,10 +174,7 @@ mod tests {
     #[test]
     fn eu2_nonpreferred_rtt_reflects_external_dc() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 203));
-        let (ds, _) = s.run(DatasetName::Eu2);
-        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let sessions = group_sessions(&ds, 1_000);
-        let r = perf_report(&ctx, &ds, &sessions);
+        let r = report_of(&s, &s.run(DatasetName::Eu2).0);
         // The spill target is a real Google DC ~1000 km away: RTT penalty
         // is tens of ms but far from intercontinental.
         let p = r.median_rtt_penalty_ms();
@@ -185,9 +186,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 204));
-        let (ds, _) = s.run(DatasetName::Eu1Ftth);
-        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let r = perf_report(&ctx, &ds, &Sessions::default());
+        let r = report_of(&s, &Dataset::new(DatasetName::Eu1Ftth));
         assert_eq!(r.median_redirect_penalty_ms(), 0.0);
         assert_eq!(r.median_rtt_penalty_ms(), 0.0);
     }

@@ -3,6 +3,9 @@
 //! the YouTube infrastructure design can impact ISP traffic patterns, as
 //! well as user performance."
 //!
+//! Runs every counterfactual of `ytcdn_core::whatif::COUNTERFACTUALS` and
+//! checks the movement each one expects.
+//!
 //! ```sh
 //! cargo run --release --example what_if
 //! ```
@@ -11,56 +14,22 @@
 #![allow(clippy::print_stdout)]
 
 use ytcdn_cdnsim::ScenarioConfig;
-use ytcdn_core::whatif::{
-    eu2_capacity_sweep, feb2011_us_campus, fixed_us_peering, popularity_sweep, without_votd,
-    WhatIfOutcome,
-};
-use ytcdn_tstat::DatasetName;
-
-fn show(outcomes: &[&WhatIfOutcome]) {
-    println!(
-        "  {:<16} {:>12} {:>10} {:>12} {:>14} {:>12}",
-        "scenario", "preferred", "dist[km]", "pref bytes", "non-pref flows", "mean RTT[ms]"
-    );
-    for o in outcomes {
-        println!(
-            "  {:<16} {:>12} {:>10.0} {:>12.3} {:>14.3} {:>12.1}",
-            o.label,
-            o.preferred_city,
-            o.preferred_distance_km,
-            o.preferred_byte_share,
-            o.nonpreferred_flow_share,
-            o.mean_serving_rtt_ms
-        );
-    }
-    println!();
-}
+use ytcdn_core::whatif::{render, run, COUNTERFACTUALS};
 
 fn main() {
     let base = ScenarioConfig::with_scale(0.02, 77);
-
-    println!("== what if video popularity were more/less concentrated? ==");
-    let pop = popularity_sweep(base, &[0.7, 0.9, 1.2], DatasetName::Eu1Adsl);
-    show(&pop.iter().collect::<Vec<_>>());
-    println!("more concentrated popularity → fewer cold-tail misses → less redirected traffic.\n");
-
-    println!("== what if the US campus fixed its peering with nearby data centers? ==");
-    let (before, after) = fixed_us_peering(base);
-    show(&[&before, &after]);
-    println!("the Figure 8 anomaly (preferred DC 775 km away) collapses.\n");
-
-    println!("== what if the EU2 ISP provisioned its internal data center for the peak? ==");
-    let caps = eu2_capacity_sweep(base, &[0.5, 1.0, 4.0, 10.0]);
-    show(&caps.iter().collect::<Vec<_>>());
-    println!("at ~4-10x capacity the DNS-level spill (Figure 11) disappears.\n");
-
-    println!("== what if YouTube stopped front-page promotions? ==");
-    let (with, without) = without_votd(base, DatasetName::Eu1Adsl);
-    show(&[&with, &without]);
-    println!("hot-spot redirections (Figures 14-16) vanish with the flash crowds.\n");
-
-    println!("== the February 2011 mapping change the paper reports ==");
-    let (sep, feb) = feb2011_us_campus(base);
-    show(&[&sep, &feb]);
-    println!("preference is a Google policy: the mapping moved to a far data center\nwhile closer, lower-RTT ones kept idling.");
+    for counterfactual in COUNTERFACTUALS {
+        println!("== {} ({}) ==", counterfactual.name, counterfactual.dataset);
+        let outcomes = run(counterfactual, base);
+        print!("{}", render(&outcomes));
+        let (metric, direction) = counterfactual.expect;
+        let verdict = if counterfactual.holds(&outcomes) {
+            "holds"
+        } else {
+            "does NOT hold"
+        };
+        println!(
+            "expected {metric:?} to go {direction:?} from the first row to the last: {verdict}\n"
+        );
+    }
 }

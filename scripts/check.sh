@@ -1,8 +1,18 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints, tests, CLI smokes. The workspace
-# has no crates.io dependencies, so everything runs offline.
+# The full gate, run locally and by CI: formatting, lints, tests, CLI
+# smokes. The workspace has no crates.io dependencies, so everything runs
+# offline.
+#
+#   scripts/check.sh [OUT_DIR]
+#
+# OUT_DIR (optional) keeps the lint reports (lint-report.json and
+# lint-report.sarif), the watch smoke's windowed-metrics stream
+# (watch-events.jsonl) and the pinned dataset.ytc; without it they go to a
+# temporary directory removed at exit.
 
 set -euo pipefail
+out_dir="${1:-}"
+[ -z "$out_dir" ] || out_dir="$(mkdir -p "$out_dir" && cd "$out_dir" && pwd)"
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check" >&2
@@ -23,9 +33,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> ytcdn-lint --workspace" >&2
 smoke="$(mktemp -d "${TMPDIR:-/tmp}/ytcdn-smoke.XXXXXX")"
 trap 'rm -rf "$smoke"' EXIT
+out="${out_dir:-$smoke}"
 cargo run --quiet --release --offline -p ytcdn-lint -- --workspace \
-    --baseline devtools/lint/baseline.txt --sarif-out "$smoke/lint-report.sarif"
-grep -q '"version": "2.1.0"' "$smoke/lint-report.sarif" \
+    --baseline devtools/lint/baseline.txt \
+    --out "$out/lint-report.json" --sarif-out "$out/lint-report.sarif"
+grep -q '"version": "2.1.0"' "$out/lint-report.sarif" \
     || { echo "check.sh: lint --sarif-out wrote no SARIF document" >&2; exit 1; }
 
 # --offline: the workspace has no crates.io dependencies; this fails if one
@@ -51,15 +63,15 @@ cmp "$smoke/eu2.log" "$smoke/all/EU2.log" \
 echo "==> watch smoke (mutated trace fires the change detector)" >&2
 cargo run --quiet --release -p ytcdn-cli -- watch \
     --dataset EU1-FTTH --scale 0.01 --seed 5 --mutate dc-down@72:milan \
-    --telemetry "$smoke/watch-events.jsonl" > "$smoke/watch.txt" 2>/dev/null \
+    --telemetry "$out/watch-events.jsonl" > "$smoke/watch.txt" 2>/dev/null \
     || { echo "check.sh: watch exited non-zero" >&2; exit 1; }
 grep -q "CHANGE" "$smoke/watch.txt" \
     || { echo "check.sh: watch found no change point on a mutated trace" >&2; exit 1; }
-grep -q '"event":"window_metrics"' "$smoke/watch-events.jsonl" \
+grep -q '"event":"window_metrics"' "$out/watch-events.jsonl" \
     || { echo "check.sh: no window_metrics event in the JSONL stream" >&2; exit 1; }
-grep -q '"event":"change_point_detected"' "$smoke/watch-events.jsonl" \
+grep -q '"event":"change_point_detected"' "$out/watch-events.jsonl" \
     || { echo "check.sh: no change_point_detected event in the JSONL stream" >&2; exit 1; }
-YTCDN_GOLDEN_JSONL="$smoke/watch-events.jsonl" \
+YTCDN_GOLDEN_JSONL="$out/watch-events.jsonl" \
     cargo test -q --offline -p ytcdn-telemetry --test golden_schema
 # The same mutated trace written as .ytc: `watch --from` (skipping
 # simulation, rebuilding the world from the recorded provenance) must
@@ -89,6 +101,22 @@ e508537bb9dcba64118df0bd6b4911ee6c5632daf37b65ea439eb37a47a6ffb6 EU1-ADSL
 2a32da469d4aefa0903792b3cf0a424557eb6f2565940b4f2f1e6aa11571ef6c EU1-FTTH
 47ad8b1b876e7bf9a66b2596b3f8b9b28b143cd3948de12820b46aee1d88c329 EU2
 6791d9a5e2443631f6f435b7a50beab7dec8959aaa22bb342b5e3b2fbca4e335 EU1-ADSL dc-down@72:Milan
+PINS
+
+# The what-if table, byte for byte: every counterfactual of
+# ytcdn_core::whatif::COUNTERFACTUALS at scale 0.004, seed 7.
+echo "==> whatif table digest pins" >&2
+while read -r digest scenario; do
+    cargo run --quiet --release -p ytcdn-cli -- whatif --scenario "$scenario" \
+        --scale 0.004 --seed 7 > "$smoke/whatif-pin.txt" 2>/dev/null
+    echo "$digest  $smoke/whatif-pin.txt" | sha256sum --quiet -c - \
+        || { echo "check.sh: whatif table of $scenario drifted from its pin" >&2; exit 1; }
+done <<'PINS'
+a597966d8b2e5125486e3ce4b7e2d750772adf846d9438dc50a9a86fab35abb1 feb2011
+2d79fa435674e28ff361e4596047554d1566f08077e27eb510147891a6f0272f fixed-peering
+17a12cadf4440232926a4e4214b64c380db65824db55bbaa064fdfe9dd7bb670 no-votd
+e7a01895dcd59bfc7cae7bce89f5a433b07b8c8834d355021667bf0dfb485e62 eu2-capacity
+2336ce38946ed24a1e6d5afbd2aad017df27b89c61405dded16d8a6b15fa8bd8 popularity
 PINS
 
 # Text trace smoke: the generated text log survives anonymization, and the
@@ -210,9 +238,9 @@ diff -r "$smoke/csv-1" "$smoke/csv-$max" > /dev/null \
 # stderr, never panic.
 echo "==> .ytc columnar smoke (digest, replay, corruption)" >&2
 cargo run --quiet --release -p ytcdn-cli -- generate \
-    --scale 0.004 --seed 7 --out "$smoke/ds.ytc" 2>/dev/null
+    --scale 0.004 --seed 7 --out "$out/dataset.ytc" 2>/dev/null
 YTC_SHA256=1bc6dc28c4f69f9268666e10c7b97983b7c8da660c104b0d7052d9a960d50750
-ytc_sha256="$(sha256sum "$smoke/ds.ytc" | cut -d' ' -f1)"
+ytc_sha256="$(sha256sum "$out/dataset.ytc" | cut -d' ' -f1)"
 echo "    dataset.ytc sha256 $ytc_sha256" >&2
 [ "$ytc_sha256" = "$YTC_SHA256" ] \
     || { echo "check.sh: generate --scale 0.004 --seed 7 wrote a .ytc with sha256 $ytc_sha256, pinned $YTC_SHA256" >&2; exit 1; }
@@ -226,15 +254,15 @@ echo "    mutated.ytc sha256 $ytc_sha256" >&2
     || { echo "check.sh: generate --scale 0.004 --seed 7 ${mutations[*]} wrote a .ytc with sha256 $ytc_sha256, pinned $YTC_MUTATED_SHA256" >&2; exit 1; }
 for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- repro \
-        --from "$smoke/ds.ytc" --jobs "$jobs" > "$smoke/repro-from-$jobs.txt" 2>/dev/null \
+        --from "$out/dataset.ytc" --jobs "$jobs" > "$smoke/repro-from-$jobs.txt" 2>/dev/null \
         || { echo "check.sh: repro --from exited non-zero on a valid file" >&2; exit 1; }
     cmp "$smoke/repro-1.txt" "$smoke/repro-from-$jobs.txt" \
         || { echo "check.sh: repro --from --jobs $jobs output differs from the in-memory run" >&2; exit 1; }
 done
 # Chop the trailing byte: guaranteed damage (the whole-file digest no
 # longer fits), whatever the file's contents.
-bytes="$(stat -c%s "$smoke/ds.ytc" 2>/dev/null || stat -f%z "$smoke/ds.ytc")"
-head -c "$((bytes - 1))" "$smoke/ds.ytc" > "$smoke/corrupt.ytc"
+bytes="$(stat -c%s "$out/dataset.ytc" 2>/dev/null || stat -f%z "$out/dataset.ytc")"
+head -c "$((bytes - 1))" "$out/dataset.ytc" > "$smoke/corrupt.ytc"
 if cargo run --quiet --release -p ytcdn-cli -- repro \
     --from "$smoke/corrupt.ytc" > /dev/null 2> "$smoke/corrupt-err.txt"; then
     echo "check.sh: repro --from accepted a corrupt .ytc" >&2; exit 1
