@@ -20,9 +20,11 @@
 //! end)` row per session in canonical order. Other gap thresholds (the
 //! Figure 5 `T`-sweep) need only session sizes, and
 //! [`DatasetIndex::flows_per_session_sweep`] reads them for every gap off
-//! one walk over that stored column, so the bucket order is sorted once
-//! per dataset, by the grouper. The walk keeps an open `(count, end)` run
-//! per gap. A flow joins the current run at gap `T` exactly when the
+//! one walk over that stored column, so the bucket order is laid out once
+//! per dataset, by the grouper's counting sorts. The walk keeps an open
+//! `(count, end)` run per gap. A flow alone in its bucket is a run of 1 at
+//! every gap, so the walk counts it once for all gaps without loading its
+//! times. A flow joins the current run at gap `T` exactly when the
 //! grouper would add it to the current session: both see a bucket's flows
 //! in the same start-time order, and both test `start_ms <= end + T`
 //! against the same running maximum end. So each gap's run lengths are
@@ -351,31 +353,41 @@ impl DatasetIndex {
     pub fn flows_per_session_sweep(&self, dataset: &Dataset, gaps_ms: &[u64]) -> Vec<Cdf> {
         debug_assert_eq!(dataset.len(), self.len(), "not the indexed dataset");
         let c = dataset.columns();
-        // Per gap: the open run's latest end and size (0 before the first
-        // flow), and the histogram of the closed runs' sizes.
+        // Per gap: the open run's latest end and size, and the histogram of
+        // the closed runs' sizes; flows alone in their bucket are counted
+        // once for all gaps.
         let mut open = vec![(0u64, 0usize); gaps_ms.len()];
         let mut counts: Vec<Vec<u64>> = vec![Vec::new(); gaps_ms.len()];
-        let column = self.sessions.flows_in_bucket_order();
-        for (&i, &new_bucket) in column.iter().zip(self.sessions.bucket_starts()) {
-            let (start, stop) = (c.start_ms[i as usize], c.end_ms[i as usize]);
-            for ((gap, (end, size)), hist) in gaps_ms.iter().zip(&mut open).zip(&mut counts) {
-                if *size > 0 && !new_bucket && start <= end.saturating_add(*gap) {
-                    *size += 1;
-                    *end = (*end).max(stop);
-                } else {
-                    if *size > 0 {
-                        tally(hist, *size);
+        let mut alone = 0u64;
+        for bucket in self.sessions.buckets() {
+            let [first, rest @ ..] = bucket else {
+                continue;
+            };
+            if rest.is_empty() {
+                alone += 1;
+                continue;
+            }
+            open.fill((c.end_ms[*first as usize], 1));
+            for &i in rest {
+                let (start, stop) = (c.start_ms[i as usize], c.end_ms[i as usize]);
+                for ((gap, (end, size)), hist) in gaps_ms.iter().zip(&mut open).zip(&mut counts) {
+                    if start <= end.saturating_add(*gap) {
+                        *size += 1;
+                        *end = (*end).max(stop);
+                    } else {
+                        tally(hist, *size, 1);
+                        (*end, *size) = (stop, 1);
                     }
-                    (*end, *size) = (stop, 1);
                 }
             }
+            for (&(_, size), hist) in open.iter().zip(&mut counts) {
+                tally(hist, size, 1);
+            }
         }
-        open.iter()
-            .zip(&mut counts)
-            .map(|(&(_, size), hist)| {
-                if size > 0 {
-                    tally(hist, size);
-                }
+        counts
+            .iter_mut()
+            .map(|hist| {
+                tally(hist, 1, alone);
                 Cdf::from_counts(hist)
             })
             .collect()

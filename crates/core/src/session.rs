@@ -18,12 +18,18 @@
 //! video) bucket one contiguous, ascending run — and one row per session,
 //! in canonical order, holding its `(offset, len)` into that column plus
 //! its client, video and time bounds. A [`Session`] is a borrowed view of
-//! one row; grouping two million sessions allocates two vectors, not two
-//! million.
+//! one row; two million sessions are a few vectors, not two million.
+//!
+//! [`group_sessions`] sorts nothing by comparison at the flow grain: two
+//! stable counting sorts over dense video and client ranks lay out the
+//! bucket order, one gap scan records each session at its first flow, and
+//! one ascending pass over the flow indices writes the rows, which are
+//! then in canonical order except among rows sharing a `start_ms`.
 
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
-use ytcdn_tstat::{Dataset, FlowRecord, VideoId};
+use ytcdn_tstat::{Dataset, DatasetColumns, FlowRecord, VideoId};
 
 /// A group of related flows: one user's attempt to watch one video.
 ///
@@ -130,14 +136,15 @@ impl Sessions {
         &self.flows
     }
 
-    /// Per position of [`Sessions::flows_in_bucket_order`]: whether a new
-    /// (client, video) bucket starts there.
-    pub(crate) fn bucket_starts(&self) -> &[bool] {
-        &self.bucket_starts
+    /// The (client, video) buckets of [`Sessions::flows_in_bucket_order`],
+    /// in order: each one non-empty, ascending run of flow indices.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        bucket_ranges(&self.bucket_starts).map(|run| &self.flows[run])
     }
 
     /// Distinct client addresses in the dataset — Table I's client count,
-    /// [`Dataset::distinct_clients`], counted while grouping.
+    /// [`Dataset::distinct_clients`]: the number of client ranks the
+    /// grouper's bucket sort assigns.
     pub fn distinct_clients(&self) -> usize {
         self.clients
     }
@@ -146,25 +153,25 @@ impl Sessions {
     pub(crate) fn size_counts(&self) -> Vec<u64> {
         let mut counts = Vec::new();
         for row in &self.rows {
-            tally(&mut counts, row.len as usize);
+            tally(&mut counts, row.len as usize, 1);
         }
         counts
     }
 }
 
-/// Adds one sample of size `size` to the histogram `counts`.
-pub(crate) fn tally(counts: &mut Vec<u64>, size: usize) {
+/// Adds `samples` samples of size `size` to the histogram `counts`.
+pub(crate) fn tally(counts: &mut Vec<u64>, size: usize, samples: u64) {
     if counts.len() <= size {
         counts.resize(size + 1, 0);
     }
-    counts[size] += 1;
+    counts[size] += samples;
 }
 
 /// Groups a dataset's flows into video sessions with gap threshold
-/// `gap_ms` (the paper's `T`, in milliseconds): one sort of the flows into
-/// (client, video) buckets, then one gap scan over them. A flow joins the
-/// open session when it is in the same bucket and starts within `gap_ms`
-/// of the session's latest end.
+/// `gap_ms` (the paper's `T`, in milliseconds). A flow joins the open
+/// session when it is in the same (client, video) bucket and starts within
+/// `gap_ms` of the session's latest end. Three passes (see the module
+/// docs): `bucket_order`, `gap_scan` and `canonical_rows`.
 ///
 /// Returns the sessions in canonical order: sorted by the key `(start_ms,
 /// end_ms, client_ip, video_id)`. The key is unique across sessions (two
@@ -183,38 +190,10 @@ pub fn group_sessions(dataset: &Dataset, gap_ms: u64) -> Sessions {
         "{n} flows overflow the u32 session column"
     );
     let c = dataset.columns();
-    let keys = bucket_keys(dataset);
-    let mut flows: Vec<u32> = Vec::with_capacity(n);
-    let mut bucket_starts: Vec<bool> = Vec::with_capacity(n);
-    let mut rows: Vec<Row> = Vec::new();
-    let mut bucket = None;
-    // Keys ascend with the client in their top bits, so each client is
-    // one run of keys.
-    let mut clients = 0usize;
-    for (pos, &key) in keys.iter().enumerate() {
-        let idx = key as u32;
-        let new_bucket = bucket != Some(key >> 32);
-        clients += usize::from(bucket.is_none_or(|b| b >> 32 != key >> 64));
-        bucket = Some(key >> 32);
-        flows.push(idx);
-        bucket_starts.push(new_bucket);
-        let (start_ms, end_ms) = (c.start_ms[idx as usize], c.end_ms[idx as usize]);
-        match rows.last_mut() {
-            Some(s) if !new_bucket && start_ms <= s.end_ms.saturating_add(gap_ms) => {
-                s.len += 1;
-                s.end_ms = s.end_ms.max(end_ms);
-            }
-            _ => rows.push(Row {
-                start_ms,
-                end_ms,
-                video_id: c.videos[(key >> 32) as u32 as usize],
-                client_ip: Ipv4Addr::from((key >> 64) as u32),
-                offset: pos as u32,
-                len: 1,
-            }),
-        }
-    }
-    let rows = canonical_order(&flows, &rows);
+    let (ranks, clients) = client_ranks(&c.clients);
+    let (flows, bucket_starts) = bucket_order(ranks, clients, &c.video_ranks, c.videos.len());
+    let (head, sessions) = gap_scan(&flows, &bucket_starts, c, gap_ms);
+    let rows = canonical_rows(c, &flows, &head, sessions);
     Sessions {
         flows,
         bucket_starts,
@@ -223,48 +202,199 @@ pub fn group_sessions(dataset: &Dataset, gap_ms: u64) -> Sessions {
     }
 }
 
-/// The rows in canonical `(start_ms, end_ms, client_ip, video_id)` order.
+/// Each flow's rank among the distinct client addresses (ranks ascend with
+/// the address), and the number of distinct addresses.
 ///
-/// Records ascend by start time, so ordering sessions by their first
-/// flow's index orders them by `start_ms`. One `sort_unstable` over
-/// compact `(first flow index, row)` keys — unique, since every flow opens
-/// at most one session — does the bulk of the work; only sessions that
-/// share a `start_ms` are then ordered by the rest of the key.
-fn canonical_order(flows: &[u32], rows: &[Row]) -> Vec<Row> {
-    let mut keys: Vec<u64> = rows
-        .iter()
-        .enumerate()
-        .map(|(k, row)| u64::from(flows[row.offset as usize]) << 32 | k as u64)
-        .collect();
-    keys.sort_unstable();
-    let mut ordered: Vec<Row> = keys.iter().map(|&key| rows[key as u32 as usize]).collect();
-    for tied in ordered.chunk_by_mut(|a, b| a.start_ms == b.start_ms) {
-        tied.sort_unstable_by_key(|r| (r.end_ms, r.client_ip, r.video_id));
+/// While the addresses span at most `max(2^20, 8 × flows)` values (every
+/// simulated vantage point's clients do), they are ranked through a table
+/// over that span, which takes at most 4 MiB or 32 bytes per flow — the
+/// bound the simulator's video dictionary uses. Wider spans are ranked
+/// through a sort of the distinct addresses.
+fn client_ranks(clients: &[u32]) -> (Vec<u32>, usize) {
+    let (Some(&min), Some(&max)) = (clients.iter().min(), clients.iter().max()) else {
+        return (Vec::new(), 0);
+    };
+    let span = u64::from(max - min) + 1;
+    if span > (clients.len() as u64).saturating_mul(8).max(1 << 20) {
+        let mut distinct = clients.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let ranks = clients
+            .iter()
+            .map(|&a| distinct.partition_point(|&d| d < a) as u32)
+            .collect();
+        return (ranks, distinct.len());
     }
-    ordered
+    // Mark the addresses in use, then an exclusive prefix sum turns each
+    // used address's entry into its rank.
+    let mut table = vec![0u32; span as usize];
+    for &a in clients {
+        table[(a - min) as usize] = 1;
+    }
+    let mut distinct = 0u32;
+    for entry in &mut table {
+        let used = *entry;
+        *entry = distinct;
+        distinct += used;
+    }
+    let ranks = clients.iter().map(|&a| table[(a - min) as usize]).collect();
+    (ranks, distinct as usize)
 }
 
-/// Orders the record indices into (client, video) buckets: sorted by the
-/// key `(client, video rank, index)`, so each bucket is one contiguous run
-/// and its indices ascend — which, because records are sorted by start
-/// time, is start-time order. Rank order is video-id order (the dictionary
-/// is sorted). The key is unique per record, so the unstable sort is
-/// deterministic; it is packed into one `u128` (client in bits 64–95,
-/// video rank in 32–63, index in the low 32), so the sort compares single
-/// integers, and a key's bucket is its bits above the index.
-fn bucket_keys(dataset: &Dataset) -> Vec<u128> {
-    let c = dataset.columns();
-    let mut keys: Vec<u128> = c
-        .clients
-        .iter()
-        .zip(&c.video_ranks)
-        .enumerate()
-        .map(|(i, (&client, &video))| {
-            u128::from(client) << 64 | u128::from(video) << 32 | i as u128
-        })
+/// For each of `buckets` keys, where its run starts in a stable counting
+/// sort of `keys`: the exclusive prefix sum of the key counts.
+fn run_starts(keys: &[u32], buckets: usize) -> Vec<u32> {
+    let mut at = vec![0u32; buckets];
+    for &k in keys {
+        at[k as usize] += 1;
+    }
+    let mut sum = 0u32;
+    for slot in &mut at {
+        let count = *slot;
+        *slot = sum;
+        sum += count;
+    }
+    at
+}
+
+/// Orders the flow indices into (client, video) buckets, and marks where
+/// each bucket starts: the flows sorted by `(client, video rank, index)`,
+/// so each bucket is one contiguous run whose indices ascend — which,
+/// because flows are sorted by start time, is start-time order. Rank order
+/// is address order for clients and id order for videos (the dictionary is
+/// sorted).
+///
+/// Two stable counting sorts, least significant key first: the indices by
+/// video rank, then that order by client rank. Each entry of the first
+/// order carries its flow's client rank beside the index, so the second
+/// pass reads no column; it walks the first order video by video, and a
+/// bucket starts wherever a client's run moves on to a new video.
+fn bucket_order(
+    client_ranks: Vec<u32>,
+    clients: usize,
+    video_ranks: &[u32],
+    videos: usize,
+) -> (Vec<u32>, Vec<bool>) {
+    let n = video_ranks.len();
+    let mut video_at = run_starts(video_ranks, videos);
+    let mut by_video = vec![0u64; n];
+    for (i, (&video, &client)) in video_ranks.iter().zip(&client_ranks).enumerate() {
+        let at = &mut video_at[video as usize];
+        by_video[*at as usize] = u64::from(client) << 32 | i as u64;
+        *at += 1;
+    }
+    // Per client: the next position of its run, and the video it last
+    // placed there (none yet: no video rank reaches `u32::MAX`).
+    let mut client_at: Vec<(u32, u32)> = run_starts(&client_ranks, clients)
+        .into_iter()
+        .map(|at| (at, u32::MAX))
         .collect();
-    keys.sort_unstable();
-    keys
+    drop(client_ranks);
+    let mut flows = vec![0u32; n];
+    let mut bucket_starts = vec![false; n];
+    // After the scatter, `video_at[v]` is where video `v`'s run ends.
+    let mut from = 0;
+    for (video, &end) in (0u32..).zip(&video_at) {
+        for &entry in &by_video[from..end as usize] {
+            let (at, last) = &mut client_at[(entry >> 32) as usize];
+            flows[*at as usize] = entry as u32;
+            bucket_starts[*at as usize] = *last != video;
+            *at += 1;
+            *last = video;
+        }
+        from = end as usize;
+    }
+    (flows, bucket_starts)
+}
+
+/// The position ranges of the buckets, in order, given where each starts.
+fn bucket_ranges(starts: &[bool]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        let rest = starts.get(from + 1..)?;
+        let len = rest.iter().position(|&s| s).unwrap_or(rest.len()) + 1;
+        from += len;
+        Some(from - len..from)
+    })
+}
+
+/// Cuts each bucket into sessions, and records each session at its first
+/// flow: per flow index, `len << 32 | offset` of the session the flow
+/// opens (its run of the bucket-order column), or 0 for a flow that joins
+/// one. Also returns the number of sessions.
+///
+/// A flow alone in its bucket is a one-flow session at every gap, so its
+/// times are not loaded; only buckets of two or more flows read the time
+/// columns.
+fn gap_scan(
+    flows: &[u32],
+    bucket_starts: &[bool],
+    c: &DatasetColumns,
+    gap_ms: u64,
+) -> (Vec<u64>, usize) {
+    let mut head = vec![0u64; flows.len()];
+    let mut sessions = 0;
+    let mut record = |first: u32, offset: usize, len: usize| {
+        head[first as usize] = (len as u64) << 32 | offset as u64;
+        sessions += 1;
+    };
+    for bucket in bucket_ranges(bucket_starts) {
+        let run = &flows[bucket.clone()];
+        if let [only] = run {
+            record(*only, bucket.start, 1);
+            continue;
+        }
+        let mut open = bucket.start;
+        let mut end = c.end_ms[run[0] as usize];
+        for (pos, &i) in bucket.clone().zip(run).skip(1) {
+            let (start_ms, end_ms) = (c.start_ms[i as usize], c.end_ms[i as usize]);
+            if start_ms <= end.saturating_add(gap_ms) {
+                end = end.max(end_ms);
+            } else {
+                record(flows[open], open, pos - open);
+                (open, end) = (pos, end_ms);
+            }
+        }
+        record(flows[open], open, bucket.end - open);
+    }
+    (head, sessions)
+}
+
+/// The rows in canonical `(start_ms, end_ms, client_ip, video_id)` order.
+///
+/// Flows ascend by start time and every session is recorded at its first
+/// flow, so one ascending pass over the flow indices writes the rows in
+/// `start_ms` order; only rows that share a `start_ms` are then ordered by
+/// the rest of the key. A session's end is its latest member's: for a
+/// one-flow session, the flow's own.
+fn canonical_rows(c: &DatasetColumns, flows: &[u32], head: &[u64], sessions: usize) -> Vec<Row> {
+    let mut rows = Vec::with_capacity(sessions);
+    for (i, &h) in head.iter().enumerate() {
+        if h == 0 {
+            continue;
+        }
+        let (offset, len) = (h as u32, (h >> 32) as u32);
+        let end_ms = match len {
+            1 => c.end_ms[i],
+            _ => flows[offset as usize..][..len as usize]
+                .iter()
+                .map(|&j| c.end_ms[j as usize])
+                .max()
+                .unwrap_or_default(),
+        };
+        rows.push(Row {
+            start_ms: c.start_ms[i],
+            end_ms,
+            video_id: c.videos[c.video_ranks[i] as usize],
+            client_ip: Ipv4Addr::from(c.clients[i]),
+            offset,
+            len,
+        });
+    }
+    for tied in rows.chunk_by_mut(|a, b| a.start_ms == b.start_ms) {
+        tied.sort_unstable_by_key(|r| (r.end_ms, r.client_ip, r.video_id));
+    }
+    rows
 }
 
 /// The distribution of flows-per-session for a dataset at one gap threshold

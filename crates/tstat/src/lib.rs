@@ -44,6 +44,12 @@ pub use textlog::{read_textlog, write_textlog};
 /// Milliseconds in one hour.
 pub const HOUR_MS: u64 = 3_600_000;
 
+/// The longest time axis a text trace may span, in hours: 2^20, about
+/// 120 years. An analysis index keeps one entry per hour from hour 0 to the
+/// last flow's start, so a later start is rejected when the trace is
+/// parsed instead of sizing that table.
+pub const MAX_TRACE_HOURS: u64 = 1 << 20;
+
 /// Milliseconds in one day.
 pub const DAY_MS: u64 = 24 * HOUR_MS;
 

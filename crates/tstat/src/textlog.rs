@@ -19,6 +19,7 @@ use std::io::{BufRead, Write};
 
 use crate::dataset::{Dataset, DatasetName};
 use crate::flow::{FlowRecord, Resolution, VideoId};
+use crate::{HOUR_MS, MAX_TRACE_HOURS};
 
 /// The header line written before the columns.
 pub const HEADER: &str = "#client_ip server_ip t_start_ms t_end_ms bytes video_id resolution";
@@ -108,6 +109,9 @@ fn parse_record(lineno: usize, line: &str) -> Result<FlowRecord, TextLogError> {
     if end_ms < start_ms {
         return Err(TextLogError::bad(lineno, "time ordering", line));
     }
+    if start_ms / HOUR_MS >= MAX_TRACE_HOURS {
+        return Err(TextLogError::StartOutOfRange { lineno, start_ms });
+    }
     Ok(FlowRecord {
         client_ip,
         server_ip,
@@ -144,6 +148,14 @@ pub enum TextLogError {
         /// The offending line (truncated).
         line: String,
     },
+    /// A flow starts past the longest time axis a trace may span
+    /// ([`MAX_TRACE_HOURS`]).
+    StartOutOfRange {
+        /// Zero-based line number.
+        lineno: usize,
+        /// The flow's start, ms.
+        start_ms: u64,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -170,6 +182,12 @@ impl fmt::Display for TextLogError {
             TextLogError::BadColumn { lineno, what, line } => {
                 write!(f, "line {}: bad {what} in {line:?}", lineno + 1)
             }
+            TextLogError::StartOutOfRange { lineno, start_ms } => write!(
+                f,
+                "line {}: t_start_ms {start_ms} is past hour {MAX_TRACE_HOURS}, the \
+                 longest time axis a trace may span",
+                lineno + 1
+            ),
             TextLogError::Io(e) => write!(f, "text log I/O error: {e}"),
         }
     }
@@ -267,6 +285,30 @@ mod tests {
         ] {
             assert!(read_textlog(bad.as_bytes()).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn start_past_the_time_axis_is_a_typed_error() {
+        let last_ms = MAX_TRACE_HOURS * HOUR_MS - 1;
+        let line = |start: u64| {
+            format!("#dataset EU2\n1.2.3.4 5.6.7.8 {start} {start} 1 AAAAAAAAAAA 240p\n")
+        };
+        assert_eq!(read_textlog(line(last_ms).as_bytes()).unwrap().len(), 1);
+        for start in [last_ms + 1, 18_446_744_073_709_000_000, u64::MAX] {
+            match read_textlog(line(start).as_bytes()).unwrap_err() {
+                TextLogError::StartOutOfRange { lineno, start_ms } => {
+                    assert_eq!((lineno, start_ms), (1, start));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let msg = read_textlog(line(u64::MAX).as_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            msg.contains("line 2") && msg.contains("t_start_ms"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -269,6 +269,20 @@ if cargo run --quiet --release -p ytcdn-cli -- repro \
 fi
 grep -qi "checksum\|truncated\|corrupt" "$smoke/corrupt-err.txt" \
     || { echo "check.sh: corrupt .ytc rejection gave no reason on stderr" >&2; exit 1; }
+# A text log whose one flow starts far in the future must be rejected with
+# exit 1 and a reason, not abort on sizing a per-hour table.
+echo "==> analyze --trace far-future rejection" >&2
+{ head -n 2 "$smoke/analyze.log"
+  echo "10.0.0.1 74.125.0.1 18446744073709000000 18446744073709000100 1000 AAAAAAAAAAA 360p"
+} > "$smoke/far-future.log"
+status=0
+cargo run --quiet --release -p ytcdn-cli -- analyze \
+    --trace "$smoke/far-future.log" --scale 0.004 --seed 7 \
+    > /dev/null 2> "$smoke/far-future-err.txt" || status=$?
+[ "$status" -eq 1 ] \
+    || { echo "check.sh: analyze --trace on a far-future log exited $status, want 1" >&2; exit 1; }
+grep -q "t_start_ms" "$smoke/far-future-err.txt" \
+    || { echo "check.sh: far-future log rejection gave no reason on stderr" >&2; exit 1; }
 
 # Degenerate-input smoke: an empty capture must not panic anywhere in the
 # analysis layer — the scorecard renders its unanswerable claims as

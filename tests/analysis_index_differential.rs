@@ -234,6 +234,116 @@ fn grouping_matches_oracle_on_packed_key_edge_cases() {
     }
 }
 
+/// A few clients over an address span of `span`, their buckets
+/// interleaved in time. For a dataset this small the grouper ranks clients
+/// through a dense table while the span is at most 2^20 addresses, and
+/// through a sort of the distinct addresses beyond that.
+fn client_span_dataset(span: u32) -> Dataset {
+    let base = u32::from(Ipv4Addr::new(10, 0, 0, 0));
+    let clients = [base + span - 1, base, base + span / 2, base + 1];
+    let records = (0..48u64)
+        .map(|k| {
+            let start = k * 400;
+            let client = Ipv4Addr::from(clients[(k % 4) as usize]).octets();
+            flow(client, k % 3, start, start + 300 + (k % 5) * 500)
+        })
+        .collect();
+    Dataset::from_records(DatasetName::UsCampus, records)
+}
+
+/// Every flow in one (client, video) bucket, so only the gap cuts
+/// sessions: steps of 0 to 60 s between starts, durations of 0 to 30 s,
+/// and flows contained in earlier ones.
+fn one_bucket() -> Dataset {
+    let mut start = 0;
+    let records = (0..80usize)
+        .map(|k| {
+            start += [0, 1, 499, 500, 501, 1_000, 1_001, 4_000, 60_000][k % 9];
+            let end = start + [0, 100, 2_000, 30_000][k % 4];
+            flow([192, 168, 1, 1], 42, start, end)
+        })
+        .collect();
+    Dataset::from_records(DatasetName::UsCampus, records)
+}
+
+/// Sessions of different buckets that share a `start_ms`. Canonical order
+/// breaks such a tie by end, then client, then video. The flows' own order
+/// breaks it by the first flow's end and then input order, so the two
+/// differ here: equal starts and ends listed in descending client and
+/// video order, and a session whose first flow ends first but whose later
+/// flow ends last.
+fn start_ties() -> Dataset {
+    let mut records = Vec::new();
+    for (client, video) in [
+        ([10, 0, 0, 9], 5),
+        ([10, 0, 0, 9], 1),
+        ([10, 0, 0, 2], 7),
+        ([10, 0, 0, 1], 7),
+    ] {
+        records.push(flow(client, video, 1_000, 2_000));
+    }
+    records.push(flow([10, 0, 0, 5], 3, 1_000, 1_100));
+    records.push(flow([10, 0, 0, 5], 3, 1_500, 9_000));
+    records.push(flow([10, 0, 0, 6], 3, 1_000, 1_200));
+    records.push(flow([10, 0, 0, 4], 3, 1_000, 1_200));
+    for k in 0..20u8 {
+        let end = 50_000 + u64::from(k % 3) * 10;
+        records.push(flow([10, 0, 1, 20 - k], u64::from(k % 4), 50_000, end));
+    }
+    Dataset::from_records(DatasetName::UsCampus, records)
+}
+
+#[test]
+fn grouping_matches_oracle_on_both_client_rank_paths() {
+    // 2^20 addresses is the widest span the dense table takes at this
+    // size; one more takes the sort, as the edge cases' full span does.
+    for span in [2, 1 << 20, (1 << 20) + 1] {
+        let ds = client_span_dataset(span);
+        for gap_ms in SWEEP_GAPS_MS {
+            assert_grouping_matches_oracle(&ds, gap_ms, &format!("client span {span}"));
+        }
+    }
+    // Every simulated vantage point's clients take the table.
+    let s = scenario(0.004, 2);
+    for name in DatasetName::ALL {
+        let (ds, _) = s.run(name);
+        for gap_ms in SWEEP_GAPS_MS {
+            assert_grouping_matches_oracle(&ds, gap_ms, &format!("{name}"));
+        }
+    }
+}
+
+#[test]
+fn grouping_matches_oracle_on_one_bucket_and_start_ties() {
+    for (label, ds) in [("one bucket", one_bucket()), ("start ties", start_ties())] {
+        for gap_ms in SWEEP_GAPS_MS {
+            assert_grouping_matches_oracle(&ds, gap_ms, label);
+        }
+    }
+    let sessions = group_sessions(&one_bucket(), 0);
+    let mut flows: Vec<u32> = sessions
+        .iter()
+        .flat_map(|s| s.flow_indices().to_vec())
+        .collect();
+    flows.sort_unstable();
+    assert!(flows.iter().copied().eq(0..80), "every flow in one session");
+    assert!(
+        sessions.len() > 1 && sessions.len() < 80,
+        "the gap cuts the bucket"
+    );
+    // The tie rule decides the order of the sessions starting at 1 s.
+    let tied: Vec<(u64, Ipv4Addr, u64)> = group_sessions(&start_ties(), DEFAULT_GAP_MS)
+        .iter()
+        .filter(|s| s.start_ms == 1_000)
+        .map(|s| (s.end_ms, s.client_ip, s.video_id.index()))
+        .collect();
+    let mut sorted = tied.clone();
+    sorted.sort_unstable();
+    assert_eq!(tied, sorted);
+    assert_eq!(tied.len(), 7);
+    assert_eq!(tied[6], (9_000, Ipv4Addr::new(10, 0, 0, 5), 3));
+}
+
 #[test]
 fn sweep_matches_direct_flows_per_session() {
     for (scale, seed) in CASES {
@@ -253,6 +363,9 @@ fn sweep_matches_direct_flows_per_session() {
         ("empty", Dataset::new(DatasetName::UsCampus)),
         ("single flow", single),
         ("edge cases", packed_key_edge_cases()),
+        ("one bucket", one_bucket()),
+        ("start ties", start_ties()),
+        ("client span 2^20 + 1", client_span_dataset((1 << 20) + 1)),
     ] {
         let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         assert_sweep_matches_direct(&index, &ds, label);

@@ -28,6 +28,13 @@
 //! from any RNG), and any change to how sessions are grouped or swept over
 //! `T` shows up byte for byte.
 //!
+//! The session grouping itself is pinned by digest (`SESSIONS`): per
+//! dataset at the golden scale and seed, the SHA-256 of every canonical
+//! session row at the index's gap `T = 1 s` (start, end, client, video and
+//! its flow indices), of the bucket-order flow column, and of the distinct
+//! client count. The reports above read sessions only through counts; this
+//! pin sees a reordered row, a reordered bucket or a moved flow.
+//!
 //! The presentation layer is pinned by digest (`PRESENTATION`): the SHA-256
 //! of every experiment report, the rendered scorecard, the markdown report,
 //! every figure's CSV and every `--plot` chart, at scale 0.004, seed 7, on
@@ -50,8 +57,8 @@
 //! cargo test --test golden_tables -- --ignored --nocapture print_golden_values
 //! ```
 //!
-//! then paste the printed `GOLDEN` table, `FIG5_FIG6`, `PRESENTATION` and
-//! `WATCH` text over the ones below. State in the PR
+//! then paste the printed `GOLDEN` table, `FIG5_FIG6`, `SESSIONS`,
+//! `PRESENTATION` and `WATCH` text over the ones below. State in the PR
 //! description why the simulation changed; an unexplained golden diff is the
 //! red flag these tests exist to raise.
 
@@ -63,10 +70,11 @@ use ytcdn_core::experiments::{
     ExperimentSuite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
 use ytcdn_core::export::{ascii_chart, write_csv};
+use ytcdn_core::index::DEFAULT_GAP_MS;
 use ytcdn_core::report::markdown_report;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
-use ytcdn_core::sha256::sha256_hex;
-use ytcdn_core::{AnalysisContext, DatasetIndex, WatchConfig, WatchReport};
+use ytcdn_core::sha256::{sha256_hex, to_hex, Sha256};
+use ytcdn_core::{group_sessions, AnalysisContext, DatasetIndex, WatchConfig, WatchReport};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
@@ -230,6 +238,63 @@ fn fig5_fig6_reports_match_golden() {
              intentional, follow the update procedure in tests/golden_tables.rs"
         );
     }
+}
+
+/// Per dataset at the golden scale and seed: `<dataset> <sessions>
+/// <distinct clients> <digest>` of its sessions at `T = 1 s` (see the
+/// module docs).
+const SESSIONS: &str = "\
+US-Campus 7018 5117 7f1b11df476845aaa916bdccc31fd5fb53fae967883fde8117ba4d485ecf0c1b
+EU1-Campus 1085 592 da6bc46ebc3888191387bc4c8ae976292ee4e4b4fb6a88ea7ecf8cc06d751565
+EU1-ADSL 7017 4000 79031088c6e8328e4ce924e1ea696a90b5ff3b48620d4be5009d746af6e4a8de
+EU1-FTTH 744 462 a899ae54e9d131451fbf933457abaad670bdacaeab99d98c0d0d2465888c52c7
+EU2 4073 2623 1aa0453767680a2c1eb30f81c562784d71f824cf269938c8ab4fc798ecef6982
+";
+
+/// The `SESSIONS` lines for the current build. The digest covers each
+/// canonical row as `start end client video len flows...`, then the
+/// bucket-order column, then the distinct client count, every integer
+/// little-endian.
+fn session_digests() -> String {
+    let s = StandardScenario::build(ScenarioConfig::with_scale(SCALE, SEED));
+    let mut out = String::new();
+    for name in DatasetName::ALL {
+        let (ds, _) = s.run(name);
+        let sessions = group_sessions(&ds, DEFAULT_GAP_MS);
+        let mut h = Sha256::new();
+        for session in sessions.iter() {
+            h.update(&session.start_ms.to_le_bytes());
+            h.update(&session.end_ms.to_le_bytes());
+            h.update(&session.client_ip.octets());
+            h.update(&session.video_id.index().to_le_bytes());
+            h.update(&(session.flow_count() as u32).to_le_bytes());
+            for &i in session.flow_indices() {
+                h.update(&i.to_le_bytes());
+            }
+        }
+        for &i in sessions.flows_in_bucket_order() {
+            h.update(&i.to_le_bytes());
+        }
+        h.update(&(sessions.distinct_clients() as u64).to_le_bytes());
+        let _ = writeln!(
+            out,
+            "{name} {} {} {}",
+            sessions.len(),
+            sessions.distinct_clients(),
+            to_hex(&h.finalize())
+        );
+    }
+    out
+}
+
+#[test]
+fn session_grouping_matches_golden() {
+    assert_eq!(
+        session_digests(),
+        SESSIONS,
+        "session grouping drifted from golden — if intentional, follow the \
+         update procedure in tests/golden_tables.rs"
+    );
 }
 
 /// SHA-256 of every presentation output, one `<shape> <output> <digest>`
@@ -503,6 +568,7 @@ fn print_golden_values() {
     }
     println!("];");
     println!("const FIG5_FIG6: &str = \"\\\n{}\";", fig5_fig6_reports(1));
+    println!("const SESSIONS: &str = \"\\\n{}\";", session_digests());
     println!(
         "const PRESENTATION: &str = \"\\\n{}\";",
         presentation_digests()
