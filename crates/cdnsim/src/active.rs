@@ -9,7 +9,9 @@
 //! and 18).
 
 use ytcdn_geomodel::Continent;
-use ytcdn_netsim::{landmarks_with_counts, AccessKind, Endpoint, Landmark, NoiseRng, Pinger};
+use ytcdn_netsim::{
+    landmarks_with_counts, AccessKind, Endpoint, Landmark, NoiseRng, Pinger, PAPER_LANDMARK_COUNTS,
+};
 use ytcdn_tstat::VideoId;
 
 use crate::scenario::StandardScenario;
@@ -92,18 +94,14 @@ impl ActiveExperiment {
     /// proportional to the paper's PlanetLab footprint).
     pub fn new(config: ActiveConfig) -> Self {
         // Scale the paper's 215-landmark distribution down to `nodes`.
-        let total = 215.0;
-        let mut counts = vec![
-            (Continent::NorthAmerica, 97.0),
-            (Continent::Europe, 82.0),
-            (Continent::Asia, 24.0),
-            (Continent::SouthAmerica, 8.0),
-            (Continent::Oceania, 3.0),
-            (Continent::Africa, 1.0),
-        ];
-        for c in &mut counts {
-            c.1 = (c.1 / total * config.nodes as f64).round().max(0.0);
-        }
+        let total: usize = PAPER_LANDMARK_COUNTS.iter().map(|&(_, n)| n).sum();
+        let mut counts: Vec<(Continent, f64)> = PAPER_LANDMARK_COUNTS
+            .iter()
+            .map(|&(c, n)| {
+                let share = n as f64 / total as f64 * config.nodes as f64;
+                (c, share.round().max(0.0))
+            })
+            .collect();
         // Fix rounding drift on the largest bucket.
         let sum: f64 = counts.iter().map(|c| c.1).sum();
         counts[0].1 += config.nodes as f64 - sum;
@@ -218,8 +216,21 @@ mod tests {
 
     #[test]
     fn node_count_respected() {
+        // The paper's 97/82/24/8/3/1 rounded to 45 nodes: Africa rounds to
+        // none, and the rounded counts already sum to 45.
         let exp = ActiveExperiment::new(ActiveConfig::default());
         assert_eq!(exp.nodes().len(), 45);
+        let per = |c: Continent| exp.nodes().iter().filter(|n| n.continent == c).count();
+        let split = [
+            Continent::NorthAmerica,
+            Continent::Europe,
+            Continent::Asia,
+            Continent::SouthAmerica,
+            Continent::Oceania,
+            Continent::Africa,
+        ]
+        .map(per);
+        assert_eq!(split, [20, 17, 5, 2, 1, 0]);
     }
 
     #[test]

@@ -447,7 +447,7 @@ impl<'w> Engine<'w> {
     /// they emitted.
     fn simulate_week(&mut self) -> EmittedFlows {
         let total = (self.vp.sessions_per_week as f64 * self.config.scale).round() as u64;
-        let model = WorkloadModel::new(total, 0.0);
+        let model = WorkloadModel::new(total);
         let mut ordinal: u64 = 0;
         for hour in 0..WEEK_HOURS {
             self.arrivals.fill(0);
@@ -899,7 +899,7 @@ mod tests {
     use crate::catalog::{CatalogConfig, VideoCatalog, VotdSchedule};
     use crate::scenario::{ScenarioConfig, StandardScenario};
     use crate::topology::DataCenterId;
-    use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier, FlowRecord, VideoId};
+    use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowRecord, VideoId};
 
     fn small_scenario() -> StandardScenario {
         StandardScenario::build(ScenarioConfig::with_scale(0.01, 7))
@@ -1040,10 +1040,9 @@ mod tests {
     fn control_flow_share_plausible() {
         let s = small_scenario();
         let (ds, _) = s.run(DatasetName::UsCampus);
-        let c = FlowClassifier::default();
         let control = ds
             .iter()
-            .filter(|f| c.classify(f) == FlowClass::Control)
+            .filter(|f| FlowClass::of_bytes(f.bytes) == FlowClass::Control)
             .count();
         let frac = control as f64 / ds.len() as f64;
         // Roughly the multi-flow-session share of Figure 6.

@@ -41,29 +41,23 @@ pub fn diurnal_factor(h: f64) -> f64 {
 }
 
 /// Generates session start times for one vantage point over one week.
+/// The paper's collections all start at local midnight, so trace time is
+/// the vantage point's local time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadModel {
     /// Expected total sessions over the week.
     pub total_sessions: u64,
-    /// Offset of the vantage point's local time from trace time, in hours.
-    /// The paper's collections all start at local midnight, so this is 0 for
-    /// every standard dataset; it is kept for what-if experiments across
-    /// time zones.
-    pub local_offset_h: f64,
 }
 
 impl WorkloadModel {
     /// Creates a model.
-    pub fn new(total_sessions: u64, local_offset_h: f64) -> Self {
-        Self {
-            total_sessions,
-            local_offset_h,
-        }
+    pub fn new(total_sessions: u64) -> Self {
+        Self { total_sessions }
     }
 
     /// The relative weight of week-hour `hour` (0..168).
     pub fn hour_weight(&self, hour: u64) -> f64 {
-        diurnal_factor((hour % 24) as f64 + 0.5 + self.local_offset_h)
+        diurnal_factor((hour % 24) as f64 + 0.5)
     }
 
     /// Expected sessions in week-hour `hour`.
@@ -146,7 +140,7 @@ mod tests {
 
     #[test]
     fn session_total_close_to_target() {
-        let wm = WorkloadModel::new(50_000, 0.0);
+        let wm = WorkloadModel::new(50_000);
         let times = wm.session_times(0);
         let n = times.len() as f64;
         assert!((49_000.0..51_000.0).contains(&n), "got {n}");
@@ -154,7 +148,7 @@ mod tests {
 
     #[test]
     fn times_sorted_and_within_week() {
-        let wm = WorkloadModel::new(10_000, 0.0);
+        let wm = WorkloadModel::new(10_000);
         let times = wm.session_times(1);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert!(times.iter().all(|&t| t < WEEK_HOURS * HOUR_MS));
@@ -162,7 +156,7 @@ mod tests {
 
     #[test]
     fn hour_views_agree_with_full_generation() {
-        let wm = WorkloadModel::new(5_000, 0.0);
+        let wm = WorkloadModel::new(5_000);
         let seed = 0xAB;
         let mut concat = Vec::new();
         for hour in 0..WEEK_HOURS {
@@ -175,7 +169,7 @@ mod tests {
 
     #[test]
     fn day_night_ratio_visible() {
-        let wm = WorkloadModel::new(100_000, 0.0);
+        let wm = WorkloadModel::new(100_000);
         let times = wm.session_times(2);
         let mut hourly = [0u64; 24];
         for t in times {
@@ -188,15 +182,8 @@ mod tests {
 
     #[test]
     fn expected_in_hour_sums_to_total() {
-        let wm = WorkloadModel::new(7_000, 0.0);
+        let wm = WorkloadModel::new(7_000);
         let sum: f64 = (0..WEEK_HOURS).map(|h| wm.expected_in_hour(h)).sum();
         assert!((sum - 7_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn local_offset_shifts_profile() {
-        let a = WorkloadModel::new(1000, 0.0);
-        let b = WorkloadModel::new(1000, 6.0);
-        assert!((a.hour_weight(21) - b.hour_weight(15)).abs() < 1e-9);
     }
 }

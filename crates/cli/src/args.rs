@@ -18,8 +18,9 @@ USAGE:
                   generated dataset; text: PATH is a file for one dataset,
                   a directory for all five)
   ytcdn analyze   --trace PATH [--scale S] [--seed N]
-  ytcdn geolocate --dataset NAME [--landmarks K] [--scale S] [--seed N]
-                  [--jobs K] (CBG worker threads; any K gives byte-identical output)
+  ytcdn geolocate --dataset NAME [--scale S] [--seed N] [--jobs K]
+                  (CBG on repro's 50 landmarks; K worker threads, any K
+                  gives byte-identical output)
   ytcdn whatif    --scenario feb2011|fixed-peering|no-votd|eu2-capacity|popularity
                   [--scale S] [--seed N]
   ytcdn watch     --dataset NAME [--scale S] [--seed N]
@@ -56,7 +57,7 @@ Global flags (any subcommand, after its name):
   (either flag also prints a metrics table on stderr at exit)
 
 Datasets: US-Campus, EU1-Campus, EU1-ADSL, EU1-FTTH, EU2.
-Defaults: --scale 0.02, --seed 42, --landmarks 50, --jobs = available CPUs
+Defaults: --scale 0.02, --seed 42, --jobs = available CPUs
 (a larger --jobs is capped there).
 generate simulates all five datasets on one worker per available CPU; the
 output is byte-identical for any worker count.";
@@ -121,8 +122,6 @@ pub enum Command {
         scale: f64,
         /// Seed.
         seed: u64,
-        /// Number of CBG landmarks.
-        landmarks: usize,
         /// Worker threads for CBG localization (`None` = available CPUs);
         /// per-/24 noise streams make any value byte-identical.
         jobs: Option<usize>,
@@ -263,7 +262,7 @@ fn subcommand_flags(sub: &str) -> Option<&'static str> {
     Some(match sub {
         "generate" => "--dataset --scale --seed --mutate --format --out",
         "analyze" => "--trace --scale --seed",
-        "geolocate" => "--dataset --scale --seed --landmarks --jobs",
+        "geolocate" => "--dataset --scale --seed --jobs",
         "whatif" => "--scenario --scale --seed",
         "watch" => "--dataset --scale --seed --mutate --window --threshold --min-flows --from",
         "characterize" => "--trace",
@@ -293,7 +292,6 @@ struct Flags {
     seed: u64,
     out: Option<PathBuf>,
     trace: Option<PathBuf>,
-    landmarks: usize,
     scenario: Option<String>,
     format: TraceFormat,
     jobs: Option<usize>,
@@ -319,7 +317,6 @@ fn parse_flags(args: &[String], allowed: &str) -> Result<Flags, ParseError> {
         seed: 42,
         out: None,
         trace: None,
-        landmarks: 50,
         scenario: None,
         format: TraceFormat::default(),
         jobs: None,
@@ -372,16 +369,6 @@ fn parse_flags(args: &[String], allowed: &str) -> Result<Flags, ParseError> {
             }
             "--out" => flags.out = Some(PathBuf::from(value("--out value")?)),
             "--trace" => flags.trace = Some(PathBuf::from(value("--trace value")?)),
-            "--landmarks" => {
-                let v = value("--landmarks value")?;
-                let k: usize = v
-                    .parse()
-                    .map_err(|_| ParseError::Invalid("landmarks", v.clone()))?;
-                if k < 3 {
-                    return Err(ParseError::Invalid("landmarks", v.clone()));
-                }
-                flags.landmarks = k;
-            }
             "--scenario" => flags.scenario = Some(value("--scenario value")?.clone()),
             "--jobs" => {
                 let v = value("--jobs value")?;
@@ -489,7 +476,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             dataset: flags.dataset.ok_or(ParseError::Missing("--dataset"))?,
             scale: flags.scale,
             seed: flags.seed,
-            landmarks: flags.landmarks,
             jobs: flags.jobs,
         }),
         "whatif" => Ok(Command::WhatIf {
@@ -765,7 +751,6 @@ mod tests {
                 dataset: DatasetName::Eu2,
                 scale: 0.02,
                 seed: 42,
-                landmarks: 50,
                 jobs: None,
             }
         );
@@ -829,10 +814,6 @@ mod tests {
             err("generate --scale 0 --out x"),
             ParseError::Invalid("scale", _)
         ));
-        assert!(matches!(
-            err("geolocate --dataset EU2 --landmarks 2"),
-            ParseError::Invalid("landmarks", _)
-        ));
         assert_eq!(err("--help"), ParseError::Help);
         assert_eq!(err("analyze --help"), ParseError::Help);
     }
@@ -850,6 +831,7 @@ mod tests {
             ),
             ("generate --out x --plot", "--plot"),
             ("world --landmarks 9", "--landmarks"),
+            ("geolocate --dataset EU2 --landmarks 50", "--landmarks"),
             ("repro --windows", "--windows"),
             ("repro --out x", "--out"),
         ] {

@@ -3,7 +3,7 @@
 //! ```text
 //! ytcdn generate --dataset EU1-ADSL --scale 0.05 --format text --out trace.log
 //! ytcdn analyze  --trace trace.log --scale 0.05
-//! ytcdn geolocate --dataset EU1-Campus --landmarks 50
+//! ytcdn geolocate --dataset EU1-Campus
 //! ytcdn whatif   --scenario feb2011
 //! ytcdn repro    --exp fig3,table3 --scale 0.1
 //! ```
@@ -145,9 +145,8 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             dataset,
             scale,
             seed,
-            landmarks,
             jobs,
-        } => geolocate(dataset, scale, seed, landmarks, jobs.unwrap_or(0), ctx),
+        } => geolocate(dataset, scale, seed, jobs.unwrap_or(0), ctx),
         Command::WhatIf {
             scenario,
             scale,
@@ -655,31 +654,21 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn geolocate(
-    dataset: DatasetName,
-    scale: f64,
-    seed: u64,
-    landmarks: usize,
-    jobs: usize,
-    ctx: &Ctx,
-) -> ExitCode {
+fn geolocate(dataset: DatasetName, scale: f64, seed: u64, jobs: usize, ctx: &Ctx) -> ExitCode {
     let s = match scenario(scale, seed, &[], ctx) {
         Ok(s) => s,
         Err(code) => return code,
     };
     let (ds, _) = s.run(dataset);
+    let landmarks =
+        ytcdn_netsim::landmarks_with_counts(seed, &ytcdn_netsim::DEFAULT_LANDMARK_COUNTS);
     ctx.progress.note(&format!(
-        "calibrating CBG on {landmarks} landmarks, geolocating {} servers…",
+        "calibrating CBG on {} landmarks, geolocating {} servers…",
+        landmarks.len(),
         ds.server_ips().len()
     ));
     let _span = ctx.telemetry.span("analysis.geolocate");
-    let spec = scaled_landmark_spec(landmarks);
-    let cbg = Cbg::calibrate(
-        ytcdn_netsim::landmarks_with_counts(seed, &spec),
-        s.world().delay_model(),
-        3,
-        seed,
-    );
+    let cbg = Cbg::calibrate(landmarks, s.world().delay_model(), 3, seed);
     let locations = ytcdn_core::geo_analysis::geolocate_servers(s.world(), &ds, &cbg, seed, jobs);
     let counts = ytcdn_core::geo_analysis::continent_counts(&locations);
     println!(
@@ -693,22 +682,6 @@ fn geolocate(
         println!("  {:<16} {:>3} representative /24s", c.city_name, c.len());
     }
     ExitCode::SUCCESS
-}
-
-fn scaled_landmark_spec(n: usize) -> Vec<(ytcdn_geomodel::Continent, usize)> {
-    use ytcdn_geomodel::Continent;
-    let total = 215.0;
-    [
-        (Continent::NorthAmerica, 97.0),
-        (Continent::Europe, 82.0),
-        (Continent::Asia, 24.0),
-        (Continent::SouthAmerica, 8.0),
-        (Continent::Oceania, 3.0),
-        (Continent::Africa, 1.0),
-    ]
-    .into_iter()
-    .map(|(c, k)| (c, ((k / total * n as f64).round() as usize).max(1)))
-    .collect()
 }
 
 fn what_if(name: &str, scale: f64, seed: u64, ctx: &Ctx) -> ExitCode {

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use ytcdn_tstat::{Dataset, FlowClassifier, HOUR_MS};
+use ytcdn_tstat::{Dataset, FlowClass, HOUR_MS};
 
 use crate::stats::Cdf;
 
@@ -37,8 +37,6 @@ pub struct Characterization {
 
 /// Characterizes a dataset.
 pub fn characterize(dataset: &Dataset) -> Characterization {
-    let classifier = FlowClassifier::default();
-
     let mut per_video: HashMap<_, u64> = HashMap::new();
     let mut per_client: HashMap<_, u64> = HashMap::new();
     let mut per_hour: HashMap<u64, u64> = HashMap::new();
@@ -47,7 +45,7 @@ pub fn characterize(dataset: &Dataset) -> Characterization {
     for r in dataset.iter() {
         *per_client.entry(r.client_ip).or_default() += r.bytes;
         total_bytes += r.bytes;
-        if classifier.classify(&r) == ytcdn_tstat::FlowClass::Video {
+        if FlowClass::of_bytes(r.bytes) == FlowClass::Video {
             *per_video.entry(r.video_id).or_default() += 1;
             *per_hour.entry(r.start_ms / HOUR_MS).or_default() += 1;
             total_video_flows += 1;

@@ -273,8 +273,11 @@ pub struct YtcHeader {
     pub mutations: Vec<String>,
 }
 
-/// One dataset as decoded columns: the records plus the per-hour block
-/// index that came with them, so index construction skips the hour scan.
+/// One dataset as columns plus its per-hour block index: what the
+/// encoder writes as the hour block, and what the decoder read from it
+/// and cross-checked against the timestamp column (a file whose hour
+/// block disagrees with its timestamps is rejected). Analysis does not
+/// read it: [`crate::index::DatasetIndex::build`] bins the hours itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarDataset {
     dataset: Dataset,

@@ -13,24 +13,23 @@ use std::net::Ipv4Addr;
 use crate::error::{AnalysisError, AnalysisResult};
 use ytcdn_cdnsim::World;
 use ytcdn_geoloc::CityCluster;
-use ytcdn_geomodel::{CityDb, Continent, Coord};
+use ytcdn_geomodel::{CityDb, Coord};
 use ytcdn_netsim::Ipv4Block;
-use ytcdn_tstat::{Dataset, DatasetName, FlowClassifier, FlowRecord};
+use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowRecord};
 
 /// How many servers per data center to ping when measuring its RTT.
 const RTT_PING_SERVERS: usize = 5;
 
-/// One inferred data center, with the measurements the analyses need.
+/// One data center of the analysis: its city label, its RTT and distance
+/// from the vantage point, and the dataset's video traffic it served.
+/// Table III's continents come from the geolocated servers
+/// ([`crate::geo_analysis::ServerLocation`]), not from here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcInfo {
     /// Analysis-local index.
     pub index: usize,
     /// City label of the data center.
     pub city_name: String,
-    /// Location.
-    pub coord: Coord,
-    /// Continent (for Table III).
-    pub continent: Continent,
     /// Min RTT from the vantage point, ms.
     pub rtt_ms: f64,
     /// Great-circle distance from the vantage point, km.
@@ -43,12 +42,13 @@ pub struct DcInfo {
     pub servers_seen: usize,
 }
 
-/// A /24 → data-center-index assignment plus per-center metadata, either
-/// taken from ground truth or inferred by CBG city clustering.
+/// A /24 → data-center-index assignment plus each center's city label and
+/// location, either taken from ground truth or inferred by CBG city
+/// clustering.
 #[derive(Debug, Clone, Default)]
 pub struct DcMap {
     blocks: HashMap<Ipv4Block, usize>,
-    metas: Vec<(String, Coord, Continent)>,
+    metas: Vec<(String, Coord)>,
 }
 
 impl DcMap {
@@ -58,8 +58,7 @@ impl DcMap {
         let mut map = DcMap::default();
         for dc in world.topology().analysis_dcs() {
             let idx = map.metas.len();
-            map.metas
-                .push((dc.city.name.to_owned(), dc.city.coord, dc.city.continent));
+            map.metas.push((dc.city.name.to_owned(), dc.city.coord));
             for &ip in &dc.servers {
                 map.blocks.insert(Ipv4Block::slash24_of(ip), idx);
             }
@@ -83,8 +82,7 @@ impl DcMap {
                     .ok_or_else(|| AnalysisError::UnknownCity {
                         city: cluster.city_name.clone(),
                     })?;
-            map.metas
-                .push((city.name.to_owned(), city.coord, city.continent));
+            map.metas.push((city.name.to_owned(), city.coord));
             for &ip in &cluster.servers {
                 map.blocks.insert(Ipv4Block::slash24_of(ip), idx);
             }
@@ -116,7 +114,6 @@ pub struct AnalysisContext {
     dcs: Vec<DcInfo>,
     map: DcMap,
     preferred: usize,
-    classifier: FlowClassifier,
 }
 
 impl AnalysisContext {
@@ -150,7 +147,6 @@ impl AnalysisContext {
             });
         }
         let vantage_coord = world.vantage(name).city.coord;
-        let classifier = FlowClassifier::default();
 
         // Traffic per data center: each server resolves to its center once,
         // through the dataset's server dictionary, and each flow is one
@@ -166,7 +162,7 @@ impl AnalysisContext {
         let c = dataset.columns();
         for (&rank, &bytes) in c.server_ranks.iter().zip(&c.bytes) {
             if let Some(idx) = server_dc[rank as usize] {
-                if classifier.classify_bytes(bytes) == ytcdn_tstat::FlowClass::Video {
+                if FlowClass::of_bytes(bytes) == FlowClass::Video {
                     video_bytes[idx] += bytes;
                     video_flows[idx] += 1;
                 }
@@ -186,7 +182,7 @@ impl AnalysisContext {
             .metas
             .iter()
             .enumerate()
-            .map(|(idx, (city_name, coord, continent))| {
+            .map(|(idx, (city_name, coord))| {
                 let rtt_ms = servers[idx]
                     .iter()
                     .take(RTT_PING_SERVERS)
@@ -203,8 +199,6 @@ impl AnalysisContext {
                 DcInfo {
                     index: idx,
                     city_name: city_name.clone(),
-                    coord: *coord,
-                    continent: *continent,
                     rtt_ms,
                     distance_km: vantage_coord.distance_km(*coord),
                     video_bytes: video_bytes[idx],
@@ -220,7 +214,6 @@ impl AnalysisContext {
             dcs,
             map,
             preferred,
-            classifier,
         })
     }
 
@@ -237,11 +230,6 @@ impl AnalysisContext {
     /// The preferred data center.
     pub fn preferred(&self) -> &DcInfo {
         &self.dcs[self.preferred]
-    }
-
-    /// The flow classifier in use (1000-byte threshold).
-    pub fn classifier(&self) -> &FlowClassifier {
-        &self.classifier
     }
 
     /// The data-center index serving a flow, if its server is an analysis
@@ -265,7 +253,7 @@ impl AnalysisContext {
 
     /// Whether a flow is a video flow (vs control).
     pub fn is_video(&self, r: &FlowRecord) -> bool {
-        self.classifier.classify(r) == ytcdn_tstat::FlowClass::Video
+        FlowClass::of_bytes(r.bytes) == FlowClass::Video
     }
 
     /// Fraction of analysis video bytes served by the preferred data

@@ -12,7 +12,7 @@
 use std::str::FromStr;
 
 use ytcdn_cdnsim::World;
-use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier, HOUR_MS};
+use ytcdn_tstat::{Dataset, DatasetName, FlowClass, HOUR_MS};
 
 /// A deterministic way to degrade a simulated dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,16 +63,13 @@ impl DegenerateShape {
             DegenerateShape::SingleFlow => {
                 Dataset::from_records(dataset.name(), dataset.iter().take(1).collect())
             }
-            DegenerateShape::NoVideo => {
-                let classifier = FlowClassifier::default();
-                Dataset::from_records(
-                    dataset.name(),
-                    dataset
-                        .iter()
-                        .filter(|r| classifier.classify(r) != FlowClass::Video)
-                        .collect(),
-                )
-            }
+            DegenerateShape::NoVideo => Dataset::from_records(
+                dataset.name(),
+                dataset
+                    .iter()
+                    .filter(|r| FlowClass::of_bytes(r.bytes) != FlowClass::Video)
+                    .collect(),
+            ),
             DegenerateShape::SingleHour => dataset.time_slice(12 * HOUR_MS, 13 * HOUR_MS),
             DegenerateShape::MissingNet3 => {
                 if dataset.name() != DatasetName::UsCampus {
@@ -157,12 +154,11 @@ mod tests {
             1
         );
 
-        let classifier = FlowClassifier::default();
         let no_video = DegenerateShape::NoVideo.apply(world, ds.clone());
         assert!(!no_video.is_empty());
         assert!(no_video
             .iter()
-            .all(|r| classifier.classify(&r) != FlowClass::Video));
+            .all(|r| FlowClass::of_bytes(r.bytes) != FlowClass::Video));
 
         let hour = DegenerateShape::SingleHour.apply(world, ds.clone());
         assert!(!hour.is_empty() && hour.len() < n);

@@ -25,10 +25,11 @@ use ytcdn_cdnsim::{
     StandardScenario,
 };
 use ytcdn_geoloc::Cbg;
-use ytcdn_geomodel::Continent;
-use ytcdn_netsim::{landmarks_with_counts, planetlab_landmarks, WellKnownAs};
+use ytcdn_netsim::{
+    landmarks_with_counts, planetlab_landmarks, WellKnownAs, DEFAULT_LANDMARK_COUNTS,
+};
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, FlowClass, FlowClassifier, TrafficSummary};
+use ytcdn_tstat::{Dataset, DatasetName, FlowClass, TrafficSummary};
 
 use crate::active_analysis::{most_illustrative_node, ratio_cdf, ratio_stats};
 use crate::as_analysis::{as_breakdown, WellKnownAsExt};
@@ -343,17 +344,7 @@ impl ExperimentSuite {
             let landmarks = if self.config.full_landmarks {
                 planetlab_landmarks(self.config.scenario.seed)
             } else {
-                landmarks_with_counts(
-                    self.config.scenario.seed,
-                    &[
-                        (Continent::NorthAmerica, 22),
-                        (Continent::Europe, 19),
-                        (Continent::Asia, 5),
-                        (Continent::SouthAmerica, 2),
-                        (Continent::Oceania, 1),
-                        (Continent::Africa, 1),
-                    ],
-                )
+                landmarks_with_counts(self.config.scenario.seed, &DEFAULT_LANDMARK_COUNTS)
             };
             Cbg::calibrate(
                 landmarks,
@@ -638,13 +629,13 @@ impl ExperimentSuite {
     }
 
     /// Figure 4: CDF of flow sizes (the control/video kink at 1000 B). The
-    /// series is each dataset's all-flows CDF. The classifier splits on a
-    /// byte threshold, so in sorted order the control sizes come first, and
-    /// every number the figure shows is the size at one rank: the two
-    /// medians, the maximum and the series' decimated points. Those ranks
-    /// are read by [`values_at_ranks`], with no sort of the byte column.
+    /// series is each dataset's all-flows CDF. Flows split on the
+    /// [`ytcdn_tstat::VIDEO_MIN_BYTES`] threshold, so in sorted order the
+    /// control sizes come first, and every number the figure shows is the
+    /// size at one rank: the two medians, the maximum and the series'
+    /// decimated points. Those ranks are read by [`values_at_ranks`], with
+    /// no sort of the byte column.
     fn fig4(&self) -> Figure {
-        let classifier = FlowClassifier::default();
         let mut out =
             String::from("Figure 4 — flow-size CDF (paper: bimodal with a kink at 1000 bytes)\n");
         let _ = writeln!(
@@ -658,7 +649,7 @@ impl ExperimentSuite {
             let n = bytes.len();
             let control = bytes
                 .iter()
-                .filter(|&&b| classifier.classify_bytes(b) == FlowClass::Control)
+                .filter(|&&b| FlowClass::of_bytes(b) == FlowClass::Control)
                 .count();
             // The rank of the median of the sorted run `start..end`.
             let median = |start: usize, end: usize| {
@@ -997,9 +988,9 @@ impl ExperimentSuite {
     /// Net-3's share of all and of non-preferred flows.
     fn fig12(&self) -> Figure {
         let ds = self.dataset(DatasetName::UsCampus);
-        let ctx = self.context(DatasetName::UsCampus);
+        let index = self.dataset_index(DatasetName::UsCampus);
         let subnets = &self.scenario.world().vantage(DatasetName::UsCampus).subnets;
-        let shares = subnet_shares(ctx, ds, subnets);
+        let shares = subnet_shares(index, ds, subnets);
         let mut out = String::from(
             "Figure 12 — US-Campus subnets (paper: Net-3 = 4% of flows but ~50% of non-preferred)\n",
         );
@@ -1400,7 +1391,6 @@ mod tests {
     /// column, sort each side as `f64`, and chain the two CDFs. The oracle
     /// of [`ExperimentSuite::fig4`].
     fn fig4_by_partition(suite: &ExperimentSuite) -> Figure {
-        let classifier = FlowClassifier::default();
         let mut out =
             String::from("Figure 4 — flow-size CDF (paper: bimodal with a kink at 1000 bytes)\n");
         let _ = writeln!(
@@ -1414,7 +1404,7 @@ mod tests {
                 .columns()
                 .bytes
                 .iter()
-                .partition(|&&b| classifier.classify_bytes(b) == FlowClass::Video);
+                .partition(|&&b| FlowClass::of_bytes(b) == FlowClass::Video);
             let ctrl_cdf = Cdf::from_values(control.iter().map(|&b| b as f64));
             let vid_cdf = Cdf::from_values(video.iter().map(|&b| b as f64));
             let or_zero = |v: AnalysisResult<f64>| v.unwrap_or(0.0);
@@ -1470,7 +1460,6 @@ mod tests {
             assert_eq!(b.dataset_name(), name);
             assert_eq!(a.sessions(), b.sessions(), "{name}: sessions");
             assert_eq!(a.patterns(), b.patterns(), "{name}: patterns");
-            assert_eq!(a.servers(), b.servers(), "{name}: servers");
             assert_eq!(a.hour_ranges(), b.hour_ranges(), "{name}: hour ranges");
         }
     }

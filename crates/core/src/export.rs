@@ -317,7 +317,7 @@ mod tests {
         // a visible fraction of mass below 1000 bytes, then a jump region.
         let s = suite();
         let fig4 = series(&s, "fig4");
-        let thr = ytcdn_tstat::FlowClassifier::default().threshold_bytes() as f64;
+        let thr = ytcdn_tstat::VIDEO_MIN_BYTES as f64;
         for sr in fig4 {
             let below = sr
                 .points

@@ -4,15 +4,19 @@
 //! A [`DatasetIndex`] resolves the [`AnalysisContext`]'s data-center
 //! lookup once per entry of the dataset's server dictionary, so a flow's
 //! data center is a gather through that per-entry table by its server
-//! rank (kept as a `u32` column beside a `Vec<bool>` of video flags). It
+//! rank (kept as a `u32` column beside a `Vec<bool>` of video flags, each
+//! flow classified once against [`ytcdn_tstat::VIDEO_MIN_BYTES`]). It
 //! bins the (start-time-sorted) records into per-hour index ranges,
-//! aggregates per-server, per-data-center and per-video traffic (the
-//! last one dense `Vec` by video rank), and groups + classifies the
-//! default-gap sessions in one pass ([`crate::session::group_sessions`]).
+//! counts each video's analysis video flows (a dense `Vec` by video rank),
+//! and groups + classifies the default-gap sessions in one pass
+//! ([`crate::session::group_sessions`]). It keeps no per-server or
+//! per-data-center tallies: the context already holds each center's video
+//! traffic, and Figure 15's per-server load is counted from the columns.
 //! One index is built per dataset on one thread; the suite builds the
 //! five datasets' indexes on the shared worker pool. The figure
 //! analyses (`timeseries`, `videos`, `hotspot`) read these columns instead
-//! of probing the context.
+//! of probing the context; so does Figure 12's per-subnet split
+//! ([`crate::subnet::subnet_shares`]).
 //!
 //! The sessions are stored as columns ([`Sessions`]): a flat `u32` column
 //! of flow indices in bucket order — each (client, video) bucket one
@@ -37,7 +41,6 @@
 //! therefore anything derived from the index — is reproducible.
 
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use ytcdn_telemetry::Telemetry;
@@ -52,20 +55,6 @@ use crate::videos::VideoCounts;
 /// The paper's session gap threshold `T` = 1 s, in milliseconds — the gap
 /// the index pre-groups sessions at.
 pub const DEFAULT_GAP_MS: u64 = 1_000;
-
-/// Per-server traffic aggregate over one dataset (analysis servers only),
-/// rows sorted by server address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// The server address.
-    pub ip: Ipv4Addr,
-    /// Index of the data center the server belongs to.
-    pub dc: usize,
-    /// Flows the server answered (control flows included).
-    pub flows: u64,
-    /// Bytes the server sent.
-    pub bytes: u64,
-}
 
 /// The columnar index over one dataset.
 ///
@@ -82,26 +71,21 @@ pub struct DatasetIndex {
     server_dc: Vec<Option<usize>>,
     /// Per flow: its server's rank in the dictionary.
     flow_server: Vec<u32>,
-    /// Per flow: whether the classifier calls it a video flow.
+    /// Per flow: whether it is a video flow (at least
+    /// [`ytcdn_tstat::VIDEO_MIN_BYTES`]).
     flow_video: Vec<bool>,
     /// Per video-dictionary entry: its analysis video flows.
     video_counts: Vec<VideoCounts>,
     /// Per hour since trace start: the record-index range starting in it.
     hour_ranges: Vec<Range<usize>>,
-    /// Per analysis server, sorted by address.
-    servers: Vec<ServerStats>,
-    /// Per data center: all analysis flows answered (control included).
-    dc_flows: Vec<u64>,
-    /// Per data center: all analysis bytes sent.
-    dc_bytes: Vec<u64>,
     sessions: Sessions,
     patterns: PatternStats,
 }
 
 impl DatasetIndex {
     /// Builds the index: one pass over the records for the columns and
-    /// aggregates, one scan of the timestamps for the hour ranges, and one
-    /// session grouping ([`crate::session::group_sessions`]).
+    /// per-video counts, one scan of the timestamps for the hour ranges,
+    /// and one session grouping ([`crate::session::group_sessions`]).
     ///
     /// # Panics
     ///
@@ -114,42 +98,20 @@ impl DatasetIndex {
         let n = dataset.len();
         let preferred = ctx.preferred().index;
 
-        // Per server-dictionary entry: the data center, resolved once, and
-        // the entry's traffic; each flow adds to its entry by rank.
+        // Per server-dictionary entry: the data center, resolved once; a
+        // flow reads its entry by rank.
         let server_dc = ctx.server_dcs(dataset.server_ips());
-        let mut entry_flows = vec![0u64; server_dc.len()];
-        let mut entry_bytes = vec![0u64; server_dc.len()];
         let mut flow_video: Vec<bool> = Vec::with_capacity(n);
         let mut video_counts = vec![VideoCounts::default(); c.videos.len()];
         for ((&server, &bytes), &video) in c.server_ranks.iter().zip(&c.bytes).zip(&c.video_ranks) {
-            let is_video = ctx.classifier().classify_bytes(bytes) == FlowClass::Video;
+            let is_video = FlowClass::of_bytes(bytes) == FlowClass::Video;
             flow_video.push(is_video);
-            entry_flows[server as usize] += 1;
-            entry_bytes[server as usize] += bytes;
             if let (true, Some(dc)) = (is_video, server_dc[server as usize]) {
                 let counts = &mut video_counts[video as usize];
                 counts.total += 1;
                 counts.non_preferred += u64::from(dc != preferred);
             }
         }
-        // One row per analysis server, in dictionary (= address) order.
-        let mut dc_flows = vec![0u64; ctx.dcs().len()];
-        let mut dc_bytes = vec![0u64; ctx.dcs().len()];
-        let mut servers: Vec<ServerStats> = Vec::new();
-        for (k, (&ip, dc)) in dataset.server_ips().iter().zip(&server_dc).enumerate() {
-            if let Some(dc) = *dc {
-                let (flows, bytes) = (entry_flows[k], entry_bytes[k]);
-                dc_flows[dc] += flows;
-                dc_bytes[dc] += bytes;
-                servers.push(ServerStats {
-                    ip,
-                    dc,
-                    flows,
-                    bytes,
-                });
-            }
-        }
-
         // Records are sorted by start time, so each hour is one contiguous
         // index range.
         let hour_ranges = crate::columnar::compute_hour_ranges(&c.start_ms);
@@ -171,9 +133,6 @@ impl DatasetIndex {
             flow_video,
             video_counts,
             hour_ranges,
-            servers,
-            dc_flows,
-            dc_bytes,
             sessions,
             patterns: PatternStats::default(),
         };
@@ -267,28 +226,11 @@ impl DatasetIndex {
         &self.hour_ranges
     }
 
-    /// Per-server traffic aggregates, sorted by server address.
-    pub fn servers(&self) -> &[ServerStats] {
-        &self.servers
-    }
-
     /// Per-video analysis video flows, indexed by rank in the dataset's
     /// video dictionary ([`Dataset::video_ids`]); a video with no such flow
     /// counts zero.
     pub fn video_counts(&self) -> &[VideoCounts] {
         &self.video_counts
-    }
-
-    /// Per-data-center flow counts (all analysis flows, control included),
-    /// indexed like [`AnalysisContext::dcs`].
-    pub fn dc_flows(&self) -> &[u64] {
-        &self.dc_flows
-    }
-
-    /// Per-data-center byte totals (all analysis flows), indexed like
-    /// [`AnalysisContext::dcs`].
-    pub fn dc_bytes(&self) -> &[u64] {
-        &self.dc_bytes
     }
 
     /// Classifies the default-gap sessions against the columns; the build
@@ -526,28 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_are_consistent() {
-        let (ds, ctx) = setup(DatasetName::Eu1Ftth);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        let analysis_flows = ds.iter().filter(|r| ctx.dc_of(r).is_some()).count() as u64;
-        assert_eq!(index.dc_flows().iter().sum::<u64>(), analysis_flows);
-        assert_eq!(
-            index.servers().iter().map(|s| s.flows).sum::<u64>(),
-            analysis_flows
-        );
-        assert_eq!(
-            index.dc_bytes().iter().sum::<u64>(),
-            index.servers().iter().map(|s| s.bytes).sum::<u64>()
-        );
-        // Rows sorted by address, each assigned to the DC the map gives.
-        assert!(index.servers().windows(2).all(|w| w[0].ip < w[1].ip));
-        for row in index.servers() {
-            let rec = ds.iter().find(|r| r.server_ip == row.ip).expect("seen");
-            assert_eq!(Some(row.dc), ctx.dc_of(&rec));
-        }
-    }
-
-    #[test]
     fn flows_per_session_matches_direct_cdf() {
         let (ds, ctx) = setup(DatasetName::UsCampus);
         let gaps: Vec<u64> = [1u64, 5, 300].iter().map(|s| s * 1000).collect();
@@ -578,9 +498,6 @@ mod tests {
         assert_eq!(from_ytc.hour_ranges(), built.hour_ranges());
         assert_eq!(from_ytc.sessions(), built.sessions());
         assert_eq!(from_ytc.patterns(), built.patterns());
-        assert_eq!(from_ytc.servers(), built.servers());
-        assert_eq!(from_ytc.dc_flows(), built.dc_flows());
-        assert_eq!(from_ytc.dc_bytes(), built.dc_bytes());
         for i in 0..ds.len() {
             assert_eq!(from_ytc.dc_of_flow(i), built.dc_of_flow(i));
             assert_eq!(from_ytc.is_video_flow(i), built.is_video_flow(i));
@@ -596,6 +513,5 @@ mod tests {
         assert!(index.sessions().is_empty());
         assert_eq!(index.patterns(), PatternStats::default());
         assert_eq!(index.hour_ranges(), std::slice::from_ref(&(0..0)));
-        assert!(index.servers().is_empty());
     }
 }

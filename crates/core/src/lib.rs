@@ -11,7 +11,7 @@
 //! | paper concept | module |
 //! |---|---|
 //! | video sessions (flow groups, gap threshold `T`) | [`session`] |
-//! | video vs control flows | re-exported from `ytcdn-tstat` |
+//! | video vs control flows (the fixed 1000-byte rule) | `ytcdn_tstat::FlowClass::of_bytes`, once per flow in [`index`] |
 //! | server → data-center mapping | [`dcmap`] |
 //! | preferred data center, RTT/distance byte profiles | [`preferred`] |
 //! | session preferred/non-preferred patterns (Fig. 10) | [`patterns`] |

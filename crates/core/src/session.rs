@@ -128,17 +128,11 @@ impl Sessions {
         })
     }
 
-    /// The flat column: every flow index of the dataset once, in bucket
-    /// order. Each (client, video) bucket is one contiguous run whose
-    /// indices ascend (start-time order), and the buckets follow each other
-    /// in `(client, video)` order.
-    pub fn flows_in_bucket_order(&self) -> &[u32] {
-        &self.flows
-    }
-
-    /// The (client, video) buckets of [`Sessions::flows_in_bucket_order`],
-    /// in order: each one non-empty, ascending run of flow indices.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
+    /// The (client, video) buckets in `(client, video)` order, each one
+    /// non-empty run of flow indices ascending in start-time order.
+    /// Together they hold every flow index of the dataset once: the flat
+    /// bucket-order column, cut at its bucket starts.
+    pub fn buckets(&self) -> impl Iterator<Item = &[u32]> + '_ {
         bucket_ranges(&self.bucket_starts).map(|run| &self.flows[run])
     }
 

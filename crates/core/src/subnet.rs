@@ -10,9 +10,9 @@
 use std::net::Ipv4Addr;
 
 use ytcdn_cdnsim::SubnetConfig;
-use ytcdn_tstat::{Dataset, FlowClass};
+use ytcdn_tstat::Dataset;
 
-use crate::dcmap::AnalysisContext;
+use crate::index::DatasetIndex;
 
 /// Figure 12 bars for one subnet.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,26 +36,29 @@ impl SubnetShare {
     }
 }
 
-/// Computes per-subnet shares of total and non-preferred video flows.
+/// Computes per-subnet shares of total and non-preferred video flows,
+/// reading each flow's class and data center off `index` (built from
+/// `dataset`) and its client from `dataset`. A client counts for the first
+/// subnet whose block holds it.
 pub fn subnet_shares(
-    ctx: &AnalysisContext,
+    index: &DatasetIndex,
     dataset: &Dataset,
     subnets: &[SubnetConfig],
 ) -> Vec<SubnetShare> {
+    debug_assert_eq!(dataset.len(), index.len(), "not the indexed dataset");
     let mut all = vec![0u64; subnets.len()];
     let mut nonpref = vec![0u64; subnets.len()];
     let mut total_all = 0u64;
     let mut total_nonpref = 0u64;
-    let c = dataset.columns();
-    let server_dc = ctx.server_dcs(dataset.server_ips());
-    for ((&client, &server), &bytes) in c.clients.iter().zip(&c.server_ranks).zip(&c.bytes) {
-        if ctx.classifier().classify_bytes(bytes) != FlowClass::Video {
+    let preferred = index.preferred_index();
+    for (i, &client) in dataset.columns().clients.iter().enumerate() {
+        if !index.is_video_flow(i) {
             continue;
         }
-        let Some(dc) = server_dc[server as usize] else {
+        let Some(dc) = index.dc_of_flow(i) else {
             continue;
         };
-        let pref = dc == ctx.preferred().index;
+        let pref = dc == preferred;
         let client = Ipv4Addr::from(client);
         let Some(idx) = subnets.iter().position(|s| s.block.contains(client)) else {
             continue;
@@ -89,15 +92,18 @@ pub fn subnet_shares(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dcmap::AnalysisContext;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
+    use ytcdn_telemetry::Telemetry;
     use ytcdn_tstat::DatasetName;
 
     fn shares() -> Vec<SubnetShare> {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 77));
         let (ds, _) = s.run(DatasetName::UsCampus);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let subnets = s.world().vantage(DatasetName::UsCampus).subnets.clone();
-        subnet_shares(&ctx, &ds, &subnets)
+        subnet_shares(&index, &ds, &subnets)
     }
 
     #[test]
@@ -143,7 +149,8 @@ mod tests {
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let subnets = s.world().vantage(DatasetName::UsCampus).subnets.clone();
         let empty = Dataset::new(DatasetName::UsCampus);
-        let sh = subnet_shares(&ctx, &empty, &subnets);
+        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
+        let sh = subnet_shares(&index, &empty, &subnets);
         assert!(sh
             .iter()
             .all(|s| s.share_of_all_flows == 0.0 && s.bias() == 0.0));

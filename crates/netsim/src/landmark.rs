@@ -41,6 +41,19 @@ pub const PAPER_LANDMARK_COUNTS: [(Continent, usize); 6] = [
     (Continent::Africa, 1),
 ];
 
+/// The 50-landmark set CBG calibrates on unless the paper's full 215 are
+/// asked for: [`PAPER_LANDMARK_COUNTS`] scaled to 50 and rounded per
+/// continent, Africa raised to one landmark, then one landmark taken off
+/// each of North America and Asia so the counts sum to exactly 50.
+pub const DEFAULT_LANDMARK_COUNTS: [(Continent, usize); 6] = [
+    (Continent::NorthAmerica, 22),
+    (Continent::Europe, 19),
+    (Continent::Asia, 5),
+    (Continent::SouthAmerica, 2),
+    (Continent::Oceania, 1),
+    (Continent::Africa, 1),
+];
+
 /// Builds the 215-landmark set with the paper's continental distribution.
 ///
 /// Deterministic for a given `seed`. Landmarks cycle through the continent's
@@ -101,6 +114,18 @@ mod tests {
     fn paper_distribution_totals_215() {
         let total: usize = PAPER_LANDMARK_COUNTS.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 215);
+    }
+
+    #[test]
+    fn default_distribution_totals_50_on_every_continent() {
+        let total: usize = DEFAULT_LANDMARK_COUNTS.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, 50);
+        for ((cont, n), (paper_cont, _)) in
+            DEFAULT_LANDMARK_COUNTS.iter().zip(PAPER_LANDMARK_COUNTS)
+        {
+            assert_eq!(*cont, paper_cont);
+            assert!(*n >= 1, "{cont}");
+        }
     }
 
     #[test]

@@ -54,7 +54,10 @@ pub mod rng;
 pub use asn::{AsRegistry, Asn, WellKnownAs};
 pub use delay::{AccessKind, DelayModel, Endpoint};
 pub use ip::{BlockAllocator, Ipv4Block};
-pub use landmark::{landmarks_with_counts, planetlab_landmarks, Landmark};
+pub use landmark::{
+    landmarks_with_counts, planetlab_landmarks, Landmark, DEFAULT_LANDMARK_COUNTS,
+    PAPER_LANDMARK_COUNTS,
+};
 pub use noise::NoiseRng;
 pub use ping::{Pinger, RttMeasurement};
 pub use rng::{splitmix64, SimRng};

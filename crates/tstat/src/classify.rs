@@ -7,10 +7,6 @@
 //! (HTTP redirects, resolution-change responses) while larger flows carry
 //! video payload. Manual experiments confirmed the threshold.
 
-use std::borrow::Borrow;
-
-use crate::flow::FlowRecord;
-
 /// The two flow populations of the paper's Section VI-A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FlowClass {
@@ -29,76 +25,35 @@ impl std::fmt::Display for FlowClass {
     }
 }
 
-/// Size-threshold flow classifier.
-///
-/// # Examples
-///
-/// ```
-/// use ytcdn_tstat::{FlowClass, FlowClassifier};
-///
-/// let c = FlowClassifier::default();
-/// assert_eq!(c.threshold_bytes(), 1000);
-/// assert_eq!(c.classify_bytes(999), FlowClass::Control);
-/// assert_eq!(c.classify_bytes(1000), FlowClass::Video);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowClassifier {
-    threshold_bytes: u64,
-}
+/// The paper's video/control boundary: "flows smaller than 1000 bytes ...
+/// correspond to control flows".
+pub const VIDEO_MIN_BYTES: u64 = 1000;
 
-impl Default for FlowClassifier {
-    /// The paper's threshold: "flows smaller than 1000 bytes ... correspond
-    /// to control flows".
-    fn default() -> Self {
-        Self {
-            threshold_bytes: 1000,
-        }
-    }
-}
-
-impl FlowClassifier {
-    /// Creates a classifier with a custom threshold (for sensitivity
-    /// analysis).
-    pub fn with_threshold(threshold_bytes: u64) -> Self {
-        Self { threshold_bytes }
-    }
-
-    /// The size threshold in bytes.
-    pub fn threshold_bytes(&self) -> u64 {
-        self.threshold_bytes
-    }
-
-    /// Classifies a raw byte count.
-    pub fn classify_bytes(&self, bytes: u64) -> FlowClass {
-        if bytes < self.threshold_bytes {
+impl FlowClass {
+    /// The class of a flow of `bytes` bytes: video from
+    /// [`VIDEO_MIN_BYTES`] up, control below.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ytcdn_tstat::FlowClass;
+    ///
+    /// assert_eq!(FlowClass::of_bytes(999), FlowClass::Control);
+    /// assert_eq!(FlowClass::of_bytes(1000), FlowClass::Video);
+    /// ```
+    pub fn of_bytes(bytes: u64) -> Self {
+        if bytes < VIDEO_MIN_BYTES {
             FlowClass::Control
         } else {
             FlowClass::Video
         }
-    }
-
-    /// Classifies a flow record.
-    pub fn classify(&self, flow: &FlowRecord) -> FlowClass {
-        self.classify_bytes(flow.bytes)
-    }
-
-    /// Splits an iterator of flows — rows or references to rows — into
-    /// `(video, control)` populations.
-    pub fn partition<F, I>(&self, flows: I) -> (Vec<F>, Vec<F>)
-    where
-        F: Borrow<FlowRecord>,
-        I: IntoIterator<Item = F>,
-    {
-        flows
-            .into_iter()
-            .partition(|f| self.classify(f.borrow()) == FlowClass::Video)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{Resolution, VideoId};
+    use crate::flow::{FlowRecord, Resolution, VideoId};
 
     fn flow(bytes: u64) -> FlowRecord {
         FlowRecord {
@@ -114,33 +69,26 @@ mod tests {
 
     #[test]
     fn default_threshold_is_papers() {
-        assert_eq!(FlowClassifier::default().threshold_bytes(), 1000);
+        assert_eq!(VIDEO_MIN_BYTES, 1000);
     }
 
     #[test]
     fn boundary_behavior() {
-        let c = FlowClassifier::default();
-        assert_eq!(c.classify(&flow(0)), FlowClass::Control);
-        assert_eq!(c.classify(&flow(999)), FlowClass::Control);
-        assert_eq!(c.classify(&flow(1000)), FlowClass::Video);
-        assert_eq!(c.classify(&flow(u64::MAX)), FlowClass::Video);
-    }
-
-    #[test]
-    fn custom_threshold() {
-        let c = FlowClassifier::with_threshold(500);
-        assert_eq!(c.classify_bytes(499), FlowClass::Control);
-        assert_eq!(c.classify_bytes(500), FlowClass::Video);
+        assert_eq!(FlowClass::of_bytes(0), FlowClass::Control);
+        assert_eq!(FlowClass::of_bytes(999), FlowClass::Control);
+        assert_eq!(FlowClass::of_bytes(1000), FlowClass::Video);
+        assert_eq!(FlowClass::of_bytes(u64::MAX), FlowClass::Video);
     }
 
     #[test]
     fn partition_splits_correctly() {
-        let flows = vec![flow(10), flow(5000), flow(999), flow(1000)];
-        let c = FlowClassifier::default();
-        let (video, control) = c.partition(&flows);
+        let flows = [flow(10), flow(5000), flow(999), flow(1000)];
+        let (video, control): (Vec<_>, Vec<_>) = flows
+            .iter()
+            .partition(|f| FlowClass::of_bytes(f.bytes) == FlowClass::Video);
         assert_eq!(video.len(), 2);
         assert_eq!(control.len(), 2);
-        assert!(video.iter().all(|f| f.bytes >= 1000));
-        assert!(control.iter().all(|f| f.bytes < 1000));
+        assert!(video.iter().all(|f| f.bytes >= VIDEO_MIN_BYTES));
+        assert!(control.iter().all(|f| f.bytes < VIDEO_MIN_BYTES));
     }
 }

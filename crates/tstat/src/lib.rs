@@ -17,11 +17,11 @@
 //! # Examples
 //!
 //! ```
-//! use ytcdn_tstat::{FlowClass, FlowClassifier};
+//! use ytcdn_tstat::{FlowClass, VIDEO_MIN_BYTES};
 //!
-//! let classifier = FlowClassifier::default();
-//! assert_eq!(classifier.classify_bytes(400), FlowClass::Control);
-//! assert_eq!(classifier.classify_bytes(5_000_000), FlowClass::Video);
+//! assert_eq!(VIDEO_MIN_BYTES, 1000);
+//! assert_eq!(FlowClass::of_bytes(400), FlowClass::Control);
+//! assert_eq!(FlowClass::of_bytes(5_000_000), FlowClass::Video);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,7 +35,7 @@ mod summary;
 pub mod textlog;
 
 pub use anonymize::Anonymizer;
-pub use classify::{FlowClass, FlowClassifier};
+pub use classify::{FlowClass, VIDEO_MIN_BYTES};
 pub use dataset::{flow_order, ColumnError, Dataset, DatasetColumns, DatasetError, DatasetName};
 pub use flow::{FlowRecord, ParseVideoIdError, Resolution, VideoId, VideoIdStr};
 pub use summary::TrafficSummary;

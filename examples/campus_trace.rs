@@ -14,7 +14,8 @@
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 use ytcdn_core::preferred::{bytes_by_distance, closest_k_share};
 use ytcdn_core::subnet::subnet_shares;
-use ytcdn_core::AnalysisContext;
+use ytcdn_core::{AnalysisContext, DatasetIndex};
+use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
 fn main() {
@@ -49,7 +50,8 @@ fn main() {
         .vantage(DatasetName::UsCampus)
         .subnets
         .clone();
-    for share in subnet_shares(&ctx, &dataset, &subnets) {
+    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
+    for share in subnet_shares(&index, &dataset, &subnets) {
         println!(
             "  {:<6} {:>5.1}% of flows, {:>5.1}% of non-preferred accesses (bias {:.1}x)",
             share.name,

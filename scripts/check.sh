@@ -182,12 +182,16 @@ cmp "$smoke/geo-1.txt" "$smoke/geo-$max.txt" \
     || { echo "check.sh: geo experiments differ at --jobs $max vs sequential" >&2; exit 1; }
 
 # The CLI's own CBG path: `geolocate` must print the same continent
-# counts and inferred data centers at any worker count.
+# counts and inferred data centers at any worker count, and calibrate on
+# the 50 landmarks `repro` uses (its progress note counts the landmarks it
+# built).
 echo "==> geolocate byte-compare smoke (EU2 at --jobs 1 vs $max)" >&2
 for jobs in 1 "$max"; do
-    cargo run --quiet --release -p ytcdn-cli -- geolocate \
+    YTCDN_QUIET= cargo run --quiet --release -p ytcdn-cli -- geolocate \
         --dataset EU2 --scale 0.002 --seed 7 --jobs "$jobs" \
-        > "$smoke/geolocate-$jobs.txt" 2>/dev/null
+        > "$smoke/geolocate-$jobs.txt" 2> "$smoke/geolocate-$jobs.err"
+    grep -q "calibrating CBG on 50 landmarks" "$smoke/geolocate-$jobs.err" \
+        || { echo "check.sh: geolocate --jobs $jobs did not calibrate on 50 landmarks" >&2; exit 1; }
 done
 cmp "$smoke/geolocate-1.txt" "$smoke/geolocate-$max.txt" \
     || { echo "check.sh: geolocate --jobs $max output differs from sequential" >&2; exit 1; }

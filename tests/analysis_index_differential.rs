@@ -25,6 +25,7 @@ use ytcdn_core::index::{DatasetIndex, DEFAULT_GAP_MS};
 use ytcdn_core::patterns::PatternStats;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
 use ytcdn_core::session::{flows_per_session, group_sessions, Sessions};
+use ytcdn_core::subnet::{subnet_shares, SubnetShare};
 use ytcdn_core::timeseries::{hourly_samples, nonpreferred_fraction_cdf, HourSample};
 use ytcdn_core::videos::{
     nonpreferred_video_stats, per_video_counts, NonPreferredVideoStats, VideoCounts,
@@ -376,6 +377,7 @@ fn sweep_matches_direct_flows_per_session() {
 /// plus the record fields the figures key on.
 struct FlowRow {
     hour: usize,
+    client: Ipv4Addr,
     video: VideoId,
     server: Ipv4Addr,
     /// `ctx.is_video`.
@@ -396,6 +398,7 @@ fn flow_table(ctx: &AnalysisContext, ds: &Dataset) -> Vec<FlowRow> {
     ds.iter()
         .map(|r| FlowRow {
             hour: (r.start_ms / HOUR_MS) as usize,
+            client: r.client_ip,
             video: r.video_id,
             server: r.server_ip,
             is_video: ctx.is_video(&r),
@@ -493,6 +496,38 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
             "{label}: series of {video:?}"
         );
     }
+
+    // Figure 12: each subnet's share of the analysis video flows and of
+    // the non-preferred ones; a client belongs to the first subnet whose
+    // block holds it.
+    let subnets = &world.vantage(ds.name()).subnets;
+    let mut all = vec![0u64; subnets.len()];
+    let mut nonpref = vec![0u64; subnets.len()];
+    for f in &table {
+        let Some(preferred) = f.video_target() else {
+            continue;
+        };
+        if let Some(k) = subnets.iter().position(|s| s.block.contains(f.client)) {
+            all[k] += 1;
+            nonpref[k] += u64::from(!preferred);
+        }
+    }
+    let share = |n: u64, of: u64| if of == 0 { 0.0 } else { n as f64 / of as f64 };
+    let (total_all, total_nonpref) = (all.iter().sum(), nonpref.iter().sum());
+    let want: Vec<SubnetShare> = subnets
+        .iter()
+        .zip(all.iter().zip(&nonpref))
+        .map(|(s, (&a, &np))| SubnetShare {
+            name: s.name.to_owned(),
+            share_of_all_flows: share(a, total_all),
+            share_of_nonpreferred_flows: share(np, total_nonpref),
+        })
+        .collect();
+    assert_eq!(
+        subnet_shares(&index, ds, subnets),
+        want,
+        "{label}: Figure 12 shares"
+    );
 
     // Figure 15: per-hour load of the preferred data center's servers,
     // control flows included; the busiest server of an hour is the first

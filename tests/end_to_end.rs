@@ -14,7 +14,7 @@ use ytcdn_core::timeseries::{hourly_samples, load_vs_preferred_correlation};
 use ytcdn_core::videos::nonpreferred_video_stats;
 use ytcdn_core::AnalysisContext;
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{DatasetName, FlowClass, FlowClassifier};
+use ytcdn_tstat::{DatasetName, FlowClass};
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 20260707;
@@ -129,9 +129,10 @@ fn session_structure_matches_figure6() {
 #[test]
 fn flow_size_bimodality_matches_figure4() {
     let h = Harness::new();
-    let classifier = FlowClassifier::default();
     for ds in &h.datasets {
-        let (video, control): (Vec<_>, Vec<_>) = classifier.partition(ds.iter());
+        let (video, control): (Vec<_>, Vec<_>) = ds
+            .iter()
+            .partition(|f| FlowClass::of_bytes(f.bytes) == FlowClass::Video);
         assert!(!control.is_empty() && !video.is_empty());
         // Control flows sit well under the kink, video flows well above:
         // the populations are separated by orders of magnitude.
@@ -185,14 +186,14 @@ fn eu2_load_balancing_matches_figure11() {
 #[test]
 fn net3_bias_matches_figure12() {
     let h = Harness::new();
-    let ctx = h.ctx(DatasetName::UsCampus);
+    let index = h.index(DatasetName::UsCampus);
     let subnets = h
         .scenario
         .world()
         .vantage(DatasetName::UsCampus)
         .subnets
         .clone();
-    let shares = subnet_shares(&ctx, h.dataset(DatasetName::UsCampus), &subnets);
+    let shares = subnet_shares(&index, h.dataset(DatasetName::UsCampus), &subnets);
     let net3 = shares.iter().find(|s| s.name == "Net-3").unwrap();
     let max_other_bias = shares
         .iter()
@@ -236,12 +237,14 @@ fn cold_tail_repair_matches_figure13() {
 fn control_flows_precede_video_flows_in_redirected_sessions() {
     let h = Harness::new();
     let ds = h.dataset(DatasetName::Eu1Campus);
-    let classifier = FlowClassifier::default();
     let sessions = group_sessions(ds, 1_000);
     let mut checked = 0;
     for s in sessions.iter().filter(|s| s.flow_count() >= 2) {
         // In a redirect chain every flow but the last video flow is small.
-        let classes: Vec<FlowClass> = s.flows_iter(ds).map(|f| classifier.classify(&f)).collect();
+        let classes: Vec<FlowClass> = s
+            .flows_iter(ds)
+            .map(|f| FlowClass::of_bytes(f.bytes))
+            .collect();
         if classes[0] == FlowClass::Control {
             // Control flows come first; at least one video flow follows.
             assert!(

@@ -272,7 +272,7 @@ fn session_digests() -> String {
                 h.update(&i.to_le_bytes());
             }
         }
-        for &i in sessions.flows_in_bucket_order() {
+        for &i in sessions.buckets().flatten() {
             h.update(&i.to_le_bytes());
         }
         h.update(&(sessions.distinct_clients() as u64).to_le_bytes());

@@ -21,7 +21,7 @@ use ytcdn_geomodel::{min_rtt_ms, Coord};
 use ytcdn_netsim::{AccessKind, DelayModel, Endpoint};
 use ytcdn_tstat::{
     read_textlog, write_textlog, Anonymizer, Dataset, DatasetColumns, DatasetName, FlowClass,
-    FlowClassifier, FlowRecord, Resolution, VideoId, HOUR_MS,
+    FlowRecord, Resolution, VideoId, HOUR_MS, VIDEO_MIN_BYTES,
 };
 
 /// Root seed of every property's case streams.
@@ -119,19 +119,20 @@ fn video_id_injective() {
 #[test]
 fn classify_is_threshold_indicator() {
     check(CASES, |rng| {
-        let thr = rng.gen_range(1u64..10_000_000);
-        let c = FlowClassifier::with_threshold(thr);
-        // Both sides of the threshold, the threshold itself, and anywhere.
-        for bytes in [thr - 1, thr, rng.gen_range(0..2 * thr), rng.next_u64()] {
-            let want = if bytes < thr {
-                FlowClass::Control
-            } else {
-                FlowClass::Video
-            };
+        // The edges, then anywhere and around the threshold.
+        let (anywhere, near) = (rng.next_u64(), rng.gen_range(0..2 * VIDEO_MIN_BYTES));
+        for bytes in [
+            0,
+            VIDEO_MIN_BYTES - 1,
+            VIDEO_MIN_BYTES,
+            u64::MAX,
+            anywhere,
+            near,
+        ] {
             assert_eq!(
-                c.classify_bytes(bytes),
-                want,
-                "{bytes} bytes, threshold {thr}"
+                FlowClass::of_bytes(bytes) == FlowClass::Video,
+                bytes >= VIDEO_MIN_BYTES,
+                "{bytes} bytes"
             );
         }
     });
@@ -398,18 +399,18 @@ fn sessions_partition_flows() {
     });
 }
 
-/// The sessions' flat column holds every flow index exactly once, the
-/// (client, video) buckets are contiguous runs that ascend in `(client,
-/// video)` order across the whole column, and every session's slice
-/// ascends inside one bucket.
+/// The sessions' buckets, laid end to end, hold every flow index exactly
+/// once; each bucket is one (client, video) pair's whole run, the runs
+/// ascend in `(client, video)` order across the column, and every
+/// session's slice ascends inside one bucket.
 #[test]
 fn session_column_is_a_bucketed_permutation() {
     check(CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, colliding_flows(rng));
         let gap = rng.gen_range(1u64..5_000);
         let sessions = group_sessions(&ds, gap);
-        let column = sessions.flows_in_bucket_order();
-        let mut sorted = column.to_vec();
+        let column: Vec<u32> = sessions.buckets().flatten().copied().collect();
+        let mut sorted = column.clone();
         sorted.sort_unstable();
         assert!(
             sorted.iter().copied().eq(0..ds.len() as u32),
@@ -427,6 +428,13 @@ fn session_column_is_a_bucketed_permutation() {
                 pair[0],
                 pair[1]
             );
+        }
+        let mut previous = None;
+        for run in sessions.buckets() {
+            let key = bucket(run[0]);
+            assert!(run.iter().all(|&i| bucket(i) == key), "bucket mixes pairs");
+            assert!(previous < Some(key), "{key:?} split across buckets");
+            previous = Some(key);
         }
         for s in sessions.iter() {
             let flows = s.flow_indices();
