@@ -14,7 +14,8 @@ use ytcdn_netsim::{
 };
 use ytcdn_tstat::VideoId;
 
-use crate::scenario::StandardScenario;
+use crate::placement::ContentStore;
+use crate::scenario::{StandardScenario, World};
 use crate::topology::DataCenterId;
 
 /// One probe: when, which server answered, and its measured RTT.
@@ -119,9 +120,13 @@ impl ActiveExperiment {
     /// Runs the experiment against a scenario's world, with a fresh content
     /// store so only this experiment's pulls exist.
     pub fn run(&self, scenario: &StandardScenario) -> Vec<NodeTrace> {
-        let world = scenario.world();
+        self.run_in(scenario.world(), scenario.fresh_store())
+    }
+
+    /// Runs the experiment against `world`, uploading to and pulling
+    /// through `store`.
+    pub fn run_in(&self, world: &World, mut store: ContentStore) -> Vec<NodeTrace> {
         let topo = world.topology();
-        let mut store = scenario.fresh_store();
 
         // "Upload" the test video: present only at the origin data center.
         let video = VideoId::from_index(u64::MAX / 2 + 1);

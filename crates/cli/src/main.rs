@@ -35,8 +35,10 @@ use ytcdn_cdnsim::{MutationSpec, ScenarioConfig, StandardScenario};
 use ytcdn_core::experiments::{ExperimentSuite, Figure, SuiteConfig};
 use ytcdn_core::perf::perf_report;
 use ytcdn_core::whatif;
-use ytcdn_core::{AnalysisContext, DatasetIndex, WatchConfig, WatchReport, YtcFile, YtcHeader};
-use ytcdn_geoloc::{cluster_by_city, Cbg};
+use ytcdn_core::{
+    AnalysisContext, DatasetIndex, Observatory, WatchConfig, WatchReport, YtcFile, YtcHeader,
+};
+use ytcdn_geoloc::cluster_by_city;
 use ytcdn_geomodel::CityDb;
 use ytcdn_telemetry::{JsonlSink, Progress, Telemetry};
 use ytcdn_tstat::{Dataset, DatasetName};
@@ -668,8 +670,9 @@ fn geolocate(dataset: DatasetName, scale: f64, seed: u64, jobs: usize, ctx: &Ctx
         ds.server_ips().len()
     ));
     let _span = ctx.telemetry.span("analysis.geolocate");
-    let cbg = Cbg::calibrate(landmarks, s.world().delay_model(), 3, seed);
-    let locations = ytcdn_core::geo_analysis::geolocate_servers(s.world(), &ds, &cbg, seed, jobs);
+    let observatory = Observatory::new(s.world());
+    let cbg = observatory.calibrate_cbg(landmarks, 3, seed);
+    let locations = ytcdn_core::geo_analysis::geolocate_servers(observatory, &ds, &cbg, seed, jobs);
     let counts = ytcdn_core::geo_analysis::continent_counts(&locations);
     println!(
         "servers per continent: N.America={} Europe={} Others={}",

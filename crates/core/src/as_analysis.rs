@@ -7,9 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use ytcdn_cdnsim::World;
 use ytcdn_netsim::WellKnownAs;
 use ytcdn_tstat::{Dataset, DatasetName};
+
+use crate::observatory::Observatory;
 
 /// Share of servers and bytes for one AS bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -39,9 +40,8 @@ impl AsBreakdown {
 /// Computes the Table II row for a dataset. Each distinct server — each
 /// entry of the dataset's server dictionary — is classified once; each
 /// flow adds its bytes to its entry by rank.
-pub fn as_breakdown(world: &World, dataset: &Dataset) -> AsBreakdown {
-    let home = world.vantage(dataset.name()).home_as;
-    let registry = world.topology().registry();
+pub fn as_breakdown(observatory: Observatory<'_>, dataset: &Dataset) -> AsBreakdown {
+    let name = dataset.name();
     let c = dataset.columns();
 
     let mut entry_bytes = vec![0u64; c.servers.len()];
@@ -51,7 +51,7 @@ pub fn as_breakdown(world: &World, dataset: &Dataset) -> AsBreakdown {
     let mut server_count: BTreeMap<WellKnownAs, u64> = BTreeMap::new();
     let mut bytes: BTreeMap<WellKnownAs, u64> = BTreeMap::new();
     for (&ip, &b) in c.servers.iter().zip(&entry_bytes) {
-        let bucket = registry.classify(ip, home);
+        let bucket = observatory.whois(name, ip);
         *server_count.entry(bucket).or_default() += 1;
         *bytes.entry(bucket).or_default() += b;
     }
@@ -108,7 +108,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 17));
         s.run_all(2)
             .iter()
-            .map(|ds| as_breakdown(s.world(), ds))
+            .map(|ds| as_breakdown(Observatory::new(s.world()), ds))
             .collect()
     }
 
@@ -185,7 +185,7 @@ mod tests {
     fn empty_dataset_all_zero() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 17));
         let empty = Dataset::new(DatasetName::Eu2);
-        let row = as_breakdown(s.world(), &empty);
+        let row = as_breakdown(Observatory::new(s.world()), &empty);
         for b in WellKnownAs::buckets() {
             assert_eq!(row.share(b).servers_pct, 0.0);
             assert_eq!(row.share(b).bytes_pct, 0.0);

@@ -6,12 +6,20 @@
 //! center is the *preferred* one for the network (Section VI-B: the one
 //! carrying the dominant share of bytes, which is also the lowest-RTT one;
 //! for EU2, the lower-RTT of the two dominant ones).
+//!
+//! A context reads the world through an [`Observatory`]: pings from the
+//! vantage point and its city. The data-center map is the caller's: CBG
+//! city clusters ([`DcMap::from_clusters`]), or the simulator's own map
+//! ([`GroundTruth::dc_map`](crate::observatory::GroundTruth::dc_map)),
+//! which [`AnalysisContext::from_ground_truth`] analyses. A center with no
+//! seen server takes its RTT from the ground truth too
+//! ([`GroundTruth::fallback_rtt`](crate::observatory::GroundTruth::fallback_rtt)).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::error::{AnalysisError, AnalysisResult};
-use ytcdn_cdnsim::World;
+use crate::observatory::Observatory;
 use ytcdn_geoloc::CityCluster;
 use ytcdn_geomodel::{CityDb, Coord};
 use ytcdn_netsim::Ipv4Block;
@@ -52,20 +60,6 @@ pub struct DcMap {
 }
 
 impl DcMap {
-    /// Ground-truth map: the analysis data centers of the simulated world
-    /// (what whois + perfect geolocation would give).
-    pub fn from_world(world: &World) -> Self {
-        let mut map = DcMap::default();
-        for dc in world.topology().analysis_dcs() {
-            let idx = map.metas.len();
-            map.metas.push((dc.city.name.to_owned(), dc.city.coord));
-            for &ip in &dc.servers {
-                map.blocks.insert(Ipv4Block::slash24_of(ip), idx);
-            }
-        }
-        map
-    }
-
     /// Map inferred from CBG city clusters (the paper's actual pipeline).
     ///
     /// # Errors
@@ -75,19 +69,25 @@ impl DcMap {
     pub fn from_clusters(clusters: &[CityCluster], cities: &CityDb) -> AnalysisResult<Self> {
         let mut map = DcMap::default();
         for cluster in clusters {
-            let idx = map.metas.len();
             let city =
                 cities
                     .get(&cluster.city_name)
                     .ok_or_else(|| AnalysisError::UnknownCity {
                         city: cluster.city_name.clone(),
                     })?;
-            map.metas.push((city.name.to_owned(), city.coord));
-            for &ip in &cluster.servers {
-                map.blocks.insert(Ipv4Block::slash24_of(ip), idx);
-            }
+            map.push(city.name, city.coord, &cluster.servers);
         }
         Ok(map)
+    }
+
+    /// Appends a data center: its city label and location, and the `/24`s
+    /// of its servers.
+    pub(crate) fn push(&mut self, city_name: &str, coord: Coord, servers: &[Ipv4Addr]) {
+        let idx = self.metas.len();
+        self.metas.push((city_name.to_owned(), coord));
+        for &ip in servers {
+            self.blocks.insert(Ipv4Block::slash24_of(ip), idx);
+        }
     }
 
     /// The data-center index of a server address, if it is an analysis
@@ -117,9 +117,18 @@ pub struct AnalysisContext {
 }
 
 impl AnalysisContext {
-    /// Builds the context from the ground-truth data-center map.
-    pub fn from_ground_truth(world: &World, dataset: &Dataset) -> Self {
-        match Self::from_map(world, dataset, DcMap::from_world(world)) {
+    /// Builds the context from the simulator's own data-center map: the
+    /// oracle that the suite, `watch` and `analyze` analyse until the
+    /// CBG-inferred map replaces it (ROADMAP item 1). Takes a
+    /// [`GroundTruth`](crate::observatory::GroundTruth), or the `&World` it
+    /// wraps.
+    pub fn from_ground_truth<'w>(
+        // ytcdn-lint: allow(OBS001) — the ground-truth contexts the suite analyses until ROADMAP item 1 builds them from the CBG-inferred map
+        truth: impl Into<crate::observatory::GroundTruth<'w>>,
+        dataset: &Dataset,
+    ) -> Self {
+        let truth = truth.into();
+        match Self::from_map(truth.observatory(), truth, dataset, truth.dc_map()) {
             Ok(ctx) => ctx,
             // Unreachable: the simulated world always defines its analysis
             // data centers, independent of what the dataset captured.
@@ -130,23 +139,29 @@ impl AnalysisContext {
     /// Builds the context from an arbitrary (e.g. CBG-inferred) map.
     ///
     /// RTT per data center is measured the way the paper does it: minimum
-    /// over pings to the data center's servers seen in the dataset (falling
-    /// back to the model's floor toward the city for centers with no seen
-    /// server).
+    /// over pings to the data center's servers seen in the dataset. A
+    /// center with no seen server falls back to the floor toward its city,
+    /// read from `truth`.
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoDataCenters`] when `map` is empty — e.g.
     /// a CBG pass over a dataset that captured no analysis servers — since
     /// no preferred data center can be picked.
-    pub fn from_map(world: &World, dataset: &Dataset, map: DcMap) -> AnalysisResult<Self> {
+    pub fn from_map(
+        observatory: Observatory<'_>,
+        // ytcdn-lint: allow(OBS001) — the fallback RTT of a center with no seen server; ROADMAP item 1 decides it
+        truth: crate::observatory::GroundTruth<'_>,
+        dataset: &Dataset,
+        map: DcMap,
+    ) -> AnalysisResult<Self> {
         let name = dataset.name();
         if map.is_empty() {
             return Err(AnalysisError::NoDataCenters {
                 source: format!("{name} data-center map"),
             });
         }
-        let vantage_coord = world.vantage(name).city.coord;
+        let vantage_coord = observatory.vantage_city(name).coord;
 
         // Traffic per data center: each server resolves to its center once,
         // through the dataset's server dictionary, and each flow is one
@@ -186,7 +201,7 @@ impl AnalysisContext {
                 let rtt_ms = servers[idx]
                     .iter()
                     .take(RTT_PING_SERVERS)
-                    .filter_map(|&ip| world.ping_server(name, ip, 10, 77))
+                    .filter_map(|&ip| observatory.ping_server(name, ip, 10, 77))
                     .map(|m| m.min_ms)
                     .fold(f64::INFINITY, f64::min);
                 let rtt_ms = if rtt_ms.is_finite() {
@@ -194,7 +209,7 @@ impl AnalysisContext {
                 } else {
                     // No server of this center seen: fall back to the floor
                     // toward its city so Figure 8-style rankings still work.
-                    fallback_rtt(world, name, *coord, city_name)
+                    truth.fallback_rtt(name, *coord, city_name)
                 };
                 DcInfo {
                     index: idx,
@@ -277,19 +292,6 @@ impl AnalysisContext {
     }
 }
 
-fn fallback_rtt(world: &World, name: DatasetName, coord: Coord, city_name: &str) -> f64 {
-    // Find the topology data center at this city if one exists; otherwise
-    // approximate with the delay model floor plus nothing.
-    for dc in world.topology().analysis_dcs() {
-        if dc.city.name == city_name {
-            return world.rtt_to_dc(name, dc.id);
-        }
-    }
-    let vp = world.vantage(name);
-    let ep = ytcdn_netsim::Endpoint::new(coord, ytcdn_netsim::AccessKind::DataCenter);
-    world.delay_model().floor_rtt_ms(&vp.endpoint(), &ep)
-}
-
 /// The paper's preferred-data-center rule: the dominant byte source — and
 /// when two centers share the traffic (EU2's in-ISP + external pair), the
 /// lower-RTT of the two.
@@ -315,6 +317,7 @@ fn pick_preferred(dcs: &[DcInfo]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observatory::GroundTruth;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 
     fn scenario() -> StandardScenario {
@@ -324,14 +327,14 @@ mod tests {
     #[test]
     fn ground_truth_map_has_33_dcs() {
         let s = scenario();
-        let map = DcMap::from_world(s.world());
+        let map = GroundTruth::new(s.world()).dc_map();
         assert_eq!(map.len(), 33);
     }
 
     #[test]
     fn map_finds_analysis_servers_only() {
         let s = scenario();
-        let map = DcMap::from_world(s.world());
+        let map = GroundTruth::new(s.world()).dc_map();
         let topo = s.world().topology();
         for dc in topo.dcs() {
             let expected = dc.pool.in_analysis();

@@ -11,8 +11,9 @@
 
 use std::str::FromStr;
 
-use ytcdn_cdnsim::World;
 use ytcdn_tstat::{Dataset, DatasetName, FlowClass, HOUR_MS};
+
+use crate::observatory::Observatory;
 
 /// A deterministic way to degrade a simulated dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +57,10 @@ impl DegenerateShape {
         }
     }
 
-    /// Applies the shape to one simulated dataset.
-    pub fn apply(self, world: &World, dataset: Dataset) -> Dataset {
+    /// Applies the shape to one simulated dataset. Only
+    /// [`DegenerateShape::MissingNet3`] reads `observatory`, for the
+    /// vantage point's subnets.
+    pub fn apply(self, observatory: Observatory<'_>, dataset: Dataset) -> Dataset {
         match self {
             DegenerateShape::Empty => Dataset::new(dataset.name()),
             DegenerateShape::SingleFlow => {
@@ -75,9 +78,8 @@ impl DegenerateShape {
                 if dataset.name() != DatasetName::UsCampus {
                     return dataset;
                 }
-                let net3 = world
-                    .vantage(DatasetName::UsCampus)
-                    .subnets
+                let net3 = observatory
+                    .subnets(DatasetName::UsCampus)
                     .iter()
                     .find(|s| s.name == "Net-3")
                     .map(|s| s.block);
@@ -144,46 +146,42 @@ mod tests {
     fn shapes_degrade_as_documented() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 2));
         let (ds, _) = s.run(DatasetName::UsCampus);
-        let world = s.world();
+        let obs = Observatory::new(s.world());
         let n = ds.len();
         assert!(n > 100, "need a real dataset to degrade, got {n} flows");
 
-        assert_eq!(DegenerateShape::Empty.apply(world, ds.clone()).len(), 0);
-        assert_eq!(
-            DegenerateShape::SingleFlow.apply(world, ds.clone()).len(),
-            1
-        );
+        assert_eq!(DegenerateShape::Empty.apply(obs, ds.clone()).len(), 0);
+        assert_eq!(DegenerateShape::SingleFlow.apply(obs, ds.clone()).len(), 1);
 
-        let no_video = DegenerateShape::NoVideo.apply(world, ds.clone());
+        let no_video = DegenerateShape::NoVideo.apply(obs, ds.clone());
         assert!(!no_video.is_empty());
         assert!(no_video
             .iter()
             .all(|r| FlowClass::of_bytes(r.bytes) != FlowClass::Video));
 
-        let hour = DegenerateShape::SingleHour.apply(world, ds.clone());
+        let hour = DegenerateShape::SingleHour.apply(obs, ds.clone());
         assert!(!hour.is_empty() && hour.len() < n);
         assert!(hour
             .iter()
             .all(|r| (12 * HOUR_MS..13 * HOUR_MS).contains(&r.start_ms)));
 
-        let net3_block = world
-            .vantage(DatasetName::UsCampus)
-            .subnets
+        let net3_block = obs
+            .subnets(DatasetName::UsCampus)
             .iter()
             .find(|s| s.name == "Net-3")
             .map(|s| s.block)
             .expect("US-Campus config defines Net-3");
-        let no_net3 = DegenerateShape::MissingNet3.apply(world, ds.clone());
+        let no_net3 = DegenerateShape::MissingNet3.apply(obs, ds.clone());
         assert!(!no_net3.is_empty() && no_net3.len() < n);
         assert!(no_net3.iter().all(|r| !net3_block.contains(r.client_ip)));
         // Other vantage points pass through untouched.
         let (eu2, _) = s.run(DatasetName::Eu2);
         assert_eq!(
-            DegenerateShape::MissingNet3.apply(world, eu2.clone()).len(),
+            DegenerateShape::MissingNet3.apply(obs, eu2.clone()).len(),
             eu2.len()
         );
 
-        let truncated = DegenerateShape::TruncatedWeek.apply(world, ds.clone());
+        let truncated = DegenerateShape::TruncatedWeek.apply(obs, ds.clone());
         assert!(!truncated.is_empty() && truncated.len() < n);
         assert!(truncated.iter().all(|r| r.start_ms < 72 * HOUR_MS));
     }

@@ -21,8 +21,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use ytcdn_cdnsim::{
-    par_map, resolve_jobs, ActiveConfig, ActiveExperiment, NodeTrace, ScenarioConfig,
-    StandardScenario,
+    par_map, resolve_jobs, ActiveConfig, NodeTrace, ScenarioConfig, StandardScenario,
 };
 use ytcdn_geoloc::Cbg;
 use ytcdn_netsim::{
@@ -42,6 +41,7 @@ use crate::hotspot::{
     preferred_server_load, server_session_breakdown, top_nonpreferred_videos, video_timeseries,
 };
 use crate::index::DatasetIndex;
+use crate::observatory::Observatory;
 use crate::preferred::{bytes_by_distance, bytes_by_rtt, closest_k_share, ShareStep};
 use crate::stats::{nearest_rank, values_at_ranks, Cdf};
 use crate::subnet::subnet_shares;
@@ -246,11 +246,12 @@ impl ExperimentSuite {
 
     fn build(config: SuiteConfig, telemetry: Telemetry, shape: Option<DegenerateShape>) -> Self {
         let scenario = StandardScenario::build_instrumented(config.scenario, telemetry.clone());
+        let (observatory, _) = handles(&scenario);
         let datasets = scenario
             .run_all(resolve_jobs(config.jobs))
             .into_iter()
             .map(|ds| match shape {
-                Some(shape) => shape.apply(scenario.world(), ds),
+                Some(shape) => shape.apply(observatory, ds),
                 None => ds,
             })
             .collect();
@@ -278,9 +279,10 @@ impl ExperimentSuite {
             .all(|(ds, name)| ds.name() == name));
         let contexts: Vec<AnalysisContext> = {
             let _span = telemetry.span("suite.contexts");
+            let (_, truth) = handles(&scenario);
             datasets
                 .iter()
-                .map(|ds| AnalysisContext::from_ground_truth(scenario.world(), ds))
+                .map(|ds| AnalysisContext::from_ground_truth(truth, ds))
                 .collect()
         };
         let indexes = {
@@ -308,6 +310,11 @@ impl ExperimentSuite {
     /// The scenario under analysis.
     pub fn scenario(&self) -> &StandardScenario {
         &self.scenario
+    }
+
+    /// What the suite's analyses may measure of its world.
+    fn observatory(&self) -> Observatory<'_> {
+        handles(&self.scenario).0
     }
 
     /// The resolved worker-thread count ([`SuiteConfig::jobs`] through
@@ -346,12 +353,8 @@ impl ExperimentSuite {
             } else {
                 landmarks_with_counts(self.config.scenario.seed, &DEFAULT_LANDMARK_COUNTS)
             };
-            Cbg::calibrate(
-                landmarks,
-                self.scenario.world().delay_model(),
-                3,
-                self.config.scenario.seed,
-            )
+            self.observatory()
+                .calibrate_cbg(landmarks, 3, self.config.scenario.seed)
         })
     }
 
@@ -367,7 +370,7 @@ impl ExperimentSuite {
         self.geo.get_or_init(|| {
             self.telemetry.counter("geo.cache_miss").inc();
             crate::index::GeoIndex::build(
-                self.scenario.world(),
+                self.observatory(),
                 &self.datasets,
                 self.cbg(),
                 self.config.scenario.seed ^ 0xF16,
@@ -506,7 +509,7 @@ impl ExperimentSuite {
             "Dataset", "Google(srv/byte)", "YT-EU(srv/byte)", "SameAS(srv/byte)", "Other(srv/byte)"
         );
         for ds in &self.datasets {
-            let row = as_breakdown(self.scenario.world(), ds);
+            let row = as_breakdown(self.observatory(), ds);
             let mut line = format!("{:<11}", ds.name().to_string());
             for b in WellKnownAs::buckets() {
                 let s = row.share(b);
@@ -548,7 +551,7 @@ impl ExperimentSuite {
         let cdfs: Vec<Cdf> = self
             .datasets
             .iter()
-            .map(|ds| server_rtt_cdf(self.scenario.world(), ds, 5))
+            .map(|ds| server_rtt_cdf(self.observatory(), ds, 5))
             .collect();
         let report = (|| {
             let mut out = String::from(
@@ -596,7 +599,8 @@ impl ExperimentSuite {
     /// Figure 3: CDF of the CBG confidence-region radius, US vs Europe.
     /// Metrics: each region's median radius.
     fn fig3(&self) -> Figure {
-        let (us, eu) = radius_cdfs(&self.geo_index().pooled());
+        let (_, truth) = handles(&self.scenario);
+        let (us, eu) = radius_cdfs(&self.geo_index().pooled(), truth);
         let mut out = String::from(
             "Figure 3 — CBG confidence-region radius (paper: median 41 km; p90 320 km US / 200 km EU)\n",
         );
@@ -989,7 +993,7 @@ impl ExperimentSuite {
     fn fig12(&self) -> Figure {
         let ds = self.dataset(DatasetName::UsCampus);
         let index = self.dataset_index(DatasetName::UsCampus);
-        let subnets = &self.scenario.world().vantage(DatasetName::UsCampus).subnets;
+        let subnets = self.observatory().subnets(DatasetName::UsCampus);
         let shares = subnet_shares(index, ds, subnets);
         let mut out = String::from(
             "Figure 12 — US-Campus subnets (paper: Net-3 = 4% of flows but ~50% of non-preferred)\n",
@@ -1271,14 +1275,16 @@ impl ExperimentSuite {
     }
 
     /// The Section VII-C active experiment's node traces, run once with
-    /// this suite's seed on first use and shared by Figures 17 and 18.
+    /// this suite's seed on first use and shared by Figures 17 and 18,
+    /// over a fresh content store so only the experiment's pulls exist.
     pub fn active_traces(&self) -> &[NodeTrace] {
         self.active.get_or_init(|| {
-            ActiveExperiment::new(ActiveConfig {
+            let config = ActiveConfig {
                 seed: self.config.scenario.seed ^ 0xAC71,
                 ..ActiveConfig::default()
-            })
-            .run(&self.scenario)
+            };
+            self.observatory()
+                .active_traces(config, self.scenario.fresh_store())
         })
     }
 
@@ -1349,6 +1355,16 @@ impl ExperimentSuite {
     }
 }
 
+/// The one place the suite hands its world to the two handles: what its
+/// analyses may measure, and the simulator's truth, which only the
+/// ground-truth contexts and fig. 3's continents read.
+// ytcdn-lint: allow(OBS001) — the suite's ground-truth handle, which ROADMAP item 1 takes from the contexts
+fn handles(scenario: &StandardScenario) -> (Observatory<'_>, crate::observatory::GroundTruth<'_>) {
+    // ytcdn-lint: allow(OBS001) — the one place the suite hands its world to the two handles (ROADMAP item 1)
+    let truth = crate::observatory::GroundTruth::new(scenario.world());
+    (truth.observatory(), truth)
+}
+
 /// A cumulative byte-share curve (Figures 7 and 8) as one series.
 fn step_series(name: DatasetName, steps: &[ShareStep]) -> Series {
     Series {
@@ -1417,7 +1433,7 @@ mod tests {
                 or_zero(vid_cdf.try_median()),
                 or_zero(vid_cdf.try_max()),
             );
-            let all = Cdf::from_values(ctrl_cdf.samples().iter().chain(vid_cdf.samples()).copied());
+            let all = Cdf::from_values(control.iter().chain(&video).map(|&b| b as f64));
             series.push(Series::from_cdf(ds.name().to_string(), &all));
         }
         Figure::new(out, series, Vec::new())

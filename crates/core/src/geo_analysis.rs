@@ -5,58 +5,59 @@
 //! View" database answer. Figure 3 evaluates CBG's confidence-region radius
 //! for US vs European servers. Table III counts, per dataset, the servers
 //! geolocated to North America / Europe / elsewhere.
+//!
+//! Every measurement here goes through an [`Observatory`]: pings from the
+//! vantage point, and each server `/24`'s probe target for CBG. The rows
+//! hold only what CBG measured. Fig. 3 still groups its radii by each
+//! server's true continent, the one [`GroundTruth`](crate::observatory::GroundTruth)
+//! read in this module; ROADMAP item 1 decides whether it moves to the CBG
+//! estimate, as the paper could only do.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use ytcdn_cdnsim::{par_map, World};
+use ytcdn_cdnsim::par_map;
 use ytcdn_geoloc::{Cbg, CbgResult};
-use ytcdn_geomodel::{CityDb, Continent, Coord, Table3Bucket};
+use ytcdn_geomodel::{CityDb, Continent, Table3Bucket};
 use ytcdn_netsim::{Endpoint, Ipv4Block, NoiseRng};
 use ytcdn_tstat::Dataset;
 
+use crate::observatory::Observatory;
+
 /// The Figure 2 curve: min-RTT from the vantage point to every distinct
 /// server of the dataset.
-pub fn server_rtt_cdf(world: &World, dataset: &Dataset, probes: u32) -> crate::stats::Cdf {
+pub fn server_rtt_cdf(
+    observatory: Observatory<'_>,
+    dataset: &Dataset,
+    probes: u32,
+) -> crate::stats::Cdf {
     let name = dataset.name();
     crate::stats::Cdf::from_values(
         dataset
             .server_ips()
             .iter()
-            .filter_map(|&ip| world.ping_server(name, ip, probes, 1234))
+            .filter_map(|&ip| observatory.ping_server(name, ip, probes, 1234))
             .map(|m| m.min_ms),
     )
 }
 
-/// One server's CBG outcome plus ground truth (for validation).
+/// One server's CBG outcome. Its error against the truth is
+/// [`GroundTruth::error_km`](crate::observatory::GroundTruth::error_km).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerLocation {
     /// The server (representative of its /24).
     pub ip: Ipv4Addr,
     /// CBG result.
     pub cbg: CbgResult,
-    /// Ground-truth position (from the simulated world).
-    pub truth: Coord,
     /// Estimated continent (nearest city to the CBG estimate).
     pub continent: Continent,
-    /// Ground-truth continent (nearest city to `truth`), resolved once at
-    /// geolocate time so downstream groupings never re-run a nearest-city
-    /// query.
-    pub truth_continent: Continent,
     /// Number of servers in this /24 seen in the dataset (the result is
     /// shared by all of them).
     pub servers_in_block: usize,
 }
 
-impl ServerLocation {
-    /// CBG position error against ground truth, km.
-    pub fn error_km(&self) -> f64 {
-        self.cbg.estimate.distance_km(self.truth)
-    }
-}
-
-/// One /24 block's CBG outcome — a pure function of `(world, cbg, seed,
-/// block)`, independent of which member addresses a dataset observed and
+/// One /24 block's CBG outcome — a pure function of `(cbg, seed, block,
+/// probe target)`, independent of which member addresses a dataset observed and
 /// of the order blocks are processed in. That purity is what lets
 /// [`crate::index::GeoIndex`] localize the union of all datasets' blocks
 /// once and hand each dataset exactly the values a standalone
@@ -65,30 +66,26 @@ impl ServerLocation {
 pub struct BlockLocation {
     /// The /24 server block.
     pub block: Ipv4Block,
-    /// CBG result for the block's canonical endpoint.
+    /// CBG result for the block's probe target.
     pub cbg: CbgResult,
-    /// Ground-truth position of the canonical endpoint.
-    pub truth: Coord,
     /// Estimated continent (nearest city to the CBG estimate).
     pub continent: Continent,
-    /// Ground-truth continent (nearest city to `truth`).
-    pub truth_continent: Continent,
 }
 
-/// The /24 blocks of a dataset's servers that the world can place, in
-/// block order, each with its canonical endpoint and the member addresses
-/// the dataset observed (ascending).
+/// The /24 blocks of a dataset's servers that answer probes, in block
+/// order, each with its probe target and the member addresses the dataset
+/// observed (ascending).
 pub fn dataset_blocks(
-    world: &World,
+    observatory: Observatory<'_>,
     dataset: &Dataset,
 ) -> Vec<(Ipv4Block, Endpoint, Vec<Ipv4Addr>)> {
     let mut by_block: BTreeMap<Ipv4Block, (Endpoint, Vec<Ipv4Addr>)> = BTreeMap::new();
     for &ip in dataset.server_ips() {
         let block = Ipv4Block::slash24_of(ip);
-        // Only servers the world knows (i.e. with a pingable endpoint).
+        // Only servers that answer probes.
         if let Some(entry) = by_block.get_mut(&block) {
             entry.1.push(ip);
-        } else if let Some(endpoint) = world.topology().block_endpoint(block) {
+        } else if let Some(endpoint) = observatory.block_target(block) {
             by_block.insert(block, (endpoint, vec![ip]));
         }
     }
@@ -118,13 +115,10 @@ pub fn localize_blocks(
         let mut rng = NoiseRng::for_stream(seed, tag);
         let cbg_result = cbg.localize(&endpoint, &mut rng);
         let (city, _) = cities.nearest(cbg_result.estimate);
-        let (truth_city, _) = cities.nearest(endpoint.coord);
         BlockLocation {
             block,
             cbg: cbg_result,
-            truth: endpoint.coord,
             continent: city.continent,
-            truth_continent: truth_city.continent,
         }
     })
 }
@@ -135,9 +129,7 @@ pub(crate) fn block_to_server_location(loc: &BlockLocation, ips: &[Ipv4Addr]) ->
     ServerLocation {
         ip: ips[0],
         cbg: loc.cbg,
-        truth: loc.truth,
         continent: loc.continent,
-        truth_continent: loc.truth_continent,
         servers_in_block: ips.len(),
     }
 }
@@ -148,13 +140,13 @@ pub(crate) fn block_to_server_location(loc: &BlockLocation, ips: &[Ipv4Addr]) ->
 /// make the output byte-identical for every `jobs` value (see
 /// [`localize_blocks`]).
 pub fn geolocate_servers(
-    world: &World,
+    observatory: Observatory<'_>,
     dataset: &Dataset,
     cbg: &Cbg,
     seed: u64,
     jobs: usize,
 ) -> Vec<ServerLocation> {
-    let blocks = dataset_blocks(world, dataset);
+    let blocks = dataset_blocks(observatory, dataset);
     let targets: Vec<(Ipv4Block, Endpoint)> =
         blocks.iter().map(|&(block, ep, _)| (block, ep)).collect();
     let locs = localize_blocks(cbg, seed, &targets, jobs);
@@ -198,12 +190,21 @@ pub fn continent_counts(locations: &[ServerLocation]) -> ContinentCounts {
 }
 
 /// The Figure 3 CDFs: CBG confidence-region radii for servers in the US and
-/// in Europe (by ground-truth continent, as the paper groups its curves).
-pub fn radius_cdfs(locations: &[ServerLocation]) -> (crate::stats::Cdf, crate::stats::Cdf) {
+/// in Europe, by the continent of the city nearest each server `/24`'s true
+/// position, read from `truth`.
+pub fn radius_cdfs(
+    locations: &[ServerLocation],
+    // ytcdn-lint: allow(OBS001) — fig. 3 groups by true continent; ROADMAP item 1 decides whether the CBG estimate replaces it
+    truth: crate::observatory::GroundTruth<'_>,
+) -> (crate::stats::Cdf, crate::stats::Cdf) {
+    let cities = CityDb::builtin();
     let mut us = Vec::new();
     let mut eu = Vec::new();
     for loc in locations {
-        match loc.truth_continent {
+        let Some(coord) = truth.block_coord(loc.ip) else {
+            continue;
+        };
+        match cities.nearest(coord).0.continent {
             Continent::NorthAmerica => us.push(loc.cbg.radius_km),
             Continent::Europe => eu.push(loc.cbg.radius_km),
             _ => {}
@@ -218,6 +219,7 @@ pub fn radius_cdfs(locations: &[ServerLocation]) -> (crate::stats::Cdf, crate::s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observatory::GroundTruth;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
     use ytcdn_geomodel::Continent as C;
     use ytcdn_netsim::{landmarks_with_counts, DelayModel};
@@ -246,8 +248,8 @@ mod tests {
         let s = scenario();
         let (us, _) = s.run(DatasetName::UsCampus);
         let (eu, _) = s.run(DatasetName::Eu1Ftth);
-        let us_cdf = server_rtt_cdf(s.world(), &us, 3);
-        let eu_cdf = server_rtt_cdf(s.world(), &eu, 3);
+        let us_cdf = server_rtt_cdf(Observatory::new(s.world()), &us, 3);
+        let eu_cdf = server_rtt_cdf(Observatory::new(s.world()), &eu, 3);
         assert!(!us_cdf.is_empty() && !eu_cdf.is_empty());
         // Both vantage points see a wide RTT spread — incompatible with a
         // single server location (the paper's Maxmind refutation).
@@ -261,11 +263,16 @@ mod tests {
     fn geolocation_mostly_correct_continent() {
         let s = scenario();
         let (ds, _) = s.run(DatasetName::Eu1Campus);
-        let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5, 1);
+        let locs = geolocate_servers(Observatory::new(s.world()), &ds, &test_cbg(), 5, 1);
         assert!(!locs.is_empty());
+        let truth = GroundTruth::new(s.world());
+        let cities = CityDb::builtin();
         let correct = locs
             .iter()
-            .filter(|l| l.continent.table3_bucket() == l.truth_continent.table3_bucket())
+            .filter(|l| {
+                let true_city = cities.nearest(truth.block_coord(l.ip).unwrap()).0;
+                l.continent.table3_bucket() == true_city.continent.table3_bucket()
+            })
             .count();
         let frac = correct as f64 / locs.len() as f64;
         assert!(frac > 0.9, "continent accuracy {frac}");
@@ -276,9 +283,9 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         let (ds, _) = s.run(DatasetName::Eu1Campus);
-        let sequential = geolocate_servers(s.world(), &ds, &cbg, 5, 1);
+        let sequential = geolocate_servers(Observatory::new(s.world()), &ds, &cbg, 5, 1);
         for jobs in [2, 3, 8] {
-            let parallel = geolocate_servers(s.world(), &ds, &cbg, 5, jobs);
+            let parallel = geolocate_servers(Observatory::new(s.world()), &ds, &cbg, 5, jobs);
             assert_eq!(sequential, parallel, "jobs {jobs}");
         }
     }
@@ -290,7 +297,7 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         let (ds, _) = s.run(DatasetName::Eu1Adsl);
-        let locs = geolocate_servers(s.world(), &ds, &cbg, 5, 1);
+        let locs = geolocate_servers(Observatory::new(s.world()), &ds, &cbg, 5, 1);
         let counts = continent_counts(&locs);
         assert!(counts.total() > 0);
         assert!(
@@ -308,15 +315,16 @@ mod tests {
         let s = scenario();
         let cbg = test_cbg();
         // Pool two datasets for coverage of both continents.
-        let mut locs = geolocate_servers(s.world(), &s.run(DatasetName::UsCampus).0, &cbg, 5, 1);
+        let obs = Observatory::new(s.world());
+        let mut locs = geolocate_servers(obs, &s.run(DatasetName::UsCampus).0, &cbg, 5, 1);
         locs.extend(geolocate_servers(
-            s.world(),
+            obs,
             &s.run(DatasetName::Eu1Campus).0,
             &cbg,
             6,
             1,
         ));
-        let (us, eu) = radius_cdfs(&locs);
+        let (us, eu) = radius_cdfs(&locs, GroundTruth::new(s.world()));
         assert!(!us.is_empty() && !eu.is_empty());
         // Paper's ballpark: medians of tens of km, 90th percentiles of
         // hundreds. Our reduced landmark set is coarser; assert the order
@@ -331,12 +339,13 @@ mod tests {
     fn geolocation_error_bounded_by_region() {
         let s = scenario();
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
-        let locs = geolocate_servers(s.world(), &ds, &test_cbg(), 5, 1);
+        let locs = geolocate_servers(Observatory::new(s.world()), &ds, &test_cbg(), 5, 1);
+        let truth = GroundTruth::new(s.world());
         // The confidence region should usually contain the truth: error
         // below ~2 radii most of the time.
         let ok = locs
             .iter()
-            .filter(|l| l.error_km() <= 2.0 * l.cbg.radius_km + 50.0)
+            .filter(|l| truth.error_km(l).unwrap() <= 2.0 * l.cbg.radius_km + 50.0)
             .count();
         let frac = ok as f64 / locs.len().max(1) as f64;
         assert!(frac > 0.7, "containment fraction {frac}");

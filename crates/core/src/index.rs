@@ -87,11 +87,16 @@ impl DatasetIndex {
     /// per-video counts, one scan of the timestamps for the hour ranges,
     /// and one session grouping ([`crate::session::group_sessions`]).
     ///
+    /// `ctx` contributes its data-center map and its preferred data
+    /// center, and nothing else: the index maps `dataset`'s own server
+    /// dictionary through that map. So a context built from another
+    /// dataset (say, a full capture's, paired with a degenerate slice of
+    /// it) still yields an index of `dataset` under that map.
+    ///
     /// # Panics
     ///
     /// Panics if `dataset`'s records are not sorted by start time (the
-    /// dataset invariant every producer in this workspace upholds), or if
-    /// `ctx` was built from a different dataset.
+    /// dataset invariant every producer in this workspace upholds).
     pub fn build(ctx: &AnalysisContext, dataset: &Dataset, telemetry: Telemetry) -> Self {
         let span = telemetry.span("index.build");
         let c = dataset.columns();
@@ -145,11 +150,8 @@ impl DatasetIndex {
     /// signature the pipeline benchmark (`perfbench/`) compiles against.
     /// The worker count is ignored: one index is built on one thread, and
     /// [`crate::experiments::ExperimentSuite`] builds the datasets'
-    /// indexes on the worker pool instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` was built from a different dataset.
+    /// indexes on the worker pool instead. `ctx` plays the same part as in
+    /// [`DatasetIndex::build`].
     pub fn from_columnar(
         ctx: &AnalysisContext,
         columnar: &crate::columnar::ColumnarDataset,
@@ -342,9 +344,9 @@ impl DatasetIndex {
 /// Before this layer, `table3` and `fig3` each re-ran a full
 /// [`crate::geo_analysis::geolocate_servers`] pass over all five datasets
 /// — ten dataset-passes for two reports. Because a block's CBG outcome is
-/// a pure function of `(world, cbg, seed, block)` (its noise comes from a
-/// per-block splittable stream and its target is the block's canonical
-/// endpoint), the index localizes the *union* of blocks once and
+/// a pure function of `(cbg, seed, block)` (its noise comes from a
+/// per-block splittable stream and its target is the block's probe target),
+/// the index localizes the *union* of blocks once and
 /// reassembles each dataset's view from the shared results —
 /// byte-identical to what a standalone per-dataset pass computes.
 ///
@@ -364,9 +366,12 @@ impl GeoIndex {
     ///
     /// `datasets` must be the suite's five datasets in [`DatasetName::ALL`]
     /// order — the same invariant the experiment suite's own vectors
-    /// uphold.
-    pub fn build(
-        world: &ytcdn_cdnsim::World,
+    /// uphold. The probe targets come from an
+    /// [`Observatory`](crate::observatory::Observatory), or from the
+    /// `&World` it wraps, which the pipeline benchmark (`perfbench/`)
+    /// passes.
+    pub fn build<'w>(
+        observatory: impl Into<crate::observatory::Observatory<'w>>,
         datasets: &[Dataset],
         cbg: &ytcdn_geoloc::Cbg,
         seed: u64,
@@ -379,9 +384,10 @@ impl GeoIndex {
             .zip(DatasetName::ALL)
             .all(|(ds, name)| ds.name() == name));
         let _span = telemetry.span("geo.localize");
+        let observatory = observatory.into();
         let per_ds_blocks: Vec<_> = datasets
             .iter()
-            .map(|ds| dataset_blocks(world, ds))
+            .map(|ds| dataset_blocks(observatory, ds))
             .collect();
         let union: BTreeMap<ytcdn_netsim::Ipv4Block, ytcdn_netsim::Endpoint> = per_ds_blocks
             .iter()

@@ -30,20 +30,29 @@
 //! | CSV export of every figure's curves | [`export`] |
 //! | user-performance cost of redirections | [`perf`] |
 //! | what-if analysis (popularity, peering, capacity) | [`whatif`] |
+//! | what the analysis may measure vs the simulator's ground truth | [`observatory`] |
 //!
 //! # Quickstart
 //!
 //! ```
 //! use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
-//! use ytcdn_core::{AnalysisContext, session::group_sessions};
+//! use ytcdn_core::as_analysis::as_breakdown;
+//! use ytcdn_core::observatory::GroundTruth;
+//! use ytcdn_core::{session::group_sessions, AnalysisContext, Observatory};
+//! use ytcdn_netsim::WellKnownAs;
 //! use ytcdn_tstat::DatasetName;
 //!
 //! // Simulate a small week at one vantage point...
 //! let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 1));
 //! let (dataset, _) = scenario.run(DatasetName::Eu1Campus);
-//! // ...and run the paper's analysis on the flow log: sessions at the
-//! // paper's T = 1 s.
-//! let ctx = AnalysisContext::from_ground_truth(scenario.world(), &dataset);
+//! // ...and run the paper's analysis on the flow log. It measures the
+//! // world only through an observatory: here whois, for Table II.
+//! let observatory = Observatory::new(scenario.world());
+//! let google = as_breakdown(observatory, &dataset).share(WellKnownAs::Google);
+//! assert!(google.bytes_pct > 50.0, "Google AS byte share {}", google.bytes_pct);
+//! // The data-center map is still the simulator's own, a ground-truth read.
+//! let ctx = AnalysisContext::from_ground_truth(GroundTruth::new(scenario.world()), &dataset);
+//! // Sessions at the paper's T = 1 s.
 //! let sessions = group_sessions(&dataset, 1_000);
 //! let single: usize = sessions.iter().filter(|s| s.flow_count() == 1).count();
 //! // Figure 6: 72.5–80.5% of sessions consist of a single flow.
@@ -68,6 +77,7 @@ pub mod export;
 pub mod geo_analysis;
 pub mod hotspot;
 pub mod index;
+pub mod observatory;
 pub mod patterns;
 pub mod perf;
 pub mod preferred;
@@ -86,5 +96,6 @@ pub use constellation::{ChangePoint, WatchConfig, WatchReport};
 pub use dcmap::{AnalysisContext, DcInfo, DcMap};
 pub use error::{AnalysisError, AnalysisResult};
 pub use index::{DatasetIndex, GeoIndex};
+pub use observatory::Observatory;
 pub use session::{group_sessions, Session, Sessions};
 pub use stats::Cdf;

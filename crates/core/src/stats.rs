@@ -174,11 +174,6 @@ impl Cdf {
         Self { sorted }
     }
 
-    /// The underlying sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Two-sample Kolmogorov–Smirnov distance: the maximum absolute gap
     /// between the two empirical CDFs. 0 = identical distributions,
     /// 1 = disjoint supports. Used to compare trace *shapes* across seeds
@@ -470,7 +465,7 @@ mod tests {
     fn extend_keeps_sorted() {
         let mut cdf = Cdf::from_values([5.0, 1.0]);
         cdf.extend([3.0, 0.5]);
-        assert_eq!(cdf.samples(), &[0.5, 1.0, 3.0, 5.0]);
+        assert_eq!(cdf, Cdf::from_values([0.5, 1.0, 3.0, 5.0]));
     }
 
     #[test]

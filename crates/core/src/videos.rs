@@ -70,7 +70,7 @@ pub fn nonpreferred_video_stats(index: &DatasetIndex) -> NonPreferredVideoStats 
         once_and_single as f64 / once.len() as f64
     };
     NonPreferredVideoStats {
-        max_count: cdf.samples().last().copied().unwrap_or(0.0) as u64,
+        max_count: cdf.try_max().unwrap_or(0.0) as u64,
         cdf,
         exactly_once_fraction,
         exactly_once_and_single_access_fraction,

@@ -146,6 +146,14 @@ pub static RULES: &[RuleInfo] = &[
                   never output, or bytes would depend on the noise stream",
     },
     RuleInfo {
+        id: "OBS001",
+        severity: Severity::Deny,
+        summary: "ytcdn-core analysis code reads the simulated world only through an \
+                  `Observatory`; `World`, `Topology` and `GroundTruth` are named only in \
+                  the handle module and `whatif`, so each remaining truth read is a \
+                  reasoned suppression",
+    },
+    RuleInfo {
         id: "LNT001",
         severity: Severity::Deny,
         summary: "a suppression comment must carry a reason: \
@@ -205,6 +213,18 @@ const OUTPUT_STEMS: &[&str] = &[
     "summary",
     "textlog",
 ];
+
+/// Crates whose library code is the analysis (OBS001 scope).
+const ANALYSIS_CRATES: &[&str] = &["core"];
+
+/// Module stems exempt from OBS001: the handle module that is the one door
+/// to the world, and the what-if module, which compares simulated worlds
+/// by construction.
+const OBS001_EXEMPT_STEMS: &[&str] = &["observatory", "whatif"];
+
+/// Identifiers that reach the simulated world past its observatory
+/// (OBS001).
+const OBS001_IDENTS: &[&str] = &["World", "world", "Topology", "topology", "GroundTruth"];
 
 /// Identifiers banned by DET001 (external randomness).
 const DET001_IDENTS: &[&str] = &[
@@ -642,6 +662,30 @@ pub fn apply_rules(
                     message: format!(
                         "wildcard `_` arm in a match involving `{enum_name}`: {detail}; \
                          enumerate the variants (the compiler then flags additions)"
+                    ),
+                });
+            }
+        }
+    }
+
+    // OBS001 — the analysis reads the world only through its observatory.
+    if class.kind == FileKind::Src
+        && crate_in(class, ANALYSIS_CRATES)
+        && !OBS001_EXEMPT_STEMS.contains(&class.stem.as_str())
+    {
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind == TokKind::Ident && OBS001_IDENTS.contains(&t.text.as_str()) && non_test(i) {
+                out.push(Finding {
+                    file: file.to_string(),
+                    line: t.line,
+                    rule: "OBS001",
+                    severity: Severity::Deny,
+                    message: format!(
+                        "`{}`: analysis code reads the world through an `Observatory` \
+                         (pings, CBG calibration, probe targets, whois, the vantage \
+                         point's city and subnets, the active traces); a ground-truth \
+                         read needs a reasoned allow",
+                        t.text
                     ),
                 });
             }

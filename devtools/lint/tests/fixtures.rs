@@ -19,7 +19,7 @@ fn in_file<'f>(all: &'f [Finding], suffix: &str) -> Vec<&'f Finding> {
 #[test]
 fn scans_the_whole_corpus() {
     let (_, scanned) = fixture_findings();
-    assert_eq!(scanned, 15, "one per fixture file");
+    assert_eq!(scanned, 16, "one per fixture file");
 }
 
 #[test]
@@ -191,6 +191,24 @@ fn det004_tracks_noise_into_sinks_only() {
     // jittered_rtt (derived return), debug_noise (suppressed), and
     // report_plain (no noise) are all silent.
     assert!(f.iter().all(|x| x.line < 22), "{f:#?}");
+}
+
+#[test]
+fn obs001_lists_truth_reads_outside_tests() {
+    let (all, _) = fixture_findings();
+    let f = in_file(&all, "core/src/bad_truth.rs");
+    let found: Vec<(u32, &str)> = f.iter().map(|x| (x.line, x.rule)).collect();
+    // `world` and `topology` in the driver, then `world` and `World` in
+    // the signature; comments and strings are inert.
+    assert_eq!(
+        found,
+        [(7, "OBS001"), (7, "OBS001"), (10, "OBS001"), (10, "OBS001")],
+        "{f:#?}"
+    );
+    assert!(f.iter().all(|x| x.severity == Severity::Deny));
+    // The reasoned allow (lines 15–16) is honoured and live, and the
+    // #[cfg(test)] module (line 19 on) is masked.
+    assert!(f.iter().all(|x| x.line < 15), "{f:#?}");
 }
 
 #[test]

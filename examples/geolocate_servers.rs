@@ -11,7 +11,9 @@
 
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 use ytcdn_core::geo_analysis::{continent_counts, geolocate_servers};
-use ytcdn_geoloc::{cluster_by_city, Cbg, MaxmindLike};
+use ytcdn_core::observatory::GroundTruth;
+use ytcdn_core::Observatory;
+use ytcdn_geoloc::{cluster_by_city, MaxmindLike};
 use ytcdn_geomodel::CityDb;
 use ytcdn_netsim::planetlab_landmarks;
 use ytcdn_tstat::DatasetName;
@@ -35,13 +37,9 @@ fn main() {
 
     // CBG with the 215-landmark PlanetLab-like set.
     println!("\ncalibrating CBG on 215 landmarks…");
-    let cbg = Cbg::calibrate(
-        planetlab_landmarks(1),
-        scenario.world().delay_model(),
-        3,
-        17,
-    );
-    let locations = geolocate_servers(scenario.world(), &dataset, &cbg, 5, 1);
+    let observatory = Observatory::new(scenario.world());
+    let cbg = observatory.calibrate_cbg(planetlab_landmarks(1), 3, 17);
+    let locations = geolocate_servers(observatory, &dataset, &cbg, 5, 1);
     let counts = continent_counts(&locations);
     println!(
         "servers per continent (Table III row): N.America={} Europe={} Others={}",
@@ -56,7 +54,10 @@ fn main() {
         println!("  {:<16} {} representative /24s", c.city_name, c.len());
     }
 
-    // Validation against ground truth.
-    let mean_err = locations.iter().map(|l| l.error_km()).sum::<f64>() / locations.len() as f64;
+    // Validation against the simulator's ground truth, which the pipeline
+    // above never read.
+    let truth = GroundTruth::new(scenario.world());
+    let errors: Vec<f64> = locations.iter().filter_map(|l| truth.error_km(l)).collect();
+    let mean_err = errors.iter().sum::<f64>() / errors.len() as f64;
     println!("\nmean CBG error vs ground truth: {mean_err:.0} km");
 }

@@ -30,7 +30,7 @@ use ytcdn_core::timeseries::{hourly_samples, nonpreferred_fraction_cdf, HourSamp
 use ytcdn_core::videos::{
     nonpreferred_video_stats, per_video_counts, NonPreferredVideoStats, VideoCounts,
 };
-use ytcdn_core::{AnalysisContext, Cdf};
+use ytcdn_core::{AnalysisContext, Cdf, Observatory};
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::{Dataset, DatasetName, FlowRecord, Resolution, VideoId, HOUR_MS};
 
@@ -633,7 +633,7 @@ fn analyses_match_naive_oracle() {
             let label = format!("{name} scale={scale} seed={seed}");
             assert_analyses_match_oracle(s.world(), &ds, &label);
             for shape in [DegenerateShape::Empty, DegenerateShape::SingleFlow] {
-                let degenerate = shape.apply(s.world(), ds.clone());
+                let degenerate = shape.apply(Observatory::new(s.world()), ds.clone());
                 assert_analyses_match_oracle(s.world(), &degenerate, &format!("{label} {shape}"));
             }
         }

@@ -5,14 +5,15 @@
 
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 use ytcdn_core::geo_analysis::{continent_counts, geolocate_servers};
-use ytcdn_core::{AnalysisContext, DcMap};
+use ytcdn_core::observatory::GroundTruth;
+use ytcdn_core::{AnalysisContext, AnalysisError, DcMap, Observatory};
 use ytcdn_geoloc::{cluster_by_city, Cbg, MaxmindLike};
 use ytcdn_geomodel::{CityDb, Continent};
-use ytcdn_netsim::{landmarks_with_counts, NoiseRng};
-use ytcdn_tstat::DatasetName;
+use ytcdn_netsim::{landmarks_with_counts, Landmark, NoiseRng};
+use ytcdn_tstat::{Dataset, DatasetName};
 
-fn cbg(world_delay: ytcdn_netsim::DelayModel) -> Cbg {
-    let lms = landmarks_with_counts(
+fn landmarks() -> Vec<Landmark> {
+    landmarks_with_counts(
         4,
         &[
             (Continent::NorthAmerica, 20),
@@ -21,28 +22,37 @@ fn cbg(world_delay: ytcdn_netsim::DelayModel) -> Cbg {
             (Continent::SouthAmerica, 3),
             (Continent::Oceania, 2),
         ],
-    );
-    Cbg::calibrate(lms, world_delay, 3, 8)
+    )
+}
+
+fn cbg(delay: ytcdn_netsim::DelayModel) -> Cbg {
+    Cbg::calibrate(landmarks(), delay, 3, 8)
+}
+
+/// The test CBG, calibrated through the observatory of `scenario`.
+fn observed_cbg(scenario: &StandardScenario) -> (Observatory<'_>, Cbg) {
+    let obs = Observatory::new(scenario.world());
+    (obs, obs.calibrate_cbg(landmarks(), 3, 8))
 }
 
 #[test]
 fn cbg_map_agrees_with_ground_truth_on_the_headline_analysis() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.006, 5));
     let (ds, _) = scenario.run(DatasetName::Eu1Campus);
-    let world = scenario.world();
+    let truth = GroundTruth::new(scenario.world());
 
     // Paper pipeline: geolocate every /24, cluster by city, build the map.
-    let cbg = cbg(world.delay_model());
-    let locations = geolocate_servers(world, &ds, &cbg, 31, 1);
+    let (obs, cbg) = observed_cbg(&scenario);
+    let locations = geolocate_servers(obs, &ds, &cbg, 31, 1);
     let estimates: Vec<_> = locations.iter().map(|l| (l.ip, l.cbg.estimate)).collect();
     let clusters = cluster_by_city(&estimates, &CityDb::builtin());
     let inferred =
         DcMap::from_clusters(&clusters, &CityDb::builtin()).expect("cluster cities resolve");
     let ctx_inferred =
-        AnalysisContext::from_map(world, &ds, inferred).expect("CBG map is non-empty");
+        AnalysisContext::from_map(obs, truth, &ds, inferred).expect("CBG map is non-empty");
 
     // Oracle pipeline.
-    let ctx_truth = AnalysisContext::from_ground_truth(world, &ds);
+    let ctx_truth = AnalysisContext::from_ground_truth(truth, &ds);
 
     // Both agree on the preferred data center's city...
     assert_eq!(
@@ -61,18 +71,22 @@ fn cbg_map_agrees_with_ground_truth_on_the_headline_analysis() {
 fn cbg_beats_the_database_baseline() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 6));
     let (ds, _) = scenario.run(DatasetName::Eu1Ftth);
-    let world = scenario.world();
-    let cbg = cbg(world.delay_model());
-    let locations = geolocate_servers(world, &ds, &cbg, 77, 1);
+    let (obs, cbg) = observed_cbg(&scenario);
+    let locations = geolocate_servers(obs, &ds, &cbg, 77, 1);
     assert!(!locations.is_empty());
 
-    // Database answer: every server in Mountain View.
+    // Database answer: every server in Mountain View. Both errors are
+    // measured against the ground truth.
+    let truth = GroundTruth::new(scenario.world());
     let maxmind = MaxmindLike::with_hq_default();
     let mut cbg_err = 0.0;
     let mut db_err = 0.0;
     for l in &locations {
-        cbg_err += l.error_km();
-        db_err += maxmind.geolocate(l.ip).distance_km(l.truth);
+        let true_coord = truth
+            .block_coord(l.ip)
+            .expect("located servers are in the world");
+        cbg_err += truth.error_km(l).expect("located servers are in the world");
+        db_err += maxmind.geolocate(l.ip).distance_km(true_coord);
     }
     let n = locations.len() as f64;
     // The paper's point exactly: Maxmind places European servers an ocean
@@ -88,13 +102,12 @@ fn cbg_beats_the_database_baseline() {
 #[test]
 fn table3_shape_from_cbg() {
     let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.006, 7));
-    let world = scenario.world();
-    let cbg = cbg(world.delay_model());
+    let (obs, cbg) = observed_cbg(&scenario);
 
     // US dataset sees mostly NA servers; EU1 mostly European; everyone sees
     // at least some foreign-continent servers (Table III).
     let (us, _) = scenario.run(DatasetName::UsCampus);
-    let us_counts = continent_counts(&geolocate_servers(world, &us, &cbg, 41, 1));
+    let us_counts = continent_counts(&geolocate_servers(obs, &us, &cbg, 41, 1));
     assert!(us_counts.north_america > us_counts.europe, "{us_counts:?}");
     let foreign = us_counts.europe + us_counts.others;
     assert!(
@@ -103,8 +116,50 @@ fn table3_shape_from_cbg() {
     );
 
     let (eu, _) = scenario.run(DatasetName::Eu1Adsl);
-    let eu_counts = continent_counts(&geolocate_servers(world, &eu, &cbg, 42, 1));
+    let eu_counts = continent_counts(&geolocate_servers(obs, &eu, &cbg, 42, 1));
     assert!(eu_counts.europe > eu_counts.north_america, "{eu_counts:?}");
+}
+
+#[test]
+fn a_capture_with_no_servers_infers_no_data_centers() {
+    // The paper pipeline over an empty capture: nothing to geolocate, so
+    // the inferred map is empty and no preferred data center exists.
+    let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 3));
+    let (obs, cbg) = observed_cbg(&scenario);
+    let empty = Dataset::new(DatasetName::Eu1Adsl);
+    let locations = geolocate_servers(obs, &empty, &cbg, 5, 1);
+    assert!(locations.is_empty());
+    let estimates: Vec<_> = locations.iter().map(|l| (l.ip, l.cbg.estimate)).collect();
+    let clusters = cluster_by_city(&estimates, &CityDb::builtin());
+    let inferred =
+        DcMap::from_clusters(&clusters, &CityDb::builtin()).expect("no cluster to resolve");
+    let truth = GroundTruth::new(scenario.world());
+    assert_eq!(
+        AnalysisContext::from_map(obs, truth, &empty, inferred).map(|_| ()),
+        Err(AnalysisError::NoDataCenters {
+            source: "EU1-ADSL data-center map".into()
+        })
+    );
+}
+
+#[test]
+fn a_cluster_outside_the_city_table_is_an_unknown_city() {
+    // CBG clusters label each data center with a city; one the built-in
+    // table does not know cannot anchor a data center.
+    let scenario = StandardScenario::build(ScenarioConfig::with_scale(0.004, 3));
+    let (ds, _) = scenario.run(DatasetName::Eu1Campus);
+    let (obs, cbg) = observed_cbg(&scenario);
+    let locations = geolocate_servers(obs, &ds, &cbg, 5, 1);
+    let estimates: Vec<_> = locations.iter().map(|l| (l.ip, l.cbg.estimate)).collect();
+    let mut clusters = cluster_by_city(&estimates, &CityDb::builtin());
+    assert!(!clusters.is_empty());
+    clusters[0].city_name = "Atlantis".into();
+    assert_eq!(
+        DcMap::from_clusters(&clusters, &CityDb::builtin()).map(|map| map.len()),
+        Err(AnalysisError::UnknownCity {
+            city: "Atlantis".into()
+        })
+    );
 }
 
 #[test]

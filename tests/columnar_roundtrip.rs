@@ -27,7 +27,7 @@
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 use ytcdn_core::degenerate::DegenerateShape;
 use ytcdn_core::sha256::sha256_hex;
-use ytcdn_core::{YtcFile, YtcHeader};
+use ytcdn_core::{Observatory, YtcFile, YtcHeader};
 use ytcdn_tstat::{Dataset, DatasetName};
 
 /// The (scale, seed) pairs the round-trip cases cover — the same pairs as
@@ -123,7 +123,7 @@ fn degenerate_shapes_roundtrip() {
     let s = scenario(0.004, 2);
     let (ds, _) = s.run(DatasetName::Eu1Adsl);
     for shape in DegenerateShape::ALL {
-        let shaped = shape.apply(s.world(), ds.clone());
+        let shaped = shape.apply(Observatory::new(s.world()), ds.clone());
         let file = YtcFile::new(header(0.004, 2), vec![shaped.clone()]).unwrap();
         let back = YtcFile::decode(&file.encode()).unwrap();
         assert_eq!(back, file, "{shape}: file survives the trip");

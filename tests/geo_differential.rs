@@ -12,6 +12,8 @@ use ytcdn_core::degenerate::DegenerateShape;
 use ytcdn_core::experiments::{ExperimentSuite, SuiteConfig};
 use ytcdn_core::export::Series;
 use ytcdn_core::geo_analysis::{continent_counts, geolocate_servers, radius_cdfs, ServerLocation};
+use ytcdn_core::observatory::GroundTruth;
+use ytcdn_core::Observatory;
 use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
@@ -30,9 +32,11 @@ fn suite(scale: f64, seed: u64, jobs: usize) -> ExperimentSuite {
     })
 }
 
-/// The seed the suite derives for its geolocation pass.
-fn geo_seed(seed: u64) -> u64 {
-    seed ^ 0xF16
+/// A standalone `geolocate_servers` pass over one dataset of `s`, with
+/// the seed the suite derives for its own geolocation pass.
+fn direct(s: &ExperimentSuite, name: DatasetName, seed: u64, jobs: usize) -> Vec<ServerLocation> {
+    let observatory = Observatory::new(s.scenario().world());
+    geolocate_servers(observatory, s.dataset(name), s.cbg(), seed ^ 0xF16, jobs)
 }
 
 #[test]
@@ -40,13 +44,10 @@ fn geolocation_identical_across_job_counts() {
     for (scale, seed) in CASES {
         let s = suite(scale, seed, 1);
         for name in DatasetName::ALL {
-            let ds = s.dataset(name);
-            let sequential =
-                geolocate_servers(s.scenario().world(), ds, s.cbg(), geo_seed(seed), 1);
+            let sequential = direct(&s, name, seed, 1);
             assert!(!sequential.is_empty(), "{name} at scale {scale}");
             for jobs in JOB_COUNTS {
-                let parallel =
-                    geolocate_servers(s.scenario().world(), ds, s.cbg(), geo_seed(seed), jobs);
+                let parallel = direct(&s, name, seed, jobs);
                 assert_eq!(sequential, parallel, "{name} scale {scale} jobs {jobs}");
             }
         }
@@ -58,16 +59,9 @@ fn geo_index_matches_direct_geolocation_per_dataset() {
     for (scale, seed) in CASES {
         let s = suite(scale, seed, 3);
         for name in DatasetName::ALL {
-            let direct = geolocate_servers(
-                s.scenario().world(),
-                s.dataset(name),
-                s.cbg(),
-                geo_seed(seed),
-                1,
-            );
             assert_eq!(
                 s.geo_index().dataset(name),
-                direct.as_slice(),
+                direct(&s, name, seed, 1).as_slice(),
                 "{name} at scale {scale}"
             );
         }
@@ -78,17 +72,11 @@ fn geo_index_matches_direct_geolocation_per_dataset() {
 fn pooled_locations_match_concatenated_direct_passes() {
     let (scale, seed) = CASES[0];
     let s = suite(scale, seed, 2);
-    let mut direct: Vec<ServerLocation> = Vec::new();
+    let mut pooled: Vec<ServerLocation> = Vec::new();
     for name in DatasetName::ALL {
-        direct.extend(geolocate_servers(
-            s.scenario().world(),
-            s.dataset(name),
-            s.cbg(),
-            geo_seed(seed),
-            1,
-        ));
+        pooled.extend(direct(&s, name, seed, 1));
     }
-    assert_eq!(s.cbg_locations(), direct);
+    assert_eq!(s.cbg_locations(), pooled);
 }
 
 #[test]
@@ -97,13 +85,7 @@ fn fig3_table3_and_export_serve_the_geo_index_values() {
     let s = suite(scale, seed, 2);
     let mut pooled: Vec<ServerLocation> = Vec::new();
     for name in DatasetName::ALL {
-        let direct = geolocate_servers(
-            s.scenario().world(),
-            s.dataset(name),
-            s.cbg(),
-            geo_seed(seed),
-            1,
-        );
+        let direct = direct(&s, name, seed, 1);
         // table3 counts this dataset exactly as the direct pass does.
         assert_eq!(
             continent_counts(s.geo_index().dataset(name)),
@@ -113,8 +95,9 @@ fn fig3_table3_and_export_serve_the_geo_index_values() {
         pooled.extend(direct);
     }
     // fig3's underlying CDFs equal the direct pooled pass…
-    let (us, eu) = radius_cdfs(&pooled);
-    let (us_idx, eu_idx) = radius_cdfs(&s.cbg_locations());
+    let truth = GroundTruth::new(s.scenario().world());
+    let (us, eu) = radius_cdfs(&pooled, truth);
+    let (us_idx, eu_idx) = radius_cdfs(&s.cbg_locations(), truth);
     assert_eq!(us, us_idx);
     assert_eq!(eu, eu_idx);
     // …and the exported fig3 series are built from the same CDFs.
@@ -209,6 +192,6 @@ fn missing_net3_still_geolocates_every_dataset() {
         assert!(!locs.is_empty(), "{name}");
         assert!(continent_counts(locs).total() > 0, "{name}");
     }
-    let (us, eu) = radius_cdfs(&s.cbg_locations());
+    let (us, eu) = radius_cdfs(&s.cbg_locations(), GroundTruth::new(s.scenario().world()));
     assert!(!us.is_empty() && !eu.is_empty());
 }
