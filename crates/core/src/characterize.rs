@@ -52,13 +52,6 @@ pub fn characterize(dataset: &Dataset) -> Characterization {
         }
     }
 
-    let single = per_video.values().filter(|&&c| c == 1).count();
-    let single_request_video_fraction = if per_video.is_empty() {
-        0.0
-    } else {
-        single as f64 / per_video.len() as f64
-    };
-
     let mut video_counts: Vec<u64> = per_video.values().copied().collect();
     video_counts.sort_unstable_by(|a, b| b.cmp(a));
     let top1 = (video_counts.len() / 100).max(1);
@@ -90,9 +83,11 @@ pub fn characterize(dataset: &Dataset) -> Characterization {
         peak as f64 / trough as f64
     };
 
+    let requests_per_video = Cdf::from_values(per_video.values().map(|&c| c as f64));
     Characterization {
-        requests_per_video: Cdf::from_values(per_video.values().map(|&c| c as f64)),
-        single_request_video_fraction,
+        // Every video counted has at least one request.
+        single_request_video_fraction: requests_per_video.fraction_at_or_below(1.0),
+        requests_per_video,
         top1pct_video_share,
         bytes_per_client: Cdf::from_values(client_bytes.iter().map(|&b| b as f64)),
         top10pct_client_share,

@@ -334,7 +334,10 @@ impl WatchReport {
             let flow_start = index.hour_ranges()[start_hour as usize].start;
             let flow_end = index.hour_ranges()[end_hour as usize - 1].end;
 
-            let window_end_ms = (w as u64 + 1) * wh * HOUR_MS;
+            // Every session starts before `hours * HOUR_MS`, so bounding the
+            // last window by the trace's end keeps it whole, and the product
+            // stays small for any `window_hours`.
+            let window_end_ms = end_hour * HOUR_MS;
             let mut sessions_in = 0u64;
             startup.clear();
             while let Some(s) = sessions.next_if(|s| s.start_ms < window_end_ms) {
@@ -585,7 +588,7 @@ mod tests {
         let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
         let mut sessions_in: Vec<u64> = vec![0; num_windows];
         for s in index.sessions().iter() {
-            let w = (s.start_ms / (wh * HOUR_MS)) as usize;
+            let w = (s.start_ms / HOUR_MS / wh) as usize;
             if w >= num_windows {
                 continue;
             }
@@ -811,6 +814,15 @@ mod tests {
                 threshold: 0.2,
                 min_flows: 5,
             },
+            // Windows whose end in ms would overflow a `u64`.
+            WatchConfig {
+                window_hours: u64::MAX,
+                ..WatchConfig::default()
+            },
+            WatchConfig {
+                window_hours: 5_124_095_576_031,
+                ..WatchConfig::default()
+            },
         ];
         for seed in [7, 12] {
             for spec in specs {
@@ -822,8 +834,15 @@ mod tests {
                     let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
                     let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
                     for config in configs {
+                        let report = WatchReport::build(&ctx, &ds, &index, config).unwrap();
+                        let sessions: u64 = report.windows.iter().map(|w| w.sessions).sum();
                         assert_eq!(
-                            WatchReport::build(&ctx, &ds, &index, config).unwrap(),
+                            sessions,
+                            index.sessions().len() as u64,
+                            "seed {seed}, {spec:?}, {name}, {config:?}: sessions lost"
+                        );
+                        assert_eq!(
+                            report,
                             build_by_maps(&ctx, &ds, &index, config),
                             "seed {seed}, {spec:?}, {name}, {config:?}"
                         );

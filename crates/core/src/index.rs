@@ -32,9 +32,10 @@
 //! grouper would add it to the current session: both see a bucket's flows
 //! in the same start-time order, and both test `start_ms <= end + T`
 //! against the same running maximum end. So each gap's run lengths are
-//! its session sizes, tallied into one histogram per gap and read out by
-//! [`Cdf::from_counts`], with no `Session` values built, no regrouping, no
-//! sort, and nothing cached between calls.
+//! its session sizes, tallied into one histogram per gap and kept by
+//! [`Cdf::from_counts`] as runs, with no `Session` values built, no
+//! regrouping, no sort, no per-sample vector, and nothing cached between
+//! calls.
 //!
 //! Determinism note: every collection here is a `Vec` or `BTreeMap`
 //! (lint rule `DET003` applies to this module), so iteration order — and

@@ -5,7 +5,11 @@ use crate::error::{AnalysisError, AnalysisResult};
 /// An empirical cumulative distribution function.
 ///
 /// Every figure in the paper that plots a CDF (Figures 2–6, 9, 13, 18) is
-/// produced from this type.
+/// produced from this type. It stores runs, not samples: the distinct
+/// finite values in [`f64::total_cmp`] order, each with the number of
+/// samples at or below it. So a histogram of small counts (flows per
+/// session, requests per video) costs one entry per distinct value, and
+/// every query reads the runs.
 ///
 /// # Examples
 ///
@@ -19,7 +23,9 @@ use crate::error::{AnalysisError, AnalysisResult};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
-    sorted: Vec<f64>,
+    /// `(value, samples at or below it)`, one run per distinct value (by
+    /// bits, so `-0.0` and `0.0` are two runs), ascending in both.
+    runs: Vec<(f64, usize)>,
 }
 
 impl Cdf {
@@ -28,26 +34,55 @@ impl Cdf {
     pub fn from_values<I: IntoIterator<Item = f64>>(values: I) -> Self {
         let mut sorted: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
         sorted.sort_by(f64::total_cmp);
-        Self { sorted }
+        let mut seen = 0;
+        let runs = sorted
+            .chunk_by(|a, b| a.to_bits() == b.to_bits())
+            .map(|run| {
+                seen += run.len();
+                (run[0], seen)
+            })
+            .collect();
+        Self { runs }
+    }
+
+    /// The CDF of small non-negative integer samples given as a histogram:
+    /// `counts[v]` samples of value `v`. Equal to [`Cdf::from_values`] over
+    /// the expanded samples, with no sort and no per-sample storage.
+    pub fn from_counts(counts: &[u64]) -> Self {
+        let mut seen = 0;
+        let runs = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(v, &count)| {
+                seen += count as usize;
+                (v as f64, seen)
+            })
+            .collect();
+        Self { runs }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.runs.last().map_or(0, |&(_, seen)| seen)
     }
 
     /// Whether the CDF has no samples.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.runs.is_empty()
     }
 
     /// Fraction of samples `<= x` (0.0 for an empty CDF).
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
+        match self.runs.partition_point(|&(v, _)| v <= x) {
+            0 => 0.0,
+            i => self.runs[i - 1].1 as f64 / self.len() as f64,
         }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
+    }
+
+    /// The sample at 0-based sorted-order `rank` (below [`Cdf::len`]).
+    fn value_at_rank(&self, rank: usize) -> f64 {
+        self.runs[self.runs.partition_point(|&(_, seen)| seen <= rank)].0
     }
 
     /// Fallible `p`-th percentile (nearest-rank), `p` in `[0, 100]`.
@@ -62,12 +97,12 @@ impl Cdf {
     /// condition.
     pub fn try_percentile(&self, p: f64) -> AnalysisResult<f64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.sorted.is_empty() {
+        if self.is_empty() {
             return Err(AnalysisError::EmptyDistribution {
                 what: format!("p{p} of empty CDF"),
             });
         }
-        Ok(self.sorted[nearest_rank(self.sorted.len(), p / 100.0)])
+        Ok(self.value_at_rank(nearest_rank(self.len(), p / 100.0)))
     }
 
     /// The `p`-th percentile (nearest-rank), `p` in `[0, 100]`.
@@ -78,7 +113,7 @@ impl Cdf {
     /// should use [`Cdf::try_percentile`]; this asserting wrapper is kept
     /// for tests and call sites that have already proven non-emptiness.
     pub fn percentile(&self, p: f64) -> f64 {
-        assert!(!self.sorted.is_empty(), "percentile of empty CDF");
+        assert!(!self.is_empty(), "percentile of empty CDF");
         match self.try_percentile(p) {
             Ok(v) => v,
             Err(e) => panic!("{e}"),
@@ -98,9 +133,9 @@ impl Cdf {
     /// Fallible smallest sample ([`AnalysisError::EmptyDistribution`] when
     /// empty).
     pub fn try_min(&self) -> AnalysisResult<f64> {
-        self.sorted
+        self.runs
             .first()
-            .copied()
+            .map(|&(v, _)| v)
             .ok_or_else(|| AnalysisError::EmptyDistribution {
                 what: "min of empty CDF".into(),
             })
@@ -121,9 +156,9 @@ impl Cdf {
     /// Fallible largest sample ([`AnalysisError::EmptyDistribution`] when
     /// empty).
     pub fn try_max(&self) -> AnalysisResult<f64> {
-        self.sorted
+        self.runs
             .last()
-            .copied()
+            .map(|&(v, _)| v)
             .ok_or_else(|| AnalysisError::EmptyDistribution {
                 what: "max of empty CDF".into(),
             })
@@ -141,14 +176,6 @@ impl Cdf {
         }
     }
 
-    /// Arithmetic mean (0.0 for an empty CDF).
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
     /// `(x, F(x))` plot points, decimated to at most `max_points`.
     ///
     /// Emits exactly `min(len, max_points)` points: the `j/k`-quantile
@@ -157,21 +184,9 @@ impl Cdf {
     /// `max_points` points — e.g. n=10, max_points=4 → 6 points — which
     /// violated this method's "at most" contract.)
     pub fn plot_points(&self, max_points: usize) -> Vec<(f64, f64)> {
-        plot_ranks(self.sorted.len(), max_points)
-            .map(|(i, y)| (self.sorted[i], y))
+        plot_ranks(self.len(), max_points)
+            .map(|(i, y)| (self.value_at_rank(i), y))
             .collect()
-    }
-
-    /// The CDF of small non-negative integer samples given as a histogram:
-    /// `counts[v]` samples of value `v`. Equal to [`Cdf::from_values`] over
-    /// the expanded samples, with no sort.
-    pub fn from_counts(counts: &[u64]) -> Self {
-        let n = counts.iter().sum::<u64>() as usize;
-        let mut sorted = Vec::with_capacity(n);
-        for (v, &count) in counts.iter().enumerate() {
-            sorted.extend(std::iter::repeat_n(v as f64, count as usize));
-        }
-        Self { sorted }
     }
 
     /// Two-sample Kolmogorov–Smirnov distance: the maximum absolute gap
@@ -188,7 +203,7 @@ impl Cdf {
         }
         let mut max_gap = 0.0f64;
         // Evaluate at every jump point of either CDF.
-        for &x in self.sorted.iter().chain(&other.sorted) {
+        for &(x, _) in self.runs.iter().chain(&other.runs) {
             let gap = (self.fraction_at_or_below(x) - other.fraction_at_or_below(x)).abs();
             max_gap = max_gap.max(gap);
         }
@@ -299,20 +314,6 @@ pub(crate) fn select_quantiles<const N: usize>(values: &mut [f64], qs: [f64; N])
     out
 }
 
-impl FromIterator<f64> for Cdf {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Cdf::from_values(iter)
-    }
-}
-
-impl Extend<f64> for Cdf {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.sorted
-            .extend(iter.into_iter().filter(|v| v.is_finite()));
-        self.sorted.sort_by(f64::total_cmp);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +348,6 @@ mod tests {
         let cdf = Cdf::from_values(std::iter::empty());
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
-        assert_eq!(cdf.mean(), 0.0);
         assert!(cdf.plot_points(10).is_empty());
     }
 
@@ -459,13 +459,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn try_percentile_rejects_out_of_range_p() {
         let _ = Cdf::from_values([1.0]).try_percentile(101.0);
-    }
-
-    #[test]
-    fn extend_keeps_sorted() {
-        let mut cdf = Cdf::from_values([5.0, 1.0]);
-        cdf.extend([3.0, 0.5]);
-        assert_eq!(cdf, Cdf::from_values([0.5, 1.0, 3.0, 5.0]));
     }
 
     #[test]

@@ -57,22 +57,17 @@ pub fn nonpreferred_video_stats(index: &DatasetIndex) -> NonPreferredVideoStats 
         .filter(|c| c.non_preferred >= 1)
         .collect();
     let cdf = Cdf::from_values(nonpref.iter().map(|c| c.non_preferred as f64));
-    let once: Vec<_> = nonpref.iter().filter(|c| c.non_preferred == 1).collect();
-    let exactly_once_fraction = if nonpref.is_empty() {
-        0.0
-    } else {
-        once.len() as f64 / nonpref.len() as f64
-    };
-    let once_and_single = once.iter().filter(|c| c.total == 1).count();
-    let exactly_once_and_single_access_fraction = if once.is_empty() {
-        0.0
-    } else {
-        once_and_single as f64 / once.len() as f64
+    let once = nonpref.iter().filter(|c| c.non_preferred == 1);
+    let once_and_single = once.clone().filter(|c| c.total == 1).count();
+    let exactly_once_and_single_access_fraction = match once.count() {
+        0 => 0.0,
+        n => once_and_single as f64 / n as f64,
     };
     NonPreferredVideoStats {
         max_count: cdf.try_max().unwrap_or(0.0) as u64,
+        // Every count is at least 1, so F(1) is the exactly-once share.
+        exactly_once_fraction: cdf.fraction_at_or_below(1.0),
         cdf,
-        exactly_once_fraction,
         exactly_once_and_single_access_fraction,
     }
 }

@@ -103,6 +103,22 @@ e508537bb9dcba64118df0bd6b4911ee6c5632daf37b65ea439eb37a47a6ffb6 EU1-ADSL
 6791d9a5e2443631f6f435b7a50beab7dec8959aaa22bb342b5e3b2fbca4e335 EU1-ADSL dc-down@72:Milan
 PINS
 
+# A window too long for its end in ms to fit a u64 is one window over the
+# whole trace, the same as a week: the release build must not wrap.
+echo "==> watch window overflow" >&2
+for window in 168 5124095576031; do
+    cargo run --quiet --release -p ytcdn-cli -- watch --dataset EU2 \
+        --scale 0.002 --seed 7 --window "$window" \
+        --telemetry "$smoke/watch-window-$window.jsonl" > /dev/null 2>&1 \
+        || { echo "check.sh: watch --window $window exited non-zero" >&2; exit 1; }
+    grep -o '"sessions":[0-9]*' "$smoke/watch-window-$window.jsonl" \
+        > "$smoke/watch-window-$window.sessions"
+done
+[ -s "$smoke/watch-window-168.sessions" ] \
+    || { echo "check.sh: watch --window 168 reported no sessions field" >&2; exit 1; }
+cmp "$smoke/watch-window-168.sessions" "$smoke/watch-window-5124095576031.sessions" \
+    || { echo "check.sh: watch --window 5124095576031 counts other sessions than --window 168" >&2; exit 1; }
+
 # The what-if table, byte for byte: every counterfactual of
 # ytcdn_core::whatif::COUNTERFACTUALS at scale 0.004, seed 7.
 echo "==> whatif table digest pins" >&2

@@ -378,6 +378,179 @@ fn median_splits_mass() {
     });
 }
 
+/// The sorted-sample `Cdf` that the runs replaced, kept as their oracle:
+/// one `f64` per finite sample, in `f64::total_cmp` order.
+struct SortedCdf(Vec<f64>);
+
+impl SortedCdf {
+    fn new(values: &[f64]) -> Self {
+        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        sorted.sort_by(f64::total_cmp);
+        Self(sorted)
+    }
+
+    fn fraction_at_or_below(&self, x: f64) -> f64 {
+        if self.0.is_empty() {
+            return 0.0;
+        }
+        self.0.partition_point(|&v| v <= x) as f64 / self.0.len() as f64
+    }
+
+    /// Nearest rank `⌈q·n⌉`, clamped to `1..=n`.
+    fn percentile(&self, p: f64) -> Option<f64> {
+        let n = self.0.len();
+        let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n.max(1));
+        self.0.get(rank - 1).copied()
+    }
+
+    /// The `j/k`-quantile ranks, `k = min(n, max_points)`.
+    fn plot_points(&self, max_points: usize) -> Vec<(f64, f64)> {
+        let n = self.0.len();
+        let k = max_points.min(n);
+        (1..=k)
+            .map(|j| {
+                let i = j * n / k - 1;
+                (self.0[i], (i + 1) as f64 / n as f64)
+            })
+            .collect()
+    }
+
+    fn ks_distance(&self, other: &SortedCdf) -> f64 {
+        match (self.0.is_empty(), other.0.is_empty()) {
+            (true, true) => return 0.0,
+            (true, false) | (false, true) => return 1.0,
+            _ => {}
+        }
+        let mut max_gap = 0.0f64;
+        for &x in self.0.iter().chain(&other.0) {
+            let gap = (self.fraction_at_or_below(x) - other.fraction_at_or_below(x)).abs();
+            max_gap = max_gap.max(gap);
+        }
+        max_gap
+    }
+}
+
+/// Asserts that `cdf` answers every query with the same bits as `oracle`.
+fn assert_matches_sorted(cdf: &Cdf, oracle: &SortedCdf, what: &str) {
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    assert_eq!(cdf.len(), oracle.0.len(), "{what}: len");
+    assert_eq!(cdf.is_empty(), oracle.0.is_empty(), "{what}: is_empty");
+    // Each sample, the midpoints between neighbours, and beyond both ends.
+    let mut probes = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -0.0, 0.0];
+    probes.extend(oracle.0.iter().copied());
+    probes.extend(oracle.0.windows(2).map(|w| w[0] + (w[1] - w[0]) / 2.0));
+    if let (Some(&lo), Some(&hi)) = (oracle.0.first(), oracle.0.last()) {
+        probes.extend([lo - 1.0, hi + 1.0]);
+    }
+    for x in probes {
+        assert_eq!(
+            cdf.fraction_at_or_below(x).to_bits(),
+            oracle.fraction_at_or_below(x).to_bits(),
+            "{what}: F({x})"
+        );
+    }
+    for p in [0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
+        assert_eq!(
+            bits(cdf.try_percentile(p).ok()),
+            bits(oracle.percentile(p)),
+            "{what}: p{p}"
+        );
+    }
+    assert_eq!(
+        bits(cdf.try_min().ok()),
+        bits(oracle.0.first().copied()),
+        "{what}: min"
+    );
+    assert_eq!(
+        bits(cdf.try_max().ok()),
+        bits(oracle.0.last().copied()),
+        "{what}: max"
+    );
+    for max_points in [1, 2, 7, 400] {
+        let to_bits = |pts: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+            pts.into_iter()
+                .map(|(x, y)| (x.to_bits(), y.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            to_bits(cdf.plot_points(max_points)),
+            to_bits(oracle.plot_points(max_points)),
+            "{what}: plot_points({max_points})"
+        );
+    }
+}
+
+/// The runs answer every query with the bits the sorted-sample `Cdf` did:
+/// on heavily tied, signed-zero, NaN-laden, single-sample and empty inputs,
+/// from values and from histograms, and pairwise for the KS distance.
+#[test]
+fn runs_match_the_sorted_sample_cdf() {
+    let mut inputs: Vec<Vec<f64>> = vec![
+        vec![],
+        vec![42.5],
+        vec![f64::NAN, f64::NAN],
+        vec![0.0, -0.0, 0.0],
+        vec![
+            f64::NEG_INFINITY,
+            -0.0,
+            3.0,
+            f64::NAN,
+            0.0,
+            3.0,
+            f64::INFINITY,
+        ],
+    ];
+    let mut rng = SimRng::for_stream(SEED, &[0xCDF]);
+    for distinct in [1u64, 2, 3, 10, 1000] {
+        for len in [1usize, 5, 64, 999] {
+            inputs.push(
+                (0..len)
+                    .map(|_| match rng.gen_range(0..20u64) {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        2 => rng.gen_range(-1e3..1e3),
+                        _ => rng.gen_range(0..distinct) as f64 - (distinct / 2) as f64,
+                    })
+                    .collect(),
+            );
+        }
+    }
+    let cdfs: Vec<(Cdf, SortedCdf)> = inputs
+        .iter()
+        .map(|v| (Cdf::from_values(v.iter().copied()), SortedCdf::new(v)))
+        .collect();
+    for (i, (cdf, oracle)) in cdfs.iter().enumerate() {
+        assert_matches_sorted(cdf, oracle, &format!("input {i} {:?}", &inputs[i]));
+    }
+    for (i, (a, oa)) in cdfs.iter().enumerate() {
+        for (j, (b, ob)) in cdfs.iter().enumerate() {
+            assert_eq!(
+                a.ks_distance(b).to_bits(),
+                oa.ks_distance(ob).to_bits(),
+                "ks_distance of inputs {i} and {j}"
+            );
+        }
+    }
+    // Histograms, trailing and all-zero ones included.
+    check(CASES, |rng| {
+        let counts = vec_of(rng, 0..40, |rng| match rng.gen_range(0..3u64) {
+            0 => 0,
+            _ => rng.gen_range(0..50u64),
+        });
+        let expanded: Vec<f64> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(v, &c)| std::iter::repeat_n(v as f64, c as usize))
+            .collect();
+        let what = format!("histogram {counts:?}");
+        assert_matches_sorted(
+            &Cdf::from_counts(&counts),
+            &SortedCdf::new(&expanded),
+            &what,
+        );
+    });
+}
+
 // ---- Session grouping (ytcdn-core) ----
 
 /// Every flow belongs to exactly one session: sessions partition the
