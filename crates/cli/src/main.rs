@@ -36,7 +36,8 @@ use ytcdn_core::experiments::{ExperimentSuite, Figure, SuiteConfig};
 use ytcdn_core::perf::perf_report;
 use ytcdn_core::whatif;
 use ytcdn_core::{
-    AnalysisContext, DatasetIndex, Observatory, WatchConfig, WatchReport, YtcFile, YtcHeader,
+    AnalysisContext, DatasetIndex, FormatError, Observatory, WatchConfig, WatchReport, YtcFile,
+    YtcHeader,
 };
 use ytcdn_geoloc::cluster_by_city;
 use ytcdn_geomodel::CityDb;
@@ -172,7 +173,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             match from {
                 Some(path) => watch_from(&path, dataset, config, ctx),
                 None => match scenario(scale, seed, &mutate, ctx) {
-                    Ok(s) => watch(&s, &s.run(dataset).0, config, ctx),
+                    Ok(s) => watch(&s, s.run(dataset).0, config, ctx),
                     Err(code) => code,
                 },
             }
@@ -554,25 +555,30 @@ fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx)
         Ok(f) => f,
         Err(code) => return code,
     };
-    let columnar = match file.dataset(dataset) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e} in {}", path.display());
-            return ExitCode::FAILURE;
-        }
+    let header = file.header.clone();
+    // The section moves out of the file; the others are dropped.
+    let Some(ds) = file
+        .into_datasets()
+        .into_iter()
+        .find(|ds| ds.name() == dataset)
+    else {
+        let e = FormatError::MissingDataset {
+            name: dataset.to_string(),
+        };
+        eprintln!("error: {e} in {}", path.display());
+        return ExitCode::FAILURE;
     };
-    let header = &file.header;
     ctx.progress.note(&format!(
         "loaded {} ({} flows) from {} — scale {}, seed {}, {} mutation(s); skipping simulation",
         dataset,
-        columnar.dataset().len(),
+        ds.len(),
         path.display(),
         header.scale,
         header.seed,
         header.mutations.len()
     ));
     match scenario(header.scale, header.seed, &header.mutations, ctx) {
-        Ok(s) => watch(&s, columnar.dataset(), config, ctx),
+        Ok(s) => watch(&s, ds, config, ctx),
         Err(code) => code,
     }
 }
@@ -582,18 +588,18 @@ fn watch_from(path: &Path, dataset: DatasetName, config: WatchConfig, ctx: &Ctx)
 /// change-point table. Windowed metrics and detected change points also go
 /// to the telemetry stream when `--telemetry` is given, scoped to the
 /// dataset name.
-fn watch(s: &StandardScenario, ds: &Dataset, config: WatchConfig, ctx: &Ctx) -> ExitCode {
+fn watch(s: &StandardScenario, ds: Dataset, config: WatchConfig, ctx: &Ctx) -> ExitCode {
     let _span = ctx.telemetry.span("analysis.watch");
-    let actx = AnalysisContext::from_ground_truth(s.world(), ds);
+    let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
     let index = DatasetIndex::build(&actx, ds, ctx.telemetry.clone());
-    let report = match WatchReport::build(&actx, ds, &index, config) {
+    let report = match WatchReport::build(&actx, index.dataset(), &index, config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    report.emit(&ctx.telemetry.with_scope(ds.name().as_str()));
+    report.emit(&ctx.telemetry.with_scope(index.dataset_name().as_str()));
     println!("{}", report.render_table());
     ExitCode::SUCCESS
 }
@@ -622,19 +628,24 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
 
     let _span = cli.telemetry.span("analysis.trace");
     let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-    println!(
-        "preferred data center: {} (RTT {:.1} ms, {:.0} km), {:.1}% of video bytes",
-        ctx.preferred().city_name,
-        ctx.preferred().rtt_ms,
-        ctx.preferred().distance_km,
-        100.0 * ctx.preferred_share_of_bytes()
-    );
-    println!(
-        "non-preferred share of video flows: {:.1}%",
-        100.0 * ctx.nonpreferred_share_of_flows()
-    );
+    let index = DatasetIndex::build(&ctx, ds, cli.telemetry.clone());
+    // With no video flow there is no preferred data center to name.
+    if let Err(reason) = index.require_video_flows() {
+        println!("data-center shares SKIPPED: {reason}");
+    } else {
+        println!(
+            "preferred data center: {} (RTT {:.1} ms, {:.0} km), {:.1}% of video bytes",
+            ctx.preferred().city_name,
+            ctx.preferred().rtt_ms,
+            ctx.preferred().distance_km,
+            100.0 * ctx.preferred_share_of_bytes()
+        );
+        println!(
+            "non-preferred share of video flows: {:.1}%",
+            100.0 * ctx.nonpreferred_share_of_flows()
+        );
+    }
 
-    let index = DatasetIndex::build(&ctx, &ds, cli.telemetry.clone());
     let st = index.patterns();
     println!(
         "sessions: {} total, {:.1}% single-flow ({:.1}% of those to non-preferred DCs)",
@@ -647,7 +658,7 @@ fn analyze(trace: &PathBuf, scale: f64, seed: u64, cli: &Ctx) -> ExitCode {
         st.two_flow.pp, st.two_flow.pn, st.two_flow.np, st.two_flow.nn
     );
 
-    let perf = perf_report(&ctx, &ds, &index);
+    let perf = perf_report(&ctx, &index);
     println!(
         "performance: median redirect startup penalty {:.0} ms, median non-preferred RTT penalty {:.1} ms",
         perf.median_redirect_penalty_ms(),

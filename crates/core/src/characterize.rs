@@ -1,6 +1,6 @@
 //! Trace characterization: the per-video and per-client statistics of the
 //! measurement studies the paper builds on (Gill et al. IMC'07, Zink et
-//! al. ComNet'09 — the paper's refs [3], [4]).
+//! al. ComNet'09 — the paper's refs \[3\], \[4\]).
 //!
 //! The paper differentiates itself from these works ("we study the video
 //! distribution infrastructure" instead), but its simulator must still

@@ -288,7 +288,10 @@ fn affected_dcs(
 }
 
 impl WatchReport {
-    /// Builds the report over one indexed dataset.
+    /// Builds the report over one indexed dataset, reading the dataset
+    /// through [`DatasetIndex::dataset`]. The `_dataset` argument is
+    /// ignored: it stays only because the pipeline benchmark (`perfbench/`)
+    /// compiles against this signature.
     ///
     /// # Errors
     ///
@@ -296,7 +299,7 @@ impl WatchReport {
     /// flows — there is nothing to watch.
     pub fn build(
         ctx: &AnalysisContext,
-        dataset: &Dataset,
+        _dataset: &Dataset,
         index: &DatasetIndex,
         config: WatchConfig,
     ) -> AnalysisResult<Self> {
@@ -308,7 +311,7 @@ impl WatchReport {
         let wh = config.window_hours.max(1);
         let hours = index.hour_ranges().len() as u64;
         let num_windows = hours.div_ceil(wh) as usize;
-        let c = dataset.columns();
+        let c = index.dataset().columns();
 
         // Sessions come in canonical order, which ascends by start time,
         // so each window's sessions are the next run of them; `startup`
@@ -319,7 +322,7 @@ impl WatchReport {
 
         // Per server-dictionary rank, over the current window: analysis
         // flows and bytes. Zeroed as each window is folded.
-        let servers = dataset.server_ips();
+        let servers = index.dataset().server_ips();
         let mut rank_flows = vec![0u64; servers.len()];
         let mut rank_bytes = vec![0u64; servers.len()];
 
@@ -574,13 +577,13 @@ mod tests {
     /// window. The caller checks for an empty index.
     fn build_by_maps(
         ctx: &AnalysisContext,
-        dataset: &Dataset,
         index: &DatasetIndex,
         config: WatchConfig,
     ) -> WatchReport {
         let wh = config.window_hours.max(1);
         let hours = index.hour_ranges().len() as u64;
         let num_windows = hours.div_ceil(wh) as usize;
+        let dataset = index.dataset();
         let c = dataset.columns();
 
         // Startup samples (first-flow duration) per window, by session
@@ -706,8 +709,8 @@ mod tests {
     ) -> WatchReport {
         let (ds, _) = scenario.run(name);
         let ctx = AnalysisContext::from_ground_truth(scenario.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        WatchReport::build(&ctx, &ds, &index, config).unwrap()
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        WatchReport::build(&ctx, index.dataset(), &index, config).unwrap()
     }
 
     #[test]
@@ -775,8 +778,9 @@ mod tests {
         let (ds, _) = s.run(DatasetName::Eu2);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu2);
-        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
-        let err = WatchReport::build(&ctx, &empty, &index, WatchConfig::default()).unwrap_err();
+        let index = DatasetIndex::build(&ctx, empty, Telemetry::disabled());
+        let err =
+            WatchReport::build(&ctx, index.dataset(), &index, WatchConfig::default()).unwrap_err();
         assert_eq!(
             err,
             AnalysisError::EmptyDataset {
@@ -832,9 +836,10 @@ mod tests {
                 for name in DatasetName::ALL {
                     let (ds, _) = s.run(name);
                     let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-                    let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+                    let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
                     for config in configs {
-                        let report = WatchReport::build(&ctx, &ds, &index, config).unwrap();
+                        let report =
+                            WatchReport::build(&ctx, index.dataset(), &index, config).unwrap();
                         let sessions: u64 = report.windows.iter().map(|w| w.sessions).sum();
                         assert_eq!(
                             sessions,
@@ -843,7 +848,7 @@ mod tests {
                         );
                         assert_eq!(
                             report,
-                            build_by_maps(&ctx, &ds, &index, config),
+                            build_by_maps(&ctx, &index, config),
                             "seed {seed}, {spec:?}, {name}, {config:?}"
                         );
                     }

@@ -167,8 +167,8 @@ pub struct ExperimentSuite {
     config: SuiteConfig,
     jobs: usize,
     scenario: StandardScenario,
-    datasets: Vec<Dataset>,
     contexts: Vec<AnalysisContext>,
+    /// Each index owns its dataset.
     indexes: Vec<DatasetIndex>,
     cbg: OnceLock<Cbg>,
     geo: OnceLock<crate::index::GeoIndex>,
@@ -261,9 +261,10 @@ impl ExperimentSuite {
     /// The step both constructors share: resolves the worker count, then
     /// builds each dataset's context in turn (`suite.contexts` span) and
     /// the five indexes on the worker pool, one dataset per task
-    /// (`suite.indexes` span). `par_map` returns the indexes in dataset
-    /// order, and each index is a function of its dataset and context
-    /// alone, so the suite is the same for any worker count.
+    /// (`suite.indexes` span), each index taking its dataset. `par_map`
+    /// returns the indexes in dataset order, and each index is a function
+    /// of its dataset and context alone, so the suite is the same for any
+    /// worker count.
     fn assemble(
         config: SuiteConfig,
         telemetry: Telemetry,
@@ -287,8 +288,7 @@ impl ExperimentSuite {
         };
         let indexes = {
             let _span = telemetry.span("suite.indexes");
-            let pairs: Vec<(&Dataset, &AnalysisContext)> = datasets.iter().zip(&contexts).collect();
-            par_map(jobs, &pairs, |&(ds, ctx)| {
+            par_map(jobs, datasets.into_iter().zip(&contexts), |(ds, ctx)| {
                 DatasetIndex::build(ctx, ds, telemetry.clone())
             })
         };
@@ -296,7 +296,6 @@ impl ExperimentSuite {
             config,
             jobs,
             scenario,
-            datasets,
             contexts,
             indexes,
             cbg: OnceLock::new(),
@@ -329,9 +328,15 @@ impl ExperimentSuite {
         &self.telemetry
     }
 
-    /// A dataset by name.
+    /// A dataset by name, as its index holds it.
     pub fn dataset(&self, name: DatasetName) -> &Dataset {
-        &self.datasets[name.index()]
+        self.indexes[name.index()].dataset()
+    }
+
+    /// The five datasets in [`DatasetName::ALL`] order, read through their
+    /// indexes.
+    fn datasets(&self) -> impl Iterator<Item = &Dataset> {
+        self.indexes.iter().map(DatasetIndex::dataset)
     }
 
     /// A dataset's analysis context.
@@ -369,9 +374,10 @@ impl ExperimentSuite {
         }
         self.geo.get_or_init(|| {
             self.telemetry.counter("geo.cache_miss").inc();
+            let datasets: Vec<&Dataset> = self.datasets().collect();
             crate::index::GeoIndex::build(
                 self.observatory(),
-                &self.datasets,
+                &datasets,
                 self.cbg(),
                 self.config.scenario.seed ^ 0xF16,
                 self.jobs,
@@ -429,32 +435,6 @@ impl ExperimentSuite {
         par_map(jobs, ids, |id| self.run(id))
     }
 
-    /// The typed reason a dataset's flow analyses are unanswerable: an
-    /// empty capture, or one without video flows.
-    fn no_flows_error(&self, name: DatasetName) -> AnalysisError {
-        if self.dataset(name).is_empty() {
-            AnalysisError::EmptyDataset {
-                dataset: name.to_string(),
-            }
-        } else {
-            AnalysisError::NoVideoFlows {
-                dataset: name.to_string(),
-            }
-        }
-    }
-
-    /// `Err` with [`ExperimentSuite::no_flows_error`] when the dataset's
-    /// context counted no video flows — the prerequisite of every
-    /// flow-derived metric.
-    fn require_video_flows(&self, name: DatasetName) -> AnalysisResult<()> {
-        let flows: u64 = self.context(name).dcs().iter().map(|d| d.video_flows).sum();
-        if flows == 0 {
-            Err(self.no_flows_error(name))
-        } else {
-            Ok(())
-        }
-    }
-
     /// Table I: traffic summary per dataset. Metrics: each dataset's flow
     /// count (the scorecard scales the paper's by the workload scale).
     fn table1(&self) -> Figure {
@@ -467,7 +447,8 @@ impl ExperimentSuite {
             "Dataset", "flows", "volume[GB]", "servers", "clients"
         );
         let mut metrics = Vec::new();
-        for ds in &self.datasets {
+        for index in &self.indexes {
+            let ds = index.dataset();
             // `Dataset::summary`, with the client count the session
             // grouping already took.
             let s = TrafficSummary {
@@ -475,7 +456,7 @@ impl ExperimentSuite {
                 flows: ds.len(),
                 bytes: ds.total_bytes(),
                 servers: ds.server_ips().len(),
-                clients: self.dataset_index(ds.name()).sessions().distinct_clients(),
+                clients: index.sessions().distinct_clients(),
             };
             let _ = writeln!(
                 out,
@@ -508,7 +489,7 @@ impl ExperimentSuite {
             "{:<11} {:>16} {:>16} {:>16} {:>16}",
             "Dataset", "Google(srv/byte)", "YT-EU(srv/byte)", "SameAS(srv/byte)", "Other(srv/byte)"
         );
-        for ds in &self.datasets {
+        for ds in self.datasets() {
             let row = as_breakdown(self.observatory(), ds);
             let mut line = format!("{:<11}", ds.name().to_string());
             for b in WellKnownAs::buckets() {
@@ -530,7 +511,7 @@ impl ExperimentSuite {
             "{:<11} {:>10} {:>8} {:>8}",
             "Dataset", "N.America", "Europe", "Others"
         );
-        for ds in &self.datasets {
+        for ds in self.datasets() {
             let c = continent_counts(self.geo_index().dataset(ds.name()));
             let _ = writeln!(
                 out,
@@ -549,8 +530,7 @@ impl ExperimentSuite {
     /// dataset saw no servers to ping (e.g. an empty capture).
     fn fig2(&self) -> Figure {
         let cdfs: Vec<Cdf> = self
-            .datasets
-            .iter()
+            .datasets()
             .map(|ds| server_rtt_cdf(self.observatory(), ds, 5))
             .collect();
         let report = (|| {
@@ -562,7 +542,7 @@ impl ExperimentSuite {
                 "{:<11} {:>9} {:>9} {:>9} {:>9}",
                 "Dataset", "p10[ms]", "p50[ms]", "p90[ms]", "max[ms]"
             );
-            for (ds, cdf) in self.datasets.iter().zip(&cdfs) {
+            for (ds, cdf) in self.datasets().zip(&cdfs) {
                 if cdf.is_empty() {
                     return Err(AnalysisError::EmptyDistribution {
                         what: format!("{} server RTTs", ds.name()),
@@ -589,8 +569,7 @@ impl ExperimentSuite {
 
     /// One CDF series per dataset, in suite order.
     fn per_dataset_cdfs(&self, cdfs: &[Cdf]) -> Vec<Series> {
-        self.datasets
-            .iter()
+        self.datasets()
             .zip(cdfs)
             .map(|(ds, cdf)| Series::from_cdf(ds.name().to_string(), cdf))
             .collect()
@@ -648,7 +627,7 @@ impl ExperimentSuite {
             "Dataset", "ctrl share", "p50 ctrl [B]", "p50 video [B]", "max [B]"
         );
         let mut series = Vec::new();
-        for ds in &self.datasets {
+        for ds in self.datasets() {
             let bytes = &ds.columns().bytes;
             let n = bytes.len();
             let control = bytes
@@ -691,7 +670,7 @@ impl ExperimentSuite {
         let gaps_ms: Vec<u64> = FIG5_GAPS_S.iter().map(|t_s| t_s * 1000).collect();
         let cdfs = self
             .dataset_index(DatasetName::UsCampus)
-            .flows_per_session_sweep(self.dataset(DatasetName::UsCampus), &gaps_ms);
+            .flows_per_session_sweep(&gaps_ms);
         let mut out = String::from(
             "Figure 5 — flows/session vs T, US-Campus (paper: T <= 10 s similar; pick T = 1 s)\n",
         );
@@ -726,28 +705,25 @@ impl ExperimentSuite {
         );
         let mut series = Vec::new();
         let mut metrics = Vec::new();
-        for ds in &self.datasets {
-            let index = self.dataset_index(ds.name());
+        for index in &self.indexes {
+            let name = index.dataset_name();
             let cdf = index.flows_per_session();
             let one = cdf.fraction_at_or_below(1.0);
             let two = cdf.fraction_at_or_below(2.0) - one;
             let _ = writeln!(
                 out,
                 "{:<11} {:>10} {:>9.3} {:>9.3} {:>9.3}",
-                ds.name().to_string(),
+                name.to_string(),
                 cdf.len(),
                 one,
                 two,
                 1.0 - one - two
             );
-            series.push(Series::from_cdf(ds.name().to_string(), &cdf));
-            let single = self
-                .require_video_flows(ds.name())
+            series.push(Series::from_cdf(name.to_string(), &cdf));
+            let single = index
+                .require_video_flows()
                 .map(|()| index.patterns().single_flow_fraction());
-            metrics.push((
-                format!("{} single-flow session fraction", ds.name()),
-                single,
-            ));
+            metrics.push((format!("{name} single-flow session fraction"), single));
         }
         Figure::new(out, series, metrics)
     }
@@ -781,7 +757,8 @@ impl ExperimentSuite {
                 format!("{name} preferred byte share")
             };
             let share = self
-                .require_video_flows(name)
+                .dataset_index(name)
+                .require_video_flows()
                 .map(|()| ctx.preferred_share_of_bytes());
             metrics.push((metric, share));
         }
@@ -818,7 +795,9 @@ impl ExperimentSuite {
             if name == DatasetName::UsCampus {
                 metrics.push((
                     "US-Campus closest-5 DC byte share".to_owned(),
-                    self.require_video_flows(name).map(|()| closest_5),
+                    self.dataset_index(name)
+                        .require_video_flows()
+                        .map(|()| closest_5),
                 ));
             }
         }
@@ -839,7 +818,7 @@ impl ExperimentSuite {
                 "{:<11} {:>8} {:>8} {:>8}",
                 "Dataset", "p25", "p50", "p90"
             );
-            for (ds, cdf) in self.datasets.iter().zip(&cdfs) {
+            for (ds, cdf) in self.datasets().zip(&cdfs) {
                 if cdf.is_empty() {
                     return Err(AnalysisError::EmptyDistribution {
                         what: format!("{} hourly non-preferred fractions", ds.name()),
@@ -875,14 +854,15 @@ impl ExperimentSuite {
             "Dataset", "1-flow frac", "to preferred", "to non-preferred"
         );
         let mut series = named_series(&["preferred", "non-preferred"]);
-        for (i, (ds, index)) in self.datasets.iter().zip(&self.indexes).enumerate() {
+        for (i, index) in self.indexes.iter().enumerate() {
+            let name = index.dataset_name();
             let st = index.patterns();
             let single = st.one_flow.preferred + st.one_flow.non_preferred;
             let total = st.total.max(1) as f64;
             let _ = writeln!(
                 out,
                 "{:<11} {:>12.3} {:>14.3} {:>18.3}",
-                ds.name().to_string(),
+                name.to_string(),
                 st.single_flow_fraction(),
                 st.one_flow.preferred as f64 / total,
                 single as f64 / total * st.one_flow_non_preferred_fraction(),
@@ -890,10 +870,10 @@ impl ExperimentSuite {
             let bars = [st.one_flow.preferred, st.one_flow.non_preferred];
             push_points(&mut series, i, bars.map(|n| n as f64 / total));
         }
-        let eu2 = self.require_video_flows(DatasetName::Eu2).map(|()| {
-            let st = self.dataset_index(DatasetName::Eu2).patterns();
-            st.one_flow_non_preferred_fraction()
-        });
+        let eu2 = self.dataset_index(DatasetName::Eu2);
+        let eu2 = eu2
+            .require_video_flows()
+            .map(|()| eu2.patterns().one_flow_non_preferred_fraction());
         let metrics = vec![("EU2 single-flow-to-non-preferred fraction".into(), eu2)];
         Figure::new(out, series, metrics)
     }
@@ -914,14 +894,15 @@ impl ExperimentSuite {
             "non-preferred,preferred",
             "non-preferred,non-preferred",
         ]);
-        for (i, (ds, index)) in self.datasets.iter().zip(&self.indexes).enumerate() {
+        for (i, index) in self.indexes.iter().enumerate() {
+            let name = index.dataset_name();
             let t = index.patterns().two_flow;
             let n = (t.pp + t.pn + t.np + t.nn).max(1) as f64;
             let [pp, pn, np, nn] = [t.pp, t.pn, t.np, t.nn].map(|c| c as f64 / n);
             let _ = writeln!(
                 out,
                 "{:<11} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-                ds.name().to_string(),
+                name.to_string(),
                 pp,
                 pn,
                 np,
@@ -936,9 +917,10 @@ impl ExperimentSuite {
     /// [`AnalysisError::EmptyDataset`] when EU2 has no analysis flows at all
     /// — there is no load/locality relationship to correlate — while the
     /// correlation metric names the finer reason
-    /// ([`ExperimentSuite::no_flows_error`]).
+    /// ([`DatasetIndex::require_video_flows`]).
     fn fig11(&self) -> Figure {
-        let samples = hourly_samples(self.dataset_index(DatasetName::Eu2));
+        let eu2 = self.dataset_index(DatasetName::Eu2);
+        let samples = hourly_samples(eu2);
         let series = vec![
             Series {
                 name: "local fraction".into(),
@@ -956,13 +938,14 @@ impl ExperimentSuite {
             },
         ];
         let metric = "EU2 load/local-fraction correlation".to_owned();
-        if samples.iter().all(|s| s.total() == 0) {
+        // No analysis video flow means no sample with a flow.
+        if let Err(reason) = eu2.require_video_flows() {
             return Figure {
                 report: Err(AnalysisError::EmptyDataset {
                     dataset: DatasetName::Eu2.to_string(),
                 }),
                 series: Ok(series),
-                metrics: vec![(metric, Err(self.no_flows_error(DatasetName::Eu2)))],
+                metrics: vec![(metric, Err(reason))],
             };
         }
         let corr = load_vs_preferred_correlation(&samples);
@@ -991,10 +974,9 @@ impl ExperimentSuite {
     /// Figure 12: US-Campus per-subnet non-preferred shares. Metrics:
     /// Net-3's share of all and of non-preferred flows.
     fn fig12(&self) -> Figure {
-        let ds = self.dataset(DatasetName::UsCampus);
         let index = self.dataset_index(DatasetName::UsCampus);
         let subnets = self.observatory().subnets(DatasetName::UsCampus);
-        let shares = subnet_shares(index, ds, subnets);
+        let shares = subnet_shares(index, subnets);
         let mut out = String::from(
             "Figure 12 — US-Campus subnets (paper: Net-3 = 4% of flows but ~50% of non-preferred)\n",
         );
@@ -1019,17 +1001,15 @@ impl ExperimentSuite {
         // `subnet_shares` emits a row per *configured* subnet, so Net-3's
         // row exists even when the subnet contributed nothing — require
         // actual flows before trusting its shares.
-        let net3 = self
-            .require_video_flows(DatasetName::UsCampus)
-            .and_then(|()| {
-                shares
-                    .iter()
-                    .find(|s| s.name == "Net-3" && s.share_of_all_flows > 0.0)
-                    .ok_or_else(|| AnalysisError::MissingSubnet {
-                        dataset: DatasetName::UsCampus.to_string(),
-                        subnet: "Net-3".into(),
-                    })
-            });
+        let net3 = index.require_video_flows().and_then(|()| {
+            shares
+                .iter()
+                .find(|s| s.name == "Net-3" && s.share_of_all_flows > 0.0)
+                .ok_or_else(|| AnalysisError::MissingSubnet {
+                    dataset: DatasetName::UsCampus.to_string(),
+                    subnet: "Net-3".into(),
+                })
+        });
         let metrics = vec![
             (
                 "Net-3 share of all flows".to_owned(),
@@ -1056,19 +1036,20 @@ impl ExperimentSuite {
         );
         let mut series = Vec::new();
         let mut metrics = Vec::new();
-        for ds in &self.datasets {
-            let st = nonpreferred_video_stats(self.dataset_index(ds.name()));
+        for index in &self.indexes {
+            let name = index.dataset_name();
+            let st = nonpreferred_video_stats(index);
             let _ = writeln!(
                 out,
                 "{:<11} {:>10} {:>14.3} {:>20.3} {:>8}",
-                ds.name().to_string(),
+                name.to_string(),
                 st.cdf.len(),
                 st.exactly_once_fraction,
                 st.exactly_once_and_single_access_fraction,
                 st.max_count
             );
-            series.push(Series::from_cdf(ds.name().to_string(), &st.cdf));
-            if ds.name() == DatasetName::Eu1Adsl {
+            series.push(Series::from_cdf(name.to_string(), &st.cdf));
+            if name == DatasetName::Eu1Adsl {
                 let once = if st.cdf.is_empty() {
                     Err(AnalysisError::EmptyDistribution {
                         what: "EU1-ADSL non-preferred per-video counts".into(),
@@ -1084,15 +1065,14 @@ impl ExperimentSuite {
 
     /// Figure 14: the top-4 non-preferred videos' request series (EU1-ADSL).
     fn fig14(&self) -> Figure {
-        let ds = self.dataset(DatasetName::Eu1Adsl);
         let index = self.dataset_index(DatasetName::Eu1Adsl);
-        let top = top_nonpreferred_videos(index, ds, 4);
+        let top = top_nonpreferred_videos(index, 4);
         let mut out = String::from(
             "Figure 14 — top-4 non-preferred videos, EU1-ADSL (paper: 24h video-of-the-day spikes)\n",
         );
         let mut series = Vec::new();
         for (rank, (video, count)) in top.iter().enumerate() {
-            let hours = video_timeseries(index, ds, *video);
+            let hours = video_timeseries(index, *video);
             let (peak_hour, peak) = hours
                 .iter()
                 .enumerate()
@@ -1124,8 +1104,7 @@ impl ExperimentSuite {
 
     /// Figure 15: avg/max per-server load in EU1-ADSL's preferred DC.
     fn fig15(&self) -> Figure {
-        let ds = self.dataset(DatasetName::Eu1Adsl);
-        let load = preferred_server_load(self.dataset_index(DatasetName::Eu1Adsl), ds);
+        let load = preferred_server_load(self.dataset_index(DatasetName::Eu1Adsl));
         let overall_avg = load.iter().map(|h| h.avg).sum::<f64>() / load.len().max(1) as f64;
         let peak = load
             .iter()
@@ -1154,9 +1133,8 @@ impl ExperimentSuite {
 
     /// Figure 16: session breakdown at the hottest preferred-DC server.
     fn fig16(&self) -> Figure {
-        let ds = self.dataset(DatasetName::Eu1Adsl);
         let index = self.dataset_index(DatasetName::Eu1Adsl);
-        let load = preferred_server_load(index, ds);
+        let load = preferred_server_load(index);
         let Some(hot) = load.iter().max_by_key(|h| h.max).and_then(|h| h.max_server) else {
             return Figure::new(
                 "Figure 16 — no server load observed".into(),
@@ -1164,7 +1142,7 @@ impl ExperimentSuite {
                 Vec::new(),
             );
         };
-        let breakdown = server_session_breakdown(index, ds, hot);
+        let breakdown = server_session_breakdown(index, hot);
         let total: u64 = breakdown.iter().map(|h| h.total()).sum();
         let redirected: u64 = breakdown.iter().map(|h| h.first_preferred_then_non).sum();
         let peak_hour = breakdown
@@ -1209,12 +1187,12 @@ impl ExperimentSuite {
             "{:<11} {:>22} {:>22}",
             "Dataset", "startup penalty [ms]", "RTT penalty [ms]"
         );
-        for (ds, ctx) in self.datasets.iter().zip(&self.contexts) {
-            let r = crate::perf::perf_report(ctx, ds, self.dataset_index(ds.name()));
+        for (index, ctx) in self.indexes.iter().zip(&self.contexts) {
+            let r = crate::perf::perf_report(ctx, index);
             let _ = writeln!(
                 out,
                 "{:<11} {:>22.0} {:>22.1}",
-                ds.name().to_string(),
+                index.dataset_name().to_string(),
                 r.median_redirect_penalty_ms(),
                 r.median_rtt_penalty_ms()
             );
@@ -1232,7 +1210,7 @@ impl ExperimentSuite {
             "{:<11} {:>13} {:>13} {:>15} {:>13}",
             "Dataset", "1-req videos", "top1% share", "top10% clients", "peak/trough"
         );
-        for ds in &self.datasets {
+        for ds in self.datasets() {
             let c = crate::characterize::characterize(ds);
             let _ = writeln!(
                 out,
@@ -1415,7 +1393,7 @@ mod tests {
             "Dataset", "ctrl share", "p50 ctrl [B]", "p50 video [B]", "max [B]"
         );
         let mut series = Vec::new();
-        for ds in &suite.datasets {
+        for ds in suite.datasets() {
             let (video, control): (Vec<u64>, Vec<u64>) = ds
                 .columns()
                 .bytes
@@ -1474,6 +1452,7 @@ mod tests {
             let (a, b) = (one.dataset_index(name), two.dataset_index(name));
             assert_eq!(a.dataset_name(), name);
             assert_eq!(b.dataset_name(), name);
+            assert_eq!(a.dataset(), b.dataset(), "{name}: dataset");
             assert_eq!(a.sessions(), b.sessions(), "{name}: sessions");
             assert_eq!(a.patterns(), b.patterns(), "{name}: patterns");
             assert_eq!(a.hour_ranges(), b.hour_ranges(), "{name}: hour ranges");
@@ -1512,6 +1491,11 @@ mod tests {
             assert_eq!(s.dataset(name).name(), name);
             assert_eq!(s.context(name).dataset_name(), name);
             assert_eq!(s.dataset_index(name).dataset_name(), name);
+            // One copy per dataset: the suite's dataset is its index's.
+            assert!(std::ptr::eq(
+                s.dataset(name),
+                s.dataset_index(name).dataset()
+            ));
         }
         assert!(s.jobs() >= 1);
     }

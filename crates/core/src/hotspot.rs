@@ -8,7 +8,7 @@
 
 use std::net::Ipv4Addr;
 
-use ytcdn_tstat::{Dataset, VideoId, HOUR_MS};
+use ytcdn_tstat::{VideoId, HOUR_MS};
 
 use crate::index::DatasetIndex;
 use crate::videos::per_video_counts;
@@ -17,12 +17,8 @@ use crate::videos::per_video_counts;
 /// (the paper's Figure 14 selects the top 4), most-redirected first, among
 /// the videos with an analysis video flow. Ties are broken by video id:
 /// the per-video counts arrive in id order and the sort is stable.
-pub fn top_nonpreferred_videos(
-    index: &DatasetIndex,
-    dataset: &Dataset,
-    k: usize,
-) -> Vec<(VideoId, u64)> {
-    let mut v: Vec<(VideoId, u64)> = per_video_counts(index, dataset)
+pub fn top_nonpreferred_videos(index: &DatasetIndex, k: usize) -> Vec<(VideoId, u64)> {
+    let mut v: Vec<(VideoId, u64)> = per_video_counts(index)
         .into_iter()
         .map(|(id, c)| (id, c.non_preferred))
         .collect();
@@ -41,7 +37,8 @@ pub struct VideoHour {
 }
 
 /// Hourly request series for one video over the whole trace.
-pub fn video_timeseries(index: &DatasetIndex, dataset: &Dataset, video: VideoId) -> Vec<VideoHour> {
+pub fn video_timeseries(index: &DatasetIndex, video: VideoId) -> Vec<VideoHour> {
+    let dataset = index.dataset();
     // A video outside the dictionary matches no flow.
     let rank = dataset.video_ids().binary_search(&video).ok();
     let video_ranks = &dataset.columns().video_ranks;
@@ -87,9 +84,10 @@ pub struct ServerLoadHour {
 /// shared by all hours: the ranks an hour touched are read, then zeroed.
 /// The dictionary is sorted by address, so the lowest rank is the lowest
 /// address.
-pub fn preferred_server_load(index: &DatasetIndex, dataset: &Dataset) -> Vec<ServerLoadHour> {
+pub fn preferred_server_load(index: &DatasetIndex) -> Vec<ServerLoadHour> {
     let pref_idx = index.preferred_index();
     let denominator = index.preferred_servers_seen().max(1) as f64;
+    let dataset = index.dataset();
     let servers = dataset.server_ips();
     let preferred: Vec<bool> = (0..servers.len())
         .map(|rank| index.dc_of_server(rank) == Some(pref_idx))
@@ -149,11 +147,8 @@ impl ServerSessionHour {
 
 /// Bins the index's default-gap sessions that touch `server` by start hour
 /// and pattern, with per-flow targets read from the columns.
-pub fn server_session_breakdown(
-    index: &DatasetIndex,
-    dataset: &Dataset,
-    server: Ipv4Addr,
-) -> Vec<ServerSessionHour> {
+pub fn server_session_breakdown(index: &DatasetIndex, server: Ipv4Addr) -> Vec<ServerSessionHour> {
+    let dataset = index.dataset();
     let sessions = index.sessions();
     let last_hour = sessions
         .iter()
@@ -194,20 +189,20 @@ mod tests {
     use crate::dcmap::AnalysisContext;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
     use ytcdn_telemetry::Telemetry;
-    use ytcdn_tstat::DatasetName;
+    use ytcdn_tstat::{Dataset, DatasetName};
 
-    fn setup() -> (StandardScenario, Dataset, DatasetIndex) {
+    fn setup() -> (StandardScenario, DatasetIndex) {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.015, 3));
         let (ds, _) = s.run(DatasetName::Eu1Adsl);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        (s, ds, index)
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        (s, index)
     }
 
     #[test]
     fn top_videos_are_the_flash_crowds() {
-        let (s, ds, index) = setup();
-        let top = top_nonpreferred_videos(&index, &ds, 4);
+        let (s, index) = setup();
+        let top = top_nonpreferred_videos(&index, 4);
         assert_eq!(top.len(), 4);
         // The promoted (video-of-the-day) catalog entries should dominate.
         let votd: Vec<u64> = s
@@ -229,10 +224,10 @@ mod tests {
 
     #[test]
     fn top_video_series_spikes_in_its_window() {
-        let (s, ds, index) = setup();
-        let top = top_nonpreferred_videos(&index, &ds, 1);
+        let (s, index) = setup();
+        let top = top_nonpreferred_videos(&index, 1);
         let video = top[0].0;
-        let series = video_timeseries(&index, &ds, video);
+        let series = video_timeseries(&index, video);
         // Find the VotD window for this video if it is one.
         if let Some(w) = s
             .world()
@@ -262,8 +257,8 @@ mod tests {
 
     #[test]
     fn max_server_load_spikes_above_average() {
-        let (_, ds, index) = setup();
-        let load = preferred_server_load(&index, &ds);
+        let (_, index) = setup();
+        let load = preferred_server_load(&index);
         let peak_ratio = load
             .iter()
             .filter(|h| h.avg > 0.5)
@@ -276,14 +271,14 @@ mod tests {
 
     #[test]
     fn hot_server_sessions_shift_to_redirection() {
-        let (_, ds, index) = setup();
-        let load = preferred_server_load(&index, &ds);
+        let (_, index) = setup();
+        let load = preferred_server_load(&index);
         let hot = load
             .iter()
             .max_by(|a, b| a.max.cmp(&b.max))
             .and_then(|h| h.max_server)
             .expect("some server saw load");
-        let breakdown = server_session_breakdown(&index, &ds, hot);
+        let breakdown = server_session_breakdown(&index, hot);
         let redirected: u64 = breakdown.iter().map(|h| h.first_preferred_then_non).sum();
         let total: u64 = breakdown.iter().map(|h| h.total()).sum();
         assert!(total > 0);
@@ -295,11 +290,9 @@ mod tests {
 
     /// The per-hour ordered-map fold [`preferred_server_load`] replaced,
     /// kept as its oracle.
-    fn preferred_server_load_by_map(
-        index: &DatasetIndex,
-        dataset: &Dataset,
-    ) -> Vec<ServerLoadHour> {
+    fn preferred_server_load_by_map(index: &DatasetIndex) -> Vec<ServerLoadHour> {
         use std::collections::BTreeMap;
+        let dataset = index.dataset();
         let pref_idx = index.preferred_index();
         let denominator = index.preferred_servers_seen().max(1) as f64;
         index
@@ -333,10 +326,10 @@ mod tests {
         for name in DatasetName::ALL {
             let (ds, _) = s.run(name);
             let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-            let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+            let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
             assert_eq!(
-                preferred_server_load(&index, &ds),
-                preferred_server_load_by_map(&index, &ds),
+                preferred_server_load(&index),
+                preferred_server_load_by_map(&index),
                 "{name}"
             );
         }
@@ -347,8 +340,9 @@ mod tests {
         use ytcdn_tstat::{FlowRecord, Resolution};
         // Hour 0: .9 and .3 tie at two flows each, .5 has one; hour 1: .7
         // alone; hour 2: nothing. The ties arrive highest address first.
-        let (s, ds, _) = setup();
-        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+        let (s, index) = setup();
+        let ds = index.dataset();
+        let ctx = AnalysisContext::from_ground_truth(s.world(), ds);
         let preferred: Vec<Ipv4Addr> = ds
             .server_ips()
             .iter()
@@ -378,9 +372,9 @@ mod tests {
         ];
         let small = Dataset::from_records(ds.name(), records);
         let small_ctx = AnalysisContext::from_ground_truth(s.world(), &small);
-        let index = DatasetIndex::build(&small_ctx, &small, Telemetry::disabled());
-        let load = preferred_server_load(&index, &small);
-        assert_eq!(load, preferred_server_load_by_map(&index, &small));
+        let index = DatasetIndex::build(&small_ctx, small, Telemetry::disabled());
+        let load = preferred_server_load(&index);
+        assert_eq!(load, preferred_server_load_by_map(&index));
         assert_eq!(load.len(), 2);
         assert_eq!((load[0].max, load[0].max_server), (2, Some(low)));
         assert_eq!((load[1].max, load[1].max_server), (1, Some(other)));
@@ -388,9 +382,9 @@ mod tests {
 
     #[test]
     fn empty_video_series() {
-        let (_, ds, index) = setup();
+        let (_, index) = setup();
         // A video that never appears: all-zero series.
-        let series = video_timeseries(&index, &ds, VideoId::from_index(u64::MAX - 1));
+        let series = video_timeseries(&index, VideoId::from_index(u64::MAX - 1));
         assert!(series.iter().all(|v| v.all == 0 && v.non_preferred == 0));
     }
 }

@@ -1,22 +1,21 @@
 //! The shared columnar analysis index — built once per dataset, answering
 //! every per-figure question without re-deriving state.
 //!
-//! A [`DatasetIndex`] resolves the [`AnalysisContext`]'s data-center
-//! lookup once per entry of the dataset's server dictionary, so a flow's
-//! data center is a gather through that per-entry table by its server
-//! rank (kept as a `u32` column beside a `Vec<bool>` of video flags, each
-//! flow classified once against [`ytcdn_tstat::VIDEO_MIN_BYTES`]). It
-//! bins the (start-time-sorted) records into per-hour index ranges,
-//! counts each video's analysis video flows (a dense `Vec` by video rank),
-//! and groups + classifies the default-gap sessions in one pass
-//! ([`crate::session::group_sessions`]). It keeps no per-server or
-//! per-data-center tallies: the context already holds each center's video
-//! traffic, and Figure 15's per-server load is counted from the columns.
-//! One index is built per dataset on one thread; the suite builds the
-//! five datasets' indexes on the shared worker pool. The figure
-//! analyses (`timeseries`, `videos`, `hotspot`) read these columns instead
-//! of probing the context; so does Figure 12's per-subnet split
-//! ([`crate::subnet::subnet_shares`]).
+//! A [`DatasetIndex`] owns its [`Dataset`], so no analysis can pair it
+//! with another trace's columns. It resolves the [`AnalysisContext`]'s
+//! data-center lookup once per server-dictionary entry, so a flow's data
+//! center is a gather through that table by the dataset's own rank column
+//! (the index keeps no per-flow column). It bins the (start-time-sorted)
+//! records into per-hour index ranges, counts each video's analysis video
+//! flows (a dense `Vec` by video rank), and groups + classifies the
+//! default-gap sessions in one pass ([`crate::session::group_sessions`]).
+//! It keeps no per-server or per-data-center tallies: the context already
+//! holds each center's video traffic, and Figure 15's per-server load is
+//! counted from the columns. One index is built per dataset on one thread;
+//! the suite builds the five datasets' indexes on the shared worker pool.
+//! The figure analyses (`timeseries`, `videos`, `hotspot`) read these
+//! columns instead of probing the context; so does Figure 12's per-subnet
+//! split ([`crate::subnet::subnet_shares`]).
 //!
 //! The sessions are stored as columns ([`Sessions`]): a flat `u32` column
 //! of flow indices in bucket order — each (client, video) bucket one
@@ -41,6 +40,7 @@
 //! (lint rule `DET003` applies to this module), so iteration order — and
 //! therefore anything derived from the index — is reproducible.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -48,6 +48,7 @@ use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::{Dataset, DatasetName, FlowClass};
 
 use crate::dcmap::AnalysisContext;
+use crate::error::{AnalysisError, AnalysisResult};
 use crate::patterns::PatternStats;
 use crate::session::{group_sessions, tally, Sessions};
 use crate::stats::Cdf;
@@ -57,24 +58,19 @@ use crate::videos::VideoCounts;
 /// the index pre-groups sessions at.
 pub const DEFAULT_GAP_MS: u64 = 1_000;
 
-/// The columnar index over one dataset.
+/// The columnar index over one dataset, and the owner of that dataset.
 ///
 /// Built once per dataset; all accessors are cheap reads.
 /// Sessions are grouped at the default gap only; other gaps are swept on
 /// demand (see the module docs), so the index holds no lock and no cache.
 #[derive(Debug)]
 pub struct DatasetIndex {
-    dataset_name: DatasetName,
+    dataset: Dataset,
     preferred: usize,
     preferred_servers_seen: usize,
     /// Per server-dictionary entry: the analysis data-center index, `None`
     /// outside the analysis ASes.
     server_dc: Vec<Option<usize>>,
-    /// Per flow: its server's rank in the dictionary.
-    flow_server: Vec<u32>,
-    /// Per flow: whether it is a video flow (at least
-    /// [`ytcdn_tstat::VIDEO_MIN_BYTES`]).
-    flow_video: Vec<bool>,
     /// Per video-dictionary entry: its analysis video flows.
     video_counts: Vec<VideoCounts>,
     /// Per hour since trace start: the record-index range starting in it.
@@ -84,9 +80,9 @@ pub struct DatasetIndex {
 }
 
 impl DatasetIndex {
-    /// Builds the index: one pass over the records for the columns and
-    /// per-video counts, one scan of the timestamps for the hour ranges,
-    /// and one session grouping ([`crate::session::group_sessions`]).
+    /// Builds the index of `dataset`, which it keeps: one pass over the
+    /// records for the per-video counts, one scan of the timestamps for the
+    /// hour ranges, and one session grouping.
     ///
     /// `ctx` contributes its data-center map and its preferred data
     /// center, and nothing else: the index maps `dataset`'s own server
@@ -98,7 +94,7 @@ impl DatasetIndex {
     ///
     /// Panics if `dataset`'s records are not sorted by start time (the
     /// dataset invariant every producer in this workspace upholds).
-    pub fn build(ctx: &AnalysisContext, dataset: &Dataset, telemetry: Telemetry) -> Self {
+    pub fn build(ctx: &AnalysisContext, dataset: Dataset, telemetry: Telemetry) -> Self {
         let span = telemetry.span("index.build");
         let c = dataset.columns();
         let n = dataset.len();
@@ -107,11 +103,9 @@ impl DatasetIndex {
         // Per server-dictionary entry: the data center, resolved once; a
         // flow reads its entry by rank.
         let server_dc = ctx.server_dcs(dataset.server_ips());
-        let mut flow_video: Vec<bool> = Vec::with_capacity(n);
         let mut video_counts = vec![VideoCounts::default(); c.videos.len()];
         for ((&server, &bytes), &video) in c.server_ranks.iter().zip(&c.bytes).zip(&c.video_ranks) {
             let is_video = FlowClass::of_bytes(bytes) == FlowClass::Video;
-            flow_video.push(is_video);
             if let (true, Some(dc)) = (is_video, server_dc[server as usize]) {
                 let counts = &mut video_counts[video as usize];
                 counts.total += 1;
@@ -123,7 +117,7 @@ impl DatasetIndex {
         let hour_ranges = crate::columnar::compute_hour_ranges(&c.start_ms);
 
         let group_span = telemetry.span("index.group");
-        let sessions = group_sessions(dataset, DEFAULT_GAP_MS);
+        let sessions = group_sessions(&dataset, DEFAULT_GAP_MS);
         drop(group_span);
         telemetry.counter("index.flows").add(n as u64);
         telemetry
@@ -131,12 +125,10 @@ impl DatasetIndex {
             .add(sessions.len() as u64);
 
         let mut index = Self {
-            dataset_name: dataset.name(),
+            dataset,
             preferred,
             preferred_servers_seen: ctx.preferred().servers_seen,
             server_dc,
-            flow_server: c.server_ranks.clone(),
-            flow_video,
             video_counts,
             hour_ranges,
             sessions,
@@ -147,8 +139,9 @@ impl DatasetIndex {
         index
     }
 
-    /// [`DatasetIndex::build`] over a decoded `.ytc` dataset, under the
-    /// signature the pipeline benchmark (`perfbench/`) compiles against.
+    /// [`DatasetIndex::build`] over a clone of a decoded `.ytc` dataset,
+    /// under the signature the pipeline benchmark (`perfbench/`) compiles
+    /// against; the clone is part of what it measures as the index build.
     /// The worker count is ignored: one index is built on one thread, and
     /// [`crate::experiments::ExperimentSuite`] builds the datasets'
     /// indexes on the worker pool instead. `ctx` plays the same part as in
@@ -159,22 +152,43 @@ impl DatasetIndex {
         _jobs: usize,
         telemetry: Telemetry,
     ) -> Self {
-        Self::build(ctx, columnar.dataset(), telemetry)
+        Self::build(ctx, columnar.dataset().clone(), telemetry)
     }
 
     /// The dataset this index describes.
+    pub fn dataset(&self) -> &Dataset {
+        &self.dataset
+    }
+
+    /// The name of the dataset this index describes.
     pub fn dataset_name(&self) -> DatasetName {
-        self.dataset_name
+        self.dataset.name()
     }
 
     /// Number of flows indexed.
     pub fn len(&self) -> usize {
-        self.flow_server.len()
+        self.dataset.len()
     }
 
     /// Whether the dataset was empty.
     pub fn is_empty(&self) -> bool {
-        self.flow_server.is_empty()
+        self.dataset.is_empty()
+    }
+
+    /// `Err` with the typed reason the dataset's flow-derived metrics are
+    /// unanswerable when no video flow reached an analysis data center:
+    /// [`AnalysisError::EmptyDataset`] for an empty capture, else
+    /// [`AnalysisError::NoVideoFlows`].
+    pub fn require_video_flows(&self) -> AnalysisResult<()> {
+        if self.video_counts.iter().any(|c| c.total > 0) {
+            return Ok(());
+        }
+        let dataset = self.dataset_name().to_string();
+        Err(if self.is_empty() {
+            AnalysisError::EmptyDataset { dataset }
+        } else {
+            AnalysisError::NoVideoFlows { dataset }
+        })
     }
 
     /// The sessions at the paper's default gap (`T` = 1 s), in canonical
@@ -203,7 +217,7 @@ impl DatasetIndex {
     /// The data-center index serving flow `i`, `None` outside the analysis
     /// ASes — the columnar equivalent of [`AnalysisContext::dc_of`].
     pub fn dc_of_flow(&self, i: usize) -> Option<usize> {
-        self.server_dc[self.flow_server[i] as usize]
+        self.server_dc[self.dataset.columns().server_ranks[i] as usize]
     }
 
     /// The data-center index of the server at `rank` in the dataset's
@@ -218,9 +232,10 @@ impl DatasetIndex {
         self.dc_of_flow(i).map(|d| d == self.preferred)
     }
 
-    /// Whether flow `i` is a video flow.
+    /// Whether flow `i` is a video flow (at least
+    /// [`ytcdn_tstat::VIDEO_MIN_BYTES`]).
     pub fn is_video_flow(&self, i: usize) -> bool {
-        self.flow_video[i]
+        FlowClass::of_bytes(self.dataset.columns().bytes[i]) == FlowClass::Video
     }
 
     /// Per-hour record-index ranges; `ranges()[h]` are the flows starting
@@ -293,11 +308,8 @@ impl DatasetIndex {
     /// each output-identical to [`crate::session::flows_per_session`] at
     /// that gap, from one walk over the stored bucket-order column (see the
     /// module docs).
-    ///
-    /// `dataset` must be the dataset the index was built from.
-    pub fn flows_per_session_sweep(&self, dataset: &Dataset, gaps_ms: &[u64]) -> Vec<Cdf> {
-        debug_assert_eq!(dataset.len(), self.len(), "not the indexed dataset");
-        let c = dataset.columns();
+    pub fn flows_per_session_sweep(&self, gaps_ms: &[u64]) -> Vec<Cdf> {
+        let c = self.dataset.columns();
         // Per gap: the open run's latest end and size, and the histogram of
         // the closed runs' sizes; flows alone in their bucket are counted
         // once for all gaps.
@@ -367,13 +379,15 @@ impl GeoIndex {
     ///
     /// `datasets` must be the suite's five datasets in [`DatasetName::ALL`]
     /// order — the same invariant the experiment suite's own vectors
-    /// uphold. The probe targets come from an
+    /// uphold — owned or borrowed (the pipeline benchmark passes a
+    /// `&Vec<Dataset>`, the suite its indexes' `&Dataset`s). The probe
+    /// targets come from an
     /// [`Observatory`](crate::observatory::Observatory), or from the
     /// `&World` it wraps, which the pipeline benchmark (`perfbench/`)
     /// passes.
     pub fn build<'w>(
         observatory: impl Into<crate::observatory::Observatory<'w>>,
-        datasets: &[Dataset],
+        datasets: &[impl Borrow<Dataset>],
         cbg: &ytcdn_geoloc::Cbg,
         seed: u64,
         jobs: usize,
@@ -383,12 +397,12 @@ impl GeoIndex {
         debug_assert!(datasets
             .iter()
             .zip(DatasetName::ALL)
-            .all(|(ds, name)| ds.name() == name));
+            .all(|(ds, name)| ds.borrow().name() == name));
         let _span = telemetry.span("geo.localize");
         let observatory = observatory.into();
         let per_ds_blocks: Vec<_> = datasets
             .iter()
-            .map(|ds| dataset_blocks(observatory, ds))
+            .map(|ds| dataset_blocks(observatory, ds.borrow()))
             .collect();
         let union: BTreeMap<ytcdn_netsim::Ipv4Block, ytcdn_netsim::Endpoint> = per_ds_blocks
             .iter()
@@ -448,7 +462,8 @@ mod tests {
     #[test]
     fn columns_match_context_probes() {
         let (ds, ctx) = setup(DatasetName::Eu1Adsl);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        let ds = index.dataset();
         assert_eq!(index.len(), ds.len());
         for (i, r) in ds.iter().enumerate() {
             assert_eq!(index.dc_of_flow(i), ctx.dc_of(&r));
@@ -462,7 +477,8 @@ mod tests {
     #[test]
     fn hour_ranges_partition_the_trace() {
         let (ds, ctx) = setup(DatasetName::UsCampus);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        let ds = index.dataset();
         let mut covered = 0usize;
         for (h, range) in index.hour_ranges().iter().enumerate() {
             assert_eq!(range.start, covered, "hour {h} not contiguous");
@@ -478,34 +494,36 @@ mod tests {
     fn flows_per_session_matches_direct_cdf() {
         let (ds, ctx) = setup(DatasetName::UsCampus);
         let gaps: Vec<u64> = [1u64, 5, 300].iter().map(|s| s * 1000).collect();
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        let swept = index.flows_per_session_sweep(&ds, &gaps);
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        let ds = index.dataset();
+        let swept = index.flows_per_session_sweep(&gaps);
         assert_eq!(swept.len(), gaps.len());
         for (gap, cdf) in gaps.iter().zip(&swept) {
             assert_eq!(
                 cdf,
-                &crate::session::flows_per_session(&ds, *gap),
+                &crate::session::flows_per_session(ds, *gap),
                 "gap {gap}"
             );
         }
         assert_eq!(
             index.flows_per_session(),
-            crate::session::flows_per_session(&ds, DEFAULT_GAP_MS)
+            crate::session::flows_per_session(ds, DEFAULT_GAP_MS)
         );
-        assert!(index.flows_per_session_sweep(&ds, &[]).is_empty());
+        assert!(index.flows_per_session_sweep(&[]).is_empty());
     }
 
     #[test]
     fn from_columnar_matches_build() {
         let (ds, ctx) = setup(DatasetName::Eu1Ftth);
-        let built = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let columnar =
             crate::columnar::ColumnarDataset::from_dataset(ds.clone()).expect("well-formed");
+        let built = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
         let from_ytc = DatasetIndex::from_columnar(&ctx, &columnar, 2, Telemetry::disabled());
+        assert_eq!(from_ytc.dataset(), built.dataset());
         assert_eq!(from_ytc.hour_ranges(), built.hour_ranges());
         assert_eq!(from_ytc.sessions(), built.sessions());
         assert_eq!(from_ytc.patterns(), built.patterns());
-        for i in 0..ds.len() {
+        for i in 0..built.len() {
             assert_eq!(from_ytc.dc_of_flow(i), built.dc_of_flow(i));
             assert_eq!(from_ytc.is_video_flow(i), built.is_video_flow(i));
         }
@@ -515,7 +533,7 @@ mod tests {
     fn empty_dataset_index() {
         let (_, ctx) = setup(DatasetName::Eu1Adsl);
         let empty = Dataset::new(DatasetName::Eu1Adsl);
-        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, empty, Telemetry::disabled());
         assert!(index.is_empty());
         assert!(index.sessions().is_empty());
         assert_eq!(index.patterns(), PatternStats::default());

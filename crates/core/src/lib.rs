@@ -11,7 +11,7 @@
 //! | paper concept | module |
 //! |---|---|
 //! | video sessions (flow groups, gap threshold `T`) | [`session`] |
-//! | video vs control flows (the fixed 1000-byte rule) | `ytcdn_tstat::FlowClass::of_bytes`, once per flow in [`index`] |
+//! | video vs control flows (the fixed 1000-byte rule) | `ytcdn_tstat::FlowClass::of_bytes`, over the bytes column in [`index`] |
 //! | server → data-center mapping | [`dcmap`] |
 //! | preferred data center, RTT/distance byte profiles | [`preferred`] |
 //! | session preferred/non-preferred patterns (Fig. 10) | [`patterns`] |
@@ -23,7 +23,7 @@
 //! | geolocation results (Table III, Figs. 2–3) | [`geo_analysis`] |
 //! | active cold-video experiment (Figs. 17–18) | [`active_analysis`] |
 //! | empirical CDFs and binning | [`stats`] |
-//! | shared per-dataset columnar index | [`index`] |
+//! | shared per-dataset columnar index, the owner of its dataset | [`index`] |
 //! | compact `.ytc` on-disk columnar format | [`columnar`] |
 //! | constellation tracking / change-point detection | [`constellation`] |
 //! | one driver per table/figure | [`experiments`] |
@@ -38,8 +38,9 @@
 //! use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 //! use ytcdn_core::as_analysis::as_breakdown;
 //! use ytcdn_core::observatory::GroundTruth;
-//! use ytcdn_core::{session::group_sessions, AnalysisContext, Observatory};
+//! use ytcdn_core::{AnalysisContext, DatasetIndex, Observatory};
 //! use ytcdn_netsim::WellKnownAs;
+//! use ytcdn_telemetry::Telemetry;
 //! use ytcdn_tstat::DatasetName;
 //!
 //! // Simulate a small week at one vantage point...
@@ -52,13 +53,13 @@
 //! assert!(google.bytes_pct > 50.0, "Google AS byte share {}", google.bytes_pct);
 //! // The data-center map is still the simulator's own, a ground-truth read.
 //! let ctx = AnalysisContext::from_ground_truth(GroundTruth::new(scenario.world()), &dataset);
-//! // Sessions at the paper's T = 1 s.
-//! let sessions = group_sessions(&dataset, 1_000);
-//! let single: usize = sessions.iter().filter(|s| s.flow_count() == 1).count();
-//! // Figure 6: 72.5–80.5% of sessions consist of a single flow.
-//! let frac = single as f64 / sessions.len() as f64;
-//! assert!(frac > 0.6 && frac < 0.9, "single-flow share {frac}");
 //! assert!(ctx.preferred_share_of_bytes() > 0.5);
+//! // The index takes the dataset and groups its sessions at T = 1 s;
+//! // later analyses read the dataset through it (`index.dataset()`).
+//! let index = DatasetIndex::build(&ctx, dataset, Telemetry::disabled());
+//! // Figure 6: 72.5–80.5% of sessions consist of a single flow.
+//! let frac = index.patterns().single_flow_fraction();
+//! assert!(frac > 0.6 && frac < 0.9, "single-flow share {frac}");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -104,7 +104,7 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 55));
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        DatasetIndex::build(&ctx, &ds, Telemetry::disabled()).patterns()
+        DatasetIndex::build(&ctx, ds, Telemetry::disabled()).patterns()
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! delays video startup by control-flow round trips, and being served by a
 //! far data center raises the serving RTT for the whole download.
 
-use ytcdn_tstat::Dataset;
-
 use crate::dcmap::AnalysisContext;
 use crate::index::DatasetIndex;
 use crate::stats::Cdf;
@@ -34,12 +32,8 @@ pub struct SessionPerf {
 /// sessions, reading each flow's video flag and data center off the index;
 /// sessions with no video flow or flows outside the analysis ASes are
 /// skipped.
-pub fn session_perf(
-    ctx: &AnalysisContext,
-    dataset: &Dataset,
-    index: &DatasetIndex,
-) -> Vec<SessionPerf> {
-    let start_ms = &dataset.columns().start_ms;
+pub fn session_perf(ctx: &AnalysisContext, index: &DatasetIndex) -> Vec<SessionPerf> {
+    let start_ms = &index.dataset().columns().start_ms;
     let sessions = index.sessions();
     let mut out = Vec::with_capacity(sessions.len());
     for s in sessions.iter() {
@@ -95,8 +89,8 @@ impl PerfReport {
 }
 
 /// Builds the aggregate report.
-pub fn perf_report(ctx: &AnalysisContext, dataset: &Dataset, index: &DatasetIndex) -> PerfReport {
-    let perfs = session_perf(ctx, dataset, index);
+pub fn perf_report(ctx: &AnalysisContext, index: &DatasetIndex) -> PerfReport {
+    let perfs = session_perf(ctx, index);
     PerfReport {
         direct_startup: Cdf::from_values(
             perfs
@@ -130,17 +124,17 @@ mod tests {
     use super::*;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
     use ytcdn_telemetry::Telemetry;
-    use ytcdn_tstat::DatasetName;
+    use ytcdn_tstat::{Dataset, DatasetName};
 
-    fn report_of(s: &StandardScenario, ds: &Dataset) -> PerfReport {
-        let ctx = AnalysisContext::from_ground_truth(s.world(), ds);
+    fn report_of(s: &StandardScenario, ds: Dataset) -> PerfReport {
+        let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
-        perf_report(&ctx, ds, &index)
+        perf_report(&ctx, &index)
     }
 
     fn report(name: DatasetName) -> PerfReport {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 202));
-        report_of(&s, &s.run(name).0)
+        report_of(&s, s.run(name).0)
     }
 
     #[test]
@@ -174,7 +168,7 @@ mod tests {
     #[test]
     fn eu2_nonpreferred_rtt_reflects_external_dc() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 203));
-        let r = report_of(&s, &s.run(DatasetName::Eu2).0);
+        let r = report_of(&s, s.run(DatasetName::Eu2).0);
         // The spill target is a real Google DC ~1000 km away: RTT penalty
         // is tens of ms but far from intercontinental.
         let p = r.median_rtt_penalty_ms();
@@ -186,7 +180,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.004, 204));
-        let r = report_of(&s, &Dataset::new(DatasetName::Eu1Ftth));
+        let r = report_of(&s, Dataset::new(DatasetName::Eu1Ftth));
         assert_eq!(r.median_redirect_penalty_ms(), 0.0);
         assert_eq!(r.median_rtt_penalty_ms(), 0.0);
     }

@@ -108,7 +108,7 @@ const CLAIMS: [(&str, &str, f64, (f64, f64)); 25] = [
     ("fig18", "nodes with RTT1/RTT2 > 10", 0.20, (0.05, 0.50)),
 ];
 
-/// Evaluates every [`CLAIMS`] row against the suite's cached figures
+/// Evaluates every row of the claim table (`CLAIMS`) against the suite's cached figures
 /// ([`ExperimentSuite::figure`]); nothing here runs an analysis.
 ///
 /// Degenerate inputs do not panic: a claim whose prerequisite data is

@@ -10,7 +10,6 @@
 use std::net::Ipv4Addr;
 
 use ytcdn_cdnsim::SubnetConfig;
-use ytcdn_tstat::Dataset;
 
 use crate::index::DatasetIndex;
 
@@ -37,21 +36,15 @@ impl SubnetShare {
 }
 
 /// Computes per-subnet shares of total and non-preferred video flows,
-/// reading each flow's class and data center off `index` (built from
-/// `dataset`) and its client from `dataset`. A client counts for the first
-/// subnet whose block holds it.
-pub fn subnet_shares(
-    index: &DatasetIndex,
-    dataset: &Dataset,
-    subnets: &[SubnetConfig],
-) -> Vec<SubnetShare> {
-    debug_assert_eq!(dataset.len(), index.len(), "not the indexed dataset");
+/// reading each flow's class, data center and client off `index`. A client
+/// counts for the first subnet whose block holds it.
+pub fn subnet_shares(index: &DatasetIndex, subnets: &[SubnetConfig]) -> Vec<SubnetShare> {
     let mut all = vec![0u64; subnets.len()];
     let mut nonpref = vec![0u64; subnets.len()];
     let mut total_all = 0u64;
     let mut total_nonpref = 0u64;
     let preferred = index.preferred_index();
-    for (i, &client) in dataset.columns().clients.iter().enumerate() {
+    for (i, &client) in index.dataset().columns().clients.iter().enumerate() {
         if !index.is_video_flow(i) {
             continue;
         }
@@ -95,15 +88,15 @@ mod tests {
     use crate::dcmap::AnalysisContext;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
     use ytcdn_telemetry::Telemetry;
-    use ytcdn_tstat::DatasetName;
+    use ytcdn_tstat::{Dataset, DatasetName};
 
     fn shares() -> Vec<SubnetShare> {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 77));
         let (ds, _) = s.run(DatasetName::UsCampus);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
         let subnets = s.world().vantage(DatasetName::UsCampus).subnets.clone();
-        subnet_shares(&index, &ds, &subnets)
+        subnet_shares(&index, &subnets)
     }
 
     #[test]
@@ -149,8 +142,8 @@ mod tests {
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let subnets = s.world().vantage(DatasetName::UsCampus).subnets.clone();
         let empty = Dataset::new(DatasetName::UsCampus);
-        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
-        let sh = subnet_shares(&index, &empty, &subnets);
+        let index = DatasetIndex::build(&ctx, empty, Telemetry::disabled());
+        let sh = subnet_shares(&index, &subnets);
         assert!(sh
             .iter()
             .all(|s| s.share_of_all_flows == 0.0 && s.bias() == 0.0));

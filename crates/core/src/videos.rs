@@ -6,7 +6,7 @@
 //! pull-through replication) and a long tail of videos redirected hundreds
 //! of times (flash-crowd hot spots).
 
-use ytcdn_tstat::{Dataset, VideoId};
+use ytcdn_tstat::VideoId;
 
 use crate::index::DatasetIndex;
 use crate::stats::Cdf;
@@ -38,9 +38,9 @@ pub struct NonPreferredVideoStats {
 
 /// Request counts per video with at least one analysis video flow, in
 /// video-id order, read off the index's dense per-video column.
-/// `dataset` must be the dataset the index was built from.
-pub fn per_video_counts(index: &DatasetIndex, dataset: &Dataset) -> Vec<(VideoId, VideoCounts)> {
-    dataset
+pub fn per_video_counts(index: &DatasetIndex) -> Vec<(VideoId, VideoCounts)> {
+    index
+        .dataset()
         .video_ids()
         .iter()
         .zip(index.video_counts())
@@ -78,13 +78,13 @@ mod tests {
     use crate::dcmap::AnalysisContext;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
     use ytcdn_telemetry::Telemetry;
-    use ytcdn_tstat::DatasetName;
+    use ytcdn_tstat::{Dataset, DatasetName};
 
     fn stats(name: DatasetName) -> NonPreferredVideoStats {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.015, 13));
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
         nonpreferred_video_stats(&index)
     }
 
@@ -131,8 +131,8 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 13));
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        let counts = per_video_counts(&index, &ds);
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        let counts = per_video_counts(&index);
         for (v, c) in &counts {
             assert!(c.non_preferred <= c.total, "{v}: {c:?}");
             assert!(c.total >= 1);
@@ -150,7 +150,7 @@ mod tests {
         let (ds, _) = s.run(DatasetName::Eu1Ftth);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
         let empty = Dataset::new(DatasetName::Eu1Ftth);
-        let index = DatasetIndex::build(&ctx, &empty, Telemetry::disabled());
+        let index = DatasetIndex::build(&ctx, empty, Telemetry::disabled());
         let st = nonpreferred_video_stats(&index);
         assert!(st.cdf.is_empty());
         assert_eq!(st.exactly_once_fraction, 0.0);

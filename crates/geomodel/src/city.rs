@@ -234,8 +234,8 @@ impl CityDb {
     /// into the same data center if they are located in the same city").
     ///
     /// Answers come from a lat/lon bucket grid whose per-cell candidate
-    /// lists are proved complete by the triangle inequality (see
-    /// [`NearestGrid`]), so the result — including tie-breaking, which
+    /// lists are proved complete by the triangle inequality (see the
+    /// private `NearestGrid`), so the result — including tie-breaking, which
     /// follows [`WORLD_CITIES`] table order in both paths — is identical to
     /// a full linear scan, only without touching the whole table per query.
     pub fn nearest(&self, coord: Coord) -> (&'static City, f64) {

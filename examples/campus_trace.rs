@@ -50,8 +50,9 @@ fn main() {
         .vantage(DatasetName::UsCampus)
         .subnets
         .clone();
-    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
-    for share in subnet_shares(&index, &dataset, &subnets) {
+    // The index takes the dataset; the subnet split reads it from there.
+    let index = DatasetIndex::build(&ctx, dataset, Telemetry::disabled());
+    for share in subnet_shares(&index, &subnets) {
         println!(
             "  {:<6} {:>5.1}% of flows, {:>5.1}% of non-preferred accesses (bias {:.1}x)",
             share.name,

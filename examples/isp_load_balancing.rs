@@ -33,7 +33,8 @@ fn main() {
         100.0 * ctx.nonpreferred_share_of_flows()
     );
 
-    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
+    // The index takes the dataset; the hourly series is read off it.
+    let index = DatasetIndex::build(&ctx, dataset, Telemetry::disabled());
     let samples = hourly_samples(&index);
     println!(
         "\ncorrelation(hourly load, local fraction) = {:.3}  — strongly negative = load balancing",

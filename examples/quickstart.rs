@@ -31,9 +31,10 @@ fn main() {
         100.0 * ctx.preferred_share_of_bytes()
     );
 
-    // Step 2: build the analysis index, which groups flows into video
-    // sessions (T = 1 s) and classifies them.
-    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
+    // Step 2: build the analysis index, which takes the dataset, groups its
+    // flows into video sessions (T = 1 s) and classifies them. Every later
+    // analysis reads the dataset through the index (`index.dataset()`).
+    let index = DatasetIndex::build(&ctx, dataset, Telemetry::disabled());
     let stats = index.patterns();
     println!(
         "{} sessions: {:.1}% single-flow, {:.1}% of single-flow ones to non-preferred DCs",

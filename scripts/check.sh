@@ -21,6 +21,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings" >&2
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Every intra-doc link must resolve, and no public doc may link a private
+# item.
+echo "==> cargo doc -D warnings" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # In-tree determinism lint: SimRng-only simulation, no wall clocks in
 # deterministic crates, ordered containers in output paths, forbid(unsafe)
 # everywhere, no RNG draws under telemetry guards, no unreasoned
@@ -303,6 +308,26 @@ cargo run --quiet --release -p ytcdn-cli -- analyze \
     || { echo "check.sh: analyze --trace on a far-future log exited $status, want 1" >&2; exit 1; }
 grep -q "t_start_ms" "$smoke/far-future-err.txt" \
     || { echo "check.sh: far-future log rejection gave no reason on stderr" >&2; exit 1; }
+
+# A log with no video flow (header only, or only sub-1000-byte flows) has
+# no preferred data center: analyze --trace must print the typed reason in
+# place of the preferred-DC and share lines, and still exit 0.
+echo "==> analyze --trace on logs without video flows" >&2
+head -n 2 "$smoke/analyze.log" > "$smoke/no-flows.log"
+awk '/^#/ || $5 < 1000' "$smoke/analyze.log" > "$smoke/no-video.log"
+for case in "no-flows:contains no flows" "no-video:contains no video flows"; do
+    trace="${case%%:*}"
+    reason="${case#*:}"
+    cargo run --quiet --release -p ytcdn-cli -- analyze \
+        --trace "$smoke/$trace.log" --scale 0.004 --seed 7 > "$smoke/$trace.txt" 2>/dev/null \
+        || { echo "check.sh: analyze --trace $trace.log exited non-zero" >&2; exit 1; }
+    grep -q "^data-center shares SKIPPED: dataset EU2 $reason\$" "$smoke/$trace.txt" \
+        || { echo "check.sh: analyze --trace $trace.log did not say it $reason" >&2; exit 1; }
+    if grep -q "preferred data center:" "$smoke/$trace.txt"; then
+        echo "check.sh: analyze --trace $trace.log named a preferred data center" >&2
+        exit 1
+    fi
+done
 
 # Degenerate-input smoke: an empty capture must not panic anywhere in the
 # analysis layer — the scorecard renders its unanswerable claims as

@@ -136,8 +136,9 @@ fn assert_grouping_matches_oracle(ds: &Dataset, gap_ms: u64, label: &str) {
 }
 
 /// Asserts the index's one-walk sweep equals the direct per-gap CDF.
-fn assert_sweep_matches_direct(index: &DatasetIndex, ds: &Dataset, label: &str) {
-    let swept = index.flows_per_session_sweep(ds, &SWEEP_GAPS_MS);
+fn assert_sweep_matches_direct(index: &DatasetIndex, label: &str) {
+    let ds = index.dataset();
+    let swept = index.flows_per_session_sweep(&SWEEP_GAPS_MS);
     assert_eq!(swept.len(), SWEEP_GAPS_MS.len(), "{label}");
     for (gap_ms, cdf) in SWEEP_GAPS_MS.iter().zip(&swept) {
         assert_eq!(cdf, &flows_per_session(ds, *gap_ms), "{label} gap={gap_ms}");
@@ -352,8 +353,8 @@ fn sweep_matches_direct_flows_per_session() {
         for name in DatasetName::ALL {
             let (ds, _) = s.run(name);
             let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-            let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-            assert_sweep_matches_direct(&index, &ds, &format!("{name} scale={scale} seed={seed}"));
+            let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+            assert_sweep_matches_direct(&index, &format!("{name} scale={scale} seed={seed}"));
         }
     }
     // Degenerate and edge-case datasets, indexed against a real context.
@@ -368,8 +369,8 @@ fn sweep_matches_direct_flows_per_session() {
         ("start ties", start_ties()),
         ("client span 2^20 + 1", client_span_dataset((1 << 20) + 1)),
     ] {
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        assert_sweep_matches_direct(&index, &ds, label);
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        assert_sweep_matches_direct(&index, label);
     }
 }
 
@@ -409,9 +410,10 @@ fn flow_table(ctx: &AnalysisContext, ds: &Dataset) -> Vec<FlowRow> {
 
 /// Builds `ds`'s context and index the way the suite does, then asserts
 /// every figure analysis equals what the naive per-flow table derives.
-fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
-    let ctx = AnalysisContext::from_ground_truth(world, ds);
+fn assert_analyses_match_oracle(world: &World, ds: Dataset, label: &str) {
+    let ctx = AnalysisContext::from_ground_truth(world, &ds);
     let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+    let ds = index.dataset();
     let table = flow_table(&ctx, ds);
     let hours = table.iter().map(|f| f.hour + 1).max().unwrap_or(1);
 
@@ -449,7 +451,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
             c.non_preferred += u64::from(!preferred);
         }
     }
-    let got: BTreeMap<VideoId, VideoCounts> = per_video_counts(&index, ds).into_iter().collect();
+    let got: BTreeMap<VideoId, VideoCounts> = per_video_counts(&index).into_iter().collect();
     assert_eq!(got, counts, "{label}: per-video counts");
     let redirected: Vec<&VideoCounts> = counts.values().filter(|c| c.non_preferred > 0).collect();
     let once: Vec<&&VideoCounts> = redirected.iter().filter(|c| c.non_preferred == 1).collect();
@@ -477,7 +479,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
     top.sort_by_key(|&(video, n)| (std::cmp::Reverse(n), video));
     top.truncate(4);
     assert_eq!(
-        top_nonpreferred_videos(&index, ds, 4),
+        top_nonpreferred_videos(&index, 4),
         top,
         "{label}: top videos"
     );
@@ -491,7 +493,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
             }
         }
         assert_eq!(
-            video_timeseries(&index, ds, video),
+            video_timeseries(&index, video),
             series,
             "{label}: series of {video:?}"
         );
@@ -524,7 +526,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
         })
         .collect();
     assert_eq!(
-        subnet_shares(&index, ds, subnets),
+        subnet_shares(&index, subnets),
         want,
         "{label}: Figure 12 shares"
     );
@@ -551,11 +553,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
             }
         })
         .collect();
-    assert_eq!(
-        preferred_server_load(&index, ds),
-        load,
-        "{label}: server load"
-    );
+    assert_eq!(preferred_server_load(&index), load, "{label}: server load");
 
     // Figures 6 and 10: the default-gap sessions and their pattern classes.
     let sessions = naive_group_sessions(ds, DEFAULT_GAP_MS);
@@ -617,7 +615,7 @@ fn assert_analyses_match_oracle(world: &World, ds: &Dataset, label: &str) {
             }
         }
         assert_eq!(
-            server_session_breakdown(&index, ds, server),
+            server_session_breakdown(&index, server),
             breakdown,
             "{label}: breakdown at {server}"
         );
@@ -631,15 +629,15 @@ fn analyses_match_naive_oracle() {
         for name in DatasetName::ALL {
             let (ds, _) = s.run(name);
             let label = format!("{name} scale={scale} seed={seed}");
-            assert_analyses_match_oracle(s.world(), &ds, &label);
             for shape in [DegenerateShape::Empty, DegenerateShape::SingleFlow] {
                 let degenerate = shape.apply(Observatory::new(s.world()), ds.clone());
-                assert_analyses_match_oracle(s.world(), &degenerate, &format!("{label} {shape}"));
+                assert_analyses_match_oracle(s.world(), degenerate, &format!("{label} {shape}"));
             }
+            assert_analyses_match_oracle(s.world(), ds, &label);
         }
     }
     let s = scenario(0.004, 2);
-    assert_analyses_match_oracle(s.world(), &packed_key_edge_cases(), "edge cases");
+    assert_analyses_match_oracle(s.world(), packed_key_edge_cases(), "edge cases");
 }
 
 /// The acceptance criterion: every experiment's report is byte-identical

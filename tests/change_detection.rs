@@ -39,10 +39,10 @@ fn mutated_scenario(seed: u64, specs: &[&str]) -> StandardScenario {
     s
 }
 
-fn report_for(s: &StandardScenario, ds: &Dataset) -> WatchReport {
-    let ctx = AnalysisContext::from_ground_truth(s.world(), ds);
+fn report_for(s: &StandardScenario, ds: Dataset) -> WatchReport {
+    let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
     let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
-    WatchReport::build(&ctx, ds, &index, WatchConfig::default())
+    WatchReport::build(&ctx, index.dataset(), &index, WatchConfig::default())
         .expect("simulated datasets are never degenerate")
 }
 
@@ -52,7 +52,7 @@ fn detector_fires_exactly_at_each_scheduled_hour() {
         for (spec, expected_window) in CASES {
             let s = mutated_scenario(seed, &[spec]);
             let (ds, _) = s.run(DATASET);
-            let r = report_for(&s, &ds);
+            let r = report_for(&s, ds);
             assert_eq!(
                 r.change_points.len(),
                 1,
@@ -84,7 +84,7 @@ fn unmutated_traces_stay_silent() {
     for seed in SEEDS {
         let s = StandardScenario::build(ScenarioConfig::with_scale(SCALE, seed));
         let (ds, _) = s.run(DATASET);
-        let r = report_for(&s, &ds);
+        let r = report_for(&s, ds);
         assert!(
             r.change_points.is_empty(),
             "seed {seed}: false positive(s) {:?}",
@@ -106,7 +106,7 @@ fn mutated_pipeline_is_invariant_under_jobs() {
     let specs: Vec<&str> = CASES.iter().map(|(m, _)| *m).collect();
     let s = mutated_scenario(5, &specs);
     let (seq, _) = s.run(DATASET);
-    let baseline = report_for(&s, &seq);
+    let baseline = report_for(&s, seq.clone());
     // All three mutations together: one change point per scheduled hour,
     // in trace order.
     let mut expected: Vec<usize> = CASES.iter().map(|&(_, w)| w).collect();

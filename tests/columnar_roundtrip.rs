@@ -155,7 +155,8 @@ fn decoded_hour_ranges_match_index_binning() {
     let s = scenario(0.004, 2);
     let (ds, _) = s.run(DatasetName::Eu2);
     let ctx = ytcdn_core::AnalysisContext::from_ground_truth(s.world(), &ds);
-    let index = ytcdn_core::DatasetIndex::build(&ctx, &ds, ytcdn_telemetry::Telemetry::disabled());
+    let index =
+        ytcdn_core::DatasetIndex::build(&ctx, ds.clone(), ytcdn_telemetry::Telemetry::disabled());
     let file = YtcFile::new(header(0.004, 2), vec![ds]).unwrap();
     let back = YtcFile::decode(&file.encode()).unwrap();
     let columnar = back.dataset(DatasetName::Eu2).unwrap();

@@ -36,7 +36,8 @@ impl Harness {
     }
 
     fn index(&self, name: DatasetName) -> DatasetIndex {
-        DatasetIndex::build(&self.ctx(name), self.dataset(name), Telemetry::disabled())
+        let ds = self.dataset(name).clone();
+        DatasetIndex::build(&self.ctx(name), ds, Telemetry::disabled())
     }
 
     fn dataset(&self, name: DatasetName) -> &ytcdn_tstat::Dataset {
@@ -193,7 +194,7 @@ fn net3_bias_matches_figure12() {
         .vantage(DatasetName::UsCampus)
         .subnets
         .clone();
-    let shares = subnet_shares(&index, h.dataset(DatasetName::UsCampus), &subnets);
+    let shares = subnet_shares(&index, &subnets);
     let net3 = shares.iter().find(|s| s.name == "Net-3").unwrap();
     let max_other_bias = shares
         .iter()

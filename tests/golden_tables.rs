@@ -523,8 +523,8 @@ fn watch_digests() -> String {
     for (label, s, name) in traces {
         let (ds, _) = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
-        let report = WatchReport::build(&ctx, &ds, &index, WatchConfig::default())
+        let index = DatasetIndex::build(&ctx, ds, Telemetry::disabled());
+        let report = WatchReport::build(&ctx, index.dataset(), &index, WatchConfig::default())
             .expect("every golden trace has flows");
         let _ = writeln!(
             out,

@@ -24,8 +24,8 @@ fn textlog_roundtrip_preserves_analysis() {
     let ctx_a = AnalysisContext::from_ground_truth(scenario.world(), &ds);
     let ctx_b = AnalysisContext::from_ground_truth(scenario.world(), &back);
     assert_eq!(ctx_a.preferred().city_name, ctx_b.preferred().city_name);
-    let index_a = DatasetIndex::build(&ctx_a, &ds, Telemetry::disabled());
-    let index_b = DatasetIndex::build(&ctx_b, &back, Telemetry::disabled());
+    let index_a = DatasetIndex::build(&ctx_a, ds, Telemetry::disabled());
+    let index_b = DatasetIndex::build(&ctx_b, back, Telemetry::disabled());
     assert_eq!(index_a.sessions().len(), index_b.sessions().len());
     assert_eq!(index_a.patterns(), index_b.patterns());
 }
@@ -88,7 +88,7 @@ fn empty_dataset_roundtrips_through_every_format() {
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &empty);
     assert!(group_sessions(&back, 1_000).is_empty());
     assert_eq!(
-        DatasetIndex::build(&ctx, &back, Telemetry::disabled()).patterns(),
+        DatasetIndex::build(&ctx, back, Telemetry::disabled()).patterns(),
         ytcdn_core::patterns::PatternStats::default()
     );
 }
